@@ -17,7 +17,7 @@ and classifies the outcome.  Multi-probe attacks (Blind ROP, PIROP) drive
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.attacks.monitor import DefenseMonitor
 from repro.attacks.outcomes import AttackOutcome, AttackResult
@@ -56,6 +56,71 @@ def output_success(output, *, require_arg: bool = False) -> bool:
             if not require_arg or word == (SUCCESS_TAG | ATTACK_ARG):
                 return True
     return False
+
+
+class _RecordingView(AttackerView):
+    """AttackerView that logs every write for replay in the followers."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.write_log: List[Tuple[int, bytes]] = []
+
+    def write_word(self, address: int, value: int) -> None:
+        data = (value & (2**64 - 1)).to_bytes(8, "little")
+        self.write_log.append((address, data))
+        super().write_word(address, value)
+
+    def write_low_bytes(self, address: int, value: int, nbytes: int) -> None:
+        data = (value & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
+        self.write_log.append((address, data))
+        super().write_low_bytes(address, value, nbytes)
+
+
+def arm_write_replay(
+    processes: Sequence,
+    reference: ReferenceKnowledge,
+    hook: Optional[AttackFn],
+    *,
+    attacker_seed: int = 0,
+) -> Callable[[object], bool]:
+    """Wire N-variant input replication (Section 7.3) into the
+    ``attack_hook`` services of ``processes``.
+
+    The leader (``processes[0]``) runs ``hook``, if any, against an
+    :class:`AttackerView` that records every write.  Each follower
+    replays the recorded bytes at the same addresses when its own hook
+    fires.  Returns the predicate "the leader's hook has fired", for
+    :meth:`~repro.defenses.lockstep.LockstepGroup.run_variant_until`.
+    """
+    write_log: List[Tuple[int, bytes]] = []
+    fired = [False]
+
+    def leader(proc, running_cpu):
+        if hook is not None:
+            view = _RecordingView(
+                proc,
+                running_cpu,
+                reference,
+                rng=DiversityRng(attacker_seed).child("attacker"),
+            )
+            try:
+                hook(view)
+            except AttackAborted:
+                pass
+            write_log.extend(view.write_log)
+        fired[0] = True
+
+    def follower(proc, running_cpu):
+        for address, data in write_log:
+            try:
+                proc.memory.write(address, data)
+            except MachineError:
+                pass  # landed in an unmapped/protected spot here
+
+    processes[0].register_service("attack_hook", fire_once(leader))
+    for process in processes[1:]:
+        process.register_service("attack_hook", fire_once(follower))
+    return lambda variant: fired[0]
 
 
 @dataclass
@@ -216,48 +281,20 @@ class VictimSession:
         caught the variants disagreeing — a detection the Table 3 tallies
         and the reactive supervisor can act on.
         """
-        # Imported here: defenses.lockstep/mvee import this module.
+        # Imported here: defenses.lockstep imports the attacks package.
         from repro.defenses.lockstep import LockstepGroup, MveeOutcome
-        from repro.defenses.mvee import _RecordingView
 
         seed = self.load_seed
         if self.rerandomize_on_restart:
             seed += self._spawn_count
         self._spawn_count += 1
-        write_log = []
-        leader_fired = [False]
-        processes = []
-        for index, binary in enumerate(self.variant_binaries):
-            process = load_binary(binary, seed=seed, execute_only=self.execute_only)
-            if index == 0:
-
-                def leader_service(proc, running_cpu):
-                    view = _RecordingView(
-                        proc,
-                        running_cpu,
-                        self.reference,
-                        rng=DiversityRng(attacker_seed).child("attacker"),
-                    )
-                    try:
-                        hook(view)
-                    except AttackAborted:
-                        pass
-                    write_log.extend(view.write_log)
-                    leader_fired[0] = True
-
-                process.register_service("attack_hook", fire_once(leader_service))
-            else:
-
-                def follower_service(proc, running_cpu):
-                    for address, data in write_log:
-                        try:
-                            proc.memory.write(address, data)
-                        except MachineError:
-                            pass  # landed in an unmapped/protected spot here
-
-                process.register_service("attack_hook", fire_once(follower_service))
-            processes.append(process)
-
+        processes = [
+            load_binary(binary, seed=seed, execute_only=self.execute_only)
+            for binary in self.variant_binaries
+        ]
+        leader_fired = arm_write_replay(
+            processes, self.reference, hook, attacker_seed=attacker_seed
+        )
         group = LockstepGroup(
             processes,
             backend=self.backend,
@@ -267,7 +304,7 @@ class VictimSession:
             monitor=self.monitor,
             compare_state=False,
         )
-        group.run_variant_until(0, lambda variant: leader_fired[0])
+        group.run_variant_until(0, leader_fired)
         lockstep = group.run()
         leader = group.variants[0]
         if any(variant.status == "detected" for variant in group.variants):

@@ -46,7 +46,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.attacks.monitor import DefenseMonitor
 from repro.attacks.outcomes import AttackOutcome
-from repro.attacks.scenario import AttackAborted, output_success
+from repro.attacks.scenario import arm_write_replay, output_success
 from repro.attacks.surface import AttackerView, ReferenceKnowledge
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
@@ -55,11 +55,9 @@ from repro.defenses.lockstep import (
     LockstepGroup,
     MveeOutcome,
 )
-from repro.errors import MachineError
 from repro.machine.loader import load_binary
-from repro.rng import DiversityRng
 from repro.toolchain.ir import Module
-from repro.workloads.victim import build_victim, fire_once
+from repro.workloads.victim import build_victim
 
 __all__ = [
     "MVEE",
@@ -93,24 +91,6 @@ class MveeResult:
     @property
     def detected(self) -> bool:
         return self.outcome in (MveeOutcome.DIVERGED, MveeOutcome.TRAPPED)
-
-
-class _RecordingView(AttackerView):
-    """AttackerView that logs every write for replay in the followers."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.write_log: List[Tuple[int, bytes]] = []
-
-    def write_word(self, address: int, value: int) -> None:
-        data = (value & (2**64 - 1)).to_bytes(8, "little")
-        self.write_log.append((address, data))
-        super().write_word(address, value)
-
-    def write_low_bytes(self, address: int, value: int, nbytes: int) -> None:
-        data = (value & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
-        self.write_log.append((address, data))
-        super().write_low_bytes(address, value, nbytes)
 
 
 class MVEE:
@@ -152,19 +132,12 @@ class MVEE:
         attacker_seed: int = 0,
     ) -> MveeResult:
         """Run all variants (optionally under attack) and cross-check."""
-        write_log: List[Tuple[int, bytes]] = []
-        leader_fired: List[bool] = [False]
         processes = [
-            self._load_variant(
-                index,
-                binary,
-                attack_fn,
-                write_log,
-                leader_fired,
-                attacker_seed=attacker_seed,
-            )
-            for index, binary in enumerate(self.binaries)
+            load_binary(binary, seed=self.load_seed) for binary in self.binaries
         ]
+        leader_fired = arm_write_replay(
+            processes, self.reference, attack_fn, attacker_seed=attacker_seed
+        )
         group = LockstepGroup(
             processes,
             backend=self.backend,
@@ -177,7 +150,7 @@ class MVEE:
         )
         # Phase 1: the leader runs alone until its hook has fired and the
         # attacker's writes are on record (or the leader stops first).
-        group.run_variant_until(0, lambda variant: leader_fired[0])
+        group.run_variant_until(0, leader_fired)
         # Phase 2: everyone in batched lockstep; followers replay the
         # leader's writes when their own hooks fire.
         lockstep = group.run()
@@ -209,46 +182,6 @@ class MVEE:
             result.outcome = MveeOutcome.DIVERGED
             result.notes.extend(lockstep.notes)
         return result
-
-    def _load_variant(
-        self,
-        index: int,
-        binary,
-        attack_fn,
-        write_log: List[Tuple[int, bytes]],
-        leader_fired: List[bool],
-        *,
-        attacker_seed: int,
-    ):
-        process = load_binary(binary, seed=self.load_seed)
-        leader = index == 0
-
-        def hook(proc, running_cpu):
-            if leader:
-                if attack_fn is not None:
-                    view = _RecordingView(
-                        proc,
-                        running_cpu,
-                        self.reference,
-                        rng=DiversityRng(attacker_seed).child("attacker"),
-                    )
-                    try:
-                        attack_fn(view)
-                    except AttackAborted:
-                        pass
-                    write_log.extend(view.write_log)
-                leader_fired[0] = True
-            elif write_log:
-                # MVEE input replication: the follower receives the same
-                # corrupting bytes at the same addresses.
-                for address, data in write_log:
-                    try:
-                        proc.memory.write(address, data)
-                    except MachineError:
-                        pass  # landed in an unmapped/protected spot here
-
-        process.register_service("attack_hook", fire_once(hook))
-        return process
 
 
 def mvee_attack_outcome(result: MveeResult) -> AttackOutcome:

@@ -21,8 +21,10 @@ assumes.  It provides:
 * :mod:`repro.machine.uops` / :mod:`repro.machine.backends` — the
   fetch/decode/execute pipeline: binaries are decoded once into
   pre-resolved micro-ops (cached by content fingerprint) and driven by
-  either the ``reference`` interpreter loop or the ``fast`` handler-table
-  backend, with byte-identical results.
+  the ``reference`` interpreter loop, the ``fast`` handler-table backend,
+  or the ``jit`` backend (:mod:`repro.machine.blocks` /
+  :mod:`repro.machine.jit`: compiled block functions and tier-3 traces;
+  observed runs go to ``fast``), with byte-identical results.
 * :mod:`repro.machine.process` — the process image with ASLR over text,
   data, heap and stack regions.
 * :mod:`repro.machine.loader` — maps a linked binary into a process.

@@ -9,7 +9,10 @@ interpretation lives in pluggable execution backends
 * ``reference`` — the original monolithic interpreter loop, preserved
   verbatim as the semantic baseline;
 * ``fast`` — per-opcode handler tables over a pre-resolved micro-op
-  stream (:mod:`repro.machine.uops`), decoded once per binary.
+  stream (:mod:`repro.machine.uops`), decoded once per binary;
+* ``jit`` — compiled block functions and traces
+  (:mod:`repro.machine.jit`); observed runs (trace hook, tag
+  attribution, opcode counts) run on ``fast``.
 
 :class:`CPU` is the thin façade that binds one state to one decoded
 program under one backend: it *is* a ``MachineState`` (so every trace
@@ -19,7 +22,7 @@ object), plus a backend name and the classic :meth:`CPU.run` /
 one program — the lockstep MVEE, the debugger — talk to the backend
 directly instead.
 
-Both backends are required to produce byte-identical
+All backends are required to produce byte-identical
 :class:`ExecutionResult` counters and to raise the same faults
 (:class:`BoobyTrapTriggered`, :class:`GuardPageFault`, shadow-stack
 violations, ...) at the same instructions; ``tests/test_backends.py`` and
@@ -40,25 +43,8 @@ from repro.machine.costs import MachineCosts
 from repro.machine.isa import Op
 from repro.machine.process import Process
 from repro.machine.state import MachineState
-from repro.numeric import (  # re-exported for backward compatibility
-    MASK64,
-    SIGN_BIT,
-    to_signed,
-    to_unsigned,
-    truncated_div,
-)
 
-__all__ = [
-    "CPU",
-    "ExecutionResult",
-    "MachineState",
-    "MASK64",
-    "SIGN_BIT",
-    "UNTAGGED_TAG",
-    "to_signed",
-    "to_unsigned",
-    "truncated_div",
-]
+__all__ = ["CPU", "ExecutionResult", "UNTAGGED_TAG"]
 
 #: Attribution bucket for untagged (application) instructions.  With
 #: ``attribute_tags=True`` every executed instruction lands in exactly one

@@ -36,9 +36,8 @@ dynamic block head, on its second entry*:
   transfers (``call reg``/``jmp reg``/``ret``) specialize on the target
   observed during recording, counting misses; a trace whose guards storm
   (more failures than half its entries) demotes back to its tier-2
-  block and is blacklisted.  Traces are formed only for lean variants
-  (no tag attribution or opcode counting) and are disabled wholesale
-  with :func:`set_tier3` / ``REPRO_JIT_TIER3=0``.
+  block and is blacklisted.  Tier 3 is disabled wholesale with
+  :func:`set_tier3` / ``REPRO_JIT_TIER3=0``.
 
 Block functions thread by address: a function returns the next block
 head as a non-negative ``int`` (register values are masked, so real
@@ -65,17 +64,17 @@ again, and budget deopts from a loop trace fall through to the
 interpreter exactly like block deopts.  Interpreter segments run block-granular spans on the
 *reference* loop directly into the caller's result — exact, because all
 cycle accounting is integer units.  A drive that starts with a trace
-hook installed is delegated to ``fast`` wholesale, matching its
-hoisted-hook semantics.  The differential suite holds ``jit`` to
+hook, tag attribution or opcode counting installed is delegated to
+``fast`` wholesale: those observe single instructions, which compiled
+code folds away.  The differential suite holds ``jit`` to
 byte-identical :class:`ExecutionResult`\\ s, faults, ``rip``, counters,
 folded profiles, and lockstep divergence points against both other
 backends.
 
 Compiled code objects are cached per (module fingerprint, config digest,
-address-space layout, cost-model signature, accounting flags): lockstep
-replicas of one image re-``exec`` shared code objects against their own
-memory bindings instead of re-generating source
-(:meth:`JitBackend.clone_program`).
+address-space layout, cost-model signature): lockstep replicas of one
+image re-``exec`` shared code objects against their own memory bindings
+instead of re-generating source (:meth:`JitBackend.clone_program`).
 """
 
 from __future__ import annotations
@@ -94,7 +93,6 @@ from repro.errors import (
 )
 from repro.machine.blocks import backward_branch_target, fuse_slice, slice_block
 from repro.machine.costs import CYCLE_UNIT, costs_signature, fold_cost
-from repro.machine.cpu import UNTAGGED_TAG
 from repro.machine.icache import block_line_plan, line_span
 from repro.machine.isa import Imm, Mem, Op, Reg
 from repro.machine.uops import TERMINATOR_OPS, _DIRECT_BRANCH_OPS, _kind, get_bound_program
@@ -270,7 +268,7 @@ class _JU:
     rules as the tier-0 binder (:func:`repro.machine.uops._bind`)."""
 
     __slots__ = (
-        "rip", "next_rip", "size", "op", "tag", "ka", "kb",
+        "rip", "next_rip", "size", "op", "ka", "kb",
         "a_reg", "b_reg", "imm", "a_base", "a_off", "b_base", "b_off",
         "sym", "has_mem", "target",
     )
@@ -333,7 +331,6 @@ def _classify(addr: int, instr) -> Optional[_JU]:
     ju.size = instr.size
     ju.next_rip = addr + instr.size
     ju.op = op
-    ju.tag = instr.tag
     ju.ka = ka
     ju.kb = kb
     ju.a_reg = int(a) if isinstance(a, Reg) else 0
@@ -492,38 +489,29 @@ def _make_probers(ways: int, monotone: bool):
 class _SliceCompiler:
     """Generates the source of one block function.
 
-    Two accounting strategies share the semantics emitter:
-
-    * **lean** (no tag attribution, no opcode counting — the hot
-      configuration): per-instruction instruction counts, cycle charges,
-      guaranteed i-cache hits, and memory-op counts fold into *static
-      integer constants* accumulated at codegen time.  The generated body
-      carries only the genuinely dynamic parts — LRU probes for lines not
-      guaranteed resident (hits ``h``, misses ``m``, penalty units
-      ``pu``) — and the terminator flush charges ``K + pu`` in one
-      statement.  Faults restore the exact executed prefix from a baked
-      per-block table keyed by faulting ``rip``.
-    * **rich** (attribution and/or opcode counts): per-instruction
-      charges are emitted inline in the interpreters' order, with integer
-      unit literals, per-tag dict updates, and per-opcode counts.
+    Per-instruction instruction counts, cycle charges, guaranteed i-cache
+    hits, and memory-op counts fold into *static integer constants*
+    accumulated at codegen time.  The generated body carries only the
+    genuinely dynamic parts — LRU probes for lines not guaranteed
+    resident (misses ``m``) — and the terminator flush charges
+    ``K + m * penalty`` in one statement.  Faults restore the exact
+    executed prefix from a baked per-block table keyed by faulting
+    ``rip``.  Per-tag and per-opcode counts are never compiled (those
+    drives run on ``fast``).
     """
 
     def __init__(self, addr: int, items, jus: List[_JU], fused, costs,
-                 attribute: bool, count_ops: bool, monotone: bool = False):
+                 monotone: bool = False):
         self.addr = addr
         self.items = items
         self.jus = jus
         self.fused = fused
         self.costs = costs
-        self.attribute = attribute
-        self.count_ops = count_ops
-        self.rich = attribute or count_ops
-        #: Text fits the i-cache (see :func:`_text_fits_icache`): lean
-        #: probes are first-touch-only and skippable once the block has
-        #: probed to completion.  Rich mode keeps inline exact probes.
-        self.monotone = monotone and not self.rich
+        #: Text fits the i-cache (see :func:`_text_fits_icache`): probes
+        #: are first-touch-only and skippable once the block has probed
+        #: to completion.
+        self.monotone = monotone
         self.num_sets = costs.icache_size // (costs.icache_line * costs.icache_ways)
-        self.ways = costs.icache_ways
         self.penalty = costs.icache_miss_penalty_units
         self.lines: List[str] = []
         self.needs_try = any(_faultable(j) for j in jus)
@@ -537,7 +525,7 @@ class _SliceCompiler:
         self.has_probe = any(must for probes in self.plan for _, must in probes)
         self.has_mem_any = any(j.has_mem for j in jus)
         self.used_shadow = any(j.op in (Op.CALL, Op.RET) for j in jus)
-        # Lean-mode static accumulators and the per-prefix fault table.
+        # Static accumulators and the per-prefix fault table.
         self.stat_x = 0
         self.stat_k = 0
         self.stat_g = 0
@@ -553,9 +541,6 @@ class _SliceCompiler:
         # number via a baked table (see :func:`_fault_lineno`).
         self._line_rip: List[int] = []
         self._ctx_rip = next((j.rip for j in jus if _faultable(j)), 0)
-        # Rich-mode used flags (mirror the per-instruction emitter).
-        self.used_miss = False
-        self.used_mem = False
 
     # -- helpers -----------------------------------------------------------
 
@@ -564,7 +549,7 @@ class _SliceCompiler:
         self._line_rip.append(self._ctx_rip)
 
     def flush_probes(self) -> None:
-        """Emit the pending LRU probe batch (lean mode).
+        """Emit the pending LRU probe batch.
 
         Probes of consecutive non-faultable instructions batch into one
         generated statement: nothing between two faultable statements can
@@ -592,23 +577,16 @@ class _SliceCompiler:
 
     def flush_stmts(self) -> List[str]:
         out = ["C[0] = n"]
-        if self.rich:
-            out.append("C[3] += h")
-            if self.used_miss:
-                out.append("C[4] += m")
-            if self.used_mem:
-                out.append("C[2] += o")
+        if self.has_probe:
+            out.append(f"C[1] += {self.stat_k} + m * {self.penalty}")
+            out.append(f"C[3] += {self.stat_g + self.stat_p} - m")
+            out.append("C[4] += m")
         else:
-            if self.has_probe:
-                out.append(f"C[1] += {self.stat_k} + m * {self.penalty}")
-                out.append(f"C[3] += {self.stat_g + self.stat_p} - m")
-                out.append("C[4] += m")
-            else:
-                out.append(f"C[1] += {self.stat_k}")
-                if self.stat_g:
-                    out.append(f"C[3] += {self.stat_g}")
-            if self.stat_o:
-                out.append(f"C[2] += {self.stat_o}")
+            out.append(f"C[1] += {self.stat_k}")
+            if self.stat_g:
+                out.append(f"C[3] += {self.stat_g}")
+        if self.stat_o:
+            out.append(f"C[2] += {self.stat_o}")
         return out
 
     def emit_flush_and(self, tail: str) -> None:
@@ -616,10 +594,10 @@ class _SliceCompiler:
             self.emit(stmt)
         self.emit(tail)
 
-    # -- inlined memory word access (lean mode) ----------------------------
+    # -- inlined memory word access ----------------------------------------
     #
     # The single hottest thing compiled code does is call
-    # ``Memory.read_word``/``write_word``.  Lean blocks inline the aligned
+    # ``Memory.read_word``/``write_word``.  Blocks inline the aligned
     # single-page fast path instead: ``RMG``/``WMG`` are bound ``dict.get``
     # methods over the memory's word-view maps (page base -> 64-bit
     # memoryview, present iff the page is materialized and currently
@@ -628,14 +606,10 @@ class _SliceCompiler:
     # unaligned, unmaterialized, unmapped, protected, guard, big-endian
     # host — falls back to the accessor call, which reproduces the exact
     # behaviour including the fault, from a line the ``LN`` table
-    # attributes to the same instruction.  Rich mode keeps plain calls
-    # (observability runs are not the hot configuration).
+    # attributes to the same instruction.
 
     def emit_load_q(self, target: str, qvar: str) -> None:
         """``target = read_word(qvar)`` with the aligned path inline."""
-        if self.rich:
-            self.emit(f"{target} = RW({qvar})")
-            return
         self.emit(f"z = {qvar} & 4095")
         self.emit(f"u = RMG({qvar} - z)")
         self.emit(f"{target} = u[z >> 3] if u is not None and not z & 7 else RW({qvar})")
@@ -643,9 +617,6 @@ class _SliceCompiler:
     def emit_load(self, target: str, off: int, base: Optional[int]) -> None:
         """``target = read_word(off [+ r[base]])``; absolute addresses fold
         the page split and alignment test at codegen time."""
-        if self.rich:
-            self.emit(f"{target} = RW({_mem_addr_expr(off, base)})")
-            return
         if base is None:
             z = off & 4095
             if not z & 7:
@@ -662,18 +633,12 @@ class _SliceCompiler:
         ``value`` must be side-effect-free and already 64-bit masked (all
         register values, classified immediates, and masked ALU results
         are; the word view raises on out-of-range stores)."""
-        if self.rich:
-            self.emit(f"WW({qvar}, {value})")
-            return
         self.emit(f"z = {qvar} & 4095")
         self.emit(f"u = WMG({qvar} - z)")
         self.emit(f"if u is None or z & 7: WW({qvar}, {value})")
         self.emit(f"else: u[z >> 3] = {value}")
 
     def emit_store(self, off: int, base: Optional[int], value: str) -> None:
-        if self.rich:
-            self.emit(f"WW({_mem_addr_expr(off, base)}, {value})")
-            return
         if base is None:
             z = off & 4095
             if not z & 7:
@@ -688,7 +653,7 @@ class _SliceCompiler:
 
     # -- accounting --------------------------------------------------------
 
-    def account_lean(self, position: int, ju: _JU) -> None:
+    def account(self, position: int, ju: _JU) -> None:
         for line, must_probe in self.plan[position]:
             if not must_probe:
                 self.stat_g += 1
@@ -705,59 +670,6 @@ class _SliceCompiler:
             self.xb[ju.rip] = (
                 self.stat_x, self.stat_k, self.stat_g, self.stat_o, self.stat_p,
             )
-            self._ctx_rip = ju.rip
-
-    def account_rich(self, position: int, ju: _JU) -> None:
-        if self.needs_try:
-            self.emit("x += 1")
-        probes = self.plan[position]
-        max_miss = sum(1 for entry in probes if entry[1])
-        k = [
-            repr(fold_cost(self.costs, ju.op, misses, ju.has_mem))
-            for misses in range(max_miss + 1)
-        ]
-        charge = "w = {0}" if self.attribute else "C[1] += {0}"
-        if max_miss == 0:
-            for _ in probes:
-                self.emit("h += 1")
-            self.emit(charge.format(k[0]))
-        elif len(probes) == 1:
-            line = probes[0][0]
-            self.used_miss = True
-            self.emit(f"e = S[{line % self.num_sets}]")
-            self.emit(f"if {line} in e:")
-            self.emit(f"    e.move_to_end({line}); h += 1; " + charge.format(k[0]))
-            self.emit("else:")
-            self.emit(f"    m += 1; e[{line}] = True")
-            self.emit(f"    if len(e) > {self.ways}: e.popitem(last=False)")
-            self.emit("    " + charge.format(k[1]))
-        else:
-            # Multi-line fetch with at least one real probe: count misses.
-            self.used_miss = True
-            self.emit("ms = 0")
-            for line, must_probe in probes:
-                if not must_probe:
-                    self.emit("h += 1")
-                    continue
-                self.emit(f"e = S[{line % self.num_sets}]")
-                self.emit(f"if {line} in e:")
-                self.emit(f"    e.move_to_end({line}); h += 1")
-                self.emit("else:")
-                self.emit(f"    ms += 1; m += 1; e[{line}] = True")
-                self.emit(f"    if len(e) > {self.ways}: e.popitem(last=False)")
-            self.emit(charge.format(f"({', '.join(k)})[ms]"))
-        if ju.has_mem:
-            self.used_mem = True
-            self.emit("o += 1")
-        if self.attribute:
-            tag = repr(ju.tag if ju.tag is not None else UNTAGGED_TAG)
-            self.emit("C[1] += w")
-            self.emit(f"d = C[7]; d[{tag}] = d.get({tag}, 0) + w")
-            self.emit(f"d = C[8]; d[{tag}] = d.get({tag}, 0) + 1")
-        if self.count_ops:
-            name = f"OP_{ju.op.name}"
-            self.emit(f"d = C[9]; d[{name}] = d.get({name}, 0) + 1")
-        if self.needs_try and _faultable(ju):
             self._ctx_rip = ju.rip
 
     # -- semantics ---------------------------------------------------------
@@ -962,10 +874,7 @@ class _SliceCompiler:
         jus = self.jus
         last = len(jus) - 1
         for position, ju in enumerate(jus):
-            if self.rich:
-                self.account_rich(position, ju)
-            else:
-                self.account_lean(position, ju)
+            self.account(position, ju)
             if position == last:
                 # Nothing can fault past here: run any still-pending probes.
                 self.flush_probes()
@@ -985,50 +894,34 @@ class _SliceCompiler:
             f"    if n > C[5] or E[{addr}] != C[6]:",
             f"        return {~addr}",
         ]
-        if self.rich:
-            head.append("    h = 0")
-            if self.used_miss:
-                head.append("    m = 0")
-            if self.used_mem:
-                head.append("    o = 0")
-            if self.needs_try:
-                head.append("    x = 0")
-        elif self.has_probe:
+        if self.has_probe:
             head.append("    m = 0")
             if self.monotone:
                 head.append(f"    f = {addr} in PD")
         if self.used_shadow:
             head.append("    sh = cpu._bk_shadow")
         tail: List[str] = []
+        self.ln = None
         if self.needs_try:
             head.append("    try:")
             tail.append("    except BaseException:")
             tail.append(f"        I = LN_{addr:x}[TB()]")
-            if self.rich:
-                tail.append("        C[0] += x")
-                tail.append("        C[3] += h")
-                if self.used_miss:
-                    tail.append("        C[4] += m")
-                if self.used_mem:
-                    tail.append("        C[2] += o")
+            tail.append(f"        x_, k_, g_, o_, p_ = X_{addr:x}[I]")
+            tail.append("        C[0] += x_")
+            if self.has_probe:
+                tail.append(f"        C[1] += k_ + m * {self.penalty}")
+                tail.append("        C[3] += g_ + p_ - m")
+                tail.append("        C[4] += m")
             else:
-                tail.append(f"        x_, k_, g_, o_, p_ = X_{addr:x}[I]")
-                tail.append("        C[0] += x_")
-                if self.has_probe:
-                    tail.append(f"        C[1] += k_ + m * {self.penalty}")
-                    tail.append("        C[3] += g_ + p_ - m")
-                    tail.append("        C[4] += m")
-                else:
-                    tail.append("        C[1] += k_")
-                    tail.append("        C[3] += g_")
-                if self.has_mem_any:
-                    tail.append("        C[2] += o_")
+                tail.append("        C[1] += k_")
+                tail.append("        C[3] += g_")
+            if self.has_mem_any:
+                tail.append("        C[2] += o_")
             tail.append("        cpu.rip = I")
             tail.append("        raise")
-        if self.needs_try:
             # The faulting-line -> rip map the except handler reads.  Both
-            # baked tables (this and the lean fault-prefix table ``xb``)
-            # are injected into the execution namespace as objects at link
+            # baked tables (this and the fault-prefix table ``xb``) are
+            # injected into the execution namespace as objects at link
             # time rather than rendered as source literals — ``compile()``
             # never parses them.
             first_body = len(head) + 1
@@ -1036,8 +929,6 @@ class _SliceCompiler:
                 first_body + index: rip
                 for index, rip in enumerate(self._line_rip)
             }
-        else:
-            self.ln = None
         return "\n".join(head + self.lines + tail)
 
 
@@ -1068,10 +959,7 @@ class _TraceCompiler(_SliceCompiler):
     executed-prefix stats — are keyed by the *generated source line*
     directly.  For loop traces the prefix stats are per-iteration; the
     handler adds the ``it``-scaled full-iteration constants on top.
-
-    Lean accounting only: traces are formed only for variants without
-    tag attribution or opcode counting (observability runs stay at
-    tier 2, whose rich codegen is already exact per block).
+    Accounting is the block compiler's static folding throughout.
     """
 
     # Per-iteration/total static constants are unknown until the whole
@@ -1111,11 +999,7 @@ class _TraceCompiler(_SliceCompiler):
         self.hoist_bases = hoist_bases if closed else frozenset()
         self._slots: Dict[Tuple[int, Optional[int]], int] = {}
         self._slot_kinds: Dict[Tuple[int, Optional[int]], set] = {}
-        self.attribute = False
-        self.count_ops = False
-        self.rich = False
         self.num_sets = costs.icache_size // (costs.icache_line * costs.icache_ways)
-        self.ways = costs.icache_ways
         self.penalty = costs.icache_miss_penalty_units
         self.lines: List[str] = []
         all_jus = [j for _, _, jus, _ in segments for j in jus]
@@ -1154,8 +1038,6 @@ class _TraceCompiler(_SliceCompiler):
         self._line_stats: List[Tuple[int, ...]] = []
         self._ctx_rip = next((j.rip for j in all_jus if _faultable(j)), 0)
         self._ctx_stats = (0, 0, 0, 0, 0, 0, 0, 0, 0)
-        self.used_miss = False
-        self.used_mem = False
         #: Registers referenced anywhere in the body (insertion-ordered);
         #: each lives in a local ``g<index>`` for the whole trace.
         self.cached: Dict[int, None] = {}
@@ -1228,7 +1110,7 @@ class _TraceCompiler(_SliceCompiler):
             out.append(f"cpu._bk_rets += {self._T_R}")
         return out
 
-    def account_lean(self, position: int, ju: _JU) -> None:
+    def account(self, position: int, ju: _JU) -> None:
         for line, must_probe in self.plan[position]:
             if not must_probe:
                 self.stat_g += 1
@@ -1389,7 +1271,7 @@ class _TraceCompiler(_SliceCompiler):
             last = len(jus) - 1
             glue = glues[index] if index < len(glues) else None
             for position, ju in enumerate(jus):
-                self.account_lean(position, ju)
+                self.account(position, ju)
                 if position == last:
                     self.flush_probes()
                     if glue is None:
@@ -1572,7 +1454,7 @@ class _TraceUnit:
 
 
 # ---------------------------------------------------------------------------
-# Compiled-code cache, variants, and programs
+# Compiled-code cache, linked code, and programs
 # ---------------------------------------------------------------------------
 
 
@@ -1583,16 +1465,12 @@ class _BlockUnit:
     :class:`_SliceCompiler`): linked into the execution namespace as
     plain objects so the source ``compile()`` parses stays small."""
 
-    __slots__ = (
-        "code", "name", "length", "fused", "x_table", "ln_table", "back_target",
-    )
+    __slots__ = ("code", "name", "x_table", "ln_table", "back_target")
 
-    def __init__(self, code, name: str, length: int, fused: int,
-                 x_table=None, ln_table=None, back_target: Optional[int] = None):
+    def __init__(self, code, name: str, x_table=None, ln_table=None,
+                 back_target: Optional[int] = None):
         self.code = code
         self.name = name
-        self.length = length
-        self.fused = fused
         self.x_table = x_table
         self.ln_table = ln_table
         #: Backward direct-branch target (a loop-header candidate the
@@ -1600,7 +1478,7 @@ class _BlockUnit:
         self.back_target = back_target
 
 
-#: (fingerprint, digest, layout bases, costs signature, flags) ->
+#: (fingerprint, digest, layout bases, costs signature, monotone) ->
 #: {block head address: _BlockUnit or None (negative-cached: interp-only)}.
 _CODE_CACHE: Dict[tuple, Dict[int, Optional[_BlockUnit]]] = {}
 
@@ -1611,7 +1489,7 @@ def clear_jit_cache() -> None:
 
 
 class _Variant:
-    """One accounting-flag variant of a program, linked to one process.
+    """A program's compiled code, linked to its process.
 
     Holds the per-process execution namespace (memory accessors, runtime
     services, error types), the address -> linked-function dispatch
@@ -1619,13 +1497,12 @@ class _Variant:
     heads that cannot lower, and the per-head validated fetch epochs."""
 
     __slots__ = (
-        "flags", "units", "table", "entries", "no_compile", "epochs", "namespace",
+        "units", "table", "entries", "no_compile", "epochs", "namespace",
         "pending", "demote", "armed", "loop_targets", "no_trace", "trace_tries",
         "trace_meta", "trace_epochs", "blacklist",
     )
 
-    def __init__(self, program: "JitProgram", flags: Tuple[bool, bool]):
-        self.flags = flags
+    def __init__(self, program: "JitProgram"):
         # Tier-3 state.  ``pending`` is the list armed loop-head wrappers
         # append to when their entry counter crosses the trace threshold
         # (the driver polls its truthiness once per block transition);
@@ -1643,7 +1520,7 @@ class _Variant:
         monotone = program.monotone()
         key = (
             None if program.cache_key is None
-            else program.cache_key + flags + (monotone,)
+            else program.cache_key + (monotone,)
         )
         self.units = {} if key is None else _CODE_CACHE.setdefault(key, {})
         self.table: Dict[int, object] = {}
@@ -1681,10 +1558,8 @@ class _Variant:
         namespace["PRB1"], namespace["PRB"] = _make_probers(
             program.costs.icache_ways, monotone
         )
-        # Per-variant "block fully probed" marks for monotone mode.
+        # Per-program "block fully probed" marks for monotone mode.
         namespace["PD"] = {}
-        for op in Op:
-            namespace[f"OP_{op.name}"] = op
         self.namespace = namespace
 
 
@@ -1695,15 +1570,15 @@ class JitProgram:
     nothing for selecting this backend."""
 
     __slots__ = (
-        "process", "costs", "instructions", "variants", "cache_key",
-        "_fastprog", "_monotone",
+        "process", "costs", "instructions", "cache_key",
+        "_linked", "_fastprog", "_monotone",
     )
 
     def __init__(self, process, costs):
         self.process = process
         self.costs = costs
         self.instructions = process.instructions
-        self.variants: Dict[Tuple[bool, bool], _Variant] = {}
+        self._linked: Optional[_Variant] = None
         self._fastprog = None
         self._monotone: Optional[bool] = None
         binary = process.binary
@@ -1730,64 +1605,35 @@ class JitProgram:
             self._monotone = _text_fits_icache(self.instructions, self.costs)
         return self._monotone
 
-    def variant(self, attribute: bool, count_ops: bool) -> _Variant:
-        key = (bool(attribute), bool(count_ops))
-        linked = self.variants.get(key)
-        if linked is None:
-            linked = _Variant(self, key)
-            self.variants[key] = linked
-        return linked
+    def linked(self) -> _Variant:
+        """The compiled code linked to this program's process (built on
+        the first compiled drive)."""
+        if self._linked is None:
+            self._linked = _Variant(self)
+        return self._linked
 
     def fast_program(self):
-        """The tier-0 bound program, for drives delegated to ``fast``
-        (trace hooks installed).  Bound lazily and cached — observability
-        runs pay the bind cost, plain runs never do."""
+        """The tier-0 bound program, for observed drives delegated to
+        ``fast`` (trace hook, tag attribution or opcode counting).  Bound
+        lazily and cached — observed runs pay the bind cost, plain runs
+        never do."""
         if self._fastprog is None:
             self._fastprog = get_bound_program(self.process, self.costs)
         return self._fastprog
 
-    def stats(self) -> Dict[str, int]:
-        """Lowering statistics across this program's linked variants."""
-        compiled = set()
-        interp_only = set()
-        fused = 0
-        traces = self.trace_info()
-        for variant in self.variants.values():
-            for addr, unit in variant.units.items():
-                if isinstance(addr, tuple):
-                    continue  # trace units counted through trace_info()
-                if unit is None:
-                    interp_only.add(addr)
-                elif addr not in compiled:
-                    compiled.add(addr)
-                    fused += unit.fused
-        return {
-            "blocks": len(compiled) + len(interp_only),
-            "tier2_blocks": len(compiled),
-            "tier1_blocks": len(interp_only),
-            "superinstructions_fused": fused,
-            "tier3_traces": len(traces),
-            "loop_traces": sum(
-                1 for meta in traces.values() if meta["kind"] == "loop"
-            ),
-            "superblocks": sum(
-                1 for meta in traces.values() if meta["kind"] == "superblock"
-            ),
-        }
-
     def trace_info(self) -> Dict[int, dict]:
-        """Installed tier-3 traces across variants: head -> {kind,
-        segments, length} (the ``disasm-blocks`` CLI renders this)."""
-        info: Dict[int, dict] = {}
-        for variant in self.variants.values():
-            for head, meta in variant.trace_meta.items():
-                if head not in info:
-                    info[head] = {
-                        "kind": meta["kind"],
-                        "segments": list(meta["segments"]),
-                        "length": meta["length"],
-                    }
-        return info
+        """Installed tier-3 traces: head -> {kind, segments, length} (the
+        ``disasm-blocks`` CLI renders this)."""
+        if self._linked is None:
+            return {}
+        return {
+            head: {
+                "kind": meta["kind"],
+                "segments": list(meta["segments"]),
+                "length": meta["length"],
+            }
+            for head, meta in self._linked.trace_meta.items()
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -1848,7 +1694,7 @@ class JitBackend:
             if unit is not None:
                 JIT_STATS["code_cache_hits"] += 1
         else:
-            unit = self._compile_slice(program, variant, addr)
+            unit = self._compile_slice(program, addr)
             units[addr] = unit
         if unit is None:
             variant.no_compile.add(addr)
@@ -1862,7 +1708,7 @@ class JitBackend:
         fn = namespace[unit.name]
         variant.epochs.setdefault(addr, -1)
         variant.table[addr] = fn
-        if _TIER3 and not (variant.flags[0] or variant.flags[1]):
+        if _TIER3:
             fn = self._tier3_promote(program, variant, addr, fn, unit)
         return fn
 
@@ -2126,7 +1972,7 @@ class JitBackend:
             JIT_STATS["traces_blacklisted"] += 1
         del variant.demote[:]
 
-    def _compile_slice(self, program, variant, addr: int) -> Optional[_BlockUnit]:
+    def _compile_slice(self, program, addr: int) -> Optional[_BlockUnit]:
         items = slice_block(program.instructions, addr, _SLICE_LIMIT)
         if not items:
             return None
@@ -2137,18 +1983,16 @@ class JitBackend:
                 return None
             jus.append(ju)
         fused = fuse_slice(items)
-        attribute, count_ops = variant.flags
         compiler = _SliceCompiler(
-            addr, items, jus, fused, program.costs, attribute, count_ops,
-            monotone=program.monotone(),
+            addr, items, jus, fused, program.costs, monotone=program.monotone(),
         )
         source = compiler.generate()
         code = compile(source, f"<jit:{addr:#x}>", "exec")
         JIT_STATS["blocks_compiled"] += 1
         JIT_STATS["superinstructions_fused"] += len(fused)
         return _BlockUnit(
-            code, f"b_{addr:x}", len(items), len(fused),
-            x_table=compiler.xb if compiler.needs_try and not compiler.rich else None,
+            code, f"b_{addr:x}",
+            x_table=compiler.xb if compiler.needs_try else None,
             ln_table=compiler.ln,
             back_target=backward_branch_target(items),
         )
@@ -2171,17 +2015,19 @@ class JitBackend:
         return state._halted
 
     def _drive(self, program, cpu, res, max_steps: Optional[int]):
-        if cpu.trace_fn is not None:
-            # Trace hooks observe every instruction; the interpreter's
-            # hoisted-hook semantics are the contract (profilers ride it),
-            # so the whole drive runs on the fast interpreter.
+        if cpu.trace_fn is not None or cpu.attribute_tags or cpu.count_opcodes:
+            # Observed drives need every instruction: trace hooks ride the
+            # interpreter's hoisted-hook semantics (profilers depend on
+            # it), and tag attribution / opcode counts are per-instruction
+            # bookkeeping compiled blocks fold away.  The whole drive runs
+            # on the fast interpreter.
             self._fast._drive(program.fast_program(), cpu, res, max_steps)
             return
 
         process = cpu.process
         memory = process.memory
         icache = cpu.icache
-        variant = program.variant(cpu.attribute_tags, cpu.count_opcodes)
+        variant = program.linked()
         table_get = variant.table.get
         entries = variant.entries
         no_compile = variant.no_compile
@@ -2202,13 +2048,9 @@ class JitBackend:
         # Drive-cumulative accounting, flushed into ``res`` at interp
         # boundaries and once at the end: C[0] instructions, C[1] cycle
         # units, C[2] memory ops, C[3]/C[4] i-cache hits/misses, C[5] the
-        # folded instruction allowance block prologs compare against,
-        # C[6] the drive's mirror of the memory permission epoch, and the
-        # result's attribution dicts (aliased, updated in place).
-        C = [
-            0, 0, 0, 0, 0, 0, memory.perm_epoch,
-            res.tag_cycle_units, res.tag_counts, res.opcode_counts,
-        ]
+        # folded instruction allowance block prologs compare against, and
+        # C[6] the drive's mirror of the memory permission epoch.
+        C = [0, 0, 0, 0, 0, 0, memory.perm_epoch]
         self._allowance(cpu, res, C, max_total)
         r = cpu.regs
         S = icache._sets
@@ -2308,10 +2150,6 @@ class JitBackend:
         cpu._bk_taken = 0
         res.traps += cpu._bk_traps
         cpu._bk_traps = 0
-        if cpu.attribute_tags and res.tag_cycle_units:
-            res.tag_cycles = {
-                tag: units / CYCLE_UNIT for tag, units in res.tag_cycle_units.items()
-            }
         res.output = process.output
 
     def _interp(self, program, cpu, res, C, memory, max_total: Optional[int]) -> bool:

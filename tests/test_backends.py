@@ -317,7 +317,7 @@ def test_perf_counters_and_profiles_identical(seed, btra_mode):
     attribution are backend-byte-identical with tier 3 enabled.  The xz
     workload's call loop makes the jit inline direct call targets into
     its traces, so BTRA-displaced returns execute *inside* compiled
-    trace bodies on the lean leg below."""
+    trace bodies on the plain leg below."""
     from repro.machine.jit import jit_stats_snapshot
     from repro.obs.profiler import CycleProfiler
     from repro.workloads.spec import build_spec_benchmark
@@ -343,7 +343,8 @@ def test_perf_counters_and_profiles_identical(seed, btra_mode):
     counters = observed["fast"]["counters"]
     assert '"schema": "repro-counters/v1"' in counters
 
-    # Lean leg: no profiler, no attribution — the variant tier 3 traces.
+    # Plain leg: no profiler, no attribution — the only drive the jit
+    # compiles (the observed leg above ran it on fast).
     lean = {}
     before = jit_stats_snapshot()
     for backend in BACKENDS:

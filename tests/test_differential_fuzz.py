@@ -344,10 +344,12 @@ def _dump_repro(kind: str, seed: int, spec: Optional[List[Entry]] = None) -> Pat
 def check_machine_seed(seed: int, budget: int = BUDGET) -> None:
     """Differential over the machine-level program for ``seed``.
 
-    The primary run is *lean* (no opcode counting, no tag attribution) —
-    that is the only variant the jit lowers to tier 3, so loop traces
-    and superblock guards actually execute.  Every fourth seed also runs
-    the rich variant for opcode-count and tag parity."""
+    The primary run is *plain* (no opcode counting, no tag attribution) —
+    the only drive the jit compiles, so loop traces and superblock guards
+    actually execute.  Every fourth seed also runs an observed leg
+    (opcode counts and tag attribution), where ``jit`` delegates to
+    ``fast``: it checks ``fast`` against ``reference`` for those
+    counters."""
     spec = machine_spec(seed)
     try:
         differential(lambda: build_process(spec), instruction_budget=budget)
@@ -503,8 +505,9 @@ def check_ir_seed(seed: int) -> None:
         return process
 
     try:
-        # Lean first — the variant tier 3 compiles traces for — then the
-        # rich variant for opcode-count and tag-attribution parity.
+        # Plain first — the drive the jit compiles (tier 3 included) —
+        # then the observed leg, where jit runs on fast: opcode-count and
+        # tag-attribution parity of fast against reference.
         outcome = differential(make, instruction_budget=BUDGET)
         assert outcome["error"] is None, outcome["error"]
         differential(

@@ -19,17 +19,21 @@ import pytest
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
 from repro.errors import ExecutionLimitExceeded
+from repro.machine.backends import get_backend
 from repro.machine.blocks import recover_blocks
 from repro.machine.costs import get_costs
-from repro.machine.cpu import CPU
+from repro.machine.cpu import CPU, ExecutionResult
 from repro.machine.debugger import Debugger
 from repro.machine.isa import Imm, Instruction, Mem, Op, Reg
 from repro.machine.jit import (
     _text_fits_icache,
+    clear_jit_cache,
     jit_stats_snapshot,
+    set_tier3,
 )
 from repro.machine.loader import load_binary
 from repro.machine.memory import Perm
+from repro.machine.state import MachineState
 from repro.machine.uops import get_bound_program
 from repro.toolchain.builder import IRBuilder
 
@@ -431,3 +435,48 @@ def test_code_cache_reused_across_loads_of_one_image():
     # objects instead of recompiling.
     assert after["blocks_compiled"] == mid["blocks_compiled"]
     assert after["code_cache_hits"] > mid["code_cache_hits"]
+
+
+# ---------------------------------------------------------------------------
+# Observed drives (tag attribution, opcode counts) run on ``fast``.
+# ---------------------------------------------------------------------------
+
+
+def test_observed_drives_run_on_fast_and_compile_nothing():
+    """Jit drives with ``attribute_tags`` or ``count_opcodes`` lower
+    nothing — the jit counters stay put — and equal ``fast`` byte for
+    byte.  A plain drive of a fresh load of the same binary afterwards
+    still lowers the hot loop all the way to tier-3 traces."""
+    binary = compile_module(loop_module(), R2CConfig.full(seed=11))
+
+    def drive(backend_name, **flags):
+        process = load_binary(binary, seed=1)
+        state = MachineState(process, get_costs("epyc-rome"), **flags)
+        backend = get_backend(backend_name)
+        program = backend.prepare(state)
+        state.rip = process.entry_point
+        before = jit_stats_snapshot()
+        result = backend.execute(program, state, ExecutionResult())
+        observed = {
+            "result": dataclasses.asdict(result),
+            "regs": list(state.regs),
+            "rip": state.rip,
+        }
+        return observed, before, jit_stats_snapshot()
+
+    previous = set_tier3(True)
+    try:
+        clear_jit_cache()
+        for flag, counts in (
+            ("attribute_tags", "tag_counts"),
+            ("count_opcodes", "opcode_counts"),
+        ):
+            on_jit, before, after = drive("jit", **{flag: True})
+            assert after == before, flag
+            assert on_jit["result"][counts], flag
+            assert on_jit == drive("fast", **{flag: True})[0], flag
+        _, before, after = drive("jit")
+        assert after["blocks_compiled"] > before["blocks_compiled"]
+        assert after["traces_compiled"] > before["traces_compiled"]
+    finally:
+        set_tier3(previous)
