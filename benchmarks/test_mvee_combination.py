@@ -12,13 +12,21 @@ import os
 
 from repro.attacks.aocr import make_aocr_hook
 from repro.attacks.rop import make_rop_hook
+from repro.attacks.scenario import VictimSession
 from repro.core.config import R2CConfig
-from repro.defenses.mvee import MVEE, MveeOutcome
 from repro.obs.bench import BenchReport, run_bench, run_lockstep_bench, validate
 
 from benchmarks.conftest import RESULTS_DIR, save_artifact
 
 TRIALS = 6
+
+
+def mvee_outcome(trial, hook=None):
+    """One two-variant R2C + MVEE probe's lockstep verdict."""
+    session = VictimSession(
+        R2CConfig.full(), build_seed=900 + trial, load_seed=0xBEEF, variants=2
+    )
+    return session.probe_ex(hook, attacker_seed=trial).lockstep.outcome.value
 
 
 def test_mvee_detection_rates(run_once):
@@ -27,15 +35,12 @@ def test_mvee_detection_rates(run_once):
         for label, hook_factory in (("rop", make_rop_hook), ("aocr", make_aocr_hook)):
             tallies = {"clean": 0, "diverged": 0, "trapped": 0, "compromised": 0}
             for trial in range(TRIALS):
-                mvee = MVEE(R2CConfig.full(), variants=2, build_seed=900 + trial)
-                result = mvee.run(hook_factory(), attacker_seed=trial)
-                tallies[result.outcome.value] += 1
+                tallies[mvee_outcome(trial, hook_factory())] += 1
             rows[label] = tallies
         # Control: benign runs never diverge.
         benign = {"clean": 0, "diverged": 0, "trapped": 0, "compromised": 0}
         for trial in range(TRIALS):
-            mvee = MVEE(R2CConfig.full(), variants=2, build_seed=900 + trial)
-            benign[mvee.run().outcome.value] += 1
+            benign[mvee_outcome(trial)] += 1
         rows["benign"] = benign
         return rows
 

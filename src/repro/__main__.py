@@ -393,10 +393,14 @@ def disasm_blocks_main(argv) -> int:
     Compiles and loads the workload exactly as a run would, recovers the
     basic-block CFG from the bound micro-op program
     (:func:`repro.machine.blocks.recover_blocks`), and prints one section
-    per block: address range, instruction count, the tier the
-    progressive-lowering pipeline takes it to (2 = compiles to a block
-    function, 1 = interpreter-only, with the disqualifying reason),
-    superinstruction fusion annotations, and static successor edges.
+    per block: address range, instruction count, the tier the jit takes
+    the block's head to (2 = compiles to a block function, 1 =
+    interpreter-only, with the instruction that cannot lower), the
+    superinstruction fusion annotations it compiles, and static
+    successor edges.  Tier and fusion come from the jit's own lowering
+    of the head (:func:`repro.machine.jit.lower_slice`), whose slice runs
+    through the next terminator — past the block's end when an incoming
+    branch split the block.
 
     With ``--traces`` the workload is additionally *run* under the jit
     backend (tier 3 governed by ``--tier3/--no-tier3``) and the dump
@@ -407,6 +411,7 @@ def disasm_blocks_main(argv) -> int:
     from repro.core.compiler import R2CCompiler
     from repro.core.config import R2CConfig
     from repro.machine.blocks import recover_blocks
+    from repro.machine.jit import lower_slice
     from repro.machine.loader import load_binary, make_cpu
     from repro.machine.uops import get_bound_program
     from repro.workloads.spec import SPEC_BENCHMARKS, build_spec_benchmark
@@ -467,12 +472,16 @@ def disasm_blocks_main(argv) -> int:
     process = load_binary(binary, seed=args.load_seed)
     cpu = make_cpu(process, args.machine)
     program = recover_blocks(get_bound_program(process, cpu.costs))
-    stats = program.stats()
+    lowerings = {
+        block.addr: lower_slice(process.instructions, block.addr)
+        for block in program.blocks
+    }
+    compiled = [lowering for lowering in lowerings.values() if lowering.compiles]
     print(
         f"{args.workload} ({args.config}, seed {args.seed}): "
-        f"{stats['blocks']} blocks, {stats['tier2_blocks']} at tier 2, "
-        f"{stats['tier1_blocks']} at tier 1, "
-        f"{stats['superinstructions_fused']} superinstructions fused"
+        f"{len(program.blocks)} blocks, {len(compiled)} at tier 2, "
+        f"{len(program.blocks) - len(compiled)} at tier 1, "
+        f"{sum(len(lowering.fused) for lowering in compiled)} superinstructions fused"
     )
     # Tier-3 trace membership needs a run: traces are recorded from hot
     # dynamic paths.  Run a fresh process so the CFG dump above stays a
@@ -513,19 +522,22 @@ def disasm_blocks_main(argv) -> int:
         if "::" not in name
     }
     for block in program.blocks:
-        if args.tier is not None and block.tier != args.tier:
+        lowering = lowerings[block.addr]
+        tier = 2 if lowering.compiles else 1
+        if args.tier is not None and tier != args.tier:
             continue
         label = symbols.get(block.addr)
         where = f" <{label}>" if label else ""
         print(
             f"\nblock {block.bid}{where}: [{block.addr:#x}, {block.end:#x}) "
-            f"{len(block)} uops, tier {block.tier}"
+            f"{len(block)} uops, tier {tier}"
         )
-        if block.reason:
-            print(f"  stays tier 1: {block.reason}")
-        for kind, start, count in block.fused:
-            first = block.uops[start]
-            print(f"  fused {kind}: {count} uops from {first.rip:#x}")
+        if lowering.compiles:
+            for kind, start, count in lowering.fused:
+                print(f"  fused {kind}: {count} uops from {lowering.items[start][0]:#x}")
+        else:
+            addr, instr = lowering.items[len(lowering.jus)]
+            print(f"  stays tier 1: no tier-2 lowering for {instr.op.name} at {addr:#x}")
         for head, kind in membership.get(block.addr, ()):
             note = " (head)" if head == block.addr else ""
             print(f"  in trace {head:#x} ({kind}){note}")
@@ -546,9 +558,11 @@ def mvee_main(argv) -> int:
 
     Two modes:
 
-    * **attack** (default): compile N differently-diversified builds,
-      replicate a scripted attack's writes from the leader into the
-      followers, and cross-check — the Section 7.3 MVEE combination.
+    * **attack** (default): one N-variant
+      :class:`~repro.attacks.scenario.VictimSession` probe — N
+      differently-diversified builds, a scripted attack's writes
+      replicated from the leader into the followers, and the lockstep
+      cross-check (the Section 7.3 MVEE combination).
     * **bitflip** (``--bitflip-seed N``): run N replicas of one build
       with seeded memory corruption in one follower; replica mode pins
       the divergence to a variant, sync point, and register.
@@ -562,9 +576,9 @@ def mvee_main(argv) -> int:
     from repro.attacks.aocr import make_aocr_hook
     from repro.attacks.fengshui import make_fengshui_hook
     from repro.attacks.rop import make_rop_hook
+    from repro.attacks.scenario import VictimSession, output_success
     from repro.core.config import R2CConfig
     from repro.defenses.lockstep import MveeOutcome, run_bitflip_lockstep
-    from repro.defenses.mvee import MVEE
 
     hooks = {
         "aocr": make_aocr_hook,
@@ -632,6 +646,8 @@ def mvee_main(argv) -> int:
         "--out", default=None, metavar="PATH", help="write the divergence report as JSON"
     )
     args = parser.parse_args(argv)
+    if args.variants < 2:
+        parser.error("--variants must be at least 2")
 
     started = time.perf_counter()
     if args.bitflip_seed is not None:
@@ -644,40 +660,33 @@ def mvee_main(argv) -> int:
             backend=args.backend,
             sync_every=min(args.sync_every, 64),
         )
-        outcome, divergence, sync_points = (
-            lockstep.outcome,
-            lockstep.divergence,
-            lockstep.sync_points,
-        )
-        for variant in lockstep.variants:
-            corrupt = " (corrupted)" if variant.index == args.corrupt_variant else ""
-            print(
-                f"  v{variant.index}: {variant.status} "
-                f"after {variant.result.instructions} instructions{corrupt}"
-            )
     else:
         mode = f"attack:{args.attack}"
-        mvee = MVEE(
+        session = VictimSession(
             configs[args.config](),
-            variants=args.variants,
             build_seed=args.build_seed,
+            load_seed=0xBEEF,
+            variants=args.variants,
             backend=args.backend,
             sync_every=args.sync_every,
         )
-        result = mvee.run(hooks[args.attack](), attacker_seed=args.attacker_seed)
-        outcome, divergence, sync_points = (
-            result.outcome,
-            result.divergence,
-            result.sync_points,
+        probe = session.probe_ex(hooks[args.attack](), attacker_seed=args.attacker_seed)
+        lockstep = probe.lockstep
+    for variant in lockstep.variants:
+        exit_code = variant.state._exit_code if variant.status == "exit" else None
+        if mode == "bitflip":
+            mark = " (corrupted)" if variant.index == args.corrupt_variant else ""
+        else:
+            mark = " [attacker goal reached]" if output_success(variant.output) else ""
+        print(
+            f"  v{variant.index}: {variant.status} exit={exit_code} "
+            f"after {variant.result.instructions} instructions{mark}"
         )
-        for index, run in enumerate(result.variants):
-            goal = " [attacker goal reached]" if run.attacked_success else ""
-            print(f"  v{index}: {run.status} exit={run.exit_code}{goal}")
-        for note in result.notes:
-            print(f"  note: {note}")
-    print(f"outcome: {outcome.value} ({sync_points} sync points)")
-    if divergence is not None:
-        print(f"  {divergence.summary_line()}")
+    outcome, divergence = lockstep.outcome, lockstep.divergence
+    print(f"outcome: {outcome.value} ({lockstep.sync_points} sync points)")
+    # The notes carry the divergence summary line, if any.
+    for note in lockstep.notes:
+        print(f"  note: {note}")
     print(f"[{time.perf_counter() - started:.1f}s]")
     if args.out:
         payload = {
@@ -686,7 +695,7 @@ def mvee_main(argv) -> int:
             "variants": args.variants,
             "backend": args.backend,
             "outcome": outcome.value,
-            "sync_points": sync_points,
+            "sync_points": lockstep.sync_points,
             "divergence": divergence.to_dict() if divergence else None,
         }
         with open(args.out, "w", encoding="utf-8") as handle:

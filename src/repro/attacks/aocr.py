@@ -43,7 +43,8 @@ MAX_CHASES = 3
 
 
 def make_aocr_hook(layout=None):
-    """The raw attack function, reusable outside run_attack (e.g. MVEE)."""
+    """The raw attack function, reusable outside run_attack (e.g. by an
+    N-variant ``VictimSession.probe_ex``)."""
     from repro.workloads.victim import VictimLayoutInfo
 
     if layout is None:

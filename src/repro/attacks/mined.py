@@ -51,7 +51,8 @@ MAX_CHASES = 3
 
 
 def make_mined_rop_hook(layout: VictimLayoutInfo = VictimLayoutInfo()):
-    """The raw attack function, reusable outside run_attack (e.g. MVEE)."""
+    """The raw attack function, reusable outside run_attack (e.g. by an
+    N-variant ``VictimSession.probe_ex``)."""
 
     def hook(view: AttackerView) -> None:
         reference = view.reference
@@ -92,7 +93,8 @@ def mined_rop_attack(session: VictimSession, *, attacker_seed: int = 0) -> Attac
 
 
 def make_mined_aocr_hook(layout=None):
-    """The raw attack function, reusable outside run_attack (e.g. MVEE).
+    """The raw attack function, reusable outside run_attack (e.g. by an
+    N-variant ``VictimSession.probe_ex``).
 
     ``layout`` is accepted for signature uniformity with the other hooks
     and ignored: every offset comes from the miner.

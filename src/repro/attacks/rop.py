@@ -23,7 +23,8 @@ from repro.workloads.victim import VictimLayoutInfo
 
 
 def make_rop_hook(layout: VictimLayoutInfo = VictimLayoutInfo()):
-    """The raw attack function, reusable outside run_attack (e.g. MVEE)."""
+    """The raw attack function, reusable outside run_attack (e.g. by an
+    N-variant ``VictimSession.probe_ex``)."""
 
     def hook(view: AttackerView) -> None:
         reference = view.reference

@@ -17,7 +17,7 @@ and classifies the outcome.  Multi-probe attacks (Blind ROP, PIROP) drive
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.attacks.monitor import DefenseMonitor
 from repro.attacks.outcomes import AttackOutcome, AttackResult
@@ -37,6 +37,9 @@ from repro.workloads.victim import (
     build_victim,
     fire_once,
 )
+
+if TYPE_CHECKING:
+    from repro.defenses.lockstep import LockstepResult
 
 AttackFn = Callable[[AttackerView], None]
 
@@ -142,6 +145,10 @@ class ProbeResult:
     #: (:class:`~repro.reliability.supervisor.SupervisedSession` sets it;
     #: plain sessions never do).
     timed_out: bool = False
+    #: The group's cross-check result for N-variant probes (None for a
+    #: one-variant probe); its ``outcome`` is the verdict ``status`` is
+    #: derived from.
+    lockstep: Optional[LockstepResult] = None
 
 
 class VictimSession:
@@ -189,8 +196,8 @@ class VictimSession:
         self.instruction_budget = instruction_budget
         self._spawn_count = 0
         self.binary = compile_module(self.module, config)
-        # Follower builds roll different diversification dice (same seed
-        # spacing as the MVEE), leaving the leader binary — and therefore
+        # Follower builds roll different diversification dice (seeds
+        # spaced 1000 apart), leaving the leader binary — and therefore
         # every single-variant code path — bit-identical to before.
         self.variant_binaries = [self.binary] + [
             compile_module(self.module, config.replace(seed=config.seed + 1000 * index))
@@ -241,9 +248,10 @@ class VictimSession:
         probe = self.probe_ex(hook, attacker_seed=attacker_seed)
         return probe.status, probe.result
 
-    def probe_ex(self, hook: AttackFn, *, attacker_seed: int = 0) -> ProbeResult:
+    def probe_ex(self, hook: Optional[AttackFn], *, attacker_seed: int = 0) -> ProbeResult:
         """Like :meth:`probe`, returning the full :class:`ProbeResult`
-        (exception + post-mortem CPU/process for crash triage)."""
+        (exception + post-mortem CPU/process for crash triage).  An
+        N-variant session also takes ``hook=None``: a benign run."""
         if self.variants > 1:
             return self._probe_lockstep(hook, attacker_seed=attacker_seed)
         process, cpu = self.spawn()
@@ -272,14 +280,20 @@ class VictimSession:
         status = "success" if output_success(result.output) else "clean"
         return ProbeResult(status, result, None, cpu, process)
 
-    def _probe_lockstep(self, hook: AttackFn, *, attacker_seed: int = 0) -> ProbeResult:
-        """N-variant probe: deploy every variant binary under one layout
-        seed, attack the leader (writes recorded), replay into followers,
-        and step the group in batched lockstep (Section 7.3).
+    def _probe_lockstep(
+        self, hook: Optional[AttackFn], *, attacker_seed: int = 0
+    ) -> ProbeResult:
+        """N-variant probe (Section 7.3's R2C + MVEE combination): deploy
+        every variant binary under one layout seed, attack the leader
+        (writes recorded), replay into followers, and step the group in
+        batched lockstep.
 
-        Adds "diverged" to the probe statuses: the lockstep cross-check
-        caught the variants disagreeing — a detection the Table 3 tallies
-        and the reactive supervisor can act on.
+        The group's :class:`~repro.defenses.lockstep.LockstepResult` is
+        the verdict, plus the one outcome only an attack-aware caller can
+        tell: COMPROMISED, when every variant reached the attacker's goal
+        and none trapped.  The status is read off it; "diverged" (the
+        cross-check caught the variants disagreeing) is a detection the
+        Table 3 tallies and the reactive supervisor can act on.
         """
         # Imported here: defenses.lockstep imports the attacks package.
         from repro.defenses.lockstep import LockstepGroup, MveeOutcome
@@ -302,27 +316,30 @@ class VictimSession:
             instruction_budget=self.instruction_budget,
             shadow_stack=self.shadow_stack,
             monitor=self.monitor,
-            compare_state=False,
         )
+        # The leader runs alone until its hook has fired and the
+        # attacker's writes are on record (or it stops first); then every
+        # variant runs in lockstep, the followers replaying those writes.
         group.run_variant_until(0, leader_fired)
         lockstep = group.run()
-        leader = group.variants[0]
-        if any(variant.status == "detected" for variant in group.variants):
-            status = "detected"
-        elif all(output_success(variant.output) for variant in group.variants):
-            status = "success"
-        elif lockstep.outcome is MveeOutcome.DIVERGED:
-            status = "diverged"
-        elif leader.status == "crashed":
-            status = "crashed"
-        else:
-            status = "clean"
+        if lockstep.outcome is not MveeOutcome.TRAPPED and all(
+            output_success(variant.output) for variant in lockstep.variants
+        ):
+            lockstep.outcome = MveeOutcome.COMPROMISED
+            lockstep.notes.append("every variant reached the attacker goal identically")
+        leader = lockstep.variants[0]
+        status = {
+            MveeOutcome.TRAPPED: "detected",
+            MveeOutcome.COMPROMISED: "success",
+            MveeOutcome.DIVERGED: "diverged",
+        }.get(lockstep.outcome, "crashed" if leader.status == "crashed" else "clean")
         return ProbeResult(
             status,
             leader.result,
             leader.error,
             leader.state,
             leader.process,
+            lockstep=lockstep,
         )
 
 

@@ -1,5 +1,7 @@
-"""Related defenses: the Table 3 comparison models, the N-variant
-lockstep substrate, and the Section 7.3 MVEE combination."""
+"""Related defenses: the Table 3 comparison models and the N-variant
+lockstep substrate.  The Section 7.3 R2C + MVEE combination is an
+N-variant :class:`repro.attacks.scenario.VictimSession`
+(``VictimSession(config, variants=N)``) probing on that substrate."""
 
 from repro.defenses.related import DEFENSE_MODELS, DefenseModel
 from repro.defenses.lockstep import (
@@ -7,9 +9,9 @@ from repro.defenses.lockstep import (
     LockstepGroup,
     LockstepResult,
     LockstepVariant,
+    MveeOutcome,
     run_bitflip_lockstep,
 )
-from repro.defenses.mvee import MVEE, MveeOutcome, MveeResult, mvee_attack_outcome
 
 __all__ = [
     "DEFENSE_MODELS",
@@ -18,9 +20,6 @@ __all__ = [
     "LockstepGroup",
     "LockstepResult",
     "LockstepVariant",
-    "MVEE",
     "MveeOutcome",
-    "MveeResult",
-    "mvee_attack_outcome",
     "run_bitflip_lockstep",
 ]

@@ -76,8 +76,9 @@ class MveeOutcome(enum.Enum):
     #: fires even before cross-checking).
     TRAPPED = "trapped"
     #: Every variant reached the attacker's goal identically — the only
-    #: way an attack beats an MVEE.  (Assigned by attack-aware callers;
-    #: the group itself only knows CLEAN/DIVERGED/TRAPPED.)
+    #: way an attack beats an MVEE.  (Assigned by the attack-aware
+    #: caller, ``VictimSession._probe_lockstep``; the group itself only
+    #: knows CLEAN/DIVERGED/TRAPPED.)
     COMPROMISED = "compromised"
 
 
@@ -156,10 +157,6 @@ class LockstepResult:
     sync_points: int = 0
     notes: List[str] = field(default_factory=list)
 
-    @property
-    def detected(self) -> bool:
-        return self.outcome in (MveeOutcome.DIVERGED, MveeOutcome.TRAPPED)
-
 
 class LockstepGroup:
     """Steps N loaded variant processes in batched lockstep.
@@ -174,8 +171,7 @@ class LockstepGroup:
     allocation-order, and end-state checks tolerate step skew (variants
     legitimately execute different instruction counts when their binaries
     differ); the architectural register/rip comparison is only armed when
-    every variant shares one binary *and* one layout (``compare_state``
-    defaults to exactly that predicate).
+    every variant shares one binary *and* one layout (``compare_state``).
     """
 
     def __init__(
@@ -188,8 +184,6 @@ class LockstepGroup:
         instruction_budget: int = 5_000_000,
         shadow_stack: bool = False,
         monitor: Optional[DefenseMonitor] = None,
-        compare_state: Optional[bool] = None,
-        record_allocs: bool = True,
     ):
         if len(processes) < 2:
             raise ValueError("lockstep needs at least two variants")
@@ -242,12 +236,10 @@ class LockstepGroup:
                     result=ExecutionResult(),
                 )
             )
-        if record_allocs:
-            for variant in self.variants:
-                self._instrument_allocs(variant)
-        self.compare_state = (
-            compare_state if compare_state is not None else self._replicas()
-        )
+        for variant in self.variants:
+            self._instrument_allocs(variant)
+        #: Replica mode: per-sync architectural state comparison.
+        self.compare_state = self._replicas()
         self.sync_points = 0
         self.divergence: Optional[DivergenceReport] = None
         self.notes: List[str] = []
@@ -282,9 +274,9 @@ class LockstepGroup:
         """Log every ``malloc`` request size, preserving service behaviour.
 
         The logs feed the allocation-ordering cross-check: identical
-        request sequences are the invariant that lets the MVEE replay
-        leader writes by address and still attribute follower divergence
-        to *layout* rather than allocator drift.
+        request sequences are the invariant that lets N-variant probes
+        replay leader writes by address and still attribute follower
+        divergence to *layout* rather than allocator drift.
         """
         try:
             inner = variant.process.service("malloc")
@@ -320,8 +312,9 @@ class LockstepGroup:
         """Step one variant alone (in ``sync_every`` slices) until
         ``predicate(variant)`` holds or the variant stops running.
 
-        The MVEE uses this to let the leader reach its vulnerability and
-        record the attacker's writes before the followers replay them.
+        N-variant probes use this to let the leader reach its
+        vulnerability and record the attacker's writes before the
+        followers replay them.
         """
         variant = self.variants[index]
         while variant.status == "running" and not predicate(variant):

@@ -19,12 +19,12 @@ The machine layer lowers guest code through four tiers:
 Tier 1's contract: block boundaries are **stable** — derived only from
 addresses, sizes, and direct branch targets, all fixed at bind time —
 and every block is a maximal straight-line run: entered only at its
-head, left only at its final micro-op.  A block's *tier* records how far
-down the pipeline it got: blocks whose every micro-op has a specialized
-handler template lower to tier 2; blocks containing generic-fallback
-handlers (symbolic immediates, indexed memory operands, malformed
-operands) stay at tier 1 and execute on the ``fast`` interpreter via the
-jit backend's deopt path.
+head, left only at its final micro-op.  How far down the pipeline the
+code at a head gets is the jit's call, not this module's:
+:func:`repro.machine.jit.lower_slice` lowers the slice from the head
+through its terminator to tier 2 when every instruction in it lowers;
+otherwise the head stays at tier 1 and executes on the ``fast``
+interpreter via the jit backend's deopt path.
 
 Fusion never changes semantics, counters, or fault behaviour — a fused
 pair still charges two instructions, two costs (in the reference float
@@ -36,17 +36,16 @@ a push run reads the stack pointer once.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.machine.isa import Imm, Op
-from repro.machine.uops import GENERIC, BoundProgram, MicroOp, TERMINATOR_OPS
+from repro.machine.uops import BoundProgram, MicroOp, TERMINATOR_OPS
 from repro.numeric import MASK64
 
 __all__ = [
     "BasicBlock",
     "BlockProgram",
     "recover_blocks",
-    "fuse_blocks",
     "slice_block",
     "fuse_slice",
     "backward_branch_target",
@@ -64,18 +63,12 @@ FUSABLE_BRANCHES = frozenset({Op.JE, Op.JNE, Op.JL, Op.JLE, Op.JG, Op.JGE})
 class BasicBlock:
     """One recovered straight-line run of micro-ops."""
 
-    __slots__ = ("bid", "addr", "uops", "tier", "fused", "reason")
+    __slots__ = ("bid", "addr", "uops")
 
     def __init__(self, bid: int, uops: List[MicroOp]):
         self.bid = bid
         self.addr = uops[0].rip
         self.uops = uops
-        #: 2 when every micro-op lowered to compiled code, else 1.
-        self.tier = 1
-        #: Fusion annotations: (kind, first uop index, micro-op count).
-        self.fused: List[Tuple[str, int, int]] = []
-        #: Why the block stopped at tier 1 (None for tier-2 blocks).
-        self.reason: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self.uops)
@@ -120,60 +113,25 @@ class BasicBlock:
 
 
 class BlockProgram:
-    """The tier-1 form: a block list plus per-address lookup tables."""
+    """The tier-1 form: a block list plus a head-address lookup table."""
 
-    __slots__ = ("blocks", "by_addr", "steps_to_end", "bound")
+    __slots__ = ("blocks", "by_addr")
 
-    def __init__(self, blocks: List[BasicBlock], bound: BoundProgram):
+    def __init__(self, blocks: List[BasicBlock]):
         self.blocks = blocks
-        self.bound = bound
         #: Block-head address -> block.
         self.by_addr: Dict[int, BasicBlock] = {b.addr: b for b in blocks}
-        #: Any instruction address -> micro-op count from there through
-        #: its block's terminator.  The jit driver uses this to run a
-        #: mid-block entry (debugger resume, BTRA-displaced return) on
-        #: the fast interpreter for *exactly* the residue of the block.
-        self.steps_to_end: Dict[int, int] = {}
-        for block in blocks:
-            span = len(block.uops)
-            for position, u in enumerate(block.uops):
-                self.steps_to_end[u.rip] = span - position
-
-    def stats(self) -> Dict[str, int]:
-        tier2 = sum(1 for b in self.blocks if b.tier == 2)
-        return {
-            "blocks": len(self.blocks),
-            "tier2_blocks": tier2,
-            "tier1_blocks": len(self.blocks) - tier2,
-            "superinstructions_fused": sum(len(b.fused) for b in self.blocks),
-        }
 
 
-def _is_generic(u: MicroOp) -> bool:
-    """True when the micro-op fell back to its generic (reference-
-    semantics) handler at bind time — the tier-2 disqualifier."""
-    return u.handler is GENERIC.get(u.op)
-
-
-def recover_blocks(
-    program: BoundProgram,
-    *,
-    compilable: Optional[Callable[[MicroOp], bool]] = None,
-) -> BlockProgram:
+def recover_blocks(program: BoundProgram) -> BlockProgram:
     """Recover the basic-block CFG of a bound program.
 
     Leaders are: the first micro-op, every direct branch target, and
     every instruction following a terminator.  Non-contiguous address
     runs (hand-assembled processes with gaps) also split, so the
     in-block invariant ``uops[k].next_u is uops[k+1]`` always holds.
-
-    ``compilable`` decides per micro-op whether tier 2 can lower it
-    (defaults to "has a specialized handler"); a block is tier 2 iff
-    every micro-op qualifies.
     """
     order = program.order
-    if compilable is None:
-        compilable = lambda u: not _is_generic(u)  # noqa: E731
     leaders = set()
     if order:
         leaders.add(order[0].rip)
@@ -205,16 +163,7 @@ def recover_blocks(
             close()
             previous = None
     close()
-
-    for block in blocks:
-        bad = next((u for u in block.uops if not compilable(u)), None)
-        if bad is None:
-            block.tier = 2
-        else:
-            block.tier = 1
-            block.reason = f"generic handler for {bad.op.name} at {bad.rip:#x}"
-    fuse_blocks(blocks)
-    return BlockProgram(blocks, program)
+    return BlockProgram(blocks)
 
 
 def slice_block(instructions, addr: int, limit: int = 256) -> List[tuple]:
@@ -274,12 +223,21 @@ def backward_branch_target(items: List[tuple]) -> Optional[int]:
 
 
 def fuse_slice(items: List[tuple]) -> List[Tuple[str, int, int]]:
-    """Superinstruction annotations for an instruction slice.
+    """Superinstruction annotations for an instruction slice, as
+    ``(kind, first index, instruction count)`` triples.
 
-    Same patterns and annotation format as :func:`fuse_blocks` —
-    ``cmp+jcc`` forwarding and ``push-run`` sharing — computed from
-    ``(address, instruction)`` pairs instead of bound micro-ops, so the
-    tier-2 promoter can fuse lazily sliced blocks without a tier-0 bind.
+    Two patterns, both exploited by the tier-2 code generator:
+
+    * ``cmp+jcc`` / ``test+jcc`` — the compare's result forwards to the
+      branch in a local (the store to ``cpu._cmp`` still happens, since
+      later SETcc micro-ops and snapshots read it);
+    * ``push-run`` — N >= 2 consecutive register/immediate pushes share
+      one stack-pointer read (each push still updates RSP *before* its
+      store, so a faulting push mid-run leaves the exact interpreter
+      state).
+
+    Computed from ``(address, instruction)`` pairs, so the tier-2
+    promoter fuses lazily sliced blocks without a tier-0 bind.
     """
     fused: List[Tuple[str, int, int]] = []
     count = len(items)
@@ -302,45 +260,3 @@ def fuse_slice(items: List[tuple]) -> List[Tuple[str, int, int]]:
             position += 1
     return fused
 
-
-def fuse_blocks(blocks: List[BasicBlock]) -> int:
-    """Annotate fusable superinstructions in tier-2 blocks.
-
-    Two patterns, both exploited by the tier-2 code generator:
-
-    * ``cmp+jcc`` / ``test+jcc`` — the compare's result forwards to the
-      branch in a local (the store to ``cpu._cmp`` still happens, since
-      later SETcc micro-ops and snapshots read it);
-    * ``push-run`` — N >= 2 consecutive register/immediate pushes share
-      one stack-pointer read (each push still updates RSP *before* its
-      store, so a faulting push mid-run leaves the exact interpreter
-      state).
-
-    Returns the number of superinstructions annotated.
-    """
-    fused = 0
-    for block in blocks:
-        block.fused = []
-        if block.tier != 2:
-            continue
-        uops = block.uops
-        count = len(uops)
-        if (
-            count >= 2
-            and uops[-2].op in FUSABLE_COMPARES
-            and uops[-1].op in FUSABLE_BRANCHES
-        ):
-            block.fused.append(("cmp+jcc", count - 2, 2))
-        position = 0
-        while position < count:
-            if uops[position].op is Op.PUSH:
-                run = position
-                while run < count and uops[run].op is Op.PUSH:
-                    run += 1
-                if run - position >= 2:
-                    block.fused.append(("push-run", position, run - position))
-                position = run
-            else:
-                position += 1
-        fused += len(block.fused)
-    return fused

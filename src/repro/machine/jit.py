@@ -5,9 +5,11 @@ The ``jit`` backend executes nothing up front.  ``prepare`` is a cheap
 handle around the process's instruction index; lowering happens *per
 dynamic block head, on its second entry*:
 
-* tier 1 — :func:`repro.machine.blocks.slice_block` recovers the
-  straight-line run from the entry address through its terminator and
-  :func:`~repro.machine.blocks.fuse_slice` annotates superinstructions
+* tier 1 — :func:`lower_slice`: :func:`repro.machine.blocks.slice_block`
+  recovers the straight-line run from the entry address through its
+  terminator, every instruction lowers to a :class:`_JU` (a slice with
+  one that only the generic interpreter path can run stays at tier 1),
+  and :func:`~repro.machine.blocks.fuse_slice` annotates superinstructions
   (compare-and-branch forwarding, push runs);
 * tier 2 — the slice compiles to one ``exec``-compiled Python function.
   Everything the interpreters re-derive per instruction is folded into
@@ -82,7 +84,7 @@ from __future__ import annotations
 import os
 import re
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import (
     BoobyTrapTriggered,
@@ -105,6 +107,8 @@ __all__ = [
     "jit_stats_snapshot",
     "reset_jit_stats",
     "clear_jit_cache",
+    "Lowering",
+    "lower_slice",
     "set_tier3",
     "tier3_enabled",
 ]
@@ -357,6 +361,37 @@ def _classify(addr: int, instr) -> Optional[_JU]:
     ju.sym = a.symbol if isinstance(a, Imm) else None
     ju.target = ju.imm if (op in _DIRECT_BRANCH_OPS or op in _JCC_COND) and ka == "I" else None
     return ju
+
+
+class Lowering(NamedTuple):
+    """One slice through the jit's front end (:func:`lower_slice`): its
+    ``(address, instruction)`` ``items``, the lowered ``jus`` (all of
+    them, or the prefix before the first instruction only the generic
+    reference-semantics path can run), and the ``fused`` annotations."""
+
+    items: List[tuple]
+    jus: List[_JU]
+    fused: List[Tuple[str, int, int]]
+
+    @property
+    def compiles(self) -> bool:
+        """True when the whole slice lowers, i.e. reaches tier 2."""
+        return bool(self.items) and len(self.jus) == len(self.items)
+
+
+def lower_slice(instructions, addr: int) -> Lowering:
+    """Tier 1 for the head ``addr``: slice the straight-line run,
+    lower each instruction (stopping at the first that cannot lower) and
+    annotate fusion.  Block compilation, trace formation and the
+    ``disasm-blocks`` dump all decide tiers with this one function."""
+    items = slice_block(instructions, addr, _SLICE_LIMIT)
+    jus: List[_JU] = []
+    for iaddr, instr in items:
+        ju = _classify(iaddr, instr)
+        if ju is None:
+            break
+        jus.append(ju)
+    return Lowering(items, jus, fuse_slice(items))
 
 
 def _faultable(ju: _JU) -> bool:
@@ -1871,21 +1906,12 @@ class JitBackend:
         """Validate a recorded head path, truncating at the first
         segment that cannot lower or glue, then compile and install the
         trace.  Returns the linked trace function, or None."""
-        instructions = program.instructions
         segments = []
         for h in path:
-            items = slice_block(instructions, h, _SLICE_LIMIT)
-            if not items:
+            lowering = lower_slice(program.instructions, h)
+            if not lowering.compiles:
                 break
-            jus: List[_JU] = []
-            for iaddr, instr in items:
-                ju = _classify(iaddr, instr)
-                if ju is None:
-                    break
-                jus.append(ju)
-            if len(jus) != len(items):
-                break
-            segments.append((h, items, jus, fuse_slice(items)))
+            segments.append((h, *lowering))
         if not segments:
             return None
         kept = segments[:1]
@@ -1973,16 +1999,10 @@ class JitBackend:
         del variant.demote[:]
 
     def _compile_slice(self, program, addr: int) -> Optional[_BlockUnit]:
-        items = slice_block(program.instructions, addr, _SLICE_LIMIT)
-        if not items:
+        lowering = lower_slice(program.instructions, addr)
+        if not lowering.compiles:
             return None
-        jus: List[_JU] = []
-        for iaddr, instr in items:
-            ju = _classify(iaddr, instr)
-            if ju is None:
-                return None
-            jus.append(ju)
-        fused = fuse_slice(items)
+        items, jus, fused = lowering
         compiler = _SliceCompiler(
             addr, items, jus, fused, program.costs, monotone=program.monotone(),
         )

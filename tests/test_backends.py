@@ -310,6 +310,7 @@ def test_runtime_service_changing_permissions_identical():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("tier3")
 @pytest.mark.parametrize("btra_mode", ["avx", "push"])
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_perf_counters_and_profiles_identical(seed, btra_mode):

@@ -12,6 +12,7 @@ BTRA-displaced returns.
 """
 
 import dataclasses
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -29,13 +30,14 @@ from repro.machine.jit import (
     _text_fits_icache,
     clear_jit_cache,
     jit_stats_snapshot,
-    set_tier3,
+    lower_slice,
 )
 from repro.machine.loader import load_binary
 from repro.machine.memory import Perm
 from repro.machine.state import MachineState
 from repro.machine.uops import get_bound_program
 from repro.toolchain.builder import IRBuilder
+from repro.workloads.spec import build_spec_benchmark
 
 from tests.test_backends import DATA, HEAP, assemble, run_one_backend
 from tests.test_differential_fuzz import build_spec
@@ -182,6 +184,7 @@ def hot_loop_spec(iterations=80):
     return spec, head, body
 
 
+@pytest.mark.usefixtures("tier3")
 def test_breakpoint_inside_compiled_loop_trace():
     """Phase 1 runs a big step slice at full compiled speed (the loop
     trace executes); phase 2 sets a breakpoint on an address *inside*
@@ -223,6 +226,7 @@ def test_breakpoint_inside_compiled_loop_trace():
     assert observed["jit"]["stream"][0][1] == body_addr
 
 
+@pytest.mark.usefixtures("tier3")
 def test_budget_exhaustion_mid_trace_iteration():
     """An instruction budget landing mid-iteration: the loop trace must
     refuse the iteration it cannot afford, deopt, and let the
@@ -245,6 +249,7 @@ def test_budget_exhaustion_mid_trace_iteration():
     assert outcomes["jit"]["result"]["instructions"] == budget + 1
 
 
+@pytest.mark.usefixtures("tier3")
 def test_fetch_epoch_bump_between_back_edges():
     """A CALLRT service between inner-loop activations bumps the memory
     permission epoch (the re-randomization signal).  The installed
@@ -298,6 +303,7 @@ def test_fetch_epoch_bump_between_back_edges():
     assert after["traces_blacklisted"] == before["traces_blacklisted"]
 
 
+@pytest.mark.usefixtures("tier3")
 def test_guard_failure_storm_blacklists_trace():
     """An indirect jump whose target flips permanently mid-run: once
     guard failures dominate trace entries the prolog demotes the trace,
@@ -350,11 +356,15 @@ def test_guard_failure_storm_blacklists_trace():
 
 
 # ---------------------------------------------------------------------------
-# Tier 1: CFG recovery, fusion, stats.
+# Tier 1: CFG recovery, fusion, and the tiers the jit assigns.
 # ---------------------------------------------------------------------------
 
 
-def test_block_recovery_boundaries_and_fusion():
+def test_block_recovery_boundaries_and_fusion(capsys):
+    """Tier-1 CFG recovery splits at branch targets and after
+    terminators, and the ``disasm-blocks`` dump reports what the jit
+    compiles: every block head the jit lowered while running the
+    workload is at tier 2 in the dump, every head it refused at tier 1."""
     def build(loop_head):
         return assemble(
             [
@@ -380,19 +390,47 @@ def test_block_recovery_boundaries_and_fusion():
             break
         addresses = new_addresses
     program = recover_blocks(get_bound_program(process, get_costs("epyc-rome")))
-    stats = program.stats()
-    assert stats["blocks"] == 3
+    assert len(program.blocks) == 3
     heads = sorted(program.by_addr)
     assert heads == [addresses[0], addresses[1], addresses[8]]
     loop = program.by_addr[addresses[1]]
-    assert loop.tier == 2
-    kinds = {kind for kind, _, _ in loop.fused}
-    assert kinds == {"cmp+jcc", "push-run"}
+    assert len(loop) == 7
     assert ("taken", addresses[1]) in loop.successors()
-    assert stats["superinstructions_fused"] == 2
-    # Every in-block address maps to its residue through the terminator.
-    assert program.steps_to_end[addresses[1]] == len(loop)
-    assert program.steps_to_end[addresses[7]] == 1
+    lowering = lower_slice(process.instructions, addresses[1])
+    assert lowering.compiles
+    assert {kind for kind, _, _ in lowering.fused} == {"cmp+jcc", "push-run"}
+
+    from repro.__main__ import main
+
+    assert main(["disasm-blocks", "xz"]) == 0
+    dump = capsys.readouterr().out
+    assert "918 blocks, 918 at tier 2, 0 at tier 1" in dump.splitlines()[0]
+    tiers = {
+        int(head, 16): int(tier)
+        for head, tier in re.findall(
+            r"^block \d+[^:]*: \[(0x[0-9a-f]+), 0x[0-9a-f]+\) \d+ uops, tier (\d)$",
+            dump,
+            re.MULTILINE,
+        )
+    }
+    assert len(tiers) == 918
+    # Run the dumped image (same compile seed, load seed and cost model)
+    # under the jit and read back which heads it compiled.
+    binary = compile_module(build_spec_benchmark("xz"), R2CConfig.full(seed=1))
+    process = load_binary(binary, seed=1)
+    state = MachineState(process, get_costs("epyc-rome"))
+    jit = get_backend("jit")
+    jit_program = jit.prepare(state)
+    state.rip = process.entry_point
+    jit.execute(jit_program, state, ExecutionResult())
+    units = {
+        addr: unit
+        for addr, unit in jit_program.linked().units.items()
+        if addr in tiers
+    }
+    assert any(unit is not None for unit in units.values())
+    for addr, unit in units.items():
+        assert tiers[addr] == (1 if unit is None else 2), hex(addr)
 
 
 def test_monotone_icache_detection():
@@ -442,6 +480,7 @@ def test_code_cache_reused_across_loads_of_one_image():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("tier3")
 def test_observed_drives_run_on_fast_and_compile_nothing():
     """Jit drives with ``attribute_tags`` or ``count_opcodes`` lower
     nothing — the jit counters stay put — and equal ``fast`` byte for
@@ -464,19 +503,15 @@ def test_observed_drives_run_on_fast_and_compile_nothing():
         }
         return observed, before, jit_stats_snapshot()
 
-    previous = set_tier3(True)
-    try:
-        clear_jit_cache()
-        for flag, counts in (
-            ("attribute_tags", "tag_counts"),
-            ("count_opcodes", "opcode_counts"),
-        ):
-            on_jit, before, after = drive("jit", **{flag: True})
-            assert after == before, flag
-            assert on_jit["result"][counts], flag
-            assert on_jit == drive("fast", **{flag: True})[0], flag
-        _, before, after = drive("jit")
-        assert after["blocks_compiled"] > before["blocks_compiled"]
-        assert after["traces_compiled"] > before["traces_compiled"]
-    finally:
-        set_tier3(previous)
+    clear_jit_cache()
+    for flag, counts in (
+        ("attribute_tags", "tag_counts"),
+        ("count_opcodes", "opcode_counts"),
+    ):
+        on_jit, before, after = drive("jit", **{flag: True})
+        assert after == before, flag
+        assert on_jit["result"][counts], flag
+        assert on_jit == drive("fast", **{flag: True})[0], flag
+    _, before, after = drive("jit")
+    assert after["blocks_compiled"] > before["blocks_compiled"]
+    assert after["traces_compiled"] > before["traces_compiled"]

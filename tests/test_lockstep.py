@@ -12,6 +12,8 @@ import json
 import pytest
 
 from repro.attacks.outcomes import AttackOutcome
+from repro.attacks.rop import make_rop_hook
+from repro.attacks.scenario import VictimSession, run_attack
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
 from repro.defenses.lockstep import (
@@ -20,7 +22,6 @@ from repro.defenses.lockstep import (
     MveeOutcome,
     run_bitflip_lockstep,
 )
-from repro.defenses.mvee import MveeResult, mvee_attack_outcome
 from repro.machine.loader import load_binary
 from repro.workloads.victim import build_victim
 
@@ -131,10 +132,16 @@ def test_alloc_sequence_mismatch_is_divergence():
 
 
 def test_divergence_increments_monitor_and_maps_to_attack_outcome():
-    result = run_bitflip_lockstep(fault_seed=3, flips=96)
-    assert result.outcome is MveeOutcome.DIVERGED
-    mvee_view = MveeResult(outcome=result.outcome, divergence=result.divergence)
-    assert mvee_attack_outcome(mvee_view) is AttackOutcome.DIVERGED
+    """An N-variant probe the lockstep cross-check catches diverging
+    counts one detection on the session's monitor and ends the attack
+    as DIVERGED."""
+    session = VictimSession(
+        R2CConfig.full(), build_seed=900, load_seed=0xBEEF, variants=2
+    )
+    result = run_attack(session, make_rop_hook(), "rop")
+    assert result.outcome is AttackOutcome.DIVERGED
+    assert session.monitor.divergences == 1
+    assert result.detections == 1
     assert AttackOutcome.DIVERGED.value == "diverged"
 
 
