@@ -31,7 +31,8 @@ Three implementations ship:
   function per block, :mod:`repro.machine.jit`).  Budget checks, cost
   folds, and i-cache accounting collapse into block prologs; anything
   the compiled form cannot express bit-identically deopts to the
-  ``fast`` interpreter mid-run.
+  ``reference`` interpreter loop mid-run; only observed drives (trace
+  hook, tag attribution, opcode counts) run on ``fast`` wholesale.
 
 All backends must fill byte-identical :class:`ExecutionResult`\\ s —
 same counters, same faults at the same ``rip``, same shadow-stack and

@@ -69,10 +69,16 @@ class _Page:
     alone is a measurable fraction of every memory access.
 
     ``data`` is demand-zero: ``None`` until the first byte access
-    materializes the backing ``bytearray``.  Mapping a multi-megabyte heap
-    arena allocates page *descriptors* only, so load time scales with the
-    bytes actually written, not the address space reserved — and
-    :meth:`Memory.clone` copies only materialized pages.
+    materializes the backing ``bytearray``.
+
+    A descriptor whose ``data`` is ``None`` is never changed in place, so
+    it can be shared: :meth:`Memory.map_region` installs one descriptor
+    for every page of a region, and :meth:`Memory.clone` hands untouched
+    pages to the clone as they are.  Materializing or protecting such a
+    page installs a new, private descriptor for that page alone.  Mapping
+    a multi-megabyte heap arena therefore allocates neither bytes nor
+    per-page objects: load and clone time scale with the pages actually
+    written or protected, not the address space reserved.
 
     ``mv`` is a 64-bit view of ``data`` (``memoryview.cast("Q")``), created
     at materialization on little-endian hosts.  Aligned word accesses — the
@@ -103,15 +109,16 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 class Memory:
     """Sparse paged address space.
 
-    Pages are materialized on :meth:`map_region` and checked on every
-    access.  A page flagged as *guard* raises :class:`GuardPageFault`
+    :meth:`map_region` reserves pages; their bytes are allocated on first
+    touch (see :class:`_Page`).  Permissions are checked on every access.
+    A page flagged as *guard* raises :class:`GuardPageFault`
     instead of the generic :class:`MemoryFault` so the attack monitor can
     attribute the crash to a booby trap.
     """
 
     def __init__(self) -> None:
         self._pages: Dict[int, _Page] = {}
-        # Monotonic permission epoch: bumped by every map/unmap/protect so
+        # Monotonic permission epoch: bumped by every map/protect so
         # execution backends may memoize per-address fetch-permission checks
         # and revalidate only when the permission landscape actually moved.
         self.perm_epoch = 0
@@ -131,14 +138,17 @@ class Memory:
         # outright; every miss (unmapped, unmaterialized, protected, guard,
         # big-endian host) falls back to :meth:`read_word` /
         # :meth:`write_word`, which reproduce the exact fault.  Maintained
-        # by materialization, :meth:`protect`, :meth:`unmap_region`, and
-        # :meth:`clone`; the dict objects themselves are never replaced, so
-        # bound ``.get`` references stay valid for the memory's lifetime.
+        # by materialization, :meth:`protect` and :meth:`clone`; the dict
+        # objects themselves are never replaced, so bound ``.get``
+        # references stay valid for the memory's lifetime.
         self._rmv: Dict[int, object] = {}
         self._wmv: Dict[int, object] = {}
 
-    def _materialize(self, base: int, page: _Page) -> bytearray:
-        """Allocate a page's demand-zero backing store (and word views)."""
+    def _materialize(self, base: int, page: _Page) -> _Page:
+        """Give the untouched (possibly shared) ``page`` at ``base`` a
+        private descriptor with demand-zero backing bytes and word views,
+        and return it."""
+        page = self._pages[base] = _Page(page.perm, page.guard)
         data = page.data = bytearray(PAGE_SIZE)
         if _LITTLE_ENDIAN:
             mv = page.mv = memoryview(data).cast("Q")
@@ -151,11 +161,11 @@ class Memory:
         # materialized tally; the discard keeps the sum counting it once.
         self._resident += 1
         self._touched.discard(base)
-        return data
+        return page
 
     def _refresh_views(self, base: int, page: _Page) -> None:
-        """Re-derive the word-map entries for one page after a permission
-        change (or removal on unmap)."""
+        """Re-derive the word-map entries for one materialized page after
+        a permission change."""
         mv = page.mv
         if mv is None:
             return
@@ -172,21 +182,16 @@ class Memory:
     # -- mapping -----------------------------------------------------------
 
     def map_region(self, address: int, size: int, perm: Perm) -> None:
-        """Map ``size`` bytes at ``address`` (page-granular) with ``perm``."""
-        self.perm_epoch += 1
-        for base in page_range(address, size):
-            if base in self._pages:
-                raise MemoryFault("write", base, "already mapped")
-            self._pages[base] = _Page(perm)
+        """Map ``size`` bytes at ``address`` (page-granular) with ``perm``.
 
-    def unmap_region(self, address: int, size: int) -> None:
+        Every page of the region gets the same untouched descriptor."""
         self.perm_epoch += 1
+        pages = self._pages
+        shared = _Page(perm)
         for base in page_range(address, size):
-            page = self._pages.pop(base, None)
-            if page is not None and page.data is not None:
-                self._resident -= 1
-                self._rmv.pop(base, None)
-                self._wmv.pop(base, None)
+            if base in pages:
+                raise MemoryFault("write", base, "already mapped")
+            pages[base] = shared
 
     def protect(self, address: int, size: int, perm: Perm, *, guard: bool = False) -> None:
         """Change permissions of mapped pages (mprotect analogue).
@@ -199,43 +204,43 @@ class Memory:
             page = self._pages.get(base)
             if page is None:
                 raise MemoryFault("write", base, "unmapped")
+            if page.data is None:
+                self._pages[base] = _Page(perm, guard)
+                continue
             page.perm = perm
             page.bits = int(perm)
             page.guard = guard
             self._refresh_views(base, page)
 
     def clone(self) -> "Memory":
-        """Deep-copy the address space: page contents, permissions, guard
+        """Copy the address space: page contents, permissions, guard
         flags, the permission epoch, and the resident set.
 
-        The clone is fully independent — writes and protection changes on
-        either side never show through.  This is the substrate for replica
-        processes (:meth:`repro.machine.process.Process.clone`): copying
-        pages wholesale is an order of magnitude cheaper than re-running
-        the loader and the runtime constructors."""
+        Only materialized pages are copied; untouched descriptors are
+        shared, which is safe because neither side changes one in place
+        (see :class:`_Page`).  The clone is fully independent — writes and
+        protection changes on either side never show through.  This is the
+        substrate for replica processes
+        (:meth:`repro.machine.process.Process.clone`): copying pages
+        wholesale is an order of magnitude cheaper than re-running the
+        loader and the runtime constructors."""
         clone = Memory.__new__(Memory)
-        pages: Dict[int, _Page] = {}
+        pages = dict(self._pages)
         rmv: Dict[int, object] = {}
         wmv: Dict[int, object] = {}
         for base, page in self._pages.items():
-            copy = _Page.__new__(_Page)
             data = page.data
             if data is None:
-                copy.data = None
-                copy.mv = None
-            else:
-                copy.data = data = bytearray(data)
-                mv = copy.mv = memoryview(data).cast("Q") if _LITTLE_ENDIAN else None
-                if mv is not None:
-                    bits = page.bits
-                    if bits & 1:
-                        rmv[base] = mv
-                    if bits & 2:
-                        wmv[base] = mv
-            copy.perm = page.perm
-            copy.guard = page.guard
-            copy.bits = page.bits
-            pages[base] = copy
+                continue
+            copy = pages[base] = _Page(page.perm, page.guard)
+            copy.data = data = bytearray(data)
+            if _LITTLE_ENDIAN:
+                mv = copy.mv = memoryview(data).cast("Q")
+                bits = page.bits
+                if bits & 1:
+                    rmv[base] = mv
+                if bits & 2:
+                    wmv[base] = mv
         clone._pages = pages
         clone.perm_epoch = self.perm_epoch
         clone._touched = set(self._touched)
@@ -306,7 +311,7 @@ class Memory:
             if page is not None and page.bits & 1:  # Perm.R
                 data = page.data
                 if data is None:
-                    data = self._materialize(base, page)
+                    data = self._materialize(base, page).data
                 return bytes(data[offset : offset + size])
         self._check("read", Perm.R, address, size)
         return self._copy_out(address, size)
@@ -321,7 +326,7 @@ class Memory:
             if page is not None and page.bits & 2:  # Perm.W
                 backing = page.data
                 if backing is None:
-                    backing = self._materialize(base, page)
+                    backing = self._materialize(base, page).data
                 backing[offset : offset + size] = data
                 return
         self._check("write", Perm.W, address, size)
@@ -335,7 +340,8 @@ class Memory:
             if page is not None and page.bits & 1:  # Perm.R
                 data = page.data
                 if data is None:
-                    data = self._materialize(base, page)
+                    page = self._materialize(base, page)
+                    data = page.data
                 if not offset & 7:
                     mv = page.mv
                     if mv is not None:
@@ -351,7 +357,8 @@ class Memory:
             if page is not None and page.bits & 2:  # Perm.W
                 data = page.data
                 if data is None:
-                    data = self._materialize(base, page)
+                    page = self._materialize(base, page)
+                    data = page.data
                 if not offset & 7:
                     mv = page.mv
                     if mv is not None:
@@ -375,10 +382,9 @@ class Memory:
                     self._touched.add(base)
                 return
         self._check("fetch", Perm.X, address, size)
-        base = address & ~PAGE_MASK
-        page = self._pages.get(base)
-        if page is not None and page.data is None:
-            self._touched.add(base)
+        for base in page_range(address, size):
+            if self._pages[base].data is None:
+                self._touched.add(base)
 
     # -- privileged access (loader / runtime, bypasses permissions) ---------
 
@@ -419,7 +425,7 @@ class Memory:
             raise MemoryFault("write", address, "unmapped")
         data = page.data
         if data is None:
-            data = self._materialize(base, page)
+            data = self._materialize(base, page).data
         data[address & PAGE_MASK] ^= 1 << (bit & 7)
 
     # -- internals ----------------------------------------------------------
@@ -435,7 +441,7 @@ class Memory:
             page = self._pages[base]
             backing = page.data
             if backing is None:
-                backing = self._materialize(base, page)
+                backing = self._materialize(base, page).data
             out[pos : pos + take] = backing[offset : offset + take]
             pos += take
         return bytes(out)
@@ -451,6 +457,6 @@ class Memory:
             page = self._pages[base]
             backing = page.data
             if backing is None:
-                backing = self._materialize(base, page)
+                backing = self._materialize(base, page).data
             backing[offset : offset + take] = data[pos : pos + take]
             pos += take

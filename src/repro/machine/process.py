@@ -149,7 +149,10 @@ class Process:
         The decoded instruction index and the symbol table are immutable
         after loading, so they are shared; everything a run mutates
         (memory pages, allocator state, the output stream, the service
-        table, bound micro-op programs) is copied or reset.  Cloning a
+        table, bound micro-op programs) is copied or reset.  Of the memory,
+        only materialized pages are copied; untouched pages stay shared
+        until either side writes or protects them (see
+        :meth:`repro.machine.memory.Memory.clone`).  Cloning a
         loaded process is an order of magnitude cheaper than re-loading
         the binary — it skips section mapping, instruction rebasing, and
         the runtime constructors — which is how N-replica lockstep groups

@@ -96,6 +96,19 @@ def test_double_map_rejected():
         memory.map_region(BASE, PAGE_SIZE, Perm.RW)
 
 
+def test_partial_overlap_keeps_lower_pages_and_names_first_overlap():
+    memory = Memory()
+    memory.map_region(BASE + 2 * PAGE_SIZE, 2 * PAGE_SIZE, Perm.RW)
+    with pytest.raises(MemoryFault) as info:
+        memory.map_region(BASE, 4 * PAGE_SIZE, Perm.R)
+    assert info.value.reason == "already mapped"
+    assert info.value.address == BASE + 2 * PAGE_SIZE
+    assert [perm for _, perm in memory.mapped_pages()] == [Perm.R] * 2 + [Perm.RW] * 2
+    assert memory.read(BASE + PAGE_SIZE, 8) == bytes(8)
+    with pytest.raises(MemoryFault):
+        memory.write(BASE, b"x")
+
+
 def test_raw_access_bypasses_permissions():
     memory = make_memory(Perm.NONE)
     memory.store_word_raw(BASE, 123)
@@ -113,6 +126,65 @@ def test_resident_counts_touched_pages_only():
     assert memory.resident_bytes() == 2 * PAGE_SIZE
     memory.read(BASE, 8)  # already touched
     assert memory.resident_bytes() == 2 * PAGE_SIZE
+
+
+def test_page_spanning_fetch_marks_both_pages_resident():
+    memory = make_memory(Perm.X, pages=2)
+    memory.fetch_check(BASE + PAGE_SIZE - 2, 4)
+    assert memory.resident_bytes() == 2 * PAGE_SIZE
+
+
+def test_changing_one_page_leaves_the_rest_of_its_region_alone():
+    """Untouched pages of a region share one descriptor; writing,
+    protecting or corrupting one of them must not reach the others."""
+    memory = make_memory(pages=8)
+    memory.write(BASE + 2 * PAGE_SIZE + 16, b"two")
+    memory.protect(BASE + 5 * PAGE_SIZE, PAGE_SIZE, Perm.NONE, guard=True)
+    memory.corrupt_bit(BASE + 6 * PAGE_SIZE + 3, 1)
+    assert memory.resident_bytes() == 2 * PAGE_SIZE
+    guard = BASE + 5 * PAGE_SIZE
+    for address in (guard, guard + PAGE_SIZE - 8):
+        assert memory.perm_at(address) == Perm.NONE and memory.is_guard(address)
+        with pytest.raises(GuardPageFault):
+            memory.read_word(address)
+        with pytest.raises(GuardPageFault):
+            memory.write_word(address, 1)
+    for index in (0, 1, 2, 3, 4, 6, 7):
+        address = BASE + index * PAGE_SIZE
+        assert memory.perm_at(address) == Perm.RW
+        assert not memory.is_guard(address)
+        expected = bytearray(PAGE_SIZE)
+        if index == 2:
+            expected[16:19] = b"two"
+        if index == 6:
+            expected[3] = 2
+        assert memory.read(address, PAGE_SIZE) == bytes(expected)
+        memory.write_word(address + 8, index + 1)
+        assert memory.read_word(address + 8) == index + 1
+    assert memory.resident_bytes() == 7 * PAGE_SIZE
+
+
+def test_clone_isolates_untouched_pages_both_ways():
+    original = make_memory(pages=4)
+    clone = original.clone()
+    clone.protect(BASE, PAGE_SIZE, Perm.NONE, guard=True)
+    clone.write_word(BASE + PAGE_SIZE, 5)
+    assert original.perm_at(BASE) == Perm.RW and not original.is_guard(BASE)
+    assert original.read_word(BASE) == 0
+    assert original.read_word(BASE + PAGE_SIZE) == 0
+    assert original.resident_bytes() == 2 * PAGE_SIZE
+
+    original.protect(BASE + 2 * PAGE_SIZE, PAGE_SIZE, Perm.NONE, guard=True)
+    original.write_word(BASE + 3 * PAGE_SIZE, 7)
+    assert clone.perm_at(BASE + 2 * PAGE_SIZE) == Perm.RW
+    assert not clone.is_guard(BASE + 2 * PAGE_SIZE)
+    clone.write_word(BASE + 2 * PAGE_SIZE, 9)
+    assert clone.read_word(BASE + 3 * PAGE_SIZE) == 0
+    assert clone.resident_bytes() == 3 * PAGE_SIZE
+    with pytest.raises(GuardPageFault):
+        clone.read_word(BASE)
+    with pytest.raises(GuardPageFault):
+        original.read_word(BASE + 2 * PAGE_SIZE)
 
 
 def test_page_range_enumeration():

@@ -104,6 +104,20 @@ def test_text_pages_resident_after_load():
     assert process.max_rss >= PAGE_SIZE * 2  # at least text + data
 
 
+@pytest.mark.parametrize("config", [R2CConfig(seed=9), R2CConfig.full(seed=9)])
+def test_untouched_pages_share_descriptors_after_load(config):
+    """Only pages the load wrote or protected get a descriptor of their
+    own; the rest of each region (most of the 8 MiB heap) shares one."""
+    from repro.workloads.victim import build_victim
+
+    process = load_binary(compile_module(build_victim(requests=3), config), seed=7)
+    pages = process.memory._pages.values()
+    materialized = sum(page.data is not None for page in pages)
+    protected = len(process.r2c_runtime["guard_pages"]) if config.enable_btdp else 0
+    assert len({id(page) for page in pages}) <= materialized + protected + 4
+    assert len(pages) > 2000
+
+
 def test_resident_grows_with_heap_use():
     binary = compile_module(tiny_module())
     process = load_binary(binary, seed=1)
