@@ -387,14 +387,19 @@ class ReferenceBackend:
             res.output = cpu.process.output
 
 
-def _missing(cpu, memory, address):
+def _missing(cpu, memory, address, remaining):
     """Fault path for control flow reaching a non-instruction address.
 
     Mirrors the reference loop exactly: ``rip`` rests at the invalid
-    address, a fetch-permission fault (guard page, unmapped, execute-only
+    address, and the fault is raised only when the loop goes on to fetch
+    it — a ``step`` with no instructions ``remaining`` returns normally
+    (the caller ends the drive) and the next ``step`` raises.  A
+    fetch-permission fault (guard page, unmapped, execute-only
     violation) takes precedence over :class:`InvalidInstruction`.
     """
     cpu.rip = address
+    if remaining == 0:
+        return
     memory.fetch_check(address)
     raise InvalidInstruction(f"no instruction at {address:#x}")
 
@@ -483,7 +488,7 @@ class FastBackend:
         try:
             if u is None:
                 if not cpu._halted:
-                    _missing(cpu, memory, cpu.rip)
+                    _missing(cpu, memory, cpu.rip, remaining)
             else:
                 while True:
                     if remaining is not None:
@@ -542,14 +547,16 @@ class FastBackend:
                     if nxt is None:
                         nu = u.next_u
                         if nu is None:
-                            _missing(cpu, memory, u.next_rip)
+                            _missing(cpu, memory, u.next_rip, remaining)
+                            break
                         u = nu
                     elif nxt.__class__ is MicroOp:
                         u = nxt
                     elif nxt.__class__ is int:
                         nu = index_get(nxt)
                         if nu is None:
-                            _missing(cpu, memory, nxt)
+                            _missing(cpu, memory, nxt, remaining)
+                            break
                         u = nu
                     elif nxt is HALT:
                         cpu.rip = u.next_rip
@@ -558,7 +565,8 @@ class FastBackend:
                         ep = memory.perm_epoch
                         nu = u.next_u
                         if nu is None:
-                            _missing(cpu, memory, u.next_rip)
+                            _missing(cpu, memory, u.next_rip, remaining)
+                            break
                         u = nu
         finally:
             res.instructions += executed

@@ -8,7 +8,9 @@ dynamic block head, on its second entry*:
 * tier 1 — :func:`lower_slice`: :func:`repro.machine.blocks.slice_block`
   recovers the straight-line run from the entry address through its
   terminator, every instruction lowers to a :class:`_JU` (a slice with
-  one that only the generic interpreter path can run stays at tier 1),
+  one that only the generic interpreter path can run — an unresolved
+  symbolic immediate, or an operand form the toolchain never emits,
+  such as an indexed operand outside ``mov`` — stays at tier 1),
   and :func:`~repro.machine.blocks.fuse_slice` annotates superinstructions
   (compare-and-branch forwarding, push runs);
 * tier 2 — the slice compiles to one ``exec``-compiled Python function.
@@ -52,9 +54,9 @@ that covers many blocks (and, for loops, many iterations) per call.
 **The deopt contract.**  Anything compiled code cannot reproduce
 *bit-identically* re-enters an interpreter mid-run with all partial
 counters flushed first: cold code (fewer than two entries), slices
-containing generic-only operand forms (negative-cached, interpreted
-forever), stale fetch-permission epochs (prologs compare the per-block
-validated epoch against the drive's mirror of
+containing an instruction tier 1 cannot lower (negative-cached,
+interpreted forever), stale fetch-permission epochs (prologs compare
+the per-block validated epoch against the drive's mirror of
 :attr:`Memory.perm_epoch`; the driver re-validates by fetch-checking the
 slice and only then re-enters compiled code), budget or step-slice
 exhaustion, and faults (compiled blocks charge an exact per-prefix
@@ -255,9 +257,14 @@ _FAULTABLE = {
     Op.VSTORE512,
 }
 
+#: ``MX`` is the indexed operand ``[base? + index*scale + off]``: the
+#: toolchain's variable-index slot and global accesses
+#: (``_lower_slot_load``/``_store`` and ``_lower_global_load``/``_store``
+#: in :mod:`repro.toolchain.lower`) emit it only as a ``mov`` load or
+#: store through a register.
 _MOV_FORMS = {
-    ("R", "R"), ("R", "I"), ("R", "MB"), ("R", "MA"),
-    ("MB", "R"), ("MA", "R"), ("MB", "I"), ("MA", "I"),
+    ("R", "R"), ("R", "I"), ("R", "MB"), ("R", "MA"), ("R", "MX"),
+    ("MB", "R"), ("MA", "R"), ("MX", "R"), ("MB", "I"), ("MA", "I"),
 }
 _ALU_FORMS = {
     ("R", "R"), ("R", "I"), ("R", "MB"), ("R", "MA"),
@@ -268,13 +275,16 @@ _CMP_FORMS = {("R", "R"), ("R", "I"), ("R", "MB"), ("MB", "R"), ("MB", "I")}
 
 class _JU:
     """One instruction's lowering record: operand kinds pre-classified,
-    immediates masked, memory recipes extracted — the same extraction
-    rules as the tier-0 binder (:func:`repro.machine.uops._bind`)."""
+    immediates masked, memory recipes extracted with the tier-0 binder's
+    rules (:func:`repro.machine.uops._bind`: an offset is masked only
+    when the operand has neither base nor index).  ``idx``/``scale``
+    are the index register and scale of an ``MX`` operand (None/1
+    otherwise; at most one operand of a lowered instruction is ``MX``)."""
 
     __slots__ = (
         "rip", "next_rip", "size", "op", "ka", "kb",
         "a_reg", "b_reg", "imm", "a_base", "a_off", "b_base", "b_off",
-        "sym", "has_mem", "target",
+        "idx", "scale", "sym", "has_mem", "target",
     )
 
 
@@ -347,16 +357,19 @@ def _classify(addr: int, instr) -> Optional[_JU]:
         ju.imm = 0
     if isinstance(a, Mem):
         ju.a_base = None if a.base is None else int(a.base)
-        ju.a_off = a.offset & MASK64 if a.base is None else a.offset
+        ju.a_off = a.offset & MASK64 if a.base is None and a.index is None else a.offset
     else:
         ju.a_base = None
         ju.a_off = 0
     if isinstance(b, Mem):
         ju.b_base = None if b.base is None else int(b.base)
-        ju.b_off = b.offset & MASK64 if b.base is None else b.offset
+        ju.b_off = b.offset & MASK64 if b.base is None and b.index is None else b.offset
     else:
         ju.b_base = None
         ju.b_off = 0
+    indexed = a if ka == "MX" else b if kb == "MX" else None
+    ju.idx = None if indexed is None else int(indexed.index)
+    ju.scale = 1 if indexed is None else indexed.scale
     ju.has_mem = isinstance(a, Mem) or isinstance(b, Mem)
     ju.sym = a.symbol if isinstance(a, Imm) else None
     ju.target = ju.imm if (op in _DIRECT_BRANCH_OPS or op in _JCC_COND) and ka == "I" else None
@@ -398,7 +411,13 @@ def _faultable(ju: _JU) -> bool:
     return ju.op in _FAULTABLE or ju.has_mem
 
 
-def _mem_addr_expr(off: int, base: Optional[int]) -> str:
+def _mem_addr_expr(off: int, base: Optional[int], idx: Optional[int] = None,
+                   scale: int = 1) -> str:
+    """The masked effective address ``MachineState._mem_address``
+    computes, as a generated-code expression."""
+    if idx is not None:
+        terms = f"{off!r} + r[{idx}] * {scale}"
+        return f"({terms} + r[{base}]) & M" if base is not None else f"({terms}) & M"
     if base is None:
         return repr(off)
     return f"({off!r} + r[{base}]) & M"
@@ -732,11 +751,21 @@ class _SliceCompiler:
         op = ju.op
         ka, kb = ju.ka, ju.kb
         if op is Op.MOV:
+            # Indexed forms compute their address afresh on every
+            # execution and take the unhoisted page-view path directly:
+            # the address moves with the index even when the base is
+            # loop-invariant (see ``_TraceCompiler.emit_load``).
             if ka == "R":
                 if kb in ("MB", "MA"):
                     self.emit_load(f"r[{ju.a_reg}]", ju.b_off, ju.b_base)
+                elif kb == "MX":
+                    self.emit(f"q = {_mem_addr_expr(ju.b_off, ju.b_base, ju.idx, ju.scale)}")
+                    self.emit_load_q(f"r[{ju.a_reg}]", "q")
                 else:
                     self.emit(f"r[{ju.a_reg}] = {self.b_val(ju)}")
+            elif ka == "MX":
+                self.emit(f"q = {_mem_addr_expr(ju.a_off, ju.a_base, ju.idx, ju.scale)}")
+                self.emit_store_q("q", self.b_val(ju))
             else:
                 self.emit_store(ju.a_off, ju.a_base, self.b_val(ju))
         elif op in _ALU_EXPR:

@@ -39,6 +39,7 @@ from repro.machine.loader import load_binary
 from repro.machine.memory import Perm
 from repro.machine.uops import DECODE_STATS, clear_decode_cache, get_bound_program
 from repro.machine.process import AddressSpaceLayout, Process
+from repro.machine.state import MachineState
 
 from tests.conftest import FULL_CONFIGS
 
@@ -302,6 +303,54 @@ def test_runtime_service_changing_permissions_identical():
 
     outcome = compare_backends(make)
     assert outcome["error"][0] is GuardPageFault
+
+
+def test_step_faults_only_when_it_fetches_a_missing_instruction():
+    """A ``step`` whose last instruction transfers to an address with no
+    instruction returns with ``rip`` on that address; the next ``step``
+    raises.  Three ways there: a jump to an unmapped address, falling off
+    the end of text, and a ``ret`` into the (non-executable) data."""
+    cases = {
+        "jmp-unmapped": (
+            lambda: [I(Op.MOV, Reg.RAX, Imm(1)), I(Op.JMP, Imm(0xDEAD000)), I(Op.EXIT, Imm(0))],
+            0xDEAD000,
+            MemoryFault,
+        ),
+        "end-of-text": (
+            lambda: [I(Op.MOV, Reg.RAX, Imm(1)), I(Op.NOP)],
+            None,
+            InvalidInstruction,
+        ),
+        "ret-into-data": (
+            lambda: [I(Op.PUSH, Imm(DATA)), I(Op.RET), I(Op.EXIT, Imm(0))],
+            DATA,
+            MemoryFault,
+        ),
+    }
+    for name, (make, target, fault) in cases.items():
+        observed = {}
+        for backend_name in BACKENDS:
+            process, addresses = assemble(make())
+            state = MachineState(process, get_costs("epyc-rome"))
+            state.rip = process.entry_point
+            backend = get_backend(backend_name)
+            program = backend.prepare(state)
+            res = ExecutionResult()
+            halted = backend.step(program, state, res, 2)
+            first = (halted, state.rip, dataclasses.asdict(res))
+            with pytest.raises(MachineError) as error:
+                backend.step(program, state, res, 2)
+            observed[backend_name] = (
+                first, type(error.value), str(error.value), state.rip,
+                dataclasses.asdict(res),
+            )
+        end = addresses[-1] + make()[-1].size
+        reference = observed["reference"]
+        assert reference[0][:2] == (False, end if target is None else target), name
+        assert reference[0][2]["instructions"] == 2, name
+        assert reference[1] is fault, name
+        for backend_name in BACKENDS:
+            assert observed[backend_name] == reference, (name, backend_name)
 
 
 # ---------------------------------------------------------------------------

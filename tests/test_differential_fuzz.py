@@ -19,6 +19,10 @@ Three layers:
   seeded sweep.  ``REPRO_FUZZ_CASES`` scales the machine-level case
   count (the IR sweep runs a quarter of it); CI's fuzz leg sets it to
   500.
+* ``test_fuzz_indexed_*`` — the same generators with indexed ``mov``
+  loads and stores (the toolchain's variable-index slot and global
+  accesses) inside generated loops.  A separate seeded stream, so the
+  sweep above and every corpus entry keep generating the same programs.
 * ``test_fuzz_hypothesis_explore`` — a hypothesis-driven seed explorer
   (derandomized, no database) for shrink-assisted local exploration.
 
@@ -68,6 +72,9 @@ CORPUS = Path(__file__).parent / "corpus"
 #: its own induction variable.
 GPRS = (Reg.RAX, Reg.RBX, Reg.RCX, Reg.RDX, Reg.RSI, Reg.RDI)
 COUNTERS = (Reg.R8, Reg.R9, Reg.R10, Reg.R11)
+#: The indexed generator's walking index: it only ever grows, so long
+#: enough loops walk it off the data mapping.
+WALK = Reg.R12
 
 ARITH_RR = (Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR, Op.IMUL)
 JCCS = (Op.JE, Op.JNE, Op.JL, Op.JLE, Op.JG, Op.JGE)
@@ -139,7 +146,35 @@ def _gen_simple(rng: random.Random, spec: List[Entry]) -> None:
 SETCCS = (Op.SETE, Op.SETNE, Op.SETL, Op.SETG)
 
 
-def _gen_loop(rng: random.Random, spec: List[Entry], counter: Reg) -> None:
+def _gen_indexed(rng: random.Random, spec: List[Entry]) -> None:
+    """One indexed ``mov`` load or store through RBP or an absolute data
+    address.  The index is a GPR masked into a 16-word window (negated
+    at times: it wraps mod 2**64 back into the window), or ``WALK``,
+    which grows by up to a page per use and so may leave the data
+    mapping mid-loop."""
+    if rng.random() < 0.6:
+        index = rng.choice(GPRS)
+        spec.append((Op.AND, index, Imm(15)))
+        disp = 0
+        if rng.random() < 0.4:
+            spec.append((Op.NEG, index, None))
+            disp = 8 * 15
+    else:
+        index = WALK
+        spec.append((Op.ADD, WALK, Imm(rng.choice((1, 8, 64, 512)))))
+        disp = 0
+    if rng.random() < 0.5:
+        mem = Mem(Reg.RBP, disp, index=index, scale=8)
+    else:
+        mem = Mem(None, DATA + disp, index=index, scale=8)
+    if rng.random() < 0.5:
+        spec.append((Op.MOV, rng.choice(GPRS), mem))
+    else:
+        spec.append((Op.MOV, mem, rng.choice(GPRS)))
+
+
+def _gen_loop(rng: random.Random, spec: List[Entry], counter: Reg,
+              indexed: bool = False) -> None:
     """A counted loop: enough iterations to cross the jit's promotion
     and trace thresholds, so compiled loop traces run under the fuzzer
     (including their side exits when the trip count ends the loop)."""
@@ -147,6 +182,8 @@ def _gen_loop(rng: random.Random, spec: List[Entry], counter: Reg) -> None:
     head = len(spec)
     for _ in range(rng.randrange(1, 7)):
         _gen_simple(rng, spec)
+    for _ in range(rng.randrange(1, 4) if indexed else 0):
+        _gen_indexed(rng, spec)
     spec.append((Op.SUB, counter, Imm(1)))
     spec.append((Op.CMP, counter, Imm(0)))
     spec.append((Op.JG, ("L", head), None))
@@ -184,8 +221,9 @@ def _gen_hazard(rng: random.Random, spec: List[Entry]) -> None:
         spec.append((Op.TRAP, None, None))
 
 
-def machine_spec(seed: int) -> List[Entry]:
-    """The seeded machine-level program for ``seed``."""
+def machine_spec(seed: int, indexed: bool = False) -> List[Entry]:
+    """The seeded machine-level program for ``seed``; ``indexed`` adds
+    indexed ``mov``s to every loop and makes the first construct one."""
     rng = random.Random(seed)
     spec: List[Entry] = [(Op.MOV, Reg.RBP, Imm(DATA))]
     for reg in GPRS:
@@ -200,10 +238,10 @@ def machine_spec(seed: int) -> List[Entry]:
 
     counters = list(COUNTERS)
     constructs = rng.randrange(2, 6)
-    for _ in range(constructs):
-        choice = rng.random()
+    for k in range(constructs):
+        choice = 0.0 if indexed and k == 0 else rng.random()
         if choice < 0.40 and counters:
-            _gen_loop(rng, spec, counters.pop())
+            _gen_loop(rng, spec, counters.pop(), indexed)
         elif choice < 0.60:
             _gen_diamond(rng, spec)
         elif choice < 0.90:
@@ -329,19 +367,22 @@ def minimize_machine(spec: List[Entry], budget: int = 200) -> List[Entry]:
     return spec
 
 
-def _dump_repro(kind: str, seed: int, spec: Optional[List[Entry]] = None) -> Path:
+def _dump_repro(kind: str, seed: int, spec: Optional[List[Entry]] = None,
+                indexed: bool = False) -> Path:
     DUMP_DIR.mkdir(parents=True, exist_ok=True)
     payload = {"kind": kind, "seed": seed}
+    if indexed:
+        payload["indexed"] = True
     if spec is not None:
         payload["minimized"] = [
             [op.name, repr(a), repr(b)] for op, a, b in spec
         ]
-    path = DUMP_DIR / f"{kind}-{seed}.json"
+    path = DUMP_DIR / f"{kind}{'-indexed' if indexed else ''}-{seed}.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path
 
 
-def check_machine_seed(seed: int, budget: int = BUDGET) -> None:
+def check_machine_seed(seed: int, budget: int = BUDGET, indexed: bool = False) -> None:
     """Differential over the machine-level program for ``seed``.
 
     The primary run is *plain* (no opcode counting, no tag attribution) —
@@ -350,7 +391,7 @@ def check_machine_seed(seed: int, budget: int = BUDGET) -> None:
     (opcode counts and tag attribution), where ``jit`` delegates to
     ``fast``: it checks ``fast`` against ``reference`` for those
     counters."""
-    spec = machine_spec(seed)
+    spec = machine_spec(seed, indexed)
     try:
         differential(lambda: build_process(spec), instruction_budget=budget)
         if seed % 4 == 0:
@@ -362,7 +403,7 @@ def check_machine_seed(seed: int, budget: int = BUDGET) -> None:
             )
     except AssertionError:
         minimized = minimize_machine(spec)
-        path = _dump_repro("machine", seed, minimized)
+        path = _dump_repro("machine", seed, minimized, indexed)
         raise AssertionError(
             f"machine seed {seed} diverged; minimized repro at {path}"
         )
@@ -408,9 +449,11 @@ def _ir_expr(rng: random.Random, fn, atoms: List[str], depth: int = 0) -> str:
     return getattr(fn, op)(a, b)
 
 
-def ir_module(seed: int):
+def ir_module(seed: int, indexed: bool = False):
     """The seeded IR module for ``seed``: leaves (direct and indirect
-    call targets), globals, counted loops, diamonds, output."""
+    call targets), globals, counted loops, diamonds, output.  With
+    ``indexed``, the first construct is a loop, and every loop body
+    reads and writes a 4-word global at variable (masked) indices."""
     rng = random.Random(seed)
     ir = IRBuilder(f"fuzz{seed}")
     nglobals = rng.randrange(0, 3)
@@ -418,6 +461,8 @@ def ir_module(seed: int):
         init = tuple(rng.randrange(100) for _ in range(rng.randrange(1, 4)))
         ir.global_var(f"g{k}", size_words=len(init), init=init)
     globals_ = [f"g{k}" for k in range(nglobals)]
+    if indexed:
+        ir.global_var("gx", size_words=4, init=tuple(rng.randrange(100) for _ in range(4)))
 
     leaves = []
     for k in range(rng.randrange(1, 4)):
@@ -436,8 +481,8 @@ def ir_module(seed: int):
         label += 1
         return f"b{label}"
 
-    for _ in range(rng.randrange(2, 6)):
-        choice = rng.random()
+    for k in range(rng.randrange(2, 6)):
+        choice = 0.0 if indexed and k == 0 else rng.random()
         acc = main.load_local("acc")
         if choice < 0.30:
             # A counted loop whose body folds a leaf call or arithmetic
@@ -458,6 +503,11 @@ def ir_module(seed: int):
             else:
                 value = _ir_expr(rng, main, [main.load_local("acc"), i])
             main.store_local("acc", value)
+            if indexed:
+                slot = main.band(main.load_local(ivar), 3)
+                value = main.add(main.load_local("acc"), main.load_global("gx", slot))
+                main.store_local("acc", value)
+                main.store_global("gx", value, main.band(value, 3))
             main.store_local(ivar, main.add(main.load_local(ivar), 1))
             main.br(loop)
             main.new_block(done)
@@ -492,10 +542,10 @@ def ir_module(seed: int):
     return ir.finish()
 
 
-def check_ir_seed(seed: int) -> None:
+def check_ir_seed(seed: int, indexed: bool = False) -> None:
     rng = random.Random(~seed)
     config = random_config(rng)
-    module = ir_module(seed)
+    module = ir_module(seed, indexed)
     binary = compile_module(module, config)
     load_seed = rng.randrange(1, 100)
 
@@ -517,7 +567,7 @@ def check_ir_seed(seed: int) -> None:
             attribute_tags=True,
         )
     except AssertionError:
-        path = _dump_repro("ir", seed)
+        path = _dump_repro("ir", seed, indexed=indexed)
         raise AssertionError(f"ir seed {seed} diverged; repro at {path}")
 
 
@@ -537,10 +587,11 @@ def _corpus_entries():
 )
 def test_corpus_replay(path):
     entry = json.loads(path.read_text())
+    indexed = entry.get("indexed", False)
     if entry["kind"] == "machine":
-        check_machine_seed(entry["seed"], entry.get("budget", BUDGET))
+        check_machine_seed(entry["seed"], entry.get("budget", BUDGET), indexed)
     else:
-        check_ir_seed(entry["seed"])
+        check_ir_seed(entry["seed"], indexed)
 
 
 def test_corpus_is_not_empty():
@@ -560,6 +611,16 @@ def test_fuzz_machine_seeded(seed):
 @pytest.mark.parametrize("seed", range(max(6, FUZZ_CASES // 4)))
 def test_fuzz_ir_seeded(seed):
     check_ir_seed(seed)
+
+
+@pytest.mark.parametrize("seed", range(max(6, FUZZ_CASES // 4)))
+def test_fuzz_indexed_machine_seeded(seed):
+    check_machine_seed(seed, indexed=True)
+
+
+@pytest.mark.parametrize("seed", range(max(3, FUZZ_CASES // 16)))
+def test_fuzz_indexed_ir_seeded(seed):
+    check_ir_seed(seed, indexed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
-from repro.errors import ExecutionLimitExceeded
+from repro.errors import ExecutionLimitExceeded, MemoryFault
 from repro.machine.backends import get_backend
 from repro.machine.blocks import recover_blocks
 from repro.machine.costs import get_costs
@@ -27,19 +27,23 @@ from repro.machine.cpu import CPU, ExecutionResult
 from repro.machine.debugger import Debugger
 from repro.machine.isa import Imm, Instruction, Mem, Op, Reg
 from repro.machine.jit import (
+    _classify,
     _text_fits_icache,
     clear_jit_cache,
     jit_stats_snapshot,
     lower_slice,
+    tier3_enabled,
 )
 from repro.machine.loader import load_binary
 from repro.machine.memory import Perm
 from repro.machine.state import MachineState
 from repro.machine.uops import get_bound_program
 from repro.toolchain.builder import IRBuilder
-from repro.workloads.spec import build_spec_benchmark
+from repro.workloads.spec import SPEC_BENCHMARKS, build_spec_benchmark
+from repro.workloads.victim import build_victim
+from repro.workloads.webserver import build_webserver
 
-from tests.test_backends import DATA, HEAP, assemble, run_one_backend
+from tests.test_backends import DATA, HEAP, assemble, compare_backends, run_one_backend
 from tests.test_differential_fuzz import build_spec
 
 I = Instruction
@@ -515,3 +519,96 @@ def test_observed_drives_run_on_fast_and_compile_nothing():
     _, before, after = drive("jit")
     assert after["blocks_compiled"] > before["blocks_compiled"]
     assert after["traces_compiled"] > before["traces_compiled"]
+
+
+# ---------------------------------------------------------------------------
+# Tiers 2 and 3: the toolchain's indexed ``mov`` forms.
+# ---------------------------------------------------------------------------
+
+
+def _indexed_loop_spec(trips: int, walk: int):
+    """A counted loop through both indexed ``mov`` forms.
+
+    RBP is a fixed base into the data section; RCX counts up and RDI is
+    ``-RCX``.  Each iteration loads the word the previous one stored,
+    through ``[rbp + rcx*8]`` (base) and ``[rdi*8 + table]`` (absolute
+    table address, no base; the negative index wraps mod 2**64 back
+    into the mapping), and loads ``[rbp + rsi*8 + 3]`` (unaligned)
+    through RSI, which grows by ``walk`` each iteration — far enough,
+    for a large ``walk``, to leave the data mapping mid-loop."""
+    table = DATA + 0x800
+    return [
+        (Op.MOV, Reg.RBP, Imm(table)),
+        (Op.MOV, Reg.RCX, Imm(0)),
+        (Op.MOV, Reg.RSI, Imm(0)),
+        (Op.MOV, Reg.R8, Imm(trips)),
+        # loop head (entry 4)
+        (Op.MOV, Reg.RAX, Mem(Reg.RBP, 0, index=Reg.RCX, scale=8)),
+        (Op.ADD, Reg.RAX, Reg.RCX),
+        (Op.MOV, Mem(Reg.RBP, 8, index=Reg.RCX, scale=8), Reg.RAX),
+        (Op.MOV, Reg.RDI, Reg.RCX),
+        (Op.NEG, Reg.RDI, None),
+        (Op.MOV, Reg.RBX, Mem(None, table, index=Reg.RDI, scale=8)),
+        (Op.ADD, Reg.RBX, Reg.RAX),
+        (Op.MOV, Mem(None, table - 8, index=Reg.RDI, scale=8), Reg.RBX),
+        (Op.MOV, Reg.RDX, Mem(Reg.RBP, 3, index=Reg.RSI, scale=8)),
+        (Op.ADD, Reg.RSI, Imm(walk)),
+        (Op.ADD, Reg.RCX, Imm(1)),
+        (Op.SUB, Reg.R8, Imm(1)),
+        (Op.CMP, Reg.R8, Imm(0)),
+        (Op.JG, ("L", 4), None),
+        (Op.OUT, Reg.RAX, None),
+        (Op.OUT, Reg.RBX, None),
+        (Op.OUT, Reg.RDX, None),
+        (Op.EXIT, Imm(0), None),
+    ]
+
+
+@pytest.mark.parametrize("walk", [1, 64])
+def test_indexed_mov_in_hot_loop_identical(walk):
+    """Both indexed ``mov`` forms, with and without a base register,
+    with a negative index, run compiled (tier 2, and as a loop trace
+    when tier 3 is on) with results identical to the interpreters.  A
+    ``walk`` of 64 words per iteration leaves the mapping after 124
+    iterations: the ``MemoryFault``, its ``rip``, the registers and the
+    partial counters must match too."""
+    spec = _indexed_loop_spec(200, walk)
+    process, addresses = build_spec(spec)
+    for addr in addresses[4:13]:
+        assert _classify(addr, process.instructions[addr]) is not None
+    before = jit_stats_snapshot()
+    outcome = compare_backends(lambda: build_spec(spec)[0])
+    after = jit_stats_snapshot()
+    assert after["blocks_compiled"] > before["blocks_compiled"]
+    if tier3_enabled():
+        assert after["loop_traces"] > before["loop_traces"]
+    if walk == 1:
+        assert outcome["error"] is None
+        total = sum(range(200))
+        assert outcome["result"]["output"][0] == total
+    else:
+        assert outcome["error"][0] is MemoryFault
+        assert outcome["rip"] == addresses[12]
+        assert outcome["regs"][Reg.RCX] == 124
+
+
+def test_every_benchmark_binary_lowers_at_tier_2():
+    """No instruction of any binary the benchmark runs — the 12 SPEC
+    stand-ins, the 32-request webserver and the attack victim, under
+    baseline and full R2C — is left without a tier-2 lowering, so no
+    hot slice is refused to the reference interpreter."""
+    modules = {name: build_spec_benchmark(name) for name in SPEC_BENCHMARKS}
+    modules["webserver"] = build_webserver(requests=32)
+    modules["victim"] = build_victim()
+    refused = []
+    for name, module in modules.items():
+        for label, config in (
+            ("baseline", R2CConfig.baseline()), ("full", R2CConfig.full(seed=1))
+        ):
+            process = load_binary(compile_module(module, config), seed=1)
+            refused.extend(
+                (name, label, hex(addr))
+                for addr, instr in process.instructions.items()
+                if _classify(addr, instr) is None
+            )
+    assert refused == []
