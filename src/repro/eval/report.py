@@ -336,12 +336,8 @@ def render_bench(report) -> str:
         )
         if tiers.get("traces_compiled"):
             lines.append(
-                f"tier 3: {tiers.get('traces_compiled', 0)} traces compiled "
-                f"({tiers.get('loop_traces', 0)} loop, "
-                f"{tiers.get('superblocks', 0)} superblock), "
-                f"{tiers.get('trace_side_exits', 0)} side exits, "
-                f"{tiers.get('trace_guard_failures', 0)} guard failures, "
-                f"{tiers.get('traces_blacklisted', 0)} blacklisted"
+                f"tier 3: {tiers.get('traces_compiled', 0)} loop traces compiled, "
+                f"{tiers.get('trace_side_exits', 0)} side exits"
             )
     return "\n".join(lines)
 

@@ -23,7 +23,7 @@ assumes.  It provides:
   pre-resolved micro-ops (cached by content fingerprint) and driven by
   the ``reference`` interpreter loop, the ``fast`` handler-table backend,
   or the ``jit`` backend (:mod:`repro.machine.blocks` /
-  :mod:`repro.machine.jit`: compiled block functions and tier-3 traces;
+  :mod:`repro.machine.jit`: compiled block functions and tier-3 loop traces;
   observed runs go to ``fast``), with byte-identical results.
 * :mod:`repro.machine.process` — the process image with ASLR over text,
   data, heap and stack regions.

@@ -12,9 +12,9 @@ The machine layer lowers guest code through four tiers:
   function per block, threaded together by direct jumps;
 * **tier 3** (:mod:`repro.machine.jit`) — hot loop heads (backward
   direct-branch targets, :func:`backward_branch_target`) record the
-  block path control takes through them, which is glued into one trace
-  function: a loop trace when the path closes back on its head,
-  otherwise a superblock with guard-protected side exits.
+  block path control takes through them; a path that returns to its
+  head through direct ``jmp``/``jcc`` joins is glued into one loop
+  trace function with guard-protected side exits.
 
 Tier 1's contract: block boundaries are **stable** — derived only from
 addresses, sizes, and direct branch targets, all fixed at bind time —

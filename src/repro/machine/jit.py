@@ -1,5 +1,5 @@
 """Tiers 2 and 3 of the progressive-lowering pipeline: lazy block
-compilation and trace compilation.
+compilation and loop-trace compilation.
 
 The ``jit`` backend executes nothing up front.  ``prepare`` is a cheap
 handle around the process's instruction index; lowering happens *per
@@ -24,24 +24,21 @@ dynamic block head, on its second entry*:
   instruction budget is one folded comparison in the block prolog.
 * tier 3 — hot loop heads (backward direct-branch targets, detected at
   tier-2 compile time) are *armed* with an entry counter; once hot, the
-  driver records the path of tier-2 blocks control takes through them
-  and glues those slices into one trace function
-  (:class:`_TraceCompiler`).  A path returning to its head becomes a
-  **loop trace**: registers, the instruction cursor, the i-cache miss
-  count, and the iteration counter live in Python locals across
-  iterations, per-iteration static charges (cycles, hit/mem/branch
+  driver records the path of tier-2 blocks control takes from the head.
+  A path that returns to its head through segments joined by a direct
+  ``jmp`` or a ``jcc`` compiles to one **loop trace**
+  (:class:`_TraceCompiler`): registers, the instruction cursor, the
+  i-cache miss count, and the iteration counter live in Python locals
+  across iterations, per-iteration static charges (cycles, hit/mem/branch
   bookkeeping) apply as ``it * constant`` only at exits, and accesses
   through loop-invariant base registers hoist their address arithmetic
-  and page word-view lookups out of the loop.  Any other path becomes a
-  **superblock** (direct call targets inlined past conditional exits).
-  Conditional branches between segments become guards whose off-trace
-  side *flushes the exact executed prefix* and returns the off-trace
-  address — a side exit is a normal return, not a deopt — and indirect
-  transfers (``call reg``/``jmp reg``/``ret``) specialize on the target
-  observed during recording, counting misses; a trace whose guards storm
-  (more failures than half its entries) demotes back to its tier-2
-  block and is blacklisted.  Tier 3 is disabled wholesale with
-  :func:`set_tier3` / ``REPRO_JIT_TIER3=0``.
+  and page word-view lookups out of the loop.  Conditional branches
+  between segments become guards whose off-trace side *flushes the exact
+  executed prefix* and returns the off-trace address — a side exit is a
+  normal return, not a deopt.  Any other transition (a call, return,
+  indirect jump, runtime call, trap, EXIT, or slice cut) ends the
+  recording and nothing forms; the head is re-armed a bounded number of
+  times.
 
 Block functions thread by address: a function returns the next block
 head as a non-negative ``int`` (register values are masked, so real
@@ -49,7 +46,7 @@ addresses never collide with escapes), ``None`` after EXIT, or the
 bitwise complement ``~addr`` as a *deopt escape*.  The driver trampolines
 between compiled functions through one dictionary lookup; trace
 functions obey the same protocol, so a trace is just a block function
-that covers many blocks (and, for loops, many iterations) per call.
+that covers many blocks and many iterations per call.
 
 **The deopt contract.**  Anything compiled code cannot reproduce
 *bit-identically* re-enters an interpreter mid-run with all partial
@@ -65,15 +62,15 @@ instruction; trace bodies key both fault tables by the generated source
 line, since one guest address can occur in more than one segment).  A
 trace deopt re-validates *all* constituent slices before the trace runs
 again, and budget deopts from a loop trace fall through to the
-interpreter exactly like block deopts.  Interpreter segments run block-granular spans on the
-*reference* loop directly into the caller's result — exact, because all
-cycle accounting is integer units.  A drive that starts with a trace
-hook, tag attribution or opcode counting installed is delegated to
-``fast`` wholesale: those observe single instructions, which compiled
-code folds away.  The differential suite holds ``jit`` to
-byte-identical :class:`ExecutionResult`\\ s, faults, ``rip``, counters,
-folded profiles, and lockstep divergence points against both other
-backends.
+interpreter exactly like block deopts.  Interpreter segments run
+block-granular spans on the *reference* loop directly into the caller's
+result — exact, because all cycle accounting is integer units.  A drive
+that starts with a trace hook, tag attribution or opcode counting
+installed is delegated to ``fast`` wholesale: those observe single
+instructions, which compiled code folds away.  The differential suite
+holds ``jit`` to byte-identical :class:`ExecutionResult`\\ s, faults,
+``rip``, counters, folded profiles, and lockstep divergence points
+against both other backends.
 
 Compiled code objects are cached per (module fingerprint, config digest,
 address-space layout, cost-model signature): lockstep replicas of one
@@ -83,7 +80,6 @@ instead of re-generating source (:meth:`JitBackend.clone_program`).
 
 from __future__ import annotations
 
-import os
 import re
 import sys
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -111,8 +107,6 @@ __all__ = [
     "clear_jit_cache",
     "Lowering",
     "lower_slice",
-    "set_tier3",
-    "tier3_enabled",
 ]
 
 _RSP = int(Reg.RSP)
@@ -132,16 +126,15 @@ _TRACE_THRESHOLD = 8
 #: Upper bound on segments (basic blocks) in one trace.
 _TRACE_MAX_SEGMENTS = 8
 
-#: Recording attempts per head before tracing it is given up (aborted
-#: recordings — a deopt mid-path — are retried this many times).
+#: Recording attempts per head before tracing it is given up (a
+#: recording that does not close back on its head is abandoned, and the
+#: head re-armed, this many times).
 _TRACE_MAX_TRIES = 3
 
-#: Specialization-guard storm limits: once a trace has been entered more
-#: than ``_BLACKLIST_MIN_ENTRIES`` times with guard failures on more than
-#: half of them, it demotes back to its tier-2 block.
-_BLACKLIST_MIN_ENTRIES = 32
-
 #: Session-wide lowering/observability counters (reported by ``bench``).
+#: ``superblocks``, ``trace_guard_failures`` and ``traces_blacklisted``
+#: always read 0 (only loop traces form); they stay for the readers that
+#: index every key.
 JIT_STATS = {
     "programs": 0,
     "blocks_compiled": 0,
@@ -164,29 +157,6 @@ def jit_stats_snapshot() -> Dict[str, int]:
 def reset_jit_stats() -> None:
     for key in JIT_STATS:
         JIT_STATS[key] = 0
-
-
-#: Tier-3 master switch (module-wide).  Defaults on; ``REPRO_JIT_TIER3=0``
-#: in the environment or :func:`set_tier3` turn trace compilation off —
-#: the backend then stops at tier 2 (per-block compilation), which is the
-#: pre-trace behaviour bit for bit.
-_TIER3 = os.environ.get("REPRO_JIT_TIER3", "1") not in ("0", "false", "no", "off")
-
-
-def set_tier3(enabled: bool) -> bool:
-    """Enable/disable tier-3 trace compilation; returns the prior value.
-
-    Takes effect for *newly armed* loop heads: traces already installed
-    keep running (use :func:`clear_jit_cache` plus fresh programs for a
-    clean flip in tests)."""
-    global _TIER3
-    previous = _TIER3
-    _TIER3 = bool(enabled)
-    return previous
-
-
-def tier3_enabled() -> bool:
-    return _TIER3
 
 
 # ---------------------------------------------------------------------------
@@ -554,12 +524,9 @@ class _SliceCompiler:
     drives run on ``fast``).
     """
 
-    def __init__(self, addr: int, items, jus: List[_JU], fused, costs,
+    def __init__(self, addr: int, segments: List[Lowering], costs,
                  monotone: bool = False):
         self.addr = addr
-        self.items = items
-        self.jus = jus
-        self.fused = fused
         self.costs = costs
         #: Text fits the i-cache (see :func:`_text_fits_icache`): probes
         #: are first-touch-only and skippable once the block has probed
@@ -568,17 +535,19 @@ class _SliceCompiler:
         self.num_sets = costs.icache_size // (costs.icache_line * costs.icache_ways)
         self.penalty = costs.icache_miss_penalty_units
         self.lines: List[str] = []
+        #: Each segment's i-cache line plan (a block is one segment).
+        self.plans = [
+            block_line_plan([(a, i.size) for a, i in lowering.items], costs.icache_line)
+            for lowering in segments
+        ]
+        jus = [j for lowering in segments for j in lowering.jus]
         self.needs_try = any(_faultable(j) for j in jus)
         self.indent = "        " if self.needs_try else "    "
-        self.fused_cmp = any(kind == "cmp+jcc" for kind, _, _ in fused)
-        self.push_runs = {start: count for kind, start, count in fused if kind == "push-run"}
-        self._run_positions = set()
-        for start, count in self.push_runs.items():
-            self._run_positions.update(range(start + 1, start + count))
-        self.plan = block_line_plan([(a, i.size) for a, i in items], costs.icache_line)
-        self.has_probe = any(must for probes in self.plan for _, must in probes)
+        self.load(self.plans[0], segments[0])
+        self.has_probe = any(
+            must for plan in self.plans for probes in plan for _, must in probes
+        )
         self.has_mem_any = any(j.has_mem for j in jus)
-        self.used_shadow = any(j.op in (Op.CALL, Op.RET) for j in jus)
         # Static accumulators and the per-prefix fault table.
         self.stat_x = 0
         self.stat_k = 0
@@ -597,6 +566,17 @@ class _SliceCompiler:
         self._ctx_rip = next((j.rip for j in jus if _faultable(j)), 0)
 
     # -- helpers -----------------------------------------------------------
+
+    def load(self, plan, lowering: Lowering) -> None:
+        """Point the per-slice emission state at one segment and its line
+        plan (a trace loads each of its segments in turn)."""
+        self.jus = lowering.jus
+        self.plan = plan
+        self.fused_cmp = any(kind == "cmp+jcc" for kind, _, _ in lowering.fused)
+        self._run_positions = set()
+        for kind, start, count in lowering.fused:
+            if kind == "push-run":
+                self._run_positions.update(range(start + 1, start + count))
 
     def emit(self, line: str) -> None:
         self.lines.append(self.indent + line)
@@ -721,10 +701,15 @@ class _SliceCompiler:
             # A fault at this instruction must observe exactly the probes
             # of instructions up to and including it — flush the batch now.
             self.flush_probes()
-            self.xb[ju.rip] = (
-                self.stat_x, self.stat_k, self.stat_g, self.stat_o, self.stat_p,
-            )
+            self.mark_fault(ju)
             self._ctx_rip = ju.rip
+
+    def mark_fault(self, ju: _JU) -> None:
+        """Record the executed prefix a fault at ``ju`` restores (blocks
+        key it by the faulting rip)."""
+        self.xb[ju.rip] = (
+            self.stat_x, self.stat_k, self.stat_g, self.stat_o, self.stat_p,
+        )
 
     # -- semantics ---------------------------------------------------------
 
@@ -962,7 +947,7 @@ class _SliceCompiler:
             head.append("    m = 0")
             if self.monotone:
                 head.append(f"    f = {addr} in PD")
-        if self.used_shadow:
+        if jus[last].op in (Op.CALL, Op.RET):
             head.append("    sh = cpu._bk_shadow")
         tail: List[str] = []
         self.ln = None
@@ -997,46 +982,51 @@ class _SliceCompiler:
 
 
 # ---------------------------------------------------------------------------
-# Tier 3: trace code generation
+# Tier 3: loop-trace code generation
 # ---------------------------------------------------------------------------
 
 
-class _TraceCompiler(_SliceCompiler):
-    """Generates the source of one tier-3 trace function.
+def _links(ju: _JU, nh: int) -> bool:
+    """Whether a slice ending in ``ju`` continues to ``nh`` through a
+    direct ``jmp`` or a ``jcc`` — the only joins a loop trace compiles."""
+    if ju.op is Op.JMP:
+        return ju.target == nh
+    return ju.op in _JCC_COND and nh in (ju.target, ju.next_rip)
 
-    A trace is a recorded sequence of tier-2 slices glued together.
-    Direct branches between segments disappear, conditional branches
-    become guards whose off-trace side *flushes the exact executed
-    prefix* and returns the off-trace address (a side exit is a normal
-    block-function return with exact counters, not a deopt), and
-    indirect transfers (``call reg``/``jmp reg``/``ret``) specialize on
-    the target observed during recording, with the same flush-and-return
-    miss path.  Loop traces (``closed``: the recorded path returns to
-    its head) wrap the body in a ``while``: the instruction cursor, the
-    i-cache miss count, and the iteration count live in Python locals
-    across iterations, and per-iteration static charges are applied as
-    ``it * constant`` only at exits, deopts, and faults.
+
+class _TraceCompiler(_SliceCompiler):
+    """Generates the source of one tier-3 loop trace function.
+
+    A loop trace is a recorded cycle of tier-2 slices, each ending in a
+    direct branch to the next and the last back to the head, wrapped in a
+    ``while`` loop.  Unconditional jumps between segments disappear;
+    conditional branches become guards whose off-trace side *flushes the
+    exact executed prefix* and returns the off-trace address (a side exit
+    is a normal block-function return with exact counters, not a deopt).
+    Registers, the instruction cursor, the i-cache miss count, and the
+    iteration count live in Python locals across iterations, and
+    per-iteration static charges are applied as ``it * constant`` only at
+    exits, deopts, and faults.
 
     Fault attribution generalizes the block scheme: because one guest
-    address can occur in more than one segment (an inlined callee called
-    twice), both baked tables — faulting line -> rip and faulting line ->
-    executed-prefix stats — are keyed by the *generated source line*
-    directly.  For loop traces the prefix stats are per-iteration; the
-    handler adds the ``it``-scaled full-iteration constants on top.
-    Accounting is the block compiler's static folding throughout.
+    address can occur in more than one segment (an inner loop's block
+    recorded twice, or slices that overlap), both baked tables — faulting
+    line -> rip and faulting line -> executed-prefix stats — are keyed by
+    the *generated source line* directly.  The prefix stats are
+    per-iteration; the handler adds the ``it``-scaled full-iteration
+    constants on top.  Accounting is the block compiler's static folding
+    throughout.
     """
 
-    # Per-iteration/total static constants are unknown until the whole
-    # body is emitted; flush sites reference them through these tokens,
+    # Per-iteration static constants are unknown until the whole body is
+    # emitted; flush sites reference them through these tokens,
     # substituted once at the end of :meth:`generate`.
-    _T_K = "_KIT_"   # cycle units per iteration / trace
-    _T_G = "_GIT_"   # i-cache hit charges (guaranteed + probed) per iteration
-    _T_O = "_OIT_"   # memory ops per iteration
-    _T_I = "_ILN_"   # instructions per iteration
-    _T_B = "_BIT_"   # branches retired at glue sites per iteration / trace
-    _T_T = "_TIT_"   # taken branches at glue sites per iteration / trace
-    _T_C = "_CIT_"   # calls at glue sites per iteration / trace
-    _T_R = "_RIT_"   # returns at glue sites per iteration / trace
+    _T_K = "_KIT_"   # cycle units
+    _T_G = "_GIT_"   # i-cache hit charges (guaranteed + probed)
+    _T_O = "_OIT_"   # memory ops
+    _T_I = "_ILN_"   # instructions
+    _T_B = "_BIT_"   # branches retired at segment ends
+    _T_T = "_TIT_"   # taken branches at segment ends
     #: Register write-back site: expands to one semicolon-joined line
     #: restoring every cached register into ``r`` (line counts are stable,
     #: so the baked line tables stay valid).
@@ -1046,62 +1036,28 @@ class _TraceCompiler(_SliceCompiler):
     #: rewrites to a trace-local ``g<index>``.
     _REG_REF = re.compile(r"\br\[(\d+)\]")
 
-    def __init__(self, head: int, segments, glues, costs, monotone: bool,
-                 closed: bool, hoist_bases: frozenset = frozenset()):
-        self.addr = head
+    def __init__(self, segments: List[Tuple[int, Lowering]], costs, monotone: bool,
+                 hoist_bases: frozenset = frozenset()):
+        super().__init__(
+            segments[0][0], [lowering for _, lowering in segments], costs, monotone
+        )
         self.segments = segments
-        self.glues = glues
-        self.costs = costs
-        self.closed = closed
+        self.total = sum(len(lowering.jus) for _, lowering in segments)
+        self.indent += "    "
         #: Loop-invariant base registers (second compile pass only):
         #: static ``off + base`` accesses through them hoist the address
         #: arithmetic and page word-view lookup out of the loop.  Pure
         #: fast-path caching — a view that appears mid-call (a store
         #: materializing a page) just keeps taking the accessor fallback,
         #: and nothing can invalidate a view mid-call (permission epochs
-        #: only move at runtime services, which end traces).
-        self.hoist_bases = hoist_bases if closed else frozenset()
+        #: only move at runtime services, which never enter traces).
+        self.hoist_bases = hoist_bases
         self._slots: Dict[Tuple[int, Optional[int]], int] = {}
         self._slot_kinds: Dict[Tuple[int, Optional[int]], set] = {}
-        self.num_sets = costs.icache_size // (costs.icache_line * costs.icache_ways)
-        self.penalty = costs.icache_miss_penalty_units
-        self.lines: List[str] = []
-        all_jus = [j for _, _, jus, _ in segments for j in jus]
-        self.total = len(all_jus)
-        self.needs_try = any(_faultable(j) for j in all_jus)
-        base = "        " if self.needs_try else "    "
-        self.indent = base + "    " if closed else base
-        self._plans = [
-            block_line_plan([(a, i.size) for a, i in items], costs.icache_line)
-            for _, items, _, _ in segments
-        ]
-        self.has_probe = any(
-            must for plan in self._plans for probes in plan for _, must in probes
-        )
-        self.monotone = monotone
-        self.has_mem_any = any(j.has_mem for j in all_jus)
-        self.used_shadow = any(j.op in (Op.CALL, Op.RET) for j in all_jus)
-        self.spec = any(g[0] in ("call-ind", "jmp-ind", "ret") for g in glues)
-        # Branch bookkeeping at glue sites is static per iteration — it is
-        # hoisted into the same flush-time constants as the counters.
-        kinds = [kind for kind, _ in glues]
-        self.hoist_b = any(k in ("jmp", "jcc", "jmp-ind") for k in kinds)
-        self.hoist_c = any(k in ("call", "call-ind") for k in kinds)
-        self.hoist_r = any(k == "ret" for k in kinds)
-        self.stat_x = 0
-        self.stat_k = 0
-        self.stat_g = 0
-        self.stat_o = 0
-        self.stat_p = 0
         self.stat_b = 0
         self.stat_t = 0
-        self.stat_c = 0
-        self.stat_r = 0
-        self._pending: List[Tuple[int, int]] = []
-        self._line_rip: List[int] = []
         self._line_stats: List[Tuple[int, ...]] = []
-        self._ctx_rip = next((j.rip for j in all_jus if _faultable(j)), 0)
-        self._ctx_stats = (0, 0, 0, 0, 0, 0, 0, 0, 0)
+        self._ctx_stats: Tuple[int, ...] = (0,) * 6
         #: Registers referenced anywhere in the body (insertion-ordered);
         #: each lives in a local ``g<index>`` for the whole trace.
         self.cached: Dict[int, None] = {}
@@ -1161,229 +1117,100 @@ class _TraceCompiler(_SliceCompiler):
             return
         super().emit_store(off, base, value)
 
-    def flush_stmts(self) -> List[str]:
-        # Only the final superblock terminator uses this: every glue site
-        # has executed, so the hoisted branch totals are the trace totals.
-        out = [self._T_W] + super().flush_stmts()
-        if self.hoist_b:
-            out.append(f"cpu._bk_branches += {self._T_B}")
-            out.append(f"cpu._bk_taken += {self._T_T}")
-        if self.hoist_c:
-            out.append(f"cpu._bk_calls += {self._T_C}")
-        if self.hoist_r:
-            out.append(f"cpu._bk_rets += {self._T_R}")
-        return out
-
-    def account(self, position: int, ju: _JU) -> None:
-        for line, must_probe in self.plan[position]:
-            if not must_probe:
-                self.stat_g += 1
-                continue
-            self._pending.append((line % self.num_sets, line))
-        self.stat_x += 1
-        self.stat_k += fold_cost(self.costs, ju.op, 0, ju.has_mem)
-        if ju.has_mem:
-            self.stat_o += 1
-        if self.needs_try and _faultable(ju):
-            self.flush_probes()
-            self._ctx_rip = ju.rip
-            self._ctx_stats = (
-                self.stat_x, self.stat_k, self.stat_g, self.stat_o, self.stat_p,
-                self.stat_b, self.stat_t, self.stat_c, self.stat_r,
-            )
+    def mark_fault(self, ju: _JU) -> None:
+        # Keyed by generated line instead: every line emitted from here
+        # to the next faultable instruction carries these stats.
+        self._ctx_stats = (
+            self.stat_x, self.stat_k, self.stat_g + self.stat_p, self.stat_o,
+            self.stat_b, self.stat_t,
+        )
 
     # -- trace-specific emission -------------------------------------------
 
-    def _load_segment(self, index: int, addr: int, items, jus, fused) -> None:
-        self.seg_addr = addr
-        self.items = items
-        self.jus = jus
-        self.fused = fused
-        self.fused_cmp = any(kind == "cmp+jcc" for kind, _, _ in fused)
-        self.push_runs = {start: count for kind, start, count in fused
-                          if kind == "push-run"}
-        self._run_positions = set()
-        for start, count in self.push_runs.items():
-            self._run_positions.update(range(start + 1, start + count))
-        self.plan = self._plans[index]
+    def _charge(self, prefix) -> List[str]:
+        """Statements that write the cached registers back and charge
+        ``it`` full iterations plus an executed prefix of the current one:
+        its (instructions, cycle units, i-cache hit charges, memory ops,
+        branches, taken branches), as integers or generated-code names."""
+        x, k, h, o, b, t = (f" + {value}" if value else "" for value in prefix)
+        out = [self._T_W, f"C[0] = n{x}"]
+        if self.has_probe:
+            out.append(f"C[1] += it * {self._T_K}{k} + m * {self.penalty}")
+            out.append(f"C[3] += it * {self._T_G}{h} - m")
+            out.append("C[4] += m")
+        else:
+            out.append(f"C[1] += it * {self._T_K}{k}")
+            out.append(f"C[3] += it * {self._T_G}{h}")
+        if self.has_mem_any:
+            out.append(f"C[2] += it * {self._T_O}{o}")
+        out.append(f"cpu._bk_branches += it * {self._T_B}{b}")
+        out.append(f"cpu._bk_taken += it * {self._T_T}{t}")
+        return out
 
-    def _side_exit(self, pad: str, ret_expr: str, guard_fail: bool = False) -> None:
+    def _side_exit(self, target: int) -> None:
         """Flush the exact executed prefix and leave the trace through a
         normal (non-deopt) return of the off-trace address."""
-        x, k, g, o, p = self.stat_x, self.stat_k, self.stat_g, self.stat_o, self.stat_p
-        out: List[str] = [self._T_W]
-        if self.closed:
-            out.append(f"C[0] = n + {x}")
-            if self.has_probe:
-                out.append(f"C[1] += it * {self._T_K} + {k} + m * {self.penalty}")
-                out.append(f"C[3] += it * {self._T_G} + {g + p} - m")
-                out.append("C[4] += m")
-            else:
-                out.append(f"C[1] += it * {self._T_K} + {k}")
-                out.append(f"C[3] += it * {self._T_G} + {g}")
-            if self.has_mem_any:
-                out.append(f"C[2] += it * {self._T_O} + {o}")
-        else:
-            out.append("C[0] = n" if x == self.total else f"C[0] = n - {self.total - x}")
-            if self.has_probe:
-                out.append(f"C[1] += {k} + m * {self.penalty}")
-                out.append(f"C[3] += {g + p} - m")
-                out.append("C[4] += m")
-            else:
-                out.append(f"C[1] += {k}")
-                if g:
-                    out.append(f"C[3] += {g}")
-            if o:
-                out.append(f"C[2] += {o}")
-        b, t = self.stat_b, self.stat_t
-        c, rr = self.stat_c, self.stat_r
-        if self.closed:
-            def scaled(token: str, prefix: int) -> str:
-                return f"it * {token} + {prefix}" if prefix else f"it * {token}"
-            if self.hoist_b:
-                out.append(f"cpu._bk_branches += {scaled(self._T_B, b)}")
-                out.append(f"cpu._bk_taken += {scaled(self._T_T, t)}")
-            if self.hoist_c:
-                out.append(f"cpu._bk_calls += {scaled(self._T_C, c)}")
-            if self.hoist_r:
-                out.append(f"cpu._bk_rets += {scaled(self._T_R, rr)}")
-        else:
-            if b:
-                out.append(f"cpu._bk_branches += {b}")
-            if t:
-                out.append(f"cpu._bk_taken += {t}")
-            if c:
-                out.append(f"cpu._bk_calls += {c}")
-            if rr:
-                out.append(f"cpu._bk_rets += {rr}")
-        if guard_fail:
-            out.append("tc[1] += 1")
-            out.append("JS['trace_guard_failures'] += 1")
-        out.append("JS['trace_side_exits'] += 1")
-        out.append(f"return {ret_expr}")
-        for stmt in out:
-            self.emit(pad + stmt)
+        prefix = (
+            self.stat_x, self.stat_k, self.stat_g + self.stat_p, self.stat_o,
+            self.stat_b, self.stat_t,
+        )
+        for stmt in self._charge(prefix):
+            self.emit("    " + stmt)
+        self.emit("    JS['trace_side_exits'] += 1")
+        self.emit(f"    return {target}")
 
-    def _emit_glue(self, ju: _JU, glue: Tuple[str, int]) -> None:
-        """Lower one mid-trace terminator: branch bookkeeping, the guard
-        (when the transfer is conditional or specialized), and the fall
-        into the next segment's code."""
-        kind, nh = glue
-        if kind == "jmp":
-            self.stat_b += 1
+    def _emit_branch(self, ju: _JU, nh: int) -> None:
+        """Lower a segment's closing branch to the next segment head
+        ``nh``: a ``jmp`` disappears, a ``jcc`` becomes a guard."""
+        self.stat_b += 1
+        if ju.op is Op.JMP:
             self.stat_t += 1
-        elif kind == "jcc":
-            cond = _JCC_COND[ju.op]
-            value = "w_" if self.fused_cmp else "cpu._cmp"
-            self.stat_b += 1
-            if nh == ju.target:
-                # On-trace direction is taken; the guard exits through
-                # the fall-through on the inverted condition (the exit
-                # prefix therefore excludes this branch's taken count).
-                self.emit(f"if {value} {_COND_INVERT[cond]}:")
-                self._side_exit("    ", repr(ju.next_rip))
-                self.stat_t += 1
-            else:
-                self.emit(f"if {value} {cond}:")
-                self.stat_t += 1
-                self._side_exit("    ", repr(ju.target))
-                self.stat_t -= 1
-        elif kind in ("call", "call-ind"):
-            self.emit(f"if cpu.check_alignment and r[{_RSP}] % 16 != 0:")
-            self.emit(
-                "    raise SM('rsp=%#x not 16-byte aligned at call "
-                f"({ju.rip:#x})' % r[{_RSP}])"
-            )
-            if kind == "call-ind":
-                self.emit(f"tv = r[{ju.a_reg}]")
-            self.emit(f"p = (r[{_RSP}] - 8) & M")
-            self.emit(f"r[{_RSP}] = p")
-            self.emit_store_q("p", repr(ju.next_rip))
-            self.emit("if sh is not None:")
-            self.emit(f"    sh.append({ju.next_rip})")
-            self.stat_c += 1
-            if kind == "call-ind":
-                self.emit(f"if tv != {nh}:")
-                self._side_exit("    ", "tv", guard_fail=True)
-        elif kind == "jmp-ind":
-            self.stat_b += 1
+            return
+        cond = _JCC_COND[ju.op]
+        value = "w_" if self.fused_cmp else "cpu._cmp"
+        if nh == ju.target:
+            # On-trace direction is taken; the guard exits through the
+            # fall-through on the inverted condition (the exit prefix
+            # therefore excludes this branch's taken count).
+            self.emit(f"if {value} {_COND_INVERT[cond]}:")
+            self._side_exit(ju.next_rip)
             self.stat_t += 1
-            self.emit(f"tv = r[{ju.a_reg}]")
-            self.emit(f"if tv != {nh}:")
-            self._side_exit("    ", "tv", guard_fail=True)
-        elif kind == "ret":
-            self.emit(f"p = r[{_RSP}]")
-            self.emit_load_q("tv", "p")
-            self.emit(f"r[{_RSP}] = (p + 8) & M")
-            self.emit("if sh is not None:")
-            self.emit("    ex = sh.pop() if sh else 0")
-            self.emit("    if ex != tv:")
-            self.emit("        raise SSV(ex, tv)")
-            self.stat_r += 1
-            self.emit(f"if tv != {nh}:")
-            self._side_exit("    ", "tv", guard_fail=True)
-        else:  # pragma: no cover - formation only produces the kinds above
-            raise AssertionError(kind)
+        else:
+            self.emit(f"if {value} {cond}:")
+            self.stat_t += 1
+            self._side_exit(ju.target)
+            self.stat_t -= 1
 
     # -- assembly ----------------------------------------------------------
 
     def generate(self) -> str:
         H = self.addr
-        glues = self.glues
-        for index, (addr, items, jus, fused) in enumerate(self.segments):
-            self._load_segment(index, addr, items, jus, fused)
-            last = len(jus) - 1
-            glue = glues[index] if index < len(glues) else None
-            for position, ju in enumerate(jus):
+        segments = self.segments
+        for index, ((_, lowering), plan) in enumerate(zip(segments, self.plans)):
+            self.load(plan, lowering)
+            last = len(self.jus) - 1
+            for position, ju in enumerate(self.jus):
                 self.account(position, ju)
                 if position == last:
                     self.flush_probes()
-                    if glue is None:
-                        # Final segment of a superblock: the terminator
-                        # flushes the whole-trace totals (the base
-                        # emitter's flush is exact here — ``n`` already
-                        # includes the trace length).
-                        if self.monotone and self.has_probe:
-                            self.emit(f"if not f: PD[{~H}] = 1")
-                        self.emit_terminator(ju)
-                    else:
-                        self._emit_glue(ju, glue)
+                    self._emit_branch(ju, segments[(index + 1) % len(segments)][0])
                 else:
                     self.emit_semantics(position, ju)
-        if self.closed:
-            self.emit("it += 1")
-            self.emit(f"n = n + {self._T_I}")
-            if self.monotone and self.has_probe:
-                # All probes of the trace have now run once; their lines
-                # are resident forever (nothing ever evicts).
-                self.emit("if not f:")
-                self.emit(f"    PD[{~H}] = 1")
-                self.emit("    f = 1")
+        self.emit("it += 1")
+        self.emit(f"n = n + {self._T_I}")
+        if self.monotone and self.has_probe:
+            # All probes of the trace have now run once; their lines are
+            # resident forever (nothing ever evicts).
+            self.emit("if not f:")
+            self.emit(f"    PD[{~H}] = 1")
+            self.emit("    f = 1")
 
-        name = f"t_{H:x}"
-        head = [f"def {name}(cpu, r, S, C):"]
-        if self.spec:
-            head.append(f"    tc = TC_{H:x}")
-            head.append("    tc[0] += 1")
-            head.append(
-                f"    if tc[0] > {_BLACKLIST_MIN_ENTRIES} and tc[1] * 2 > tc[0]:"
-            )
-            head.append(f"        DM.append({H})")
-            head.append(f"        return {~H}")
-        if self.closed:
-            head.append("    n = C[0]")
-        else:
-            head.append(f"    n = C[0] + {self.total}")
-            head.append(f"    if n > C[5] or ET[{H}] != C[6]:")
-            head.append(f"        return {~H}")
+        head = [f"def t_{H:x}(cpu, r, S, C):", "    n = C[0]"]
         if self.has_probe:
             head.append("    m = 0")
             if self.monotone:
                 head.append(f"    f = {~H} in PD")
-        if self.used_shadow:
-            head.append("    sh = cpu._bk_shadow")
-        if self.closed:
-            head.append("    it = 0")
+        head.append("    it = 0")
         if self.cached:
             head.append(
                 "    " + "; ".join(f"g{i} = r[{i}]" for i in self.cached)
@@ -1398,70 +1225,25 @@ class _TraceCompiler(_SliceCompiler):
                 head.append(f"    ur{j} = None if z_ & 7 else RMG(q{j} - z_)")
             if "w" in kinds:
                 head.append(f"    uw{j} = None if z_ & 7 else WMG(q{j} - z_)")
+        w = "    "
         if self.needs_try:
             head.append("    try:")
-        if self.closed:
-            w = "        " if self.needs_try else "    "
-            head.append(w + "while 1:")
-            head.append(w + f"    if n + {self._T_I} > C[5] or ET[{H}] != C[6]:")
-            pad = w + "        "
-            head.append(pad + self._T_W)
-            head.append(pad + "C[0] = n")
-            if self.has_probe:
-                head.append(pad + f"C[1] += it * {self._T_K} + m * {self.penalty}")
-                head.append(pad + f"C[3] += it * {self._T_G} - m")
-                head.append(pad + "C[4] += m")
-            else:
-                head.append(pad + f"C[1] += it * {self._T_K}")
-                head.append(pad + f"C[3] += it * {self._T_G}")
-            if self.has_mem_any:
-                head.append(pad + f"C[2] += it * {self._T_O}")
-            if self.hoist_b:
-                head.append(pad + f"cpu._bk_branches += it * {self._T_B}")
-                head.append(pad + f"cpu._bk_taken += it * {self._T_T}")
-            if self.hoist_c:
-                head.append(pad + f"cpu._bk_calls += it * {self._T_C}")
-            if self.hoist_r:
-                head.append(pad + f"cpu._bk_rets += it * {self._T_R}")
-            head.append(pad + f"return {~H}")
+            w = "        "
+        head.append(w + "while 1:")
+        head.append(w + f"    if n + {self._T_I} > C[5] or E[{H}] != C[6]:")
+        head.extend(w + "        " + stmt for stmt in self._charge((0,) * 6))
+        head.append(w + f"        return {~H}")
 
         tail: List[str] = []
         if self.needs_try:
             tail.append("    except BaseException:")
             tail.append("        L = TB()")
             tail.append(f"        I = LNT_{H:x}[L]")
-            tail.append(
-                f"        x_, k_, g_, o_, p_, b_, t_, c_, r_ = XT_{H:x}[L]"
+            tail.append(f"        x_, k_, h_, o_, b_, t_ = XT_{H:x}[L]")
+            tail.extend(
+                "        " + stmt
+                for stmt in self._charge(("x_", "k_", "h_", "o_", "b_", "t_"))
             )
-            if self.closed:
-                tail.append("        C[0] = n + x_")
-                itk, itg, ito = (
-                    f"it * {self._T_K} + ", f"it * {self._T_G} + ",
-                    f"it * {self._T_O} + ",
-                )
-            else:
-                tail.append("        C[0] += x_")
-                itk = itg = ito = ""
-            if self.has_probe:
-                tail.append(f"        C[1] += {itk}k_ + m * {self.penalty}")
-                tail.append(f"        C[3] += {itg}g_ + p_ - m")
-                tail.append("        C[4] += m")
-            else:
-                tail.append(f"        C[1] += {itk}k_")
-                tail.append(f"        C[3] += {itg}g_ + p_")
-            if self.has_mem_any:
-                tail.append(f"        C[2] += {ito}o_")
-            def it_scaled(token: str) -> str:
-                return f"it * {token} + " if self.closed else ""
-
-            if self.hoist_b:
-                tail.append(f"        cpu._bk_branches += {it_scaled(self._T_B)}b_")
-                tail.append(f"        cpu._bk_taken += {it_scaled(self._T_T)}t_")
-            if self.hoist_c:
-                tail.append(f"        cpu._bk_calls += {it_scaled(self._T_C)}c_")
-            if self.hoist_r:
-                tail.append(f"        cpu._bk_rets += {it_scaled(self._T_R)}r_")
-            tail.append("        " + self._T_W)
             tail.append("        cpu.rip = I")
             tail.append("        raise")
 
@@ -1475,22 +1257,21 @@ class _TraceCompiler(_SliceCompiler):
         }
         writeback = "; ".join(f"r[{i}] = g{i}" for i in self.cached) or "pass"
         source = "\n".join(head + self.lines + tail)
-        return (
-            source
-            .replace(self._T_W, writeback)
-            .replace(self._T_K, repr(self.stat_k))
-            .replace(self._T_G, repr(self.stat_g + self.stat_p))
-            .replace(self._T_O, repr(self.stat_o))
-            .replace(self._T_I, repr(self.total))
-            .replace(self._T_B, repr(self.stat_b))
-            .replace(self._T_T, repr(self.stat_t))
-            .replace(self._T_C, repr(self.stat_c))
-            .replace(self._T_R, repr(self.stat_r))
-        )
+        for token, value in (
+            (self._T_W, writeback),
+            (self._T_K, self.stat_k),
+            (self._T_G, self.stat_g + self.stat_p),
+            (self._T_O, self.stat_o),
+            (self._T_I, self.total),
+            (self._T_B, self.stat_b),
+            (self._T_T, self.stat_t),
+        ):
+            source = source.replace(token, str(value))
+        return source
 
 
-class _TraceUnit:
-    """One compiled trace, shareable across processes of one image.
+class _TraceUnit(NamedTuple):
+    """One compiled loop trace, shareable across processes of one image.
 
     ``segments`` lists the constituent slice heads (in trace order) —
     the driver fetch-revalidates all of them before re-entering the
@@ -1498,23 +1279,12 @@ class _TraceUnit:
     from them.  ``ln_table``/``xt_table`` are the line-keyed fault
     tables (see :class:`_TraceCompiler`)."""
 
-    __slots__ = (
-        "code", "name", "head", "kind", "segments", "length", "spec",
-        "ln_table", "xt_table",
-    )
-
-    def __init__(self, code, name: str, head: int, kind: str,
-                 segments: List[int], length: int, spec: bool,
-                 ln_table, xt_table):
-        self.code = code
-        self.name = name
-        self.head = head
-        self.kind = kind
-        self.segments = segments
-        self.length = length
-        self.spec = spec
-        self.ln_table = ln_table
-        self.xt_table = xt_table
+    code: object
+    name: str
+    segments: List[int]
+    length: int
+    ln_table: Optional[dict]
+    xt_table: Optional[dict]
 
 
 # ---------------------------------------------------------------------------
@@ -1558,29 +1328,25 @@ class _Variant:
     Holds the per-process execution namespace (memory accessors, runtime
     services, error types), the address -> linked-function dispatch
     table, per-head entry counts driving promotion, the negative cache of
-    heads that cannot lower, and the per-head validated fetch epochs."""
+    heads that cannot lower, and the per-head validated fetch epochs (of
+    the block, or of every segment of the loop trace installed there)."""
 
     __slots__ = (
         "units", "table", "entries", "no_compile", "epochs", "namespace",
-        "pending", "demote", "armed", "loop_targets", "no_trace", "trace_tries",
-        "trace_meta", "trace_epochs", "blacklist",
+        "pending", "armed", "loop_targets", "no_trace", "trace_tries", "traces",
     )
 
     def __init__(self, program: "JitProgram"):
         # Tier-3 state.  ``pending`` is the list armed loop-head wrappers
         # append to when their entry counter crosses the trace threshold
-        # (the driver polls its truthiness once per block transition);
-        # ``demote`` is the list blacklisting trace prologs append to.
+        # (the driver polls its truthiness once per block transition).
         self.pending: List[int] = []
-        self.demote: List[int] = []
         self.armed: Dict[int, object] = {}
         self.loop_targets: set = set()
         self.no_trace: set = set()
         self.trace_tries: Dict[int, int] = {}
-        #: Trace head -> {"kind", "segments", "length", "block_fn"}.
-        self.trace_meta: Dict[int, dict] = {}
-        self.trace_epochs: Dict[int, int] = {}
-        self.blacklist: set = set()
+        #: Trace head -> installed loop trace.
+        self.traces: Dict[int, _TraceUnit] = {}
         monotone = program.monotone()
         key = (
             None if program.cache_key is None
@@ -1614,8 +1380,6 @@ class _Variant:
             "OA": process.output.append,
             "PSV": process.service,
             "E": self.epochs,
-            "ET": self.trace_epochs,
-            "DM": self.demote,
             "JS": JIT_STATS,
             "TB": _fault_lineno,
         }
@@ -1686,17 +1450,13 @@ class JitProgram:
         return self._fastprog
 
     def trace_info(self) -> Dict[int, dict]:
-        """Installed tier-3 traces: head -> {kind, segments, length} (the
+        """Installed loop traces: head -> {segments, length} (the
         ``disasm-blocks`` CLI renders this)."""
         if self._linked is None:
             return {}
         return {
-            head: {
-                "kind": meta["kind"],
-                "segments": list(meta["segments"]),
-                "length": meta["length"],
-            }
-            for head, meta in self._linked.trace_meta.items()
+            head: {"segments": list(unit.segments), "length": unit.length}
+            for head, unit in self._linked.traces.items()
         }
 
 
@@ -1769,46 +1529,31 @@ class JitBackend:
         if unit.x_table is not None:
             namespace[f"X_{addr:x}"] = unit.x_table
         exec(unit.code, namespace)
-        fn = namespace[unit.name]
         variant.epochs.setdefault(addr, -1)
-        variant.table[addr] = fn
-        if _TIER3:
-            fn = self._tier3_promote(program, variant, addr, fn, unit)
-        return fn
-
-    # -- tier 3: arming, recording, formation -------------------------------
-
-    def _tier3_promote(self, program, variant, addr: int, fn, unit):
-        """Tier-3 hooks at block promotion: install a cached trace for
-        this head outright (lockstep replicas of one image record and
-        compile each trace exactly once), or arm loop-header candidates
-        — this block's backward branch target, and this head itself if a
-        back edge was seen before it was promoted."""
-        tunit = variant.units.get(("t", addr))
-        if tunit is not None and addr not in variant.blacklist:
+        variant.table[addr] = namespace[unit.name]
+        # Tier 3: install the loop trace another process of this image
+        # compiled for this head (lockstep replicas record and compile each
+        # trace exactly once), or arm loop-header candidates — this block's
+        # backward branch target, and this head itself if a back edge to it
+        # was seen before it was promoted.
+        trace = units.get(("t", addr))
+        if trace is not None:
             JIT_STATS["code_cache_hits"] += 1
-            return self._install_trace(variant, addr, tunit, fn)
-        back = unit.back_target
-        if back is not None:
-            if back in variant.table or back == addr:
-                self._arm(variant, back)
-            else:
-                variant.loop_targets.add(back)
+            return self._install_trace(variant, addr, trace)
+        if unit.back_target is not None:
+            self._arm(variant, unit.back_target)
         if addr in variant.loop_targets:
             self._arm(variant, addr)
         return variant.table[addr]
+
+    # -- tier 3: arming, recording, formation -------------------------------
 
     def _arm(self, variant, head: int) -> None:
         """Wrap the compiled block at ``head`` with an entry counter that
         requests trace recording once the head proves hot.  The wrapper
         is the only tier-3 cost a non-hot block ever pays, and it is
         removed again as soon as the head is traced or given up."""
-        if (
-            head in variant.armed
-            or head in variant.trace_meta
-            or head in variant.no_trace
-            or head in variant.blacklist
-        ):
+        if head in variant.armed or head in variant.traces or head in variant.no_trace:
             return
         fn = variant.table.get(head)
         if fn is None:
@@ -1833,59 +1578,45 @@ class JitBackend:
             variant.table[head] = fn
 
     def _record(self, program, variant, cpu, r, S, C, rip: int, value):
-        """Drive execution while recording the head path for the most
-        recently requested trace.  Entered from the driver right after
-        the block at ``rip`` returned ``value``; returns the last
-        undispatched block-function result (the driver resumes from it).
+        """Drive execution while recording a loop path through the most
+        recently requested head.  Entered from the driver right after the
+        block at ``rip`` returned ``value``; returns the last undispatched
+        block-function result (the driver resumes from it).
 
-        Recording starts when control reaches the requested head and
-        stops at: the head again (a closed loop trace), the segment
-        limit or EXIT (a superblock), a deopt escape (abort — retried a
-        bounded number of times), or a head with no compiled function
-        (the partial path still forms a superblock when long enough)."""
+        Recording starts when control reaches the head.  A path that
+        returns to the head through segments joined by direct ``jmp`` or
+        ``jcc`` compiles to a loop trace.  Anything else abandons the
+        recording: a transition of another kind (call, return, indirect
+        jump, runtime call, trap, slice cut), EXIT, a deopt escape, a head
+        with no compiled function, or the segment limit."""
         pending = variant.pending
         head = pending[-1]
         table_get = variant.table.get
-        path: Optional[List[int]] = [head] if rip == head else None
+        path: Optional[List[Tuple[int, Lowering]]] = None
         while True:
-            if value is None:
-                if path is not None:
-                    pending.pop()
-                    self._finish_recording(program, variant, head, path, False)
-                return None
-            if value < 0:
-                if path is not None:
-                    pending.pop()
-                    self._abort_recording(variant, head)
-                return value
-            nxt = value
+            if path is None and rip == head:
+                path = []
             if path is not None:
-                if nxt == head:
-                    pending.pop()
-                    self._finish_recording(program, variant, head, path, True)
+                lowering = lower_slice(program.instructions, rip)
+                path.append((rip, lowering))
+                if value is None or value < 0 or not _links(lowering.jus[-1], value):
+                    break
+                if value == head:
+                    pending.remove(head)
+                    self._form_trace(program, variant, head, path)
                     return value
                 if len(path) >= _TRACE_MAX_SEGMENTS:
-                    pending.pop()
-                    self._finish_recording(program, variant, head, path, False)
-                    return value
-            fn = table_get(nxt)
-            if fn is None:
-                if path is not None:
-                    pending.pop()
-                    if len(path) >= 2:
-                        self._finish_recording(program, variant, head, path, False)
-                    else:
-                        self._abort_recording(variant, head)
+                    break
+            elif value is None or value < 0:
                 return value
-            cpu.rip = nxt
-            rip = nxt
+            fn = table_get(value)
+            if fn is None:
+                if path is None:
+                    return value
+                break
+            cpu.rip = rip = value
             value = fn(cpu, r, S, C)
-            if path is not None:
-                path.append(rip)
-            elif rip == head:
-                path = [rip]
-
-    def _abort_recording(self, variant, head: int) -> None:
+        pending.remove(head)
         tries = variant.trace_tries.get(head, 0) + 1
         variant.trace_tries[head] = tries
         self._disarm(variant, head)
@@ -1893,157 +1624,68 @@ class JitBackend:
             variant.no_trace.add(head)
         else:
             self._arm(variant, head)
+        return value
 
-    def _finish_recording(self, program, variant, head: int,
-                          path: List[int], closed: bool) -> None:
+    def _form_trace(self, program, variant, head: int, path) -> None:
+        """Compile a recorded loop path (or take the image's cached trace
+        for ``head``) and install it."""
         self._disarm(variant, head)
-        variant.loop_targets.discard(head)
-        cached = variant.units.get(("t", head))
-        if cached is not None and head not in variant.blacklist:
+        unit = variant.units.get(("t", head))
+        if unit is not None:
             JIT_STATS["code_cache_hits"] += 1
-            self._install_trace(variant, head, cached, variant.table[head])
+            self._install_trace(variant, head, unit)
             return
-        if self._form_trace(program, variant, head, path, closed) is None:
-            variant.no_trace.add(head)
-
-    @staticmethod
-    def _glue_for(ju: _JU, nh: int):
-        """Glue descriptor lowering the transition from a segment ending
-        in ``ju`` to the recorded next head ``nh``, or None when the
-        trace must end before ``nh``."""
-        op = ju.op
-        if op is Op.JMP:
-            if ju.ka == "I":
-                return ("jmp", nh) if ju.target == nh else None
-            return ("jmp-ind", nh)
-        if op in _JCC_COND:
-            if nh == ju.target or nh == ju.next_rip:
-                return ("jcc", nh)
-            return None
-        if op is Op.CALL:
-            if ju.ka == "I":
-                return ("call", nh) if ju.target == nh else None
-            return ("call-ind", nh)
-        if op is Op.RET:
-            return ("ret", nh)
-        # CALLRT (runtime services can move the permission epoch), TRAP,
-        # EXIT, and slice cuts end a trace.
-        return None
-
-    def _form_trace(self, program, variant, head: int, path: List[int],
-                    closed: bool):
-        """Validate a recorded head path, truncating at the first
-        segment that cannot lower or glue, then compile and install the
-        trace.  Returns the linked trace function, or None."""
-        segments = []
-        for h in path:
-            lowering = lower_slice(program.instructions, h)
-            if not lowering.compiles:
-                break
-            segments.append((h, *lowering))
-        if not segments:
-            return None
-        kept = segments[:1]
-        glues = []
-        for index in range(len(segments) - 1):
-            glue = self._glue_for(segments[index][2][-1], segments[index + 1][0])
-            if glue is None:
-                break
-            glues.append(glue)
-            kept.append(segments[index + 1])
-        is_closed = closed and len(kept) == len(path)
-        if is_closed:
-            glue = self._glue_for(kept[-1][2][-1], head)
-            if glue is None:
-                is_closed = False
-            else:
-                glues.append(glue)
-        if not is_closed:
-            # Registers live in locals inside a trace; a CALLRT tail would
-            # hand the runtime service a stale register file (and lose its
-            # writes), so traces stop before runtime calls.
-            while kept and kept[-1][2][-1].op is Op.CALLRT:
-                kept.pop()
-                if glues:
-                    glues.pop()
-            if len(kept) < 2:
-                return None
-        compiler = _TraceCompiler(
-            head, kept, glues, program.costs, program.monotone(), is_closed,
-        )
+        costs, monotone = program.costs, program.monotone()
+        compiler = _TraceCompiler(path, costs, monotone)
         source = compiler.generate()
-        if is_closed:
-            # Second pass: registers never written in the body are
-            # loop-invariant, so accesses through them can hoist the
-            # address arithmetic and page-view lookups out of the loop.
-            invariant = frozenset(compiler.cached) - compiler.written_regs()
-            if invariant:
-                compiler = _TraceCompiler(
-                    head, kept, glues, program.costs, program.monotone(),
-                    is_closed, hoist_bases=invariant,
-                )
-                source = compiler.generate()
-        code = compile(source, f"<jit-trace:{head:#x}>", "exec")
+        # Second pass: registers never written in the body are
+        # loop-invariant, so accesses through them can hoist the address
+        # arithmetic and page-view lookups out of the loop.
+        invariant = frozenset(compiler.cached) - compiler.written_regs()
+        if invariant:
+            compiler = _TraceCompiler(path, costs, monotone, hoist_bases=invariant)
+            source = compiler.generate()
         unit = _TraceUnit(
-            code, f"t_{head:x}", head,
-            "loop" if is_closed else "superblock",
-            [segment[0] for segment in kept], compiler.total, compiler.spec,
+            compile(source, f"<jit-trace:{head:#x}>", "exec"), f"t_{head:x}",
+            [addr for addr, _ in path], compiler.total,
             compiler.ln if compiler.needs_try else None,
             compiler.xt if compiler.needs_try else None,
         )
         variant.units[("t", head)] = unit
         JIT_STATS["traces_compiled"] += 1
-        JIT_STATS["loop_traces" if is_closed else "superblocks"] += 1
-        return self._install_trace(variant, head, unit, variant.table[head])
+        JIT_STATS["loop_traces"] += 1
+        self._install_trace(variant, head, unit)
 
-    def _install_trace(self, variant, head: int, unit: _TraceUnit, block_fn):
+    def _install_trace(self, variant, head: int, unit: _TraceUnit):
         namespace = variant.namespace
         if unit.ln_table is not None:
             namespace[f"LNT_{head:x}"] = unit.ln_table
             namespace[f"XT_{head:x}"] = unit.xt_table
-        if unit.spec:
-            namespace[f"TC_{head:x}"] = [0, 0]
         exec(unit.code, namespace)
         fn = namespace[unit.name]
-        variant.trace_epochs.setdefault(head, -1)
-        variant.trace_meta[head] = {
-            "kind": unit.kind,
-            "segments": unit.segments,
-            "length": unit.length,
-            "block_fn": block_fn,
-        }
+        # The head's validated epoch covered its block alone: the first
+        # entry fetch-checks every segment.
+        variant.epochs[head] = -1
+        variant.traces[head] = unit
         variant.table[head] = fn
         return fn
-
-    def _demote_all(self, variant) -> None:
-        """Blacklist traces whose specialization guards stormed: restore
-        their tier-2 block functions and never re-trace those heads."""
-        for head in variant.demote:
-            meta = variant.trace_meta.pop(head, None)
-            if meta is None:
-                continue
-            variant.table[head] = meta["block_fn"]
-            variant.blacklist.add(head)
-            JIT_STATS["traces_blacklisted"] += 1
-        del variant.demote[:]
 
     def _compile_slice(self, program, addr: int) -> Optional[_BlockUnit]:
         lowering = lower_slice(program.instructions, addr)
         if not lowering.compiles:
             return None
-        items, jus, fused = lowering
         compiler = _SliceCompiler(
-            addr, items, jus, fused, program.costs, monotone=program.monotone(),
+            addr, [lowering], program.costs, monotone=program.monotone(),
         )
         source = compiler.generate()
         code = compile(source, f"<jit:{addr:#x}>", "exec")
         JIT_STATS["blocks_compiled"] += 1
-        JIT_STATS["superinstructions_fused"] += len(fused)
+        JIT_STATS["superinstructions_fused"] += len(lowering.fused)
         return _BlockUnit(
             code, f"b_{addr:x}",
             x_table=compiler.xb if compiler.needs_try else None,
             ln_table=compiler.ln,
-            back_target=backward_branch_target(items),
+            back_target=backward_branch_target(lowering.items),
         )
 
     # -- execution ----------------------------------------------------------
@@ -2082,9 +1724,6 @@ class JitBackend:
         no_compile = variant.no_compile
         epochs_get = variant.epochs.get
         pending = variant.pending
-        demote = variant.demote
-        trace_meta_get = variant.trace_meta.get
-        trace_epochs_get = variant.trace_epochs.get
 
         cpu._bk_shadow = cpu.shadow_stack if cpu.shadow_stack_enabled else None
         cpu._bk_calls = 0
@@ -2138,21 +1777,12 @@ class JitBackend:
                     cpu.rip = value
                     continue
                 # Deopt escape: the prolog rejected the block or trace
-                # (stale fetch epoch, the folded allowance would be
-                # exceeded, or a specialization-guard storm).
+                # (stale fetch epoch, or the folded allowance would be
+                # exceeded).
                 addr = ~value
                 cpu.rip = addr
-                if demote:
-                    self._demote_all(variant)
-                    continue
-                meta = trace_meta_get(addr)
-                if meta is not None:
-                    if trace_epochs_get(addr, -1) != C[6] and self._revalidate_trace(
-                        program, memory, variant, addr, meta, C
-                    ):
-                        continue
-                elif epochs_get(addr, -1) != C[6] and self._revalidate(
-                    program, memory, variant.epochs, addr, C
+                if epochs_get(addr, -1) != C[6] and self._revalidate(
+                    program, memory, variant, addr, C
                 ):
                     continue
                 JIT_STATS["deopts"] += 1
@@ -2235,36 +1865,20 @@ class JitBackend:
             return False
         return True
 
-    def _revalidate(self, program, memory, epochs, addr: int, C) -> bool:
-        """Fetch-check the slice at ``addr`` against current permissions.
-        On success the block's epoch is stamped and compiled code may
-        skip per-instruction fetch checks; on failure the caller falls
-        to the interpreter, which faults with exact counters."""
+    def _revalidate(self, program, memory, variant, addr: int, C) -> bool:
+        """Fetch-check the code compiled at ``addr`` — its slice, or every
+        segment of the loop trace installed there — against current
+        permissions.  On success the epoch is stamped and compiled code may
+        skip per-instruction fetch checks; on failure the caller falls to
+        the interpreter, which faults with exact counters."""
+        trace = variant.traces.get(addr)
         try:
-            for iaddr, instr in slice_block(program.instructions, addr, _SLICE_LIMIT):
-                memory.fetch_check(iaddr, instr.size)
-        except MemoryFault:
-            return False
-        epoch = memory.perm_epoch
-        epochs[addr] = epoch
-        C[6] = epoch
-        return True
-
-    def _revalidate_trace(self, program, memory, variant, head: int,
-                          meta, C) -> bool:
-        """Fetch-check every constituent slice of a trace against current
-        permissions; only then may the whole trace re-enter compiled
-        code.  On failure the caller falls to the interpreter, which
-        faults with exact counters."""
-        try:
-            for segment in meta["segments"]:
-                for iaddr, instr in slice_block(
-                    program.instructions, segment, _SLICE_LIMIT
-                ):
+            for head in (addr,) if trace is None else trace.segments:
+                for iaddr, instr in slice_block(program.instructions, head, _SLICE_LIMIT):
                     memory.fetch_check(iaddr, instr.size)
         except MemoryFault:
             return False
         epoch = memory.perm_epoch
-        variant.trace_epochs[head] = epoch
+        variant.epochs[addr] = epoch
         C[6] = epoch
         return True

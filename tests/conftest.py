@@ -43,18 +43,6 @@ def assert_equivalent(module, config, *, load_seed=1):
 
 
 @pytest.fixture
-def tier3():
-    """Force the jit's tier-3 trace compilation on for one test (the
-    suite also runs under ``REPRO_JIT_TIER3=0``), restoring the previous
-    setting afterwards."""
-    from repro.machine.jit import set_tier3
-
-    previous = set_tier3(True)
-    yield
-    set_tier3(previous)
-
-
-@pytest.fixture
 def simple_module():
     """A small module exercising calls, branches, locals and globals."""
     ir = IRBuilder("simple")

@@ -79,14 +79,22 @@ def assemble(instrs, *, execute_only=True):
     return process, addresses
 
 
-def run_one_backend(make_process, backend, **cpu_kwargs):
-    """Run ``make_process()`` under ``backend``; capture result and fault."""
+def run_one_backend(make_process, backend, slices=None, **cpu_kwargs):
+    """Run ``make_process()`` under ``backend``; capture result and fault.
+
+    With ``slices`` (an iterator of instruction counts) the run is driven
+    through ``step()`` slices of those lengths instead of one ``run()``."""
     process = make_process()
     res = ExecutionResult()
     cpu = CPU(process, get_costs("epyc-rome"), backend=backend, **cpu_kwargs)
     error = None
     try:
-        cpu.run(result=res)
+        if slices is None:
+            cpu.run(result=res)
+        else:
+            cpu.rip = process.entry_point
+            while not cpu.step(res, next(slices)):
+                pass
     except Exception as exc:  # noqa: BLE001 - faults are the subject here
         error = (type(exc), str(exc))
     return {
@@ -101,7 +109,7 @@ def run_one_backend(make_process, backend, **cpu_kwargs):
 
 def compare_backends(make_process, **cpu_kwargs):
     """Assert every registered backend observes the identical machine
-    trajectory (``jit`` participates with tier 3 at its default)."""
+    trajectory."""
     reference = run_one_backend(make_process, "reference", **cpu_kwargs)
     for backend in BACKENDS:
         if backend == "reference":
@@ -359,16 +367,14 @@ def test_step_faults_only_when_it_fetches_a_missing_instruction():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.usefixtures("tier3")
 @pytest.mark.parametrize("btra_mode", ["avx", "push"])
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_perf_counters_and_profiles_identical(seed, btra_mode):
     """Folded profiles, per-tag cycle decomposition, and shadow-ICache
-    attribution are backend-byte-identical with tier 3 enabled.  The xz
-    workload's call loop makes the jit inline direct call targets into
-    its traces, so BTRA-displaced returns execute *inside* compiled
-    trace bodies on the plain leg below."""
-    from repro.machine.jit import jit_stats_snapshot
+    attribution are backend-byte-identical.  The observed leg runs the
+    jit on ``fast``; the plain leg below compiles the xz workload's hot
+    blocks and loop traces, so its BTRA-displaced returns execute in
+    compiled block functions."""
     from repro.obs.profiler import CycleProfiler
     from repro.workloads.spec import build_spec_benchmark
 
@@ -396,22 +402,21 @@ def test_perf_counters_and_profiles_identical(seed, btra_mode):
     # Plain leg: no profiler, no attribution — the only drive the jit
     # compiles (the observed leg above ran it on fast).
     lean = {}
-    before = jit_stats_snapshot()
     for backend in BACKENDS:
         process = load_binary(binary, seed=seed)
-        result = CPU(process, get_costs("epyc-rome"), backend=backend).run()
+        cpu = CPU(process, get_costs("epyc-rome"), backend=backend)
+        result = cpu.run()
         lean[backend] = {
             "counters": result.perf_counters().to_json(),
             "result": dataclasses.asdict(result),
         }
-    after = jit_stats_snapshot()
+        if backend == "jit":
+            _, jit_program = cpu._bind()
     for backend in BACKENDS:
         assert lean[backend] == lean["reference"], backend
-    # The jit leg really exercised tier 3 (fresh compile or cached).
-    assert (
-        after["traces_compiled"] > before["traces_compiled"]
-        or after["code_cache_hits"] > before["code_cache_hits"]
-    )
+    # The jit leg ran xz's hot loop as an installed loop trace (freshly
+    # compiled or taken from the image's code cache).
+    assert jit_program.trace_info()
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,22 @@
 
 Two seeded generators — one emitting machine-level instruction streams,
 one emitting IR modules compiled under random R2C configs — drive every
-registered backend (``reference``, ``fast``, ``jit`` with tier 3 on)
-over the same program and assert the observations are byte-identical:
-the full :class:`ExecutionResult` (instructions, cycles, mem ops,
-i-cache hits/misses, branch/call/ret/trap counts, tag attribution,
-opcode counts, output), the fault class, message and resting ``rip`` for
-crashing runs, the final register file, and the shadow stack.
+registered backend (``reference``, ``fast``, ``jit``) over the same
+program and assert the observations are byte-identical: the full
+:class:`ExecutionResult` (instructions, cycles, mem ops, i-cache
+hits/misses, branch/call/ret/trap counts, tag attribution, opcode
+counts, output), the fault class, message and resting ``rip`` for
+crashing runs, the final register file, and the shadow stack.  Every
+machine program also runs on every backend through ``step()`` slices of
+random length, which must observe exactly what the uninterrupted run
+does; every IR module's exit code and output must equal the IR
+interpreter's (:func:`repro.toolchain.interp.interpret_module`).
 
-Three layers:
+Layers:
 
 * ``test_corpus_*`` — the committed regression corpus under
   ``tests/corpus/``: pinned seeds that once exercised an interesting
-  path (each fault class, loop traces, guard exits, budget exhaustion
+  path (each fault class, loop traces, side exits, budget exhaustion
   mid-loop).  These always run and never change meaning.
 * ``test_fuzz_machine_seeded`` / ``test_fuzz_ir_seeded`` — the bulk
   seeded sweep.  ``REPRO_FUZZ_CASES`` scales the machine-level case
@@ -51,6 +55,7 @@ from repro.core.config import R2CConfig
 from repro.machine.isa import Imm, Instruction, Mem, Op, Reg
 from repro.machine.loader import load_binary
 from repro.toolchain.builder import IRBuilder
+from repro.toolchain.interp import interpret_module
 
 from tests.test_backends import BACKENDS, DATA, assemble, run_one_backend
 
@@ -250,8 +255,9 @@ def machine_spec(seed: int, indexed: bool = False) -> List[Entry]:
         else:
             _gen_hazard(rng, spec)
 
-    # An occasional monomorphic indirect jump over a nop sled — the
-    # tier-3 specializer guards exactly this shape.
+    # An occasional monomorphic indirect jump over a nop sled: it runs
+    # once, so the jit interprets it (hot indirect jumps run as tier-2
+    # blocks, see tests/test_jit.py).
     if rng.random() < 0.35:
         reg = rng.choice(GPRS)
         jmp_at = len(spec)
@@ -322,9 +328,33 @@ def build_process(spec: List[Entry]):
 # ---------------------------------------------------------------------------
 
 
-def _diverges(spec: List[Entry]) -> bool:
+def _slices(seed: int):
+    """Endless random ``step()`` slice lengths for ``seed``: 1 to 999
+    instructions, log-uniform, so single steps and long compiled runs
+    both occur."""
+    rng = random.Random(seed)
+    while True:
+        yield int(1000 ** rng.random())
+
+
+def check_machine_spec(spec: List[Entry], budget: int = BUDGET, seed: int = 0) -> None:
+    """Every backend observes exactly what ``reference`` does, both in
+    one uninterrupted run and driven through ``step()`` slices of random
+    lengths drawn from ``seed``."""
+    reference = differential(lambda: build_process(spec), instruction_budget=budget)
+    for backend in BACKENDS:
+        stepped = run_one_backend(
+            lambda: build_process(spec), backend, slices=_slices(seed),
+            instruction_budget=budget,
+        )
+        assert stepped == reference, (
+            f"backend {backend!r} diverged from reference under step() slicing"
+        )
+
+
+def _diverges(spec: List[Entry], budget: int, seed: int) -> bool:
     try:
-        differential(lambda: build_process(spec), instruction_budget=BUDGET)
+        check_machine_spec(spec, budget, seed)
     except AssertionError:
         return True
     return False
@@ -345,22 +375,23 @@ def _drop(spec: List[Entry], index: int) -> List[Entry]:
     return out
 
 
-def minimize_machine(spec: List[Entry], budget: int = 200) -> List[Entry]:
+def minimize_machine(spec: List[Entry], budget: int = BUDGET, seed: int = 0,
+                     attempts: int = 200) -> List[Entry]:
     """Greedy delta-debugging: delete one instruction at a time while
-    the cross-backend divergence persists."""
-    attempts = 0
+    the cross-backend divergence (whole-run or sliced) persists."""
+    tried = 0
     changed = True
-    while changed and attempts < budget:
+    while changed and tried < attempts:
         changed = False
         targets = _label_targets(spec)
         for index in range(len(spec)):
             if index in targets or spec[index][0] is Op.EXIT:
                 continue
-            attempts += 1
-            if attempts >= budget:
+            tried += 1
+            if tried >= attempts:
                 break
             trial = _drop(spec, index)
-            if _diverges(trial):
+            if _diverges(trial, budget, seed):
                 spec = trial
                 changed = True
                 break
@@ -385,15 +416,15 @@ def _dump_repro(kind: str, seed: int, spec: Optional[List[Entry]] = None,
 def check_machine_seed(seed: int, budget: int = BUDGET, indexed: bool = False) -> None:
     """Differential over the machine-level program for ``seed``.
 
-    The primary run is *plain* (no opcode counting, no tag attribution) —
-    the only drive the jit compiles, so loop traces and superblock guards
-    actually execute.  Every fourth seed also runs an observed leg
-    (opcode counts and tag attribution), where ``jit`` delegates to
-    ``fast``: it checks ``fast`` against ``reference`` for those
-    counters."""
+    The primary runs are *plain* (no opcode counting, no tag attribution)
+    — the only drives the jit compiles, so loop traces and their side
+    exits actually execute, whole and sliced (:func:`check_machine_spec`).
+    Every fourth seed also runs an observed leg (opcode counts and tag
+    attribution), where ``jit`` delegates to ``fast``: it checks ``fast``
+    against ``reference`` for those counters."""
     spec = machine_spec(seed, indexed)
     try:
-        differential(lambda: build_process(spec), instruction_budget=budget)
+        check_machine_spec(spec, budget, seed)
         if seed % 4 == 0:
             differential(
                 lambda: build_process(spec),
@@ -402,7 +433,7 @@ def check_machine_seed(seed: int, budget: int = BUDGET, indexed: bool = False) -
                 attribute_tags=True,
             )
     except AssertionError:
-        minimized = minimize_machine(spec)
+        minimized = minimize_machine(spec, budget, seed)
         path = _dump_repro("machine", seed, minimized, indexed)
         raise AssertionError(
             f"machine seed {seed} diverged; minimized repro at {path}"
@@ -486,7 +517,8 @@ def ir_module(seed: int, indexed: bool = False):
         acc = main.load_local("acc")
         if choice < 0.30:
             # A counted loop whose body folds a leaf call or arithmetic
-            # into the accumulator — hot enough for tier 3 to trace.
+            # into the accumulator — hot enough for tier 3 to trace the
+            # arithmetic ones (a call ends every trace recording).
             ivar = f"i{label}"
             main.local(ivar)
             main.store_local(ivar, 0)
@@ -560,6 +592,8 @@ def check_ir_seed(seed: int, indexed: bool = False) -> None:
         # tag-attribution parity of fast against reference.
         outcome = differential(make, instruction_budget=BUDGET)
         assert outcome["error"] is None, outcome["error"]
+        # The oracle: the IR interpreter's exit code and output.
+        assert (outcome["exit_code"], outcome["result"]["output"]) == interpret_module(module)
         differential(
             make,
             instruction_budget=BUDGET,

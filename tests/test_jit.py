@@ -32,7 +32,6 @@ from repro.machine.jit import (
     clear_jit_cache,
     jit_stats_snapshot,
     lower_slice,
-    tier3_enabled,
 )
 from repro.machine.loader import load_binary
 from repro.machine.memory import Perm
@@ -160,9 +159,9 @@ def test_single_stepping_drives_the_deopt_path():
 
 # ---------------------------------------------------------------------------
 # Tier 3 deopt contract: mid-trace events — a breakpoint landing inside
-# a compiled loop trace, budget exhaustion mid-iteration, a fetch-epoch
-# bump between back edges, and a guard-failure storm — must all hand
-# execution back to the interpreter with the exact fast-backend stream.
+# a compiled loop trace, budget exhaustion mid-iteration, and a
+# fetch-epoch bump between back edges — must all hand execution back to
+# the interpreter with the exact fast-backend stream.
 # ---------------------------------------------------------------------------
 
 
@@ -188,7 +187,6 @@ def hot_loop_spec(iterations=80):
     return spec, head, body
 
 
-@pytest.mark.usefixtures("tier3")
 def test_breakpoint_inside_compiled_loop_trace():
     """Phase 1 runs a big step slice at full compiled speed (the loop
     trace executes); phase 2 sets a breakpoint on an address *inside*
@@ -230,7 +228,6 @@ def test_breakpoint_inside_compiled_loop_trace():
     assert observed["jit"]["stream"][0][1] == body_addr
 
 
-@pytest.mark.usefixtures("tier3")
 def test_budget_exhaustion_mid_trace_iteration():
     """An instruction budget landing mid-iteration: the loop trace must
     refuse the iteration it cannot afford, deopt, and let the
@@ -253,7 +250,6 @@ def test_budget_exhaustion_mid_trace_iteration():
     assert outcomes["jit"]["result"]["instructions"] == budget + 1
 
 
-@pytest.mark.usefixtures("tier3")
 def test_fetch_epoch_bump_between_back_edges():
     """A CALLRT service between inner-loop activations bumps the memory
     permission epoch (the re-randomization signal).  The installed
@@ -302,16 +298,14 @@ def test_fetch_epoch_bump_between_back_edges():
     assert after["loop_traces"] > before["loop_traces"]
     # The trace was compiled once and revalidated across epochs, not
     # recompiled per epoch: the jit run saw 4 inner-loop activations but
-    # at most one trace compilation for the head (plus none blacklisted).
+    # at most one trace compilation for the head.
     assert after["traces_compiled"] - before["traces_compiled"] <= 2
-    assert after["traces_blacklisted"] == before["traces_blacklisted"]
 
 
-@pytest.mark.usefixtures("tier3")
-def test_guard_failure_storm_blacklists_trace():
-    """An indirect jump whose target flips permanently mid-run: once
-    guard failures dominate trace entries the prolog demotes the trace,
-    the head is blacklisted, and execution continues tier-2 — all
+def test_indirect_jump_target_flip_identical():
+    """A hot ``jmp reg`` whose target flips permanently mid-run: the
+    block ending in it runs compiled at tier 2, returning whichever
+    target the register holds, and no trace forms through it — all
     byte-identical to the interpreter backends."""
     spec = [
         (Op.MOV, Reg.RAX, Imm(0)),
@@ -355,8 +349,41 @@ def test_guard_failure_storm_blacklists_trace():
     assert outcomes["jit"] == outcomes["reference"]
     assert outcomes["fast"] == outcomes["reference"]
     assert outcomes["jit"]["error"] is None
-    assert after["trace_guard_failures"] > before["trace_guard_failures"]
-    assert after["traces_blacklisted"] > before["traces_blacklisted"]
+    assert after["blocks_compiled"] > before["blocks_compiled"]
+    assert after["traces_compiled"] == before["traces_compiled"]
+
+
+def test_loop_traces_form_only_through_direct_branches():
+    """The tier-3 boundary.  A hot loop that calls a function compiles
+    its blocks but no trace (the call ends every recording), and stays
+    byte-identical to ``reference``.  A loop whose blocks are joined by a
+    direct ``jmp`` and a ``jcc`` forms exactly one loop trace."""
+    binary = compile_module(loop_module(), R2CConfig.full(seed=12))
+    clear_jit_cache()
+    before = jit_stats_snapshot()
+    compare_backends(lambda: load_binary(binary, seed=1))
+    after = jit_stats_snapshot()
+    assert after["blocks_compiled"] > before["blocks_compiled"]
+    assert after["traces_compiled"] == before["traces_compiled"]
+
+    spec = [
+        (Op.MOV, Reg.RAX, Imm(0)),
+        (Op.MOV, Reg.RCX, Imm(60)),
+        (Op.ADD, Reg.RAX, Imm(3)),  # 2: loop head
+        (Op.JMP, ("L", 5), None),  # direct jump to the latch
+        (Op.EXIT, Imm(1), None),  # never runs
+        (Op.SUB, Reg.RCX, Imm(1)),  # 5: latch
+        (Op.CMP, Reg.RCX, Imm(0)),
+        (Op.JG, ("L", 2), None),
+        (Op.OUT, Reg.RAX, None),
+        (Op.EXIT, Imm(0), None),
+    ]
+    before = jit_stats_snapshot()
+    outcome = compare_backends(lambda: build_spec(spec)[0])
+    after = jit_stats_snapshot()
+    assert outcome["result"]["output"] == [180]
+    assert after["loop_traces"] - before["loop_traces"] == 1
+    assert after["traces_compiled"] - before["traces_compiled"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +464,29 @@ def test_block_recovery_boundaries_and_fusion(capsys):
         assert tiers[addr] == (1 if unit is None else 2), hex(addr)
 
 
+def test_disasm_blocks_traces_names_every_trace(capsys):
+    """``disasm-blocks --traces`` runs the workload under the jit and
+    gives every loop trace its own ``trace 0x…`` section: each head an
+    ``in trace`` annotation names has one, and the sections match the
+    count in the header."""
+    from repro.__main__ import main
+
+    assert main(["disasm-blocks", "xz", "--traces"]) == 0
+    dump = capsys.readouterr().out
+    count = int(re.search(r"^loop traces: (\d+)$", dump, re.MULTILINE).group(1))
+    members = set(re.findall(r"^  in trace (0x[0-9a-f]+)", dump, re.MULTILINE))
+    sections = re.findall(
+        r"^trace (0x[0-9a-f]+): \d+ segments, \d+ instructions\n  segments: (0x[0-9a-f]+)",
+        dump,
+        re.MULTILINE,
+    )
+    heads = {head for head, _ in sections}
+    assert count == len(sections) >= 1
+    assert members and members <= heads
+    # A loop trace's first segment is its head.
+    assert all(head == first for head, first in sections)
+
+
 def test_monotone_icache_detection():
     costs = get_costs("epyc-rome")
     process, _ = assemble([I(Op.MOV, Reg.RAX, Imm(1)), I(Op.EXIT, Imm(0))])
@@ -484,12 +534,11 @@ def test_code_cache_reused_across_loads_of_one_image():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.usefixtures("tier3")
 def test_observed_drives_run_on_fast_and_compile_nothing():
     """Jit drives with ``attribute_tags`` or ``count_opcodes`` lower
     nothing — the jit counters stay put — and equal ``fast`` byte for
     byte.  A plain drive of a fresh load of the same binary afterwards
-    still lowers the hot loop all the way to tier-3 traces."""
+    still compiles the hot loop's blocks."""
     binary = compile_module(loop_module(), R2CConfig.full(seed=11))
 
     def drive(backend_name, **flags):
@@ -518,7 +567,6 @@ def test_observed_drives_run_on_fast_and_compile_nothing():
         assert on_jit == drive("fast", **{flag: True})[0], flag
     _, before, after = drive("jit")
     assert after["blocks_compiled"] > before["blocks_compiled"]
-    assert after["traces_compiled"] > before["traces_compiled"]
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +615,8 @@ def _indexed_loop_spec(trips: int, walk: int):
 @pytest.mark.parametrize("walk", [1, 64])
 def test_indexed_mov_in_hot_loop_identical(walk):
     """Both indexed ``mov`` forms, with and without a base register,
-    with a negative index, run compiled (tier 2, and as a loop trace
-    when tier 3 is on) with results identical to the interpreters.  A
+    with a negative index, run compiled (tier 2, then as a loop trace)
+    with results identical to the interpreters.  A
     ``walk`` of 64 words per iteration leaves the mapping after 124
     iterations: the ``MemoryFault``, its ``rip``, the registers and the
     partial counters must match too."""
@@ -580,8 +628,7 @@ def test_indexed_mov_in_hot_loop_identical(walk):
     outcome = compare_backends(lambda: build_spec(spec)[0])
     after = jit_stats_snapshot()
     assert after["blocks_compiled"] > before["blocks_compiled"]
-    if tier3_enabled():
-        assert after["loop_traces"] > before["loop_traces"]
+    assert after["loop_traces"] > before["loop_traces"]
     if walk == 1:
         assert outcome["error"] is None
         total = sum(range(200))
