@@ -10,7 +10,6 @@ Usage::
     python -m repro lint --corpus spec   # static verification sweep
     python -m repro chaos --jobs 4       # fault-injection matrix
     python -m repro profile xz           # hot-path cycle profile
-    python -m repro bench --quick --out BENCH_smoke.json
 
 ``--quick`` shrinks benchmark subsets and seed counts so a full pass
 finishes in a couple of minutes; omit it for the benchmark-suite-sized
@@ -18,6 +17,7 @@ runs (identical to ``pytest benchmarks/``).  ``--jobs N`` runs
 independent (benchmark × machine × config × seed) cells on N worker
 processes; results are identical to the serial path.  ``--records-out
 PATH`` appends one JSONL record per executed run for offline analysis.
+The command exits 1 when any run ended in a non-ok outcome.
 """
 
 from __future__ import annotations
@@ -680,97 +680,18 @@ def mvee_main(argv) -> int:
     return 1 if outcome is MveeOutcome.COMPROMISED else 0
 
 
-def bench_main(argv) -> int:
-    """``python -m repro bench``: the benchmark regression harness.
-
-    Writes one schema-versioned JSON artifact per invocation (the
-    benchmark trajectory) and exits 1 on any non-ok cell or
-    schema-invalid artifact, so CI can gate on it.
-    """
-    import json
-
-    from repro.obs.bench import run_bench, run_lockstep_bench, validate
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro bench",
-        description="Run the (workload x config) benchmark grid and record "
-        "simulated cycles, cache behavior, wall time, and engine failures "
-        "as a repro-bench/v1 JSON artifact.",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="reduced workload set for CI smoke legs"
-    )
-    parser.add_argument(
-        "--backend",
-        default="reference",
-        choices=available_backends(),
-        help="execution backend (default: reference)",
-    )
-    parser.add_argument(
-        "--machine", default="epyc-rome", help="cost model (default: epyc-rome)"
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="worker processes (default: 1)"
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="artifact path (default: BENCH_<date>.json)",
-    )
-    parser.add_argument(
-        "--lockstep",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also run the N-variant lockstep leg (webserver replicas; "
-        "records the amortized-decode cost ratio)",
-    )
-    args = parser.parse_args(argv)
-    out = args.out or time.strftime("BENCH_%Y-%m-%d.json")
-
-    started = time.perf_counter()
-    bench_report = run_bench(
-        backend=args.backend, machine=args.machine, jobs=args.jobs,
-        quick=args.quick,
-    )
-    if args.lockstep:
-        bench_report.lockstep = run_lockstep_bench(
-            variants=args.lockstep, backend=args.backend, machine=args.machine
-        )
-        lock = bench_report.lockstep
-        print(
-            f"lockstep x{lock['variants']}: {lock['outcome']}, "
-            f"cost ratio {lock['cost_ratio']}x "
-            f"({lock['lockstep']['wall_seconds']}s vs "
-            f"{lock['single']['wall_seconds']}s single)"
-        )
-    print(report.render_bench(bench_report))
-    print(f"[{time.perf_counter() - started:.1f}s]")
-    text = bench_report.to_json()
-    problems = validate(json.loads(text))
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
-    print(f"[bench artifact -> {out}]")
-    for problem in problems:
-        print(f"schema violation: {problem}", file=sys.stderr)
-    return 0 if bench_report.ok and not problems else 1
-
-
 def fleet_main(argv) -> int:
     """``python -m repro fleet``: the serving-axis benchmark.
 
     Drives a supervised victim fleet with seeded open-loop load (optionally
-    under chaos), prints the serving report, and writes a validating
-    ``repro-bench/v1`` artifact with the ``serving`` section.  Exits 1 if
-    any request was lost, the artifact fails validation, or — with
-    ``--chaos`` — nothing actually went wrong (an un-exercised chaos leg
-    is a broken chaos leg).
+    under chaos) and prints the serving report; ``--out`` writes it as a
+    ``repro-fleet/v1`` artifact.  Exits 1 if any request was lost, the
+    artifact fails validation, or — with ``--chaos`` — nothing actually
+    went wrong (an un-exercised chaos leg is a broken chaos leg).
     """
     import json
 
-    from repro.fleet.loadgen import run_fleet
-    from repro.obs.bench import validate
+    from repro.fleet.loadgen import run_fleet, validate
 
     parser = argparse.ArgumentParser(
         prog="python -m repro fleet",
@@ -778,7 +699,7 @@ def fleet_main(argv) -> int:
         "supervised victim workers with admission control, hedged "
         "retries, deadlines, and MARDU-style rolling re-randomization; "
         "report p50/p99 latency, sustained RPS, shed/retry/swap counts, "
-        "and the attacker window as a repro-bench/v1 artifact.",
+        "and the attacker window.",
     )
     parser.add_argument(
         "--workers", type=int, default=4, metavar="N",
@@ -830,10 +751,9 @@ def fleet_main(argv) -> int:
         "--out",
         default=None,
         metavar="PATH",
-        help="artifact path (default: BENCH_fleet_<date>.json)",
+        help="write the repro-fleet/v1 artifact as JSON",
     )
     args = parser.parse_args(argv)
-    out = args.out or time.strftime("BENCH_fleet_%Y-%m-%d.json")
 
     started = time.perf_counter()
     fleet_report = run_fleet(
@@ -851,12 +771,12 @@ def fleet_main(argv) -> int:
     print(report.render_fleet(fleet_report))
     print(f"[{time.perf_counter() - started:.1f}s]")
 
-    bench_report = fleet_report.to_bench_report()
-    text = bench_report.to_json()
+    text = fleet_report.to_json()
     problems = validate(json.loads(text))
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
-    print(f"[fleet artifact -> {out}]")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+        print(f"[fleet artifact -> {args.out}]")
     for problem in problems:
         print(f"schema violation: {problem}", file=sys.stderr)
     ok = fleet_report.zero_lost and not problems
@@ -986,8 +906,6 @@ def main(argv=None) -> int:
         return profile_main(list(argv[1:]))
     if argv and argv[0] == "disasm-blocks":
         return disasm_blocks_main(list(argv[1:]))
-    if argv and argv[0] == "bench":
-        return bench_main(list(argv[1:]))
     if argv and argv[0] == "mvee":
         return mvee_main(list(argv[1:]))
     if argv and argv[0] == "mine":
@@ -1035,7 +953,6 @@ def main(argv=None) -> int:
         print(f"  {'chaos':13s} Fault-injection matrix (own flags; see chaos --help)")
         print(f"  {'profile':13s} Hot-path cycle profile (own flags; see profile --help)")
         print(f"  {'disasm-blocks':13s} Tier-1 block CFG dump (own flags; see disasm-blocks --help)")
-        print(f"  {'bench':13s} Benchmark regression harness (own flags; see bench --help)")
         print(f"  {'mvee':13s} N-variant lockstep cross-check (own flags; see mvee --help)")
         print(f"  {'mine':13s} Static gadget dataflow miner (own flags; see mine --help)")
         print(f"  {'fleet':13s} Supervised victim fleet serving bench (own flags; see fleet --help)")
@@ -1061,14 +978,16 @@ def main(argv=None) -> int:
             print(fn(args.quick))
             print(f"[{time.perf_counter() - started:.1f}s]")
             print()
+        summary = engine.summary()
         if engine.records:
-            print(report.render_engine_summary(engine.summary()))
+            print(report.render_engine_summary(summary))
         if args.records_out:
             count = engine.write_records(args.records_out)
             print(f"[{count} run records -> {args.records_out}]")
     finally:
         engine.close()
-    return 0
+    # A failed run leaves partial counters behind the printed ratios.
+    return 1 if summary.failures.failures else 0
 
 
 if __name__ == "__main__":

@@ -288,60 +288,6 @@ def render_decomposition(data: Dict[str, float]) -> str:
     return "\n".join(lines)
 
 
-def render_bench(report) -> str:
-    """Render an :class:`repro.obs.bench.BenchReport`: one row per
-    (workload × config) cell with simulated cycles, the overhead ratio
-    against that workload's baseline cell, i-cache miss rate, and host
-    wall seconds, followed by the engine counters."""
-    lines = [
-        f"Bench: backend={report.backend} machine={report.machine} "
-        f"quick={report.quick} jobs={report.jobs}",
-        "",
-        f"{'benchmark':12s} {'config':10s} {'outcome':8s} {'cycles':>14s} "
-        f"{'vs base':>8s} {'imiss%':>7s} {'compile s':>10s} {'run s':>7s}",
-    ]
-    baselines = {
-        cell.workload: cell.cycles
-        for cell in report.cells
-        if cell.config == "baseline" and cell.outcome == "ok" and cell.cycles
-    }
-    for cell in report.cells:
-        base = baselines.get(cell.workload)
-        if cell.config != "baseline" and cell.outcome == "ok" and base:
-            versus = f"{100.0 * (cell.cycles / base - 1.0):+7.1f}%"
-        else:
-            versus = f"{'-':>8s}"
-        lines.append(
-            f"{cell.workload:12s} {cell.config:10s} {cell.outcome:8s} "
-            f"{cell.cycles:14.0f} {versus} {100.0 * cell.icache_miss_rate:6.2f}% "
-            f"{cell.compile_seconds:10.3f} {cell.run_seconds:7.3f}"
-        )
-    engine = report.engine
-    if engine:
-        lines.append("")
-        lines.append(
-            f"engine: {engine.get('executed', 0)} runs, "
-            f"{engine.get('compiles', 0)} compiles, "
-            f"compile {engine.get('compile_seconds', 0.0):.2f}s, "
-            f"run {engine.get('run_seconds', 0.0):.2f}s, "
-            f"failures {engine.get('failures', 0)}"
-        )
-    tiers = getattr(report, "tiers", None)
-    if tiers:
-        lines.append(
-            f"tiers:  {tiers.get('blocks_compiled', 0)} blocks compiled, "
-            f"{tiers.get('superinstructions_fused', 0)} superinstructions fused, "
-            f"{tiers.get('deopts', 0)} deopts, "
-            f"{tiers.get('code_cache_hits', 0)} code-cache hits"
-        )
-        if tiers.get("traces_compiled"):
-            lines.append(
-                f"tier 3: {tiers.get('traces_compiled', 0)} loop traces compiled, "
-                f"{tiers.get('trace_side_exits', 0)} side exits"
-            )
-    return "\n".join(lines)
-
-
 def render_lint(report) -> str:
     """Render an :class:`repro.analysis.lint.LintReport`: one row per
     target with its findings count and entropy-audit headline, followed by

@@ -14,11 +14,13 @@ defender-side machinery that makes that true at fleet scale:
   queueing with explicit shedding, hedged retry, deadlines, chaos, and
   MARDU-style rolling re-randomization with zero dropped requests;
 * :mod:`repro.fleet.loadgen` — the deterministic open-loop load
-  generator and the ``repro-bench/v1`` serving-axis report.
+  generator and the serving report, written as a ``repro-fleet/v1``
+  artifact.
 
-Everything observable (latency percentiles, shed/retry/swap counts,
-attacker window) is derived from simulated cycles and seeded RNG, so
-fleet metrics are bit-identical across backends and runs.
+Every serving metric (latency percentiles, shed/retry/swap counts,
+attacker window) is modelled from simulated cycles and seeded RNG, so
+it is bit-identical across backends and runs; the artifact keeps it
+apart from the host's compile-cache telemetry and wall seconds.
 """
 
 from repro.fleet.cache import DiskCompileCache

@@ -8,27 +8,36 @@ assembles the whole stack — webserver module, shared compile cache,
 supervised workers, scheduler, chaos — runs it, and distils a
 :class:`FleetReport`: p50/p99 latency, sustained RPS, shed/retry/swap
 counts, measured re-randomization throughput dip, and the attacker
-window (mean seconds one slot keeps one layout).  The report embeds into
-the ``repro-bench/v1`` artifact as its ``serving`` section, anchored by
-one real measured cell per run.
+window (mean seconds one slot keeps one layout).  The report writes a
+``repro-fleet/v1`` artifact that keeps the modelled serving numbers, the
+host measurements and the one real guest execution anchoring the model
+in separate sections; :func:`validate` checks it.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.config import R2CConfig
 from repro.eval.engine import CompileCache
 from repro.fleet.cache import DiskCompileCache
 from repro.fleet.core import ChaosSpec, Fleet, FleetOutcome
-from repro.fleet.workers import CLOCK_HZ, FleetWorker
-from repro.obs.bench import BenchCell, BenchReport
+from repro.fleet.workers import FleetWorker, ServiceProfile
 from repro.rng import DiversityRng
 from repro.workloads.webserver import build_webserver
 
-__all__ = ["FleetReport", "open_loop_arrivals", "run_fleet"]
+__all__ = [
+    "FLEET_SCHEMA",
+    "FleetReport",
+    "open_loop_arrivals",
+    "run_fleet",
+    "validate",
+]
+
+FLEET_SCHEMA = "repro-fleet/v1"
 
 
 def open_loop_arrivals(
@@ -57,8 +66,9 @@ def _percentile(values: List[float], q: float) -> float:
 
 @dataclass
 class FleetReport:
-    """Everything one fleet run reports — all virtual-clock derived, so
-    bit-identical across backends for the same seed."""
+    """Everything one fleet run reports.  The serving numbers are all
+    virtual-clock derived, so bit-identical across backends for the same
+    seed; ``cache`` and the anchor's wall seconds are host measurements."""
 
     backend: str
     machine: str
@@ -92,17 +102,18 @@ class FleetReport:
     swap_window_rps: float
     steady_rps: float
     throughput_dip_pct: float
-    cache: Dict[str, object] = field(default_factory=dict)
+    #: Compile-cache telemetry (host-environmental).
+    cache: Dict[str, object]
     #: The generation-0 profile of worker 0: one genuine guest execution
     #: anchoring the artifact (cycles, instructions, i-cache).
-    profile: Dict[str, object] = field(default_factory=dict)
+    anchor: ServiceProfile
 
     @property
     def zero_lost(self) -> bool:
         return self.arrivals == sum(self.outcomes.values())
 
     def serving(self) -> Dict[str, object]:
-        """The ``repro-bench/v1`` ``serving`` section."""
+        """The modelled serving numbers: the artifact's ``model`` section."""
         return {
             "seed": self.seed,
             "workers": self.workers,
@@ -132,40 +143,64 @@ class FleetReport:
             "steady_rps": self.steady_rps,
             "throughput_dip_pct": self.throughput_dip_pct,
             "zero_lost": self.zero_lost,
-            "cache": dict(self.cache),
         }
 
-    def to_bench_report(self, *, jobs: int = 1, quick: bool = True) -> BenchReport:
-        """Wrap this run as a validating ``repro-bench/v1`` artifact."""
-        cell = BenchCell(
-            workload="webserver",
-            config=f"fleet-full-s{self.seed}",
-            outcome="ok",
-            cycles=float(self.profile.get("cycles", 0.0)),
-            instructions=int(self.profile.get("instructions", 0)),
-            icache_hits=int(self.profile.get("icache_hits", 0)),
-            icache_misses=int(self.profile.get("icache_misses", 0)),
-            max_rss=int(self.profile.get("max_rss", 0)),
-            compile_seconds=float(self.profile.get("compile_seconds", 0.0)),
-            run_seconds=float(self.profile.get("run_seconds", 0.0)),
+    def to_json(self) -> str:
+        """The ``repro-fleet/v1`` artifact.
+
+        ``model`` is :meth:`serving`: virtual-clock numbers, modelled
+        from the anchor's cycles.  ``host`` is what this host measured:
+        compile-cache telemetry and the anchor run's wall seconds.
+        ``anchor`` is the anchor run's simulated counters.
+        """
+        anchor = self.anchor
+        return json.dumps(
+            {
+                "schema": FLEET_SCHEMA,
+                "backend": self.backend,
+                "machine": self.machine,
+                "model": self.serving(),
+                "host": {
+                    "cache": dict(self.cache),
+                    "anchor_cache_hit": anchor.cache_hit,
+                    "anchor_compile_seconds": anchor.compile_seconds,
+                    "anchor_run_seconds": anchor.run_seconds,
+                },
+                "anchor": {
+                    "cycles": anchor.cycles,
+                    "instructions": anchor.instructions,
+                    "icache_hits": anchor.icache_hits,
+                    "icache_misses": anchor.icache_misses,
+                    "max_rss": anchor.max_rss,
+                },
+            },
+            sort_keys=True,
+            indent=2,
         )
-        engine = {
-            "executed": self.arrivals,
-            "compiles": int(self.cache.get("misses", 0)),
-            "compile_seconds": float(self.cache.get("compile_seconds", 0.0)),
-            "run_seconds": 0.0,
-            "failures": 0,
-            "by_outcome": dict(self.outcomes),
-        }
-        return BenchReport(
-            backend=self.backend,
-            machine=self.machine,
-            quick=quick,
-            jobs=jobs,
-            cells=[cell],
-            engine=engine,
-            serving=self.serving(),
-        )
+
+
+#: Keys each ``repro-fleet/v1`` section must carry.
+_REQUIRED = {
+    "model": ("arrivals", "outcomes", "p50_ms", "p99_ms", "sustained_rps", "zero_lost"),
+    "host": ("cache", "anchor_compile_seconds", "anchor_run_seconds"),
+    "anchor": ("cycles", "instructions", "icache_hits", "icache_misses"),
+}
+
+
+def validate(payload: Dict[str, object]) -> List[str]:
+    """Schema check for a parsed repro-fleet/v1 artifact."""
+    if payload.get("schema") != FLEET_SCHEMA:
+        return [f"schema is {payload.get('schema')!r}, want {FLEET_SCHEMA!r}"]
+    problems = []
+    for section, keys in _REQUIRED.items():
+        data = payload.get(section)
+        if not isinstance(data, dict):
+            problems.append(f"missing section {section!r}")
+            continue
+        for key in keys:
+            if key not in data:
+                problems.append(f"{section} missing {key!r}")
+    return problems
 
 
 def run_fleet(
@@ -211,6 +246,9 @@ def run_fleet(
     ]
     for worker in pool:
         worker.profile = worker.build(0)
+    # Captured before rotation replaces worker 0's profile.
+    anchor = pool[0].profile
+    assert anchor is not None
 
     spec = chaos_spec if chaos_spec is not None else (ChaosSpec() if chaos else None)
     fleet = Fleet(
@@ -273,8 +311,6 @@ def run_fleet(
             singleflight_waits=cache.singleflight_waits,
             corrupt_entries=cache.corrupt_entries,
         )
-    anchor = pool[0].profile
-    assert anchor is not None
     return FleetReport(
         backend=backend,
         machine=machine,
@@ -306,14 +342,5 @@ def run_fleet(
         steady_rps=steady_rps,
         throughput_dip_pct=dip_pct,
         cache=cache_stats,
-        profile={
-            "cycles": anchor.cycles,
-            "instructions": anchor.instructions,
-            "icache_hits": anchor.icache_hits,
-            "icache_misses": anchor.icache_misses,
-            "max_rss": anchor.max_rss,
-            "compile_seconds": anchor.compile_seconds,
-            "run_seconds": anchor.run_seconds,
-            "service_ms": 1_000.0 * anchor.cycles / CLOCK_HZ,
-        },
+        anchor=anchor,
     )

@@ -131,7 +131,8 @@ _TRACE_MAX_SEGMENTS = 8
 #: head re-armed, this many times).
 _TRACE_MAX_TRIES = 3
 
-#: Session-wide lowering/observability counters (reported by ``bench``).
+#: Session-wide lowering/observability counters (r2cbench reports them
+#: as its ``jit.*`` layer metrics).
 #: ``superblocks``, ``trace_guard_failures`` and ``traces_blacklisted``
 #: always read 0 (only loop traces form); they stay for the readers that
 #: index every key.

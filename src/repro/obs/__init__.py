@@ -13,8 +13,9 @@ observability layer instead of ad-hoc ``perf_counter`` calls:
 * :mod:`repro.obs.profiler` — per-RIP/per-function cycle attribution
   with folded-stack (flamegraph) output, driven off the CPU trace hook
   so it works on either backend and through BTRA-displaced frames.
-* :mod:`repro.obs.bench` — the ``python -m repro bench`` regression
-  harness producing schema-versioned ``BENCH_*.json`` artifacts.
+
+Host-time benchmarking lives outside the package, in r2cbench
+(``python3 -m benchmarks.r2cbench``).
 
 Everything here is strictly passive: enabling tracing or attaching a
 profiler never changes :class:`~repro.machine.cpu.ExecutionResult`,

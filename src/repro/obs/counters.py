@@ -10,8 +10,8 @@ exact division of the shared integer cycle units), same per-tag buckets.
 A ``PerfCounters`` is therefore backend-invariant by construction and
 the differential tests in ``tests/test_backends.py`` compare them
 wholesale.  How a backend *got* the numbers (blocks compiled, deopts
-taken) is host-side observability, not machine state — the bench
-artifact's ``tiers`` section records that instead.
+taken) is host-side observability, not machine state —
+:data:`repro.machine.jit.JIT_STATS` counts that instead.
 
 Counter definitions (also in DESIGN.md §3.4):
 

@@ -233,16 +233,12 @@ def run_fleet_chaos(
     if first.restarts == 0:
         report.violations.append("no worker came back from a crash")
 
-    second = one_run()
-    first_metrics, second_metrics = first.serving(), second.serving()
-    # Host-side cache telemetry is environmental; everything else must
-    # be bit-identical between the two runs.
-    first_metrics.pop("cache"), second_metrics.pop("cache")
-    if first_metrics != second_metrics:
+    # The serving section is modelled, so it must be bit-identical
+    # between the two runs.
+    second = one_run().serving()
+    if report.serving != second:
         diverged = [
-            key
-            for key in first_metrics
-            if first_metrics[key] != second_metrics.get(key)
+            key for key in report.serving if report.serving[key] != second.get(key)
         ]
         report.violations.append(
             f"chaos run is not deterministic; diverging keys: {diverged}"

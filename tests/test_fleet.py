@@ -8,6 +8,7 @@ simulation is bit-deterministic — same seed, same metrics, on every
 backend.
 """
 
+import json
 import os
 import pickle
 import time
@@ -28,7 +29,7 @@ from repro.fleet import (
     open_loop_arrivals,
     run_fleet,
 )
-from repro.obs.bench import BenchReport, validate
+from repro.fleet.loadgen import validate
 from repro.rng import DiversityRng
 from repro.workloads.webserver import build_webserver
 
@@ -36,13 +37,6 @@ from repro.workloads.webserver import build_webserver
 @pytest.fixture(scope="module")
 def module():
     return build_webserver(requests=1, footprint_pages=1)
-
-
-def serving_metrics(report):
-    """The serving section minus host-environmental cache telemetry."""
-    data = report.serving()
-    data.pop("cache")
-    return data
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +256,12 @@ def test_run_fleet_deterministic_across_backends_and_runs(tmp_path):
     fast = run_fleet(backend="fast", **kwargs)
     again = run_fleet(backend="fast", cache_dir=str(tmp_path), **kwargs)
     reference = run_fleet(backend="reference", **kwargs)
-    assert serving_metrics(fast) == serving_metrics(again)
-    assert serving_metrics(fast) == serving_metrics(reference)
+    assert fast.serving() == again.serving()
+    assert fast.serving() == reference.serving()
     # Different seeds genuinely differ.
     other = run_fleet(backend="fast", workers=2, rps=150.0,
                       duration_seconds=0.5, seed=10, chaos=True)
-    assert serving_metrics(fast) != serving_metrics(other)
+    assert fast.serving() != other.serving()
 
 
 def test_run_fleet_chaos_zero_lost():
@@ -286,10 +280,37 @@ def test_run_fleet_chaos_zero_lost():
 def test_run_fleet_artifact_validates_and_roundtrips():
     report = run_fleet(workers=2, rps=100.0, duration_seconds=0.5,
                        backend="fast", seed=2)
-    bench = report.to_bench_report()
-    problems = validate(__import__("json").loads(bench.to_json()))
-    assert problems == []
-    clone = BenchReport.from_json(bench.to_json())
-    assert clone.serving["arrivals"] == report.arrivals
-    assert clone.serving["p99_ms"] == report.p99_ms
-    assert clone.cells[0].cycles > 0  # anchored by a real execution
+    artifact = json.loads(report.to_json())
+    assert validate(artifact) == []
+    assert artifact["model"]["arrivals"] == report.arrivals
+    assert artifact["model"]["p99_ms"] == report.p99_ms
+    assert "cache" not in artifact["model"]  # host telemetry stays in host
+    assert artifact["host"]["anchor_run_seconds"] > 0  # measured, not a literal
+    assert artifact["anchor"]["cycles"] > 0  # anchored by a real execution
+    assert validate(dict(artifact, schema="repro-fleet/v0")) != []
+    del artifact["anchor"]["cycles"]
+    assert validate(artifact) == ["anchor missing 'cycles'"]
+
+
+def test_run_fleet_anchor_is_generation_zero_under_rotation():
+    # Rotation moves worker 0 onto fresh layouts during the run; the
+    # artifact's anchor must stay its generation-0 execution.
+    kwargs = dict(workers=2, rps=100.0, duration_seconds=0.5, backend="fast", seed=2)
+    rotated = run_fleet(rerand_interval=0.1, **kwargs)
+    still = run_fleet(rerand_interval=None, **kwargs)
+    assert rotated.swaps > 0 and still.swaps == 0
+    anchor = json.loads(rotated.to_json())["anchor"]
+    assert anchor == json.loads(still.to_json())["anchor"]
+
+
+def test_fleet_cli_writes_artifact_only_with_out(tmp_path, monkeypatch, capsys):
+    from repro.__main__ import main
+
+    monkeypatch.chdir(tmp_path)
+    argv = ["fleet", "--workers", "2", "--rps", "100", "--duration", "0.5", "--seed", "2"]
+    assert main(argv) == 0
+    assert list(tmp_path.iterdir()) == []
+    out = tmp_path / "fleet.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert [path.name for path in tmp_path.iterdir()] == ["fleet.json"]
+    assert validate(json.loads(out.read_text())) == []

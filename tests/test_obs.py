@@ -1,10 +1,10 @@
-"""Tests for the observability layer: tracing, counters, profiler, bench.
+"""Tests for the observability layer: tracing, counters, profiler.
 
 The wall has three bricks:
 
 * **Golden traces** — the span tree for one engine-mediated compile+run
   is pinned name-for-name (names, parentage, ordering; never durations).
-* **Round-trips** — every JSON artifact (trace, counters, bench) loads
+* **Round-trips** — every JSON artifact (trace, counters) loads
   back, and unknown keys are dropped, matching ``RunRecord.from_json``'s
   forward-compatibility semantics.
 * **Passivity** — attaching a profiler or enabling tracing never changes
@@ -24,12 +24,10 @@ from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
 from repro.errors import BoobyTrapTriggered
 from repro.eval.engine import ExperimentEngine, RunRequest
-from repro.eval.report import render_bench
 from repro.machine.costs import get_costs
 from repro.machine.cpu import CPU, UNTAGGED_TAG
 from repro.machine.isa import Imm, Instruction, Op, Reg
 from repro.machine.loader import load_binary
-from repro.obs.bench import BenchReport, run_bench, validate
 from repro.obs.counters import PerfCounters
 from repro.obs.profiler import UNKNOWN_FUNCTION, CycleProfiler
 from repro.obs.tracing import (
@@ -430,51 +428,3 @@ def test_observability_is_passive(seed, mode, backend, load_seed):
             )
         )
     assert snapshots[0] == snapshots[1]
-
-
-# ---------------------------------------------------------------------------
-# The bench harness.
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def bench_report():
-    return run_bench(backend="fast", workloads=["xz"])
-
-
-def test_bench_report_is_schema_valid(bench_report):
-    data = json.loads(bench_report.to_json())
-    assert validate(data) == []
-    assert bench_report.ok
-    assert {cell.config for cell in bench_report.cells} == {
-        "baseline", "full-avx", "full-push",
-    }
-    baseline = bench_report.cell("xz", "baseline")
-    full = bench_report.cell("xz", "full-avx")
-    assert full.cycles > baseline.cycles > 0
-    assert baseline.icache_hits > 0
-
-
-def test_bench_json_round_trip_drops_unknown_keys(bench_report):
-    text = bench_report.to_json()
-    data = json.loads(text)
-    data["invented"] = {"x": 1}
-    data["cells"][0]["future_metric"] = 9.5
-    loaded = BenchReport.from_json(json.dumps(data))
-    assert loaded.to_json() == text
-
-
-def test_bench_validate_reports_violations():
-    problems = validate({"schema": "repro-bench/v0", "cells": [{"workload": "xz"}]})
-    assert any("schema" in p for p in problems)
-    assert any("missing top-level key" in p for p in problems)
-    assert any("cells[0] missing" in p for p in problems)
-    assert validate({"schema": "repro-bench/v1", "cells": []}) != []
-
-
-def test_render_bench_table(bench_report):
-    text = render_bench(bench_report)
-    assert "backend=fast" in text
-    assert "xz" in text and "full-avx" in text
-    assert "vs base" in text and "+" in text  # overhead column is populated
-    assert "engine:" in text and "failures 0" in text

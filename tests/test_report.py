@@ -11,12 +11,10 @@ from repro.analysis.findings import Finding
 from repro.analysis.lint import LintReport, LintTargetResult
 from repro.eval.engine import EngineSummary, FailureSummary
 from repro.eval.report import (
-    render_bench,
     render_engine_summary,
     render_lint,
     render_table1,
 )
-from repro.obs.bench import BenchCell, BenchReport
 
 
 def test_render_table1_rows():
@@ -99,75 +97,3 @@ def test_render_engine_summary_with_failures():
     assert "failures: 2 (fault:1, timeout:1)" in text
     assert "injected by rule: FLT001:1" in text
     assert "1 pool rebuilds" in text and "1 quarantined" in text
-
-
-def _bench_report():
-    return BenchReport(
-        backend="fast",
-        machine="epyc-rome",
-        quick=True,
-        jobs=1,
-        cells=[
-            BenchCell(
-                workload="xz",
-                config="baseline",
-                outcome="ok",
-                cycles=100_000.0,
-                instructions=90_000,
-                icache_hits=89_000,
-                icache_misses=1_000,
-                max_rss=4096,
-                compile_seconds=0.01,
-                run_seconds=0.2,
-            ),
-            BenchCell(
-                workload="xz",
-                config="full-avx",
-                outcome="ok",
-                cycles=110_000.0,
-                instructions=95_000,
-                icache_hits=93_000,
-                icache_misses=2_000,
-                max_rss=8192,
-                compile_seconds=0.02,
-                run_seconds=0.25,
-            ),
-            BenchCell(
-                workload="mcf",
-                config="full-avx",
-                outcome="error",
-                cycles=0.0,
-                instructions=0,
-                icache_hits=0,
-                icache_misses=0,
-                max_rss=0,
-                compile_seconds=0.0,
-                run_seconds=0.0,
-            ),
-        ],
-        engine={
-            "executed": 3,
-            "compiles": 3,
-            "compile_seconds": 0.03,
-            "run_seconds": 0.45,
-            "failures": 1,
-        },
-    )
-
-
-def test_render_bench_overhead_column():
-    text = render_bench(_bench_report())
-    assert "Bench: backend=fast machine=epyc-rome quick=True jobs=1" in text
-    lines = {line.split()[0:2][0] + "/" + line.split()[1]: line
-             for line in text.splitlines() if line.startswith(("xz", "mcf"))}
-    # Baseline and failed cells render no overhead ratio.
-    assert " - " in lines["xz/baseline"]
-    assert "+10.0%" in lines["xz/full-avx"]
-    assert " - " in lines["mcf/full-avx"] and "error" in lines["mcf/full-avx"]
-    assert "engine: 3 runs, 3 compiles" in text and "failures 1" in text
-
-
-def test_render_bench_miss_rate():
-    text = render_bench(_bench_report())
-    # 1k misses over 90k accesses and 2k over 95k.
-    assert "1.11%" in text and "2.11%" in text

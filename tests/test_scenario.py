@@ -150,3 +150,22 @@ def test_cli_runs_quick_security(capsys):
     assert main(["security", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "closed" in out
+
+
+def test_cli_exits_nonzero_after_a_failed_run(monkeypatch, capsys):
+    import repro.__main__ as cli
+    from repro.eval.engine import RunRequest, get_session_engine
+    from repro.workloads.spec import build_spec_benchmark
+
+    def starved(quick):
+        request = RunRequest(
+            module=build_spec_benchmark("xz"),
+            config=R2CConfig.baseline(),
+            instruction_budget=100,
+        )
+        return get_session_engine().run(request).outcome
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "table1", (starved, "starved run"))
+    assert cli.main(["table1"]) == 1
+    out = capsys.readouterr().out
+    assert "failures: 1 (fault:1)" in out
