@@ -10,7 +10,7 @@ import pytest
 
 from repro.attacks import AttackOutcome, VictimSession, aocr_attack
 from repro.core.config import R2CConfig
-from repro.eval.harness import measure_config
+from repro.eval.engine import RunRequest, get_session_engine
 from repro.eval.introspect import HookProbe, observe_call_races
 from repro.rng import DiversityRng
 from repro.workloads.spec import build_spec_benchmark
@@ -213,13 +213,16 @@ def test_integrity_check_cost_is_modest(run_once):
     full R2C."""
 
     def experiment():
-        source = lambda: build_spec_benchmark("omnetpp")
-        base = measure_config(source, R2CConfig.baseline(), seeds=(1,))
-        full = measure_config(source, PUSH_FULL, seeds=(1,))
-        checked = measure_config(
-            source, PUSH_FULL.replace(btra_integrity_check=True), seeds=(1,)
+        module = build_spec_benchmark("omnetpp")
+        configs = (
+            R2CConfig.baseline(),
+            PUSH_FULL,
+            PUSH_FULL.replace(btra_integrity_check=True),
         )
-        return base, full, checked
+        records = get_session_engine().submit(
+            [RunRequest(module=module, config=config.replace(seed=1)) for config in configs]
+        )
+        return [record.cycles for record in records]
 
     base, full, checked = run_once(experiment)
     save_artifact(

@@ -18,9 +18,8 @@ from repro.core.config import R2CConfig
 from repro.defenses.lockstep import LockstepGroup
 from repro.machine.backends import get_backend
 from repro.machine.costs import get_costs
-from repro.machine.cpu import ExecutionResult
 from repro.machine.loader import load_binary
-from repro.machine.state import MachineState
+from repro.machine.state import ExecutionResult, MachineState
 from repro.workloads.webserver import build_webserver
 
 from benchmarks.conftest import save_artifact

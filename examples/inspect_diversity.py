@@ -14,8 +14,8 @@ Run:  python examples/inspect_diversity.py
 
 from repro.core.config import R2CConfig
 from repro.core.compiler import compile_module
+from repro.machine import MachineState, run
 from repro.machine.costs import get_costs
-from repro.machine.cpu import CPU
 from repro.machine.debugger import Debugger
 from repro.machine.isa import Reg
 from repro.machine.loader import load_binary
@@ -41,7 +41,7 @@ def main():
     print("=== debugger session ===")
     process = load_binary(binary, seed=11)
     process.register_service("attack_hook", lambda p, c: 0)
-    debugger = Debugger(CPU(process, get_costs("epyc-rome")))
+    debugger = Debugger(MachineState(process, get_costs("epyc-rome")))
     debugger.break_at("process_request")
     debugger.add_watchpoint(process.symbols["counters"] + 24)
     hits = 0
@@ -66,7 +66,7 @@ def main():
         return 0
 
     process2.register_service("attack_hook", hook)
-    CPU(process2, get_costs("epyc-rome")).run()
+    run(MachineState(process2, get_costs("epyc-rome")))
     print(" -> ".join(trace["bt"]))
     print("Every frame above carries booby-trapped return addresses, yet the")
     print(".eh_frame metadata unwinds it precisely — exception handling works.")

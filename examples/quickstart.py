@@ -11,8 +11,8 @@ Run:  python examples/quickstart.py
 
 from repro import R2CConfig, compile_module
 from repro.attacks.clustering import classify_word
+from repro.machine import MachineState, run
 from repro.machine.costs import get_costs
-from repro.machine.cpu import CPU
 from repro.machine.isa import Reg
 from repro.machine.loader import load_binary
 from repro.toolchain.builder import IRBuilder
@@ -40,7 +40,7 @@ def build_program():
     return ir.finish()
 
 
-def run(config, label):
+def compile_and_run(config, label):
     binary = compile_module(build_program(), config)
     process = load_binary(binary, seed=7)
     peek = {}
@@ -58,7 +58,7 @@ def run(config, label):
         return 0
 
     process.register_service("attack_hook", hook)
-    result = CPU(process, get_costs("epyc-rome")).run()
+    result = run(MachineState(process, get_costs("epyc-rome")))
     print(f"{label:>10}: output={result.output}  cycles={result.cycles:10.0f}  "
           f"text={binary.text_size:6d}B  "
           f"code-pointer-looking words in one leaked frame window: "
@@ -68,9 +68,9 @@ def run(config, label):
 
 def main():
     print(__doc__)
-    base = run(R2CConfig.baseline(), "baseline")
-    avx = run(R2CConfig.full(seed=1), "r2c-avx")
-    push = run(R2CConfig.full(seed=2, btra_mode="push"), "r2c-push")
+    base = compile_and_run(R2CConfig.baseline(), "baseline")
+    avx = compile_and_run(R2CConfig.full(seed=1), "r2c-avx")
+    push = compile_and_run(R2CConfig.full(seed=2, btra_mode="push"), "r2c-push")
 
     assert base.output == avx.output == push.output, "diversification changed semantics!"
     print()

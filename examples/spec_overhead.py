@@ -10,11 +10,9 @@ Run:  python examples/spec_overhead.py  [--jobs N] [benchmark ...]
 
 import sys
 
-from repro.core.config import R2CConfig
-from repro.eval.engine import ExperimentEngine, set_session_engine
-from repro.eval.harness import measure_config
-from repro.eval.stats import geomean
-from repro.workloads.spec import SPEC_BENCHMARKS, build_spec_benchmark
+from repro.eval.engine import ExperimentEngine
+from repro.eval.experiments import experiment_figure6
+from repro.workloads.spec import SPEC_BENCHMARKS
 
 DEFAULT_SUBSET = ["perlbench", "mcf", "lbm", "omnetpp", "xalancbmk", "xz"]
 MACHINES = ["epyc-rome", "xeon"]
@@ -33,23 +31,13 @@ def main():
     if unknown:
         raise SystemExit(f"unknown benchmarks: {unknown}; pick from {list(SPEC_BENCHMARKS)}")
 
-    engine = set_session_engine(ExperimentEngine(jobs=jobs))
-    modules = {name: build_spec_benchmark(name) for name in names}
+    with ExperimentEngine(jobs=jobs) as engine:
+        overheads = experiment_figure6(
+            seeds=(1, 2), machines=MACHINES, benchmarks=names, engine=engine
+        )
     print(f"{'benchmark':12s}" + "".join(f"{m:>12s}" for m in MACHINES))
-    ratios = {m: [] for m in MACHINES}
-    for name in names:
-        row = f"{name:12s}"
-        for machine in MACHINES:
-            baseline = measure_config(modules[name], R2CConfig.baseline(), machine=machine, seeds=(1,))
-            protected = measure_config(modules[name], R2CConfig.full(), machine=machine, seeds=(1, 2))
-            ratio = protected / baseline
-            ratios[machine].append(ratio)
-            row += f"{100 * (ratio - 1):11.1f}%"
-        print(row)
-    print(f"{'geomean':12s}" + "".join(
-        f"{100 * (geomean(ratios[m]) - 1):11.1f}%" for m in MACHINES
-    ))
-    engine.close()
+    for name in names + ["geomean"]:
+        print(f"{name:12s}" + "".join(f"{overheads[name][m]:11.1f}%" for m in MACHINES))
 
 
 if __name__ == "__main__":

@@ -33,6 +33,50 @@ from repro.machine.backends import available_backends
 QUICK_BENCHMARKS = ["perlbench", "mcf", "lbm", "omnetpp", "xalancbmk", "xz"]
 
 
+def write_artifact(path: str, text: str, what: str) -> None:
+    """Write ``text`` plus a newline to ``path`` and say so."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text + "\n")
+    print(f"[{what} -> {path}]")
+
+
+def add_workload_args(parser: argparse.ArgumentParser, help: str) -> None:
+    """The arguments naming one compiled, loaded SPEC workload."""
+    from repro.workloads.spec import SPEC_BENCHMARKS
+
+    parser.add_argument("workload", choices=sorted(SPEC_BENCHMARKS), help=help)
+    parser.add_argument(
+        "--config",
+        default="full",
+        choices=("baseline", "full"),
+        help="diversification config (default: full)",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=1, metavar="N", help="compile seed (default: 1)"
+    )
+    parser.add_argument(
+        "--load-seed", type=int, default=1, metavar="N", help="loader ASLR seed"
+    )
+    parser.add_argument(
+        "--machine", default="epyc-rome", help="cost model (default: epyc-rome)"
+    )
+
+
+def load_workload(args):
+    """Compile and load the workload :func:`add_workload_args` parsed;
+    returns ``(binary, process)``."""
+    from repro.core.compiler import R2CCompiler
+    from repro.core.config import R2CConfig
+    from repro.machine.loader import load_binary
+    from repro.workloads.spec import build_spec_benchmark
+
+    make_config = R2CConfig.full if args.config == "full" else R2CConfig.baseline
+    binary = R2CCompiler(make_config(seed=args.seed)).compile(
+        build_spec_benchmark(args.workload)
+    )
+    return binary, load_binary(binary, seed=args.load_seed)
+
+
 def run_table1(quick: bool) -> str:
     rows = experiments.experiment_table1(
         seeds=(1,) if quick else (1, 2),
@@ -155,9 +199,7 @@ def run_chaos_command(args) -> int:
                 print(f"  {violation}")
         print(f"[{time.perf_counter() - started:.1f}s]")
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(fleet_report.to_json() + "\n")
-            print(f"[chaos report -> {args.out}]")
+            write_artifact(args.out, fleet_report.to_json(), "chaos report")
         return 0 if fleet_report.ok else 1
     chaos_report = run_chaos(
         jobs=args.jobs, backend=args.backend, seed=args.seed, timeout=args.timeout
@@ -165,9 +207,7 @@ def run_chaos_command(args) -> int:
     print(report.render_chaos(chaos_report))
     print(f"[{time.perf_counter() - started:.1f}s]")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(chaos_report.to_json() + "\n")
-        print(f"[chaos report -> {args.out}]")
+        write_artifact(args.out, chaos_report.to_json(), "chaos report")
     return 0 if chaos_report.ok else 1
 
 
@@ -240,9 +280,7 @@ def run_lint_command(args) -> int:
     print(report.render_lint(lint_report))
     print(f"[{time.perf_counter() - started:.1f}s]")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(lint_report.to_json() + "\n")
-        print(f"[findings report -> {args.out}]")
+        write_artifact(args.out, lint_report.to_json(), "findings report")
     return 0 if lint_report.ok else 1
 
 
@@ -304,36 +342,18 @@ def profile_main(argv) -> int:
     compile/run span tree as Chrome ``trace_event`` JSON (load it in
     ``chrome://tracing`` or Perfetto).
     """
-    from repro.core.compiler import R2CCompiler
-    from repro.core.config import R2CConfig
-    from repro.machine.loader import load_binary, make_cpu
+    from repro.machine.backends import run
+    from repro.machine.costs import get_costs
+    from repro.machine.state import MachineState
     from repro.obs.profiler import CycleProfiler
     from repro.obs.tracing import enable_tracing, get_collector
-    from repro.workloads.spec import SPEC_BENCHMARKS, build_spec_benchmark
 
     parser = argparse.ArgumentParser(
         prog="python -m repro profile",
         description="Profile one workload: per-function and per-address "
         "cycle attribution with BTRA-safe call stacks.",
     )
-    parser.add_argument(
-        "workload", choices=sorted(SPEC_BENCHMARKS), help="SPEC workload to profile"
-    )
-    parser.add_argument(
-        "--config",
-        default="full",
-        choices=("baseline", "full"),
-        help="diversification config (default: full)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=1, metavar="N", help="compile seed (default: 1)"
-    )
-    parser.add_argument(
-        "--load-seed", type=int, default=1, metavar="N", help="loader ASLR seed"
-    )
-    parser.add_argument(
-        "--machine", default="epyc-rome", help="cost model (default: epyc-rome)"
-    )
+    add_workload_args(parser, "SPEC workload to profile")
     parser.add_argument(
         "--backend",
         default="reference",
@@ -355,16 +375,10 @@ def profile_main(argv) -> int:
     if args.trace:
         enable_tracing(True)
     started = time.perf_counter()
-    if args.config == "full":
-        config = R2CConfig.full(seed=args.seed)
-    else:
-        config = R2CConfig.baseline(seed=args.seed)
-    module = build_spec_benchmark(args.workload)
-    binary = R2CCompiler(config).compile(module)
-    process = load_binary(binary, seed=args.load_seed)
-    cpu = make_cpu(process, args.machine, backend=args.backend, attribute_tags=True)
-    profiler = CycleProfiler(cpu)
-    result = cpu.run()
+    _, process = load_workload(args)
+    state = MachineState(process, get_costs(args.machine), attribute_tags=True)
+    profiler = CycleProfiler(state)
+    result = run(state, args.backend)
     print(profiler.report(top=args.top))
     print()
     counters = result.perf_counters()
@@ -377,9 +391,7 @@ def profile_main(argv) -> int:
     )
     print(f"[{time.perf_counter() - started:.1f}s]")
     if args.folded:
-        with open(args.folded, "w", encoding="utf-8") as handle:
-            handle.write(profiler.folded_stacks() + "\n")
-        print(f"[folded stacks -> {args.folded}]")
+        write_artifact(args.folded, profiler.folded_stacks(), "folded stacks")
     if args.trace:
         get_collector().write_chrome_trace(args.trace)
         print(f"[chrome trace -> {args.trace}]")
@@ -408,37 +420,20 @@ def disasm_blocks_main(argv) -> int:
     dynamic (recorded from hot paths), so this is the only part of the
     dump that needs a run.
     """
-    from repro.core.compiler import R2CCompiler
-    from repro.core.config import R2CConfig
+    from repro.machine.backends import get_backend, run
     from repro.machine.blocks import recover_blocks
+    from repro.machine.costs import get_costs
     from repro.machine.jit import lower_slice
-    from repro.machine.loader import load_binary, make_cpu
+    from repro.machine.loader import load_binary
+    from repro.machine.state import MachineState
     from repro.machine.uops import get_bound_program
-    from repro.workloads.spec import SPEC_BENCHMARKS, build_spec_benchmark
 
     parser = argparse.ArgumentParser(
         prog="python -m repro disasm-blocks",
         description="Print the recovered basic-block CFG of one workload "
         "with per-block lowering tiers and fusion annotations.",
     )
-    parser.add_argument(
-        "workload", choices=sorted(SPEC_BENCHMARKS), help="SPEC workload to disassemble"
-    )
-    parser.add_argument(
-        "--config",
-        default="full",
-        choices=("baseline", "full"),
-        help="diversification config (default: full)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=1, metavar="N", help="compile seed (default: 1)"
-    )
-    parser.add_argument(
-        "--load-seed", type=int, default=1, metavar="N", help="loader ASLR seed"
-    )
-    parser.add_argument(
-        "--machine", default="epyc-rome", help="cost model (default: epyc-rome)"
-    )
+    add_workload_args(parser, "SPEC workload to disassemble")
     parser.add_argument(
         "--tier", type=int, default=None, choices=(1, 2), help="only blocks at this tier"
     )
@@ -449,15 +444,9 @@ def disasm_blocks_main(argv) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.config == "full":
-        config = R2CConfig.full(seed=args.seed)
-    else:
-        config = R2CConfig.baseline(seed=args.seed)
-    module = build_spec_benchmark(args.workload)
-    binary = R2CCompiler(config).compile(module)
-    process = load_binary(binary, seed=args.load_seed)
-    cpu = make_cpu(process, args.machine)
-    program = recover_blocks(get_bound_program(process, cpu.costs))
+    binary, process = load_workload(args)
+    costs = get_costs(args.machine)
+    program = recover_blocks(get_bound_program(process, costs))
     lowerings = {
         block.addr: lower_slice(process.instructions, block.addr)
         for block in program.blocks
@@ -475,18 +464,10 @@ def disasm_blocks_main(argv) -> int:
     traces: dict = {}
     membership: dict = {}
     if args.traces:
-        from repro.machine.backends import get_backend
-        from repro.machine.cpu import ExecutionResult
-        from repro.machine.state import MachineState
-
-        impl = get_backend("jit")
-        run_process = load_binary(binary, seed=args.load_seed)
-        state = MachineState(run_process, cpu.costs)
-        state.rip = run_process.entry_point
-        state._halted = False
-        jit_program = impl.prepare(state)
-        impl.execute(jit_program, state, ExecutionResult())
-        traces = jit_program.trace_info()
+        state = MachineState(load_binary(binary, seed=args.load_seed), costs)
+        run(state, "jit")
+        # prepare returns the program the run used: it is cached per process.
+        traces = get_backend("jit").prepare(state).trace_info()
         for head, info in traces.items():
             for segment in info["segments"]:
                 membership.setdefault(segment, []).append(head)
@@ -674,9 +655,9 @@ def mvee_main(argv) -> int:
             "sync_points": lockstep.sync_points,
             "divergence": divergence.to_dict() if divergence else None,
         }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        print(f"[divergence report -> {args.out}]")
+        write_artifact(
+            args.out, json.dumps(payload, sort_keys=True, indent=2), "divergence report"
+        )
     return 1 if outcome is MveeOutcome.COMPROMISED else 0
 
 
@@ -774,9 +755,7 @@ def fleet_main(argv) -> int:
     text = fleet_report.to_json()
     problems = validate(json.loads(text))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"[fleet artifact -> {args.out}]")
+        write_artifact(args.out, text, "fleet artifact")
     for problem in problems:
         print(f"schema violation: {problem}", file=sys.stderr)
     ok = fleet_report.zero_lost and not problems
@@ -868,9 +847,7 @@ def mine_main(argv) -> int:
     text = mine_report.to_json()
     problems = validate(json.loads(text))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"[gadget artifact -> {args.out}]")
+        write_artifact(args.out, text, "gadget artifact")
     for problem in problems:
         print(f"schema violation: {problem}", file=sys.stderr)
     return 0 if mine_report.ok and not problems else 1

@@ -1086,15 +1086,16 @@ def concrete_check(
     """
     import random
 
-    from repro.machine.cpu import CPU, ExecutionResult
+    from repro.machine.backends import get_backend
     from repro.machine.costs import get_costs
     from repro.machine.loader import load_binary
+    from repro.machine.state import ExecutionResult, MachineState
 
     if not executable(record):
         return "record is not statically executable"
     summary = record.summary
     process = load_binary(binary, seed=load_seed, execute_only=False)
-    cpu = CPU(process, get_costs("epyc-rome"), backend="reference")
+    state = MachineState(process, get_costs("epyc-rome"))
     layout = process.layout
 
     rng = random.Random((rng_seed << 16) ^ record.offset ^ record.length)
@@ -1104,9 +1105,9 @@ def concrete_check(
         if reg == int(Reg.RSP):
             continue
         value = rng.getrandbits(64)
-        cpu.regs[reg] = value
+        state.regs[reg] = value
         init_regs[reg] = value
-    cpu.regs[Reg.RSP] = entry_rsp
+    state.regs[Reg.RSP] = entry_rsp
 
     low = entry_rsp - 8 * 1024
     high = entry_rsp + 8 * 1024
@@ -1128,24 +1129,24 @@ def concrete_check(
             return (entry_rsp + value[1]) & MASK64
         return None  # glob/sym need the image map; skip
 
-    cpu.rip = layout.text_base + record.offset
-    result = ExecutionResult()
+    state.rip = layout.text_base + record.offset
     output_before = len(process.output)
-    cpu.step(result, max_steps=record.length)
+    reference = get_backend("reference")
+    reference.step(reference.prepare(state), state, ExecutionResult(), record.length)
 
     if summary.stack_delta is not None:
         want_rsp = (entry_rsp + summary.stack_delta) & MASK64
-        if cpu.regs[Reg.RSP] != want_rsp:
-            return f"rsp: predicted {want_rsp:#x}, got {cpu.regs[Reg.RSP]:#x}"
+        if state.regs[Reg.RSP] != want_rsp:
+            return f"rsp: predicted {want_rsp:#x}, got {state.regs[Reg.RSP]:#x}"
     if summary.ret_slot is not None:
         want_rip = stack_words[entry_rsp + summary.ret_slot]
-        if cpu.rip != want_rip:
-            return f"rip: predicted {want_rip:#x}, got {cpu.rip:#x}"
+        if state.rip != want_rip:
+            return f"rip: predicted {want_rip:#x}, got {state.rip:#x}"
     for reg_name, value in summary.reg_effects:
         predicted = evaluate(value)
         if predicted is None:
             continue
-        got = cpu.regs[Reg[reg_name.upper()]]
+        got = state.regs[Reg[reg_name.upper()]]
         if got != predicted:
             return f"{reg_name}: predicted {predicted:#x}, got {got:#x}"
     emitted = process.output[output_before:]

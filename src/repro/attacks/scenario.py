@@ -25,9 +25,10 @@ from repro.attacks.surface import AttackerView, ReferenceKnowledge
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
 from repro.errors import MachineError
-from repro.machine.cpu import CPU, ExecutionResult
+from repro.machine.backends import run
 from repro.machine.costs import get_costs
 from repro.machine.loader import load_binary
+from repro.machine.state import ExecutionResult, MachineState
 from repro.rng import DiversityRng
 from repro.toolchain.ir import Module
 from repro.workloads.victim import (
@@ -130,15 +131,15 @@ def arm_write_replay(
 class ProbeResult:
     """Everything one probe produced, for callers that need more than the
     (status, result) pair — the reactive supervisor builds crash reports
-    from the exception and the post-mortem CPU/process state."""
+    from the exception and the post-mortem machine/process state."""
 
     # "success" | "clean" | "detected" | "crashed" | "diverged" |
     # "timed-out" (supervised probes under a per-probe deadline)
     status: str
     result: Optional[ExecutionResult]
     exception: Optional[MachineError]
-    #: The (leader) machine state post-mortem — a CPU for single-variant
-    #: probes, the leader's MachineState for N-variant lockstep probes.
+    #: The (leader) machine state post-mortem: the only state of a
+    #: single-variant probe, the leader's for an N-variant lockstep probe.
     cpu: object
     process: object
     #: True when a per-probe deadline classified this probe as a hang
@@ -215,7 +216,7 @@ class VictimSession:
 
     # -- process management ------------------------------------------------------
 
-    def spawn(self) -> Tuple[object, CPU]:
+    def spawn(self) -> Tuple[object, MachineState]:
         """Start a worker.
 
         Default: same image, same ASLR — a forked worker restarting
@@ -228,14 +229,13 @@ class VictimSession:
             seed += self._spawn_count
         self._spawn_count += 1
         process = load_binary(self.binary, seed=seed, execute_only=self.execute_only)
-        cpu = CPU(
+        state = MachineState(
             process,
             get_costs("epyc-rome"),
             instruction_budget=self.instruction_budget,
             shadow_stack=self.shadow_stack,
-            backend=self.backend,
         )
-        return process, cpu
+        return process, state
 
     def probe(
         self, hook: AttackFn, *, attacker_seed: int = 0
@@ -250,11 +250,11 @@ class VictimSession:
 
     def probe_ex(self, hook: Optional[AttackFn], *, attacker_seed: int = 0) -> ProbeResult:
         """Like :meth:`probe`, returning the full :class:`ProbeResult`
-        (exception + post-mortem CPU/process for crash triage).  An
+        (exception + post-mortem state/process for crash triage).  An
         N-variant session also takes ``hook=None``: a benign run."""
         if self.variants > 1:
             return self._probe_lockstep(hook, attacker_seed=attacker_seed)
-        process, cpu = self.spawn()
+        process, state = self.spawn()
 
         def service(proc, running_cpu):
             view = AttackerView(
@@ -270,15 +270,15 @@ class VictimSession:
 
         process.register_service("attack_hook", fire_once(service))
         try:
-            result = cpu.run()
+            result = run(state, self.backend)
         except MachineError as exc:
             status = self.monitor.classify(exc)
             # Payload-then-crash still counts: the attacker's code ran.
             if output_success(process.output):
                 status = "success"
-            return ProbeResult(status, None, exc, cpu, process)
+            return ProbeResult(status, None, exc, state, process)
         status = "success" if output_success(result.output) else "clean"
-        return ProbeResult(status, result, None, cpu, process)
+        return ProbeResult(status, result, None, state, process)
 
     def _probe_lockstep(
         self, hook: Optional[AttackFn], *, attacker_seed: int = 0

@@ -47,9 +47,8 @@ from repro.attacks.monitor import DefenseMonitor
 from repro.errors import MachineError
 from repro.machine.backends import DEFAULT_BACKEND, get_backend
 from repro.machine.costs import MachineCosts, get_costs
-from repro.machine.cpu import ExecutionResult
 from repro.machine.isa import Reg
-from repro.machine.state import MachineState
+from repro.machine.state import ExecutionResult, MachineState
 
 __all__ = [
     "DivergenceReport",

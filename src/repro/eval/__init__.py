@@ -4,9 +4,7 @@
 * :mod:`repro.eval.engine` — the run-execution engine: typed
   request/record pairs, content-addressed compile cache, serial and
   process-pool executors, JSONL run records (Section 6.2 methodology at
-  scale).
-* :mod:`repro.eval.harness` — thin compile/load/run facade over the
-  engine with per-seed recompilation semantics.
+  scale: recompile per seed, report the median).
 * :mod:`repro.eval.experiments` — one driver per table/figure, each
   submitting request batches to the engine; see DESIGN.md section 4 for
   the experiment index.
@@ -20,19 +18,14 @@ from repro.eval.engine import (
     get_session_engine,
     set_session_engine,
 )
-from repro.eval.harness import RunStats, run_module, measure_config, measure_overhead
 from repro.eval.stats import geomean, median, overhead_percent
 
 __all__ = [
     "ExperimentEngine",
     "RunRequest",
     "RunRecord",
-    "RunStats",
     "get_session_engine",
     "set_session_engine",
-    "run_module",
-    "measure_config",
-    "measure_overhead",
     "geomean",
     "median",
     "overhead_percent",

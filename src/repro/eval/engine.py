@@ -48,26 +48,24 @@ import atexit
 import json
 import os
 import time
-import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
 from repro.errors import AllocatorError, InjectedFault, MachineError, ReproError
+from repro.machine.backends import DEFAULT_BACKEND, get_backend, run
 from repro.machine.costs import get_costs
-from repro.machine.cpu import CPU, ExecutionResult
 from repro.machine.loader import load_binary
+from repro.machine.state import ExecutionResult, MachineState
 from repro.obs.tracing import enable_tracing, span, trace_capture, tracing_enabled
 from repro.toolchain.binary import Binary
 from repro.toolchain.ir import Module
 
 if TYPE_CHECKING:  # avoid an import cycle: reliability imports nothing from eval
     from repro.reliability.faults import FaultPlan
-
-ModuleSource = Union[Module, Callable[[], Module]]
 
 #: (module fingerprint, config digest) — identifies one compilation.
 CompileKey = Tuple[str, str]
@@ -79,19 +77,6 @@ RunKey = Tuple[str, str, str, int, int, int, bool, str]
 
 DEFAULT_INSTRUCTION_BUDGET = 50_000_000
 DEFAULT_HEAP_SIZE = 8 * 1024 * 1024
-
-
-@dataclass
-class RunStats:
-    """Metrics from one run (the classic harness-facing subset)."""
-
-    cycles: float
-    instructions: int
-    calls: int
-    max_rss: int
-    icache_misses: int
-    exit_code: int
-    output: Tuple[int, ...]
 
 
 @dataclass
@@ -142,13 +127,8 @@ class RunRequest:
             self.instruction_budget,
             self.heap_size,
             self.attribute_tags,
-            self.backend or DEFAULT_EXECUTION_BACKEND,
+            self.backend or DEFAULT_BACKEND,
         )
-
-
-#: Backend assumed when a request does not name one and no engine default
-#: intervenes (mirrors the CPU's own default).
-DEFAULT_EXECUTION_BACKEND = "reference"
 
 #: RunRecord fields that depend on the execution environment, not the
 #: (deterministic) request — excluded from canonical comparisons.  The
@@ -208,7 +188,7 @@ class RunRecord:
     #: Failure detail for non-ok outcomes: ``{"class", "rule", "message"}``
     #: (``rule`` names the FaultPlan rule when injection caused it).
     failure: Optional[Dict[str, str]] = None
-    backend: str = DEFAULT_EXECUTION_BACKEND
+    backend: str = DEFAULT_BACKEND
     verified: bool = False
     compile_seconds: float = 0.0
     run_seconds: float = 0.0
@@ -251,17 +231,6 @@ class RunRecord:
         data = {key: value for key, value in data.items() if key in known}
         data["output"] = tuple(data.get("output", ()))
         return cls(**data)
-
-    def stats(self) -> RunStats:
-        return RunStats(
-            cycles=self.cycles,
-            instructions=self.instructions,
-            calls=self.calls,
-            max_rss=self.max_rss,
-            icache_misses=self.icache_misses,
-            exit_code=self.exit_code,
-            output=self.output,
-        )
 
 
 def write_records(records: Iterable[RunRecord], path: str) -> int:
@@ -342,7 +311,7 @@ def _failure_record(
         tag_cycles=None,
         outcome=outcome,
         failure={"class": fault_class, "rule": rule, "message": message},
-        backend=request.backend or DEFAULT_EXECUTION_BACKEND,
+        backend=request.backend or DEFAULT_BACKEND,
         verified=False,
         worker=os.getpid(),
     )
@@ -386,7 +355,7 @@ def _execute_request_phases(
             request.module, request.config
         )
         probe.set(hit=cache_hit)
-    backend = request.backend or DEFAULT_EXECUTION_BACKEND
+    backend = request.backend or DEFAULT_BACKEND
     if request.verify:
         from repro.analysis import verify_binary
 
@@ -405,12 +374,11 @@ def _execute_request_phases(
     process.register_service("attack_hook", lambda proc, cpu: 0)
     if plan is not None:
         plan.apply_process_faults(process, request)
-    cpu = CPU(
+    state = MachineState(
         process,
         get_costs(request.machine),
         instruction_budget=request.instruction_budget,
         attribute_tags=request.attribute_tags,
-        backend=backend,
     )
     result = ExecutionResult()
     outcome = "ok"
@@ -418,7 +386,7 @@ def _execute_request_phases(
     with span("engine/run", "engine", backend=backend):
         try:
             # Passing the result in keeps the partial counters on a fault.
-            cpu.run(result=result)
+            run(state, backend, result)
         except (MachineError, AllocatorError) as exc:
             outcome = "fault"
             rule_id = ""
@@ -616,7 +584,7 @@ class EngineSummary:
     compile_seconds: float
     run_seconds: float
     worker_runs: Dict[int, int] = field(default_factory=dict)
-    backend: str = DEFAULT_EXECUTION_BACKEND
+    backend: str = DEFAULT_BACKEND
     failures: FailureSummary = field(default_factory=FailureSummary)
 
     @property
@@ -646,7 +614,7 @@ class ExperimentEngine:
     def __init__(
         self,
         jobs: int = 1,
-        backend: str = DEFAULT_EXECUTION_BACKEND,
+        backend: str = DEFAULT_BACKEND,
         *,
         fault_plan: Optional["FaultPlan"] = None,
         timeout: Optional[float] = None,
@@ -656,8 +624,6 @@ class ExperimentEngine:
         pool_backoff_cap: float = 1.0,
         cache_dir: Optional[str] = None,
     ):
-        from repro.machine.backends import get_backend
-
         get_backend(backend)  # fail fast on unknown names
         self.backend = backend
         self.jobs = max(1, int(jobs))
@@ -681,7 +647,6 @@ class ExperimentEngine:
         self._quarantined = 0
         self._serial_fallbacks = 0
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._sources: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -720,25 +685,6 @@ class ExperimentEngine:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- sources ------------------------------------------------------------
-
-    def materialize(self, source: ModuleSource) -> Module:
-        """Resolve a module-or-builder to a module, invoking builders once.
-
-        Builder callables are memoized (weakly, per callable object) so a
-        builder reused across seeds/configs is materialized exactly once.
-        """
-        if isinstance(source, Module) or not callable(source):
-            return source
-        try:
-            cached = self._sources.get(source)
-        except TypeError:  # unhashable/unweakrefable callable
-            return source()
-        if cached is None:
-            cached = source()
-            self._sources[source] = cached
-        return cached
-
     # -- execution ----------------------------------------------------------
 
     def run(self, request: RunRequest) -> RunRecord:
@@ -752,7 +698,7 @@ class ExperimentEngine:
         """
         self._batches += 1
         self._requested += len(requests)
-        if self.backend != DEFAULT_EXECUTION_BACKEND:
+        if self.backend != DEFAULT_BACKEND:
             requests = [
                 request
                 if request.backend is not None

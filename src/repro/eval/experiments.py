@@ -47,7 +47,7 @@ from repro.eval.engine import (
 )
 from repro.eval.stats import geomean, median, overhead_percent
 from repro.machine.costs import MACHINE_PRESETS
-from repro.machine.cpu import UNTAGGED_TAG
+from repro.machine.state import UNTAGGED_TAG
 from repro.rng import DiversityRng
 from repro.toolchain.interp import interpret_module
 from repro.workloads.browser import generate_browser_corpus

@@ -13,10 +13,11 @@ from typing import Dict, List, Optional
 
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
+from repro.machine.backends import run
 from repro.machine.costs import get_costs
-from repro.machine.cpu import CPU
 from repro.machine.isa import Reg
 from repro.machine.loader import load_binary
+from repro.machine.state import MachineState
 from repro.toolchain.builder import IRBuilder
 from repro.toolchain.ir import Module
 
@@ -93,7 +94,7 @@ class HookProbe:
             return 0
 
         self.process.register_service("attack_hook", hook)
-        self.result = CPU(self.process, get_costs("epyc-rome")).run()
+        self.result = run(MachineState(self.process, get_costs("epyc-rome")))
         return self
 
 
@@ -145,5 +146,5 @@ def observe_call_races(config: R2CConfig, *, load_seed: int = 5) -> List[Dict]:
     process = load_binary(binary, seed=load_seed)
     process.register_service("attack_hook", lambda proc, cpu: 0)
     observer = CallRaceObserver(binary, process.text_base)
-    CPU(process, get_costs("epyc-rome"), trace_fn=observer).run()
+    run(MachineState(process, get_costs("epyc-rome"), trace_fn=observer))
     return observer.observations

@@ -29,9 +29,10 @@ from typing import Callable, Optional
 from repro.core.config import R2CConfig
 from repro.errors import InjectedFault
 from repro.eval.engine import CompileCache
-from repro.machine.cpu import CPU
+from repro.machine.backends import run
 from repro.machine.costs import get_costs
 from repro.machine.loader import load_binary
+from repro.machine.state import MachineState
 from repro.reliability.supervisor import backoff_delay
 from repro.toolchain.ir import Module
 
@@ -204,13 +205,10 @@ class FleetWorker:
         process = load_binary(
             binary, seed=self.load_seed + 31 * self.worker_id, execute_only=True
         )
-        cpu = CPU(
-            process,
-            get_costs(self.machine),
-            instruction_budget=self.instruction_budget,
-            backend=self.backend,
+        state = MachineState(
+            process, get_costs(self.machine), instruction_budget=self.instruction_budget
         )
-        result = cpu.run()
+        result = run(state, self.backend)
         return ServiceProfile(
             cycles=result.cycles,
             instructions=result.instructions,

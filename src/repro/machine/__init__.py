@@ -1,4 +1,4 @@
-"""Simulated x86-64-style machine: memory, ISA, CPU, process image.
+"""Simulated x86-64-style machine: memory, ISA, execution, process image.
 
 This package is the hardware/OS substrate the paper's LLVM prototype
 assumes.  It provides:
@@ -14,10 +14,8 @@ assumes.  It provides:
   push-based BTRA setup is slower than the AVX2 one (Section 6.2.1).
 * :mod:`repro.machine.state` — :class:`MachineState`, the architectural
   state (registers, flags, shadow stack, i-cache) as a first-class,
-  snapshot-able value; one decoded program can drive N states.
-* :mod:`repro.machine.cpu` — the classic ``CPU`` façade: one state bound
-  to one decoded program under a named backend, with cycle/call
-  accounting in :class:`ExecutionResult`.
+  snapshot-able value; one decoded program can drive N states.  Runs
+  account cycles, calls and i-cache traffic in :class:`ExecutionResult`.
 * :mod:`repro.machine.uops` / :mod:`repro.machine.backends` — the
   fetch/decode/execute pipeline: binaries are decoded once into
   pre-resolved micro-ops (cached by content fingerprint) and driven by
@@ -25,6 +23,7 @@ assumes.  It provides:
   or the ``jit`` backend (:mod:`repro.machine.blocks` /
   :mod:`repro.machine.jit`: compiled block functions and tier-3 loop traces;
   observed runs go to ``fast``), with byte-identical results.
+  :func:`run` runs a state from its entry point on a named backend.
 * :mod:`repro.machine.process` — the process image with ASLR over text,
   data, heap and stack regions.
 * :mod:`repro.machine.loader` — maps a linked binary into a process.
@@ -42,13 +41,12 @@ from repro.machine.isa import (
 )
 from repro.machine.costs import MachineCosts, MACHINE_PRESETS
 from repro.machine.icache import ICache
-from repro.machine.state import MachineState
-from repro.machine.cpu import CPU, ExecutionResult
+from repro.machine.state import ExecutionResult, MachineState
 from repro.machine.backends import (
     ExecutionBackend,
     available_backends,
     get_backend,
-    register_backend,
+    run,
 )
 from repro.machine.process import AddressSpaceLayout, Process
 from repro.machine.loader import load_binary
@@ -68,12 +66,11 @@ __all__ = [
     "MACHINE_PRESETS",
     "ICache",
     "MachineState",
-    "CPU",
     "ExecutionResult",
     "ExecutionBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
+    "run",
     "AddressSpaceLayout",
     "Process",
     "load_binary",

@@ -8,7 +8,8 @@ process (cached per process, so N states over one binary decode once);
 completion; ``step(program, state, res, max_steps)`` advances at most
 ``max_steps`` instructions and returns whether the program has halted —
 the primitive under the debugger's single-stepping and the lockstep
-MVEE's batched N-variant scheduling.
+MVEE's batched N-variant scheduling.  :func:`run` is the one-call form:
+run a state from its process's entry point on a named backend.
 
 Three implementations ship:
 
@@ -53,7 +54,7 @@ suite hold them to all of this.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol
+from typing import Dict, Optional
 
 from repro.errors import (
     BoobyTrapTriggered,
@@ -64,8 +65,8 @@ from repro.errors import (
     StackMisaligned,
 )
 from repro.machine.costs import CYCLE_UNIT
-from repro.machine.cpu import UNTAGGED_TAG
 from repro.machine.isa import Imm, Mem, Op, Reg, VECTOR_WORDS, WORD
+from repro.machine.state import UNTAGGED_TAG, ExecutionResult
 from repro.machine.uops import (
     HALT,
     MicroOp,
@@ -83,49 +84,24 @@ __all__ = [
     "DEFAULT_BACKEND",
     "available_backends",
     "get_backend",
-    "register_backend",
+    "run",
 ]
 
 
-class ExecutionBackend(Protocol):
-    """A pluggable dispatch/execute stage over *(program, state)* pairs.
+class ExecutionBackend:
+    """A dispatch/execute stage over *(program, state)* pairs.
 
-    ``prepare`` resolves a state's process into whatever program form the
-    backend drives; ``execute`` runs from ``state.rip`` until EXIT or a
-    fault, accumulating into ``res`` exactly like the reference loop
-    (counters are flushed even when a fault propagates); ``step``
-    advances at most ``max_steps`` instructions and returns True once
-    the program has halted.
+    Each backend supplies ``prepare`` (resolve a state's process into
+    the program form it drives), ``clone_program`` and ``_drive``
+    (advance from ``state.rip`` until EXIT, a fault, or ``max_steps``
+    instructions, accumulating into ``res`` exactly like the reference
+    loop; counters are flushed even when a fault propagates).  On top of
+    ``_drive``, ``execute`` runs to completion and ``step`` advances at
+    most ``max_steps`` instructions, returning True once the program
+    has halted.
     """
 
     name: str
-
-    def prepare(self, state):  # pragma: no cover - protocol signature
-        ...
-
-    def execute(self, program, state, res):  # pragma: no cover - protocol signature
-        ...
-
-    def step(self, program, state, res, max_steps: int):  # pragma: no cover
-        ...
-
-    def clone_program(self, program, state):  # pragma: no cover
-        ...
-
-
-class ReferenceBackend:
-    """The original interpreter loop, preserved as the semantic baseline."""
-
-    name = "reference"
-
-    def prepare(self, state):
-        """The reference program is the process's instruction index."""
-        return state.process.instructions
-
-    def clone_program(self, program, state):
-        """Reference programs carry no per-process bindings; a "clone" is
-        just the new state's own instruction index (free either way)."""
-        return state.process.instructions
 
     def execute(self, program, state, res):
         self._drive(program, state, res, None)
@@ -141,6 +117,21 @@ class ReferenceBackend:
             res.exit_code = state._exit_code
             state.process.exit_code = state._exit_code
         return state._halted
+
+
+class ReferenceBackend(ExecutionBackend):
+    """The original interpreter loop, preserved as the semantic baseline."""
+
+    name = "reference"
+
+    def prepare(self, state):
+        """The reference program is the process's instruction index."""
+        return state.process.instructions
+
+    def clone_program(self, program, state):
+        """Reference programs carry no per-process bindings; a "clone" is
+        just the new state's own instruction index (free either way)."""
+        return state.process.instructions
 
     def _drive(self, program, cpu, res, max_steps: Optional[int]):
         # Local bindings for the hot loop.
@@ -404,7 +395,7 @@ def _missing(cpu, memory, address, remaining):
     raise InvalidInstruction(f"no instruction at {address:#x}")
 
 
-class FastBackend:
+class FastBackend(ExecutionBackend):
     """Micro-op driver: dispatch over pre-resolved handlers.
 
     Per instruction the loop does: a memoized fetch-permission check, the
@@ -432,21 +423,6 @@ class FastBackend:
         clone = clone_bound_program(program, state.process.memory)
         state.process.uop_programs[id(state.costs)] = (state.costs, clone)
         return clone
-
-    def execute(self, program, state, res):
-        self._drive(program, state, res, None)
-        res.exit_code = state._exit_code
-        state.process.exit_code = state._exit_code
-        return res
-
-    def step(self, program, state, res, max_steps: int) -> bool:
-        if state._halted:
-            return True
-        self._drive(program, state, res, max_steps)
-        if state._halted:
-            res.exit_code = state._exit_code
-            state.process.exit_code = state._exit_code
-        return state._halted
 
     def _drive(self, program, cpu, res, max_steps: Optional[int]):
         process = cpu.process
@@ -609,13 +585,29 @@ def get_backend(name: str) -> ExecutionBackend:
         raise MachineError(f"unknown execution backend {name!r} (have: {known})") from None
 
 
-def register_backend(backend: ExecutionBackend) -> None:
-    """Register a custom backend under ``backend.name``."""
-    BACKENDS[backend.name] = backend
+def run(state, backend: str = DEFAULT_BACKEND, result: Optional[ExecutionResult] = None):
+    """Run ``state`` from its process's entry point until EXIT.
+
+    ``backend`` names the execution backend.  Faults (memory, booby
+    traps, budget) propagate as exceptions; a caller that wants the
+    counters of a crashed run passes its own ``result`` in, which is
+    filled up to the faulting instruction.  ``prepare`` and ``execute``
+    are looked up on the backend instance at call time, so wrappers
+    installed on an instance see every run.
+    """
+    entry = state.process.entry_point
+    if entry is None:
+        raise MachineError("process has no entry point")
+    impl = get_backend(backend)
+    if result is None:
+        result = ExecutionResult()
+    state.rip = entry
+    state._halted = False
+    return impl.execute(impl.prepare(state), state, result)
 
 
-# The tier-2 block-compiling backend builds on FastBackend, so it lives in
-# its own module and registers here after the registry exists.
-from repro.machine.jit import JitBackend as _JitBackend  # noqa: E402
+# The tier-2 block-compiling backend builds on ExecutionBackend and
+# FastBackend, so it lives in its own module, imported once both exist.
+from repro.machine.jit import JitBackend  # noqa: E402
 
-register_backend(_JitBackend())
+BACKENDS["jit"] = JitBackend()

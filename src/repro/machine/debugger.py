@@ -17,10 +17,9 @@ the instruction count by one and resuming re-fetched the same
 instruction.  The step-based debugger has no such refetch — stopping is
 simply not-yet-executing.
 
-The wrapped target can be a full :class:`~repro.machine.cpu.CPU` (its
-bound backend is used) or a bare :class:`MachineState` plus a backend
-name — the tooling used by the race-window ablation and handy for
-diagnosing diversified binaries.
+The target is a :class:`MachineState` plus a backend name (default
+``reference``) — the tooling used by the race-window ablation and handy
+for diagnosing diversified binaries.
 
 Stepping composes with the ``jit`` backend through its deopt contract: a
 one-instruction step slice can never satisfy a compiled block prolog's
@@ -36,27 +35,22 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.errors import MachineError
-from repro.machine.cpu import ExecutionResult
-from repro.machine.state import MachineState
+from repro.machine.backends import DEFAULT_BACKEND, get_backend
+from repro.machine.state import ExecutionResult, MachineState
 
 
 class Debugger:
     """Wraps a machine state with breakpoints, stepping, and watchpoints."""
 
-    def __init__(self, target: MachineState, *, backend: Optional[str] = None):
-        from repro.machine.backends import DEFAULT_BACKEND, get_backend
-
+    def __init__(self, target: MachineState, *, backend: str = DEFAULT_BACKEND):
         # One driver per state: a second debugger would fight the first
         # over stepping and fetch state.  (Passive trace hooks — the
         # profiler, test spies — may still chain on ``trace_fn``.)
         if getattr(target, "debugger_attached", False):
-            raise ValueError("a debugger is already attached to this CPU")
+            raise ValueError("a debugger is already attached to this state")
         target.debugger_attached = True
         self.state = target
-        #: Back-compat alias: existing tooling reads ``debugger.cpu``.
-        self.cpu = target
-        name = backend if backend is not None else getattr(target, "backend_name", None)
-        self._backend = get_backend(name if name is not None else DEFAULT_BACKEND)
+        self._backend = get_backend(backend)
         self._program = self._backend.prepare(target)
         self.breakpoints: Set[int] = set()
         self.watchpoints: Dict[int, int] = {}  # address -> last seen value

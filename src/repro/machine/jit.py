@@ -91,6 +91,9 @@ from repro.errors import (
     ShadowStackViolation,
     StackMisaligned,
 )
+# The package imports ``backends`` first, and ``backends`` imports this
+# module only at its bottom, after ExecutionBackend is defined.
+from repro.machine.backends import ExecutionBackend
 from repro.machine.blocks import backward_branch_target, fuse_slice, slice_block
 from repro.machine.costs import CYCLE_UNIT, costs_signature, fold_cost
 from repro.machine.icache import block_line_plan, line_span
@@ -1466,7 +1469,7 @@ class JitProgram:
 # ---------------------------------------------------------------------------
 
 
-class JitBackend:
+class JitBackend(ExecutionBackend):
     """Tier-2 lazily block-compiling backend (``"jit"``).
 
     ``prepare`` returns a cheap :class:`JitProgram`; lowering happens per
@@ -1690,21 +1693,6 @@ class JitBackend:
         )
 
     # -- execution ----------------------------------------------------------
-
-    def execute(self, program, state, res):
-        self._drive(program, state, res, None)
-        res.exit_code = state._exit_code
-        state.process.exit_code = state._exit_code
-        return res
-
-    def step(self, program, state, res, max_steps: int) -> bool:
-        if state._halted:
-            return True
-        self._drive(program, state, res, max_steps)
-        if state._halted:
-            res.exit_code = state._exit_code
-            state.process.exit_code = state._exit_code
-        return state._halted
 
     def _drive(self, program, cpu, res, max_steps: Optional[int]):
         if cpu.trace_fn is not None or cpu.attribute_tags or cpu.count_opcodes:

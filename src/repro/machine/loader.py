@@ -129,14 +129,6 @@ def _rebase(instr: Instruction, resolve) -> Instruction:
     return Instruction(instr.op, a, b, size=instr.size, tag=instr.tag)
 
 
-def make_cpu(process: Process, machine: str = "epyc-rome", **kwargs):
-    """Convenience: build a :class:`~repro.machine.cpu.CPU` for a process."""
-    from repro.machine.costs import get_costs
-    from repro.machine.cpu import CPU
-
-    return CPU(process, get_costs(machine), **kwargs)
-
-
 def prepare_stack(process: Process) -> int:
     """Return the initial 16-byte-aligned stack pointer."""
     top = process.layout.stack_top

@@ -24,7 +24,7 @@ from repro.machine.memory import Memory, PAGE_SIZE, Perm
 from repro.rng import DiversityRng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.machine.cpu import CPU
+    from repro.machine.state import MachineState
 
 
 # Region anchors (pre-ASLR).  Chosen so text/data, heap, and stack words are
@@ -106,7 +106,7 @@ def randomize_layout(
     )
 
 
-RuntimeService = Callable[["Process", "CPU"], int]
+RuntimeService = Callable[["Process", "MachineState"], int]
 
 
 class Process:

@@ -16,10 +16,10 @@ program can therefore drive any number of states — the mechanism behind
 and a state can be handed between drivers (the debugger single-steps the
 same state a backend later runs to completion).
 
-``CPU`` (:mod:`repro.machine.cpu`) subclasses this with a backend binding
-and the classic ``run()`` entry point, so every existing trace hook,
-runtime service, and micro-op handler keeps receiving the object it
-always has: the state *is* the ``cpu`` argument of those callbacks.
+:func:`repro.machine.backends.run` runs a state from its process's entry
+point on a named backend, accumulating into an :class:`ExecutionResult`.
+Trace hooks, runtime services and micro-op handlers receive the state
+itself as their ``cpu`` argument.
 
 Snapshots
 ---------
@@ -40,16 +40,85 @@ stepping a state and running it produce the same trajectory.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List
 
 from repro.errors import InvalidInstruction
 from repro.machine.costs import MachineCosts
 from repro.machine.icache import ICache
-from repro.machine.isa import Imm, Mem, Reg
+from repro.machine.isa import Imm, Mem, Op, Reg
 from repro.machine.process import Process
 from repro.numeric import MASK64
 
-__all__ = ["MachineState"]
+__all__ = ["ExecutionResult", "MachineState", "UNTAGGED_TAG"]
+
+#: Attribution bucket for untagged (application) instructions.  With
+#: ``attribute_tags=True`` every executed instruction lands in exactly one
+#: ``tag_cycles``/``tag_counts`` bucket — diversification-emitted code
+#: under its own tag, everything else here — so the buckets decompose the
+#: run's total cycles and instruction count.
+UNTAGGED_TAG = "app"
+
+
+@dataclass
+class ExecutionResult:
+    """Counters and outputs from one program run.
+
+    Every field is backend-invariant: the ``reference`` and ``fast``
+    backends fill identical values (including ``opcode_counts`` and
+    ``tag_cycles``) for the same program and seed.
+    """
+
+    exit_code: int = 0
+    instructions: int = 0
+    #: Total cycles as a float, derived from ``cycle_units`` at every
+    #: flush point (one exact division — never accumulated in float, so
+    #: sliced ``step()`` runs and whole runs agree bit-for-bit).
+    cycles: float = 0.0
+    #: Total cycles in exact integer units of 1/``CYCLE_UNIT`` cycles —
+    #: the canonical accumulator all backends add into.  Integer addition
+    #: is associative, which is what lets the tier-2 backend fold whole
+    #: blocks of charges into single literals.
+    cycle_units: int = 0
+    calls: int = 0
+    rets: int = 0
+    branches: int = 0
+    #: Branch-family instructions that redirected control flow.  A faulting
+    #: indirect target is not counted (the fault wins, matching the
+    #: reference loop's ordering).
+    branches_taken: int = 0
+    icache_hits: int = 0
+    icache_misses: int = 0
+    #: Instructions carrying a memory operand — the same predicate that
+    #: charges ``mem_operand_extra``.
+    mem_ops: int = 0
+    #: Booby traps detonated (executed TRAP instructions); counted before
+    #: the BoobyTrapTriggered fault propagates.
+    traps: int = 0
+    output: List[int] = field(default_factory=list)
+    opcode_counts: Dict[Op, int] = field(default_factory=dict)
+    #: Cycles attributed to instruction tags, filled when the state runs
+    #: with ``attribute_tags=True``.  Untagged instructions land under
+    #: :data:`UNTAGGED_TAG`.  Derived from ``tag_cycle_units`` at flush
+    #: time; the unit buckets sum to ``cycle_units`` exactly and
+    #: ``tag_counts`` sums to ``instructions`` exactly.
+    tag_cycles: Dict[str, float] = field(default_factory=dict)
+    #: Per-tag cycle totals in integer units (canonical accumulator
+    #: behind ``tag_cycles``).
+    tag_cycle_units: Dict[str, int] = field(default_factory=dict)
+    #: Per-tag executed-instruction counts (same bucketing as ``tag_cycles``).
+    tag_counts: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def icache_miss_rate(self) -> float:
+        total = self.icache_hits + self.icache_misses
+        return self.icache_misses / total if total else 0.0
+
+    def perf_counters(self):
+        """This run as a :class:`repro.obs.counters.PerfCounters` view."""
+        from repro.obs.counters import PerfCounters
+
+        return PerfCounters.from_result(self)
 
 
 class MachineState:

@@ -447,7 +447,7 @@ def _exit_n(cpu, u):
 
 # ---------------------------------------------------------------------------
 # Generic fallback handlers: one per opcode, operating on the original
-# (rebased) Instruction via the CPU's reference operand helpers.  These are
+# (rebased) Instruction via the state's reference operand helpers.  These are
 # the reference semantics verbatim, adapted to the driver protocol, and
 # cover every operand combination the specialized table does not.
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Shared 64-bit two's-complement arithmetic helpers.
 
-The machine interpreter (:mod:`repro.machine.cpu`), the micro-op backends
-(:mod:`repro.machine.backends`) and the golden-model IR interpreter
-(:mod:`repro.toolchain.interp`) must agree bit-for-bit on signed 64-bit
-semantics — the property-based equivalence suite compares their outputs
-directly.  They therefore share this single implementation instead of
+The machine's execution backends (:mod:`repro.machine.backends`), the
+micro-op handlers (:mod:`repro.machine.uops`) and the golden-model IR
+interpreter (:mod:`repro.toolchain.interp`) must agree bit-for-bit on
+signed 64-bit semantics — the property-based equivalence suite compares
+their outputs directly.  They therefore share this single implementation instead of
 keeping per-module copies that could drift.
 """
 

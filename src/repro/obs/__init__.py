@@ -11,14 +11,14 @@ observability layer instead of ad-hoc ``perf_counter`` calls:
 * :mod:`repro.obs.counters` — :class:`PerfCounters`, the machine-level
   counter structure both execution backends fill byte-identically.
 * :mod:`repro.obs.profiler` — per-RIP/per-function cycle attribution
-  with folded-stack (flamegraph) output, driven off the CPU trace hook
+  with folded-stack (flamegraph) output, driven off the machine state's trace hook
   so it works on either backend and through BTRA-displaced frames.
 
 Host-time benchmarking lives outside the package, in r2cbench
 (``python3 -m benchmarks.r2cbench``).
 
 Everything here is strictly passive: enabling tracing or attaching a
-profiler never changes :class:`~repro.machine.cpu.ExecutionResult`,
+profiler never changes :class:`~repro.machine.state.ExecutionResult`,
 faults, or final ``rip`` (a property test enforces this), and with
 tracing *disabled* the instrumentation costs one flag check per phase.
 """

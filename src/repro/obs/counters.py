@@ -1,7 +1,7 @@
 """Machine-level performance counters.
 
 :class:`PerfCounters` is the observability view over one
-:class:`~repro.machine.cpu.ExecutionResult`: every architectural event
+:class:`~repro.machine.state.ExecutionResult`: every architectural event
 the simulated machine counts, in one flat, JSON-stable structure.  Every
 execution backend — the ``reference`` loop, the ``fast`` micro-op
 pipeline, and the block-compiling ``jit`` — fills the underlying
@@ -61,7 +61,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict
 
-from repro.machine.cpu import UNTAGGED_TAG, ExecutionResult
+from repro.machine.state import UNTAGGED_TAG, ExecutionResult
 
 __all__ = ["PerfCounters", "UNTAGGED_TAG", "merge_variant_counters"]
 

@@ -1,7 +1,7 @@
 """Hot-path profiler: per-RIP / per-function cycle attribution.
 
-:class:`CycleProfiler` rides the CPU's per-instruction trace hook
-(``cpu.trace_fn``), which every execution backend invokes *before* each
+:class:`CycleProfiler` rides the machine state's per-instruction trace
+hook (``state.trace_fn``), which every execution backend invokes *before* each
 instruction with identical streams.  It recomputes each instruction's
 cycle cost exactly as the backends do — per-opcode base cost, i-cache
 miss penalties replayed through a private shadow :class:`ICache` fed the
@@ -52,16 +52,17 @@ UNKNOWN_FUNCTION = "?"
 
 
 class CycleProfiler:
-    """Attach to a :class:`~repro.machine.cpu.CPU`, run, read the profile.
+    """Attach to a :class:`~repro.machine.state.MachineState`, run, read
+    the profile.
 
     Usage::
 
-        cpu = CPU(process, costs, backend="fast")
-        profiler = CycleProfiler(cpu)
-        cpu.run()
+        state = MachineState(process, costs)
+        profiler = CycleProfiler(state)
+        run(state, "fast")
         print(profiler.report())
 
-    The constructor installs itself as ``cpu.trace_fn`` (chaining any
+    The constructor installs itself as ``state.trace_fn`` (chaining any
     hook already present — the debugger, a test spy — which keeps firing
     first); :meth:`detach` restores the previous hook.
 

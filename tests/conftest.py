@@ -7,9 +7,10 @@ import pytest
 from repro.analysis import set_default_verify
 from repro.core.config import R2CConfig
 from repro.core.compiler import compile_module
+from repro.machine.backends import DEFAULT_BACKEND, run
 from repro.machine.costs import get_costs
-from repro.machine.cpu import CPU
 from repro.machine.loader import load_binary
+from repro.machine.state import MachineState
 from repro.toolchain.builder import IRBuilder
 from repro.toolchain.interp import interpret_module
 
@@ -19,13 +20,21 @@ from repro.toolchain.interp import interpret_module
 set_default_verify(True)
 
 
-def run_compiled(module, config=None, *, load_seed=1, machine="epyc-rome", **cpu_kwargs):
-    """Compile, load and run a module; return (ExecutionResult, process)."""
+def run_compiled(
+    module,
+    config=None,
+    *,
+    load_seed=1,
+    machine="epyc-rome",
+    backend=DEFAULT_BACKEND,
+    **state_kwargs,
+):
+    """Compile, load and run a module on ``backend``; return
+    (ExecutionResult, process).  ``state_kwargs`` go to the MachineState."""
     binary = compile_module(module, config)
     process = load_binary(binary, seed=load_seed)
     process.register_service("attack_hook", lambda proc, cpu: 0)
-    cpu = CPU(process, get_costs(machine), **cpu_kwargs)
-    result = cpu.run()
+    result = run(MachineState(process, get_costs(machine), **state_kwargs), backend)
     process.note_resident()
     return result, process
 

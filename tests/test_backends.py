@@ -4,7 +4,7 @@ The fetch/decode/execute split (DESIGN.md) requires the ``fast``
 micro-op backend to be observationally indistinguishable from the
 ``reference`` interpreter loop: identical :class:`ExecutionResult`
 counters (cycles, opcode counts, tag attribution, i-cache hits/misses),
-identical faults (type, message, and faulting ``cpu.rip``) — even for
+identical faults (type, message, and faulting ``rip``) — even for
 runs that crash mid-program — plus identical trace-hook and debugger
 behaviour.  These tests drive both backends over the same programs and
 compare everything.
@@ -30,16 +30,15 @@ from repro.errors import (
     ShadowStackViolation,
     StackMisaligned,
 )
-from repro.machine.backends import available_backends, get_backend
+from repro.machine.backends import available_backends, get_backend, run
 from repro.machine.costs import get_costs
-from repro.machine.cpu import CPU, ExecutionResult
 from repro.machine.debugger import Debugger
 from repro.machine.isa import Imm, Instruction, Mem, Op, Reg
 from repro.machine.loader import load_binary
 from repro.machine.memory import Perm
 from repro.machine.uops import DECODE_STATS, clear_decode_cache, get_bound_program
 from repro.machine.process import AddressSpaceLayout, Process
-from repro.machine.state import MachineState
+from repro.machine.state import ExecutionResult, MachineState
 
 from tests.conftest import FULL_CONFIGS
 
@@ -79,42 +78,44 @@ def assemble(instrs, *, execute_only=True):
     return process, addresses
 
 
-def run_one_backend(make_process, backend, slices=None, **cpu_kwargs):
+def run_one_backend(make_process, backend, slices=None, **state_kwargs):
     """Run ``make_process()`` under ``backend``; capture result and fault.
 
     With ``slices`` (an iterator of instruction counts) the run is driven
     through ``step()`` slices of those lengths instead of one ``run()``."""
     process = make_process()
     res = ExecutionResult()
-    cpu = CPU(process, get_costs("epyc-rome"), backend=backend, **cpu_kwargs)
+    state = MachineState(process, get_costs("epyc-rome"), **state_kwargs)
     error = None
     try:
         if slices is None:
-            cpu.run(result=res)
+            run(state, backend, res)
         else:
-            cpu.rip = process.entry_point
-            while not cpu.step(res, next(slices)):
+            impl = get_backend(backend)
+            program = impl.prepare(state)
+            state.rip = process.entry_point
+            while not impl.step(program, state, res, next(slices)):
                 pass
     except Exception as exc:  # noqa: BLE001 - faults are the subject here
         error = (type(exc), str(exc))
     return {
         "result": dataclasses.asdict(res),
         "error": error,
-        "rip": cpu.rip,
-        "regs": list(cpu.regs),
-        "shadow": list(cpu.shadow_stack),
+        "rip": state.rip,
+        "regs": list(state.regs),
+        "shadow": list(state.shadow_stack),
         "exit_code": process.exit_code,
     }
 
 
-def compare_backends(make_process, **cpu_kwargs):
+def compare_backends(make_process, **state_kwargs):
     """Assert every registered backend observes the identical machine
     trajectory."""
-    reference = run_one_backend(make_process, "reference", **cpu_kwargs)
+    reference = run_one_backend(make_process, "reference", **state_kwargs)
     for backend in BACKENDS:
         if backend == "reference":
             continue
-        observed = run_one_backend(make_process, backend, **cpu_kwargs)
+        observed = run_one_backend(make_process, backend, **state_kwargs)
         assert observed == reference, f"backend {backend!r} diverged"
     return reference
 
@@ -165,7 +166,7 @@ def test_cycles_are_float_identical(simple_module):
     for backend in BACKENDS:
         process = load_binary(binary, seed=1)
         process.register_service("attack_hook", lambda proc, cpu: 0)
-        result = CPU(process, get_costs("i9-9900k"), backend=backend).run()
+        result = run(MachineState(process, get_costs("i9-9900k")), backend)
         totals[backend] = result.cycles
     assert all(total == totals["reference"] for total in totals.values())
 
@@ -383,11 +384,9 @@ def test_perf_counters_and_profiles_identical(seed, btra_mode):
     observed = {}
     for backend in BACKENDS:
         process = load_binary(binary, seed=seed)
-        cpu = CPU(
-            process, get_costs("epyc-rome"), backend=backend, attribute_tags=True
-        )
-        profiler = CycleProfiler(cpu)
-        result = cpu.run()
+        state = MachineState(process, get_costs("epyc-rome"), attribute_tags=True)
+        profiler = CycleProfiler(state)
+        result = run(state, backend)
         observed[backend] = {
             "counters": result.perf_counters().to_json(),
             "folded": profiler.folded_stacks(),
@@ -404,14 +403,14 @@ def test_perf_counters_and_profiles_identical(seed, btra_mode):
     lean = {}
     for backend in BACKENDS:
         process = load_binary(binary, seed=seed)
-        cpu = CPU(process, get_costs("epyc-rome"), backend=backend)
-        result = cpu.run()
+        state = MachineState(process, get_costs("epyc-rome"))
+        result = run(state, backend)
         lean[backend] = {
             "counters": result.perf_counters().to_json(),
             "result": dataclasses.asdict(result),
         }
         if backend == "jit":
-            _, jit_program = cpu._bind()
+            jit_program = get_backend("jit").prepare(state)
     for backend in BACKENDS:
         assert lean[backend] == lean["reference"], backend
     # The jit leg ran xz's hot loop as an installed loop trace (freshly
@@ -435,16 +434,15 @@ def test_trace_fn_sees_identical_stream():
                 I(Op.EXIT, Imm(0)),
             ]
         )
-        cpu = CPU(
+        state = MachineState(
             process,
             get_costs("epyc-rome"),
-            backend=backend,
             trace_fn=lambda c, rip, ins: seen.append((rip, ins.op, c.rip)),
         )
-        cpu.run()
+        run(state, backend)
         streams[backend] = seen
     assert streams["reference"] == streams["fast"]
-    # The hook observes cpu.rip parked on the traced instruction.
+    # The hook observes state.rip parked on the traced instruction.
     assert all(rip == cur for rip, _, cur in streams["fast"])
 
 
@@ -458,11 +456,11 @@ def test_debugger_breakpoints_work_on_fast_backend():
             I(Op.EXIT, Imm(0)),
         ]
         process, addresses = assemble(instrs)
-        cpu = CPU(process, get_costs("epyc-rome"), backend=backend)
-        debugger = Debugger(cpu)
+        state = MachineState(process, get_costs("epyc-rome"))
+        debugger = Debugger(state, backend=backend)
         debugger.add_breakpoint(addresses[2])
         assert not debugger.cont()  # stopped at the OUT
-        at_break = (cpu.rip, cpu.regs[Reg.RAX])
+        at_break = (state.rip, state.regs[Reg.RAX])
         assert debugger.cont()  # runs to completion
         states[backend] = (at_break, debugger.result.exit_code, list(process.output))
     assert states["reference"] == states["fast"]
@@ -485,7 +483,7 @@ def test_binary_decoded_once_per_fingerprint(simple_module):
     for binary in (first, second, first):
         process = load_binary(binary, seed=1)
         process.register_service("attack_hook", lambda proc, cpu: 0)
-        CPU(process, get_costs("epyc-rome"), backend="fast").run()
+        run(MachineState(process, get_costs("epyc-rome")), "fast")
     assert DECODE_STATS["decodes"] == 1
     assert DECODE_STATS["cache_hits"] == 2
 
@@ -496,7 +494,7 @@ def test_distinct_configs_decode_separately(simple_module):
         binary = compile_module(simple_module, R2CConfig.full(seed=seed))
         process = load_binary(binary, seed=1)
         process.register_service("attack_hook", lambda proc, cpu: 0)
-        CPU(process, get_costs("epyc-rome"), backend="fast").run()
+        run(MachineState(process, get_costs("epyc-rome")), "fast")
     assert DECODE_STATS["decodes"] == 2
 
 
@@ -515,10 +513,10 @@ def test_rerunning_same_process_reuses_bound_program():
         [I(Op.MOV, Reg.RAX, Imm(3)), I(Op.OUT, Reg.RAX), I(Op.EXIT, Imm(0))]
     )
     costs = get_costs("epyc-rome")
-    cpu = CPU(process, costs, backend="fast")
-    cpu.run()
+    state = MachineState(process, costs)
+    run(state, "fast")
     assert len(process.uop_programs) == 1
-    CPU(process, costs, backend="fast").run()
+    run(MachineState(process, costs), "fast")
     assert len(process.uop_programs) == 1
 
 
@@ -536,6 +534,43 @@ def test_backend_registry():
 
 def test_unknown_backend_fails_at_run():
     process, _ = assemble([I(Op.EXIT, Imm(0))])
-    cpu = CPU(process, get_costs("epyc-rome"), backend="bogus")
+    state = MachineState(process, get_costs("epyc-rome"))
     with pytest.raises(MachineError):
-        cpu.run()
+        run(state, "bogus")
+
+
+# ---------------------------------------------------------------------------
+# run(): the one-call entry point.
+# ---------------------------------------------------------------------------
+
+
+def test_run_goes_through_the_backend_instance(monkeypatch):
+    """``run`` looks ``prepare`` and ``execute`` up on the backend
+    instance at call time, so wrappers installed there see every run."""
+    jit = get_backend("jit")
+    calls = []
+
+    def recording(name, method):
+        def wrapper(*args):
+            calls.append(name)
+            return method(*args)
+
+        return wrapper
+
+    # Patching the instance dict (not the attribute) lets the undo delete
+    # the wrappers instead of leaving bound methods behind on the instance.
+    monkeypatch.setitem(vars(jit), "prepare", recording("prepare", jit.prepare))
+    monkeypatch.setitem(vars(jit), "execute", recording("execute", jit.execute))
+    process, _ = assemble(
+        [I(Op.MOV, Reg.RAX, Imm(7)), I(Op.OUT, Reg.RAX), I(Op.EXIT, Imm(0))]
+    )
+    result = run(MachineState(process, get_costs("epyc-rome")), "jit")
+    assert calls == ["prepare", "execute"]
+    assert result.output == [7]
+
+
+def test_run_needs_an_entry_point():
+    process, _ = assemble([I(Op.EXIT, Imm(0))])
+    process.entry_point = None
+    with pytest.raises(MachineError, match="^process has no entry point$"):
+        run(MachineState(process, get_costs("epyc-rome")))

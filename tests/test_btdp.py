@@ -7,11 +7,12 @@ from repro.core.config import R2CConfig
 from repro.core.compiler import compile_module
 from repro.core.passes.btdp import DECOY_PREFIX, HARDENED_PTR_SYMBOL, NAIVE_ARRAY_SYMBOL
 from repro.errors import GuardPageFault
+from repro.machine.backends import run
 from repro.machine.costs import get_costs
-from repro.machine.cpu import CPU
 from repro.machine.isa import Reg
 from repro.machine.loader import load_binary
 from repro.machine.memory import PAGE_SIZE, Perm
+from repro.machine.state import MachineState
 from repro.workloads.victim import build_victim
 
 WORD = 8
@@ -117,7 +118,7 @@ def test_btdps_written_into_stack_frames():
         return 0
 
     process.register_service("attack_hook", hook)
-    CPU(process, get_costs("epyc-rome")).run()
+    run(MachineState(process, get_costs("epyc-rome")))
     assert found["hits"] >= 1
 
 

@@ -10,10 +10,11 @@ import pytest
 from repro.core.config import R2CConfig
 from repro.core.compiler import compile_module
 from repro.errors import BoobyTrapTriggered
+from repro.machine.backends import run
 from repro.machine.costs import get_costs
-from repro.machine.cpu import CPU
 from repro.machine.isa import Reg
 from repro.machine.loader import load_binary
+from repro.machine.state import MachineState
 from repro.toolchain.builder import IRBuilder
 
 WORD = 8
@@ -58,7 +59,7 @@ class StackProbe:
             return 0
 
         self.process.register_service("attack_hook", hook)
-        self.result = CPU(self.process, get_costs("epyc-rome")).run()
+        self.result = run(MachineState(self.process, get_costs("epyc-rome")))
 
     def _snapshot(self, rsp):
         binary = self.binary
@@ -195,7 +196,7 @@ def test_returning_into_a_btra_detonates(push_probe):
     # The probe's snapshot helper reads through probe.process; repoint it.
     probe.process = process
     with pytest.raises(BoobyTrapTriggered):
-        CPU(process, get_costs("epyc-rome")).run()
+        run(MachineState(process, get_costs("epyc-rome")))
 
 
 def test_unprotected_callees_get_no_btras_by_default():
@@ -311,4 +312,4 @@ def test_integrity_check_detonates_on_btra_corruption():
 
     process.register_service("attack_hook", hook)
     with pytest.raises(BoobyTrapTriggered):
-        CPU(process, get_costs("epyc-rome")).run()
+        run(MachineState(process, get_costs("epyc-rome")))

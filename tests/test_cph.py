@@ -8,9 +8,9 @@ from repro.core.config import R2CConfig
 from repro.core.compiler import compile_module
 from repro.core.passes.cph import TRAMPOLINE_PREFIX
 from repro.machine.costs import get_costs
-from repro.machine.cpu import CPU
 from repro.machine.debugger import Debugger
 from repro.machine.loader import load_binary
+from repro.machine.state import MachineState
 from repro.toolchain.builder import IRBuilder
 from repro.toolchain.disasm import disassemble_function, format_instruction, section_map
 from repro.workloads.victim import build_victim
@@ -121,8 +121,7 @@ def make_debug_session(config=None):
     binary = compile_module(build_victim(), config or R2CConfig.baseline())
     process = load_binary(binary, seed=3)
     process.register_service("attack_hook", lambda proc, cpu: 0)
-    cpu = CPU(process, get_costs("epyc-rome"))
-    return Debugger(cpu), process
+    return Debugger(MachineState(process, get_costs("epyc-rome"))), process
 
 
 def test_debugger_breakpoint_by_symbol():
@@ -173,4 +172,4 @@ def test_debugger_watchpoint_sees_global_write():
 def test_debugger_rejects_busy_cpu():
     debugger, _ = make_debug_session()
     with pytest.raises(ValueError):
-        Debugger(debugger.cpu)
+        Debugger(debugger.state)

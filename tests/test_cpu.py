@@ -1,4 +1,5 @@
-"""Tests for the CPU interpreter, including the BTRA-critical semantics."""
+"""Tests for the machine's instruction semantics, including the
+BTRA-critical ones (run on the default backend)."""
 
 import pytest
 
@@ -9,10 +10,11 @@ from repro.errors import (
     MachineError,
     StackMisaligned,
 )
+from repro.machine import backends
 from repro.machine.costs import get_costs
-from repro.machine.cpu import CPU
 from repro.machine.isa import Imm, Instruction, Mem, Op, Reg
 from repro.machine.process import AddressSpaceLayout, Process
+from repro.machine.state import MachineState
 from repro.numeric import to_signed, truncated_div
 
 TEXT = 0x5555_0000_0000
@@ -44,11 +46,15 @@ def assemble(instrs, *, execute_only=True):
     return process, addresses
 
 
+def machine(process, **kwargs):
+    return MachineState(process, get_costs("epyc-rome"), **kwargs)
+
+
 def run(instrs, **kwargs):
     process, addresses = assemble(instrs)
-    cpu = CPU(process, get_costs("epyc-rome"), **kwargs)
-    result = cpu.run()
-    return cpu, result, addresses
+    state = machine(process, **kwargs)
+    result = backends.run(state)
+    return state, result, addresses
 
 
 I = Instruction
@@ -148,8 +154,7 @@ def test_call_writes_return_address_at_new_rsp():
     ]
     process, addresses = assemble(instrs)
     instrs[2].a = Imm(addresses[4])
-    cpu = CPU(process, get_costs("epyc-rome"))
-    result = cpu.run()
+    result = backends.run(machine(process))
     ra = result.output[0]
     assert ra == addresses[3]  # the instruction after the call
     assert ra != marker  # the pushed word was overwritten in place
@@ -165,9 +170,8 @@ def test_alignment_enforced_at_call():
     ]
     process, addresses = assemble(instrs)
     instrs[1].a = Imm(addresses[3])
-    cpu = CPU(process, get_costs("epyc-rome"))
     with pytest.raises(StackMisaligned):
-        cpu.run()
+        backends.run(machine(process))
 
 
 def test_alignment_check_can_be_disabled():
@@ -179,8 +183,7 @@ def test_alignment_check_can_be_disabled():
     ]
     process, addresses = assemble(instrs)
     instrs[1].a = Imm(addresses[3])
-    cpu = CPU(process, get_costs("epyc-rome"), check_alignment=False)
-    assert cpu.run().exit_code == 0
+    assert backends.run(machine(process, check_alignment=False)).exit_code == 0
 
 
 def test_conditional_jumps():
@@ -194,7 +197,7 @@ def test_conditional_jumps():
     ]
     process, addresses = assemble(instrs)
     instrs[2].a = Imm(addresses[4])
-    result = CPU(process, get_costs("epyc-rome")).run()
+    result = backends.run(machine(process))
     assert result.output == [222]
 
 
@@ -231,7 +234,7 @@ def test_vector_load_store_moves_32_bytes():
     process, _ = assemble(instrs)
     for i in range(4):
         process.memory.store_word_raw(DATA + 8 * i, 100 + i)
-    result = CPU(process, get_costs("epyc-rome")).run()
+    result = backends.run(machine(process))
     assert result.output == [101]
 
 
@@ -244,7 +247,7 @@ def test_callrt_dispatches_to_service():
     ]
     process, _ = assemble(instrs)
     process.register_service("double", lambda proc, cpu: cpu.regs[Reg.RDI] * 2)
-    result = CPU(process, get_costs("epyc-rome")).run()
+    result = backends.run(machine(process))
     assert result.output == [42]
 
 
@@ -252,23 +255,22 @@ def test_unknown_service_raises():
     instrs = [I(Op.CALLRT, Imm(symbol="nope")), I(Op.EXIT, Imm(0))]
     process, _ = assemble(instrs)
     with pytest.raises(MachineError):
-        CPU(process, get_costs("epyc-rome")).run()
+        backends.run(machine(process))
 
 
 def test_instruction_budget_enforced():
     instrs = [I(Op.JMP, Imm(0))]
     process, addresses = assemble(instrs)
     instrs[0].a = Imm(addresses[0])  # infinite loop
-    cpu = CPU(process, get_costs("epyc-rome"), instruction_budget=100)
     with pytest.raises(ExecutionLimitExceeded):
-        cpu.run()
+        backends.run(machine(process, instruction_budget=100))
 
 
 def test_fetch_from_data_faults():
     instrs = [I(Op.JMP, Imm(DATA)), I(Op.EXIT, Imm(0))]
     process, _ = assemble(instrs)
     with pytest.raises(MachineError):
-        CPU(process, get_costs("epyc-rome")).run()
+        backends.run(machine(process))
 
 
 def test_counters_and_cycles():
@@ -291,12 +293,7 @@ def test_trace_fn_sees_every_instruction():
         I(Op.EXIT, Imm(0)),
     ]
     process, _ = assemble(instrs)
-    cpu = CPU(
-        process,
-        get_costs("epyc-rome"),
-        trace_fn=lambda c, rip, ins: seen.append(ins.op),
-    )
-    cpu.run()
+    backends.run(machine(process, trace_fn=lambda c, rip, ins: seen.append(ins.op)))
     assert seen == [Op.MOV, Op.EXIT]
 
 
@@ -304,8 +301,7 @@ def test_opcode_counting():
     process, _ = assemble(
         [I(Op.MOV, Reg.RAX, Imm(1)), I(Op.MOV, Reg.RBX, Imm(2)), I(Op.EXIT, Imm(0))]
     )
-    cpu = CPU(process, get_costs("epyc-rome"), count_opcodes=True)
-    result = cpu.run()
+    result = backends.run(machine(process, count_opcodes=True))
     assert result.opcode_counts[Op.MOV] == 2
     assert result.opcode_counts[Op.EXIT] == 1
 
@@ -320,5 +316,5 @@ def test_mem_operand_with_index_scale():
     ]
     process, _ = assemble(instrs)
     process.memory.store_word_raw(DATA + 8 + 16, 777)
-    result = CPU(process, get_costs("epyc-rome")).run()
+    result = backends.run(machine(process))
     assert result.output == [777]

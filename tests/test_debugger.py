@@ -10,9 +10,8 @@ import pytest
 
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
-from repro.machine.backends import get_backend
+from repro.machine.backends import get_backend, run
 from repro.machine.costs import get_costs
-from repro.machine.cpu import CPU
 from repro.machine.debugger import Debugger
 from repro.machine.isa import Imm, Instruction, Mem, Op, Reg
 from repro.machine.loader import load_binary
@@ -41,11 +40,11 @@ def test_single_step_parity_across_backends():
     trajectories = {}
     for backend in BACKENDS:
         process, _ = counting_program()
-        cpu = CPU(process, get_costs("epyc-rome"), backend=backend)
-        debugger = Debugger(cpu)
+        state = MachineState(process, get_costs("epyc-rome"))
+        debugger = Debugger(state, backend=backend)
         seen = []
         while not debugger.step():
-            seen.append((cpu.rip, cpu.regs[Reg.RAX]))
+            seen.append((state.rip, state.regs[Reg.RAX]))
         trajectories[backend] = (seen, debugger.result.exit_code, list(process.output))
     assert trajectories["reference"] == trajectories["fast"]
     seen, exit_code, output = trajectories["fast"]
@@ -55,11 +54,11 @@ def test_single_step_parity_across_backends():
 
 def test_step_count_runs_exactly_n_instructions():
     process, addresses = counting_program()
-    cpu = CPU(process, get_costs("epyc-rome"))
-    debugger = Debugger(cpu)
+    state = MachineState(process, get_costs("epyc-rome"))
+    debugger = Debugger(state)
     assert not debugger.step(3)
-    assert cpu.rip == addresses[3]  # parked on the OUT
-    assert cpu.regs[Reg.RAX] == 12
+    assert state.rip == addresses[3]  # parked on the OUT
+    assert state.regs[Reg.RAX] == 12
     assert debugger.step(100)  # runs off the end: program finishes
     assert debugger.finished
 
@@ -67,14 +66,14 @@ def test_step_count_runs_exactly_n_instructions():
 def test_breakpoint_then_resume_matches_undebugged_run():
     for backend in BACKENDS:
         plain_process, _ = counting_program()
-        plain = CPU(plain_process, get_costs("epyc-rome"), backend=backend).run()
+        plain = run(MachineState(plain_process, get_costs("epyc-rome")), backend)
 
         process, addresses = counting_program()
-        cpu = CPU(process, get_costs("epyc-rome"), backend=backend)
-        debugger = Debugger(cpu)
+        state = MachineState(process, get_costs("epyc-rome"))
+        debugger = Debugger(state, backend=backend)
         debugger.add_breakpoint(addresses[2])
         assert not debugger.cont()
-        assert cpu.rip == addresses[2] and cpu.regs[Reg.RAX] == 5
+        assert state.rip == addresses[2] and state.regs[Reg.RAX] == 5
         assert debugger.cont()
         assert debugger.result.exit_code == plain.exit_code
         assert list(process.output) == list(plain_process.output)
@@ -87,13 +86,13 @@ def test_breakpoint_then_resume_matches_undebugged_run():
 
 def test_remove_breakpoint():
     process, addresses = counting_program()
-    cpu = CPU(process, get_costs("epyc-rome"))
-    debugger = Debugger(cpu)
+    state = MachineState(process, get_costs("epyc-rome"))
+    debugger = Debugger(state)
     debugger.add_breakpoint(addresses[1])
     debugger.add_breakpoint(addresses[3])
     debugger.remove_breakpoint(addresses[1])
     assert not debugger.cont()
-    assert cpu.rip == addresses[3]  # first stop is the remaining breakpoint
+    assert state.rip == addresses[3]  # first stop is the remaining breakpoint
     assert debugger.cont()
 
 
@@ -103,11 +102,11 @@ def test_symbol_breakpoint_on_compiled_module(simple_module):
     for backend in BACKENDS:
         process = load_binary(binary, seed=1)
         process.register_service("attack_hook", lambda proc, cpu: 0)
-        cpu = CPU(process, get_costs("epyc-rome"), backend=backend)
-        debugger = Debugger(cpu)
+        state = MachineState(process, get_costs("epyc-rome"))
+        debugger = Debugger(state, backend=backend)
         address = debugger.break_at("double")
         assert not debugger.cont()
-        assert cpu.rip == address
+        assert state.rip == address
         assert debugger.current_function() == "double"
         assert debugger.cont()
         # Relative position only: the load seed randomizes absolute bases.
@@ -123,8 +122,8 @@ def test_watchpoint_records_old_and_new_values():
         I(Op.EXIT, Imm(0)),
     ]
     process, _ = assemble(instrs, execute_only=False)
-    cpu = CPU(process, get_costs("epyc-rome"))
-    debugger = Debugger(cpu)
+    state = MachineState(process, get_costs("epyc-rome"))
+    debugger = Debugger(state)
     debugger.add_watchpoint(DATA)
     assert debugger.cont()
     values = [(hit["old"], hit["new"]) for hit in debugger.watch_hits]
@@ -136,18 +135,18 @@ def test_debugger_leaves_trace_hook_free():
     installed before (or after) attaching keeps seeing every executed
     instruction exactly once."""
     process, _ = counting_program()
-    cpu = CPU(process, get_costs("epyc-rome"))
+    state = MachineState(process, get_costs("epyc-rome"))
     seen = []
-    cpu.trace_fn = lambda c, rip, ins: seen.append(rip)
-    debugger = Debugger(cpu)
-    assert cpu.trace_fn is not None  # not displaced
+    state.trace_fn = lambda c, rip, ins: seen.append(rip)
+    debugger = Debugger(state)
+    assert state.trace_fn is not None  # not displaced
     assert debugger.cont()
     assert len(seen) == debugger.result.instructions == 5
 
 
 def test_debugger_drives_bare_machine_state():
-    """Single-stepping works against a MachineState passed explicitly —
-    no CPU façade required, backend chosen by name."""
+    """Single-stepping works against a MachineState passed explicitly,
+    backend chosen by name."""
     for backend in BACKENDS:
         process, addresses = counting_program()
         state = MachineState(process, get_costs("epyc-rome"))
@@ -165,7 +164,7 @@ def test_debugged_run_matches_plain_run_counters():
     accumulates exactly the undebugged run's result on both backends."""
     for backend in BACKENDS:
         plain_process, _ = counting_program()
-        plain = CPU(plain_process, get_costs("epyc-rome"), backend=backend).run()
+        plain = run(MachineState(plain_process, get_costs("epyc-rome")), backend)
 
         process, _ = counting_program()
         state = MachineState(process, get_costs("epyc-rome"))
@@ -184,8 +183,8 @@ def test_stepping_respects_instruction_budget():
 
     for backend in BACKENDS:
         process, _ = counting_program()
-        cpu = CPU(process, get_costs("epyc-rome"), backend=backend, instruction_budget=3)
-        debugger = Debugger(cpu)
+        state = MachineState(process, get_costs("epyc-rome"), instruction_budget=3)
+        debugger = Debugger(state, backend=backend)
         assert not debugger.step(2)
         with pytest.raises(ExecutionLimitExceeded):
             debugger.step(2)
@@ -198,12 +197,12 @@ def test_profiler_chains_onto_debugger():
     from repro.obs.profiler import CycleProfiler
 
     process, addresses = counting_program()
-    cpu = CPU(process, get_costs("epyc-rome"))
-    debugger = Debugger(cpu)
-    profiler = CycleProfiler(cpu)  # chains the debugger's hook
+    state = MachineState(process, get_costs("epyc-rome"))
+    debugger = Debugger(state)
+    profiler = CycleProfiler(state)  # chains the debugger's hook
     debugger.add_breakpoint(addresses[3])
     assert not debugger.cont()
-    assert cpu.rip == addresses[3]
+    assert state.rip == addresses[3]
     assert debugger.cont()
     # The debugger no longer rides the trace hook, so the profiler sees
     # each executed instruction exactly once and both tallies agree — the

@@ -5,7 +5,7 @@ rests on."""
 from repro.attacks import ALL_ATTACKS, VictimSession
 from repro.core.config import R2CConfig
 from repro.core.compiler import compile_module
-from repro.eval.harness import run_module
+from repro.eval.engine import ExperimentEngine, RunRequest
 from repro.workloads.spec import build_spec_benchmark
 from repro.workloads.victim import build_victim
 
@@ -20,15 +20,19 @@ def test_compile_is_deterministic():
 
 
 def test_run_metrics_are_deterministic():
-    module = build_spec_benchmark("omnetpp")
-    a = run_module(module, R2CConfig.full(seed=4), load_seed=9)
-    b = run_module(module, R2CConfig.full(seed=4), load_seed=9)
-    assert (a.cycles, a.instructions, a.calls, a.max_rss) == (
-        b.cycles,
-        b.instructions,
-        b.calls,
-        b.max_rss,
+    """Two independent engines each compile, load and run the cell once
+    (no cache can serve the second from the first) and measure the same."""
+    request = RunRequest(
+        module=build_spec_benchmark("omnetpp"), config=R2CConfig.full(seed=4), load_seed=9
     )
+    metrics = []
+    for _ in range(2):
+        with ExperimentEngine() as engine:
+            record = engine.run(request)
+        summary = engine.summary()
+        assert (summary.executed, summary.compiles) == (1, 1)
+        metrics.append((record.cycles, record.instructions, record.calls, record.max_rss))
+    assert metrics[0] == metrics[1]
 
 
 def test_attack_campaigns_are_deterministic():

@@ -3,8 +3,8 @@
 Covers the contract the drivers rely on: serial and parallel executors
 produce identical records in request order, the compile cache is
 content-addressed (same key -> same Binary object; new seed -> new
-layout), identical run requests execute once per session, builder
-callables materialize once, and JSONL records round-trip.
+layout), identical run requests execute once per session, and JSONL
+records round-trip.
 """
 
 import pytest
@@ -18,7 +18,6 @@ from repro.eval.engine import (
     read_records,
     write_records,
 )
-from repro.eval.harness import measure_config, measure_overhead
 from repro.toolchain.builder import IRBuilder
 from repro.workloads.programs import add_leaf_workers
 
@@ -142,7 +141,7 @@ def test_module_fingerprint_is_content_addressed():
 
 
 # ---------------------------------------------------------------------------
-# Run-level dedup + harness integration (the measure_* satellites)
+# Run-level dedup: the Section 6.2 overhead loop
 # ---------------------------------------------------------------------------
 
 def test_identical_requests_execute_once():
@@ -158,33 +157,27 @@ def test_identical_requests_execute_once():
     assert summary.run_cache_hits == 2
 
 
-def test_measure_overhead_compiles_and_runs_baseline_once():
+def test_overhead_batches_compile_and_run_baseline_once():
     """The Section 6.2 loop at seed recompiled/re-ran the baseline for
     every protected config; with the engine it happens exactly once per
-    (module, machine)."""
+    (module, machine), however many overhead batches name it."""
     module = small_module()
     baseline_config = R2CConfig.baseline().replace(seed=1)
     with ExperimentEngine() as engine:
         for config in (R2CConfig.full(), R2CConfig.btdp_only(), R2CConfig.layout_only()):
-            ratio = measure_overhead(module, config, seeds=(1, 2), engine=engine)
-            assert ratio > 0
+            records = engine.submit(
+                [
+                    RunRequest(module=module, config=config.replace(seed=seed), load_seed=seed)
+                    for seed in (1, 2)
+                ]
+                + [RunRequest(module=module, config=baseline_config)]
+            )
+            assert all(record.ok for record in records)
         assert engine.compile_count(module, baseline_config) == 1
         baseline_records = [
             r for r in engine.records if r.config_digest == baseline_config.digest()
         ]
         assert len(baseline_records) == 1
-
-
-def test_measure_config_materializes_builder_once():
-    invocations = []
-
-    def builder():
-        invocations.append(1)
-        return small_module()
-
-    with ExperimentEngine() as engine:
-        measure_config(builder, R2CConfig.full(), seeds=(1, 2, 3), engine=engine)
-    assert len(invocations) == 1
 
 
 # ---------------------------------------------------------------------------

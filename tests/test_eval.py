@@ -17,7 +17,7 @@ from repro.eval.experiments import (
     experiment_table3,
     experiment_webserver,
 )
-from repro.eval.harness import measure_overhead, run_module, verify_equivalence
+from repro.eval.engine import RunRequest, get_session_engine
 from repro.eval.stats import geomean, median, overhead_percent, ratio_summary
 from repro.eval import report
 from repro.workloads.spec import build_spec_benchmark
@@ -51,25 +51,36 @@ def test_ratio_summary():
     assert summary["geomean"] == pytest.approx(1.1)
 
 
-def test_run_module_collects_metrics():
-    stats = run_module(build_spec_benchmark("xz"), R2CConfig.baseline())
-    assert stats.exit_code == 0
-    assert stats.instructions > 1000
-    assert stats.calls > 10
-    assert stats.max_rss > 0
-
-
-def test_measure_overhead_protected_costs_more():
-    ratio = measure_overhead(
-        lambda: build_spec_benchmark("omnetpp"),
-        R2CConfig.full(),
-        seeds=(1,),
+def test_engine_run_collects_metrics():
+    record = get_session_engine().run(
+        RunRequest(module=build_spec_benchmark("xz"), config=R2CConfig.baseline())
     )
-    assert ratio > 1.05
+    assert record.exit_code == 0
+    assert record.instructions > 1000
+    assert record.calls > 10
+    assert record.max_rss > 0
 
 
-def test_verify_equivalence_helper():
-    assert verify_equivalence(build_spec_benchmark("xz"), R2CConfig.full(seed=3))
+def test_protected_run_costs_more_than_baseline():
+    module = build_spec_benchmark("omnetpp")
+    protected, baseline = get_session_engine().submit(
+        [
+            RunRequest(module=module, config=R2CConfig.full(seed=1)),
+            RunRequest(module=module, config=R2CConfig.baseline(seed=1)),
+        ]
+    )
+    assert protected.cycles / baseline.cycles > 1.05
+
+
+def test_diversified_build_computes_what_baseline_computes():
+    module = build_spec_benchmark("xz")
+    base, protected = get_session_engine().submit(
+        [
+            RunRequest(module=module, config=R2CConfig.baseline()),
+            RunRequest(module=module, config=R2CConfig.full(seed=3)),
+        ]
+    )
+    assert (base.exit_code, base.output) == (protected.exit_code, protected.output)
 
 
 def test_table1_shapes_hold():

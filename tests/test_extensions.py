@@ -7,7 +7,7 @@ import pytest
 
 from repro.attacks import AttackOutcome, VictimSession, blindrop_attack, pirop_attack
 from repro.core.config import R2CConfig
-from repro.eval.harness import measure_config
+from repro.eval.engine import RunRequest, get_session_engine
 from repro.machine.isa import Op
 from repro.core.compiler import compile_module
 from repro.workloads.spec import build_spec_benchmark
@@ -39,13 +39,21 @@ def test_avx512_halves_the_vector_instruction_count():
     assert count512 >= count2 / 3  # roughly halved, not magicked away
 
 
+def omnetpp_cycles(*configs):
+    """Cycles of one seed-1 omnetpp run under each of ``configs``."""
+    module = build_spec_benchmark("omnetpp")
+    records = get_session_engine().submit(
+        [RunRequest(module=module, config=config.replace(seed=1)) for config in configs]
+    )
+    return [record.cycles for record in records]
+
+
 def test_avx512_reduces_btra_overhead_on_call_dense_code():
     """Section 7.1: same BTRA count, wider batches -> lower impact."""
-    source = lambda: build_spec_benchmark("omnetpp")
-    base = measure_config(source, R2CConfig.baseline(), seeds=(1,))
-    avx2 = measure_config(source, R2CConfig.btra_avx_only(), seeds=(1,))
-    avx512 = measure_config(
-        source, R2CConfig.btra_avx_only().replace(btra_vector_words=8), seeds=(1,)
+    base, avx2, avx512 = omnetpp_cycles(
+        R2CConfig.baseline(),
+        R2CConfig.btra_avx_only(),
+        R2CConfig.btra_avx_only().replace(btra_vector_words=8),
     )
     assert avx512 < avx2
     assert avx512 > base
@@ -54,12 +62,9 @@ def test_avx512_reduces_btra_overhead_on_call_dense_code():
 def test_avx512_supports_twice_as_many_btras_for_similar_cost():
     """The other direction of the Section 7.1 trade-off: 20 BTRAs with
     512-bit batches cost about what 10 cost with 256-bit batches."""
-    source = lambda: build_spec_benchmark("omnetpp")
-    ten_avx2 = measure_config(source, R2CConfig.btra_avx_only(), seeds=(1,))
-    twenty_avx512 = measure_config(
-        source,
+    ten_avx2, twenty_avx512 = omnetpp_cycles(
+        R2CConfig.btra_avx_only(),
         R2CConfig.btra_avx_only().replace(btra_vector_words=8, btras_per_callsite=20),
-        seeds=(1,),
     )
     assert twenty_avx512 <= ten_avx2 * 1.25
 

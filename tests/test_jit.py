@@ -20,10 +20,9 @@ import pytest
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
 from repro.errors import ExecutionLimitExceeded, MemoryFault
-from repro.machine.backends import get_backend
+from repro.machine.backends import get_backend, run
 from repro.machine.blocks import recover_blocks
 from repro.machine.costs import get_costs
-from repro.machine.cpu import CPU, ExecutionResult
 from repro.machine.debugger import Debugger
 from repro.machine.isa import Imm, Instruction, Mem, Op, Reg
 from repro.machine.jit import (
@@ -35,7 +34,7 @@ from repro.machine.jit import (
 )
 from repro.machine.loader import load_binary
 from repro.machine.memory import Perm
-from repro.machine.state import MachineState
+from repro.machine.state import ExecutionResult, MachineState
 from repro.machine.uops import get_bound_program
 from repro.toolchain.builder import IRBuilder
 from repro.workloads.spec import SPEC_BENCHMARKS, build_spec_benchmark
@@ -91,8 +90,8 @@ def test_debugger_breakpoint_and_steps_identical_on_jit(btra_mode):
     observed = {}
     for backend in ("fast", "jit"):
         process = load_binary(binary, seed=1)
-        cpu = CPU(process, get_costs("epyc-rome"), backend=backend)
-        debugger = Debugger(cpu)
+        state = MachineState(process, get_costs("epyc-rome"))
+        debugger = Debugger(state, backend=backend)
         debugger.break_at("double")
         stream = []
         stops = 0
@@ -101,11 +100,11 @@ def test_debugger_breakpoint_and_steps_identical_on_jit(btra_mode):
         # executed stream must come back to the call site regardless).
         while stops < 3 and not debugger.cont():
             stops += 1
-            stream.append(("stop", cpu.rip, list(cpu.regs)))
+            stream.append(("stop", state.rip, list(state.regs)))
             for _ in range(25):
                 if debugger.step(1):
                     break
-                stream.append(cpu.rip)
+                stream.append(state.rip)
         finished = debugger.finished or debugger.cont()
         while not finished:
             finished = debugger.cont()
@@ -114,7 +113,7 @@ def test_debugger_breakpoint_and_steps_identical_on_jit(btra_mode):
             "stream": stream,
             "result": dataclasses.asdict(debugger.result),
             "output": list(process.output),
-            "rip": cpu.rip,
+            "rip": state.rip,
         }
     assert observed["jit"] == observed["fast"]
 
@@ -126,12 +125,12 @@ def test_debugged_run_equals_unbroken_run_on_jit():
 
     def plain(backend):
         process = load_binary(binary, seed=1)
-        cpu = CPU(process, get_costs("epyc-rome"), backend=backend)
-        return dataclasses.asdict(cpu.run())
+        state = MachineState(process, get_costs("epyc-rome"))
+        return dataclasses.asdict(run(state, backend))
 
     process = load_binary(binary, seed=1)
-    cpu = CPU(process, get_costs("epyc-rome"), backend="jit")
-    debugger = Debugger(cpu)
+    state = MachineState(process, get_costs("epyc-rome"))
+    debugger = Debugger(state, backend="jit")
     debugger.break_at("double")
     while not debugger.cont():
         debugger.step(3)
@@ -147,8 +146,8 @@ def test_single_stepping_drives_the_deopt_path():
     escape once blocks are promoted — and still finish correctly."""
     binary = compile_module(loop_module(), R2CConfig.full(seed=9))
     process = load_binary(binary, seed=1)
-    cpu = CPU(process, get_costs("epyc-rome"), backend="jit")
-    debugger = Debugger(cpu)
+    state = MachineState(process, get_costs("epyc-rome"))
+    debugger = Debugger(state, backend="jit")
     before = jit_stats_snapshot()
     while not debugger.step(1):
         pass
@@ -197,19 +196,19 @@ def test_breakpoint_inside_compiled_loop_trace():
     observed = {}
     for backend in ("fast", "jit"):
         process, addresses = build_spec(spec)
-        cpu = CPU(process, get_costs("epyc-rome"), backend=backend)
-        debugger = Debugger(cpu)
+        state = MachineState(process, get_costs("epyc-rome"))
+        debugger = Debugger(state, backend=backend)
         before = jit_stats_snapshot()
         debugger.step(300)
         mid = jit_stats_snapshot()
         debugger.add_breakpoint(addresses[body])
         stream = []
         assert not debugger.cont()
-        stream.append(("stop", cpu.rip, list(cpu.regs)))
+        stream.append(("stop", state.rip, list(state.regs)))
         for _ in range(30):
             if debugger.step(1):
                 break
-            stream.append(cpu.rip)
+            stream.append(state.rip)
         debugger.remove_breakpoint(addresses[body])
         finished = debugger.finished
         while not finished:
@@ -217,7 +216,7 @@ def test_breakpoint_inside_compiled_loop_trace():
         observed[backend] = {
             "stream": stream,
             "result": dataclasses.asdict(debugger.result),
-            "rip": cpu.rip,
+            "rip": state.rip,
             "output": list(process.output),
         }
         if backend == "jit":
@@ -511,8 +510,8 @@ def test_code_cache_reused_across_loads_of_one_image():
 
     def run_once():
         process = load_binary(binary, seed=1)
-        cpu = CPU(process, get_costs("epyc-rome"), backend="jit")
-        return cpu.run()
+        state = MachineState(process, get_costs("epyc-rome"))
+        return run(state, "jit")
 
     before = jit_stats_snapshot()
     first = run_once()

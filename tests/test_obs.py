@@ -24,10 +24,11 @@ from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
 from repro.errors import BoobyTrapTriggered
 from repro.eval.engine import ExperimentEngine, RunRequest
+from repro.machine.backends import run
 from repro.machine.costs import get_costs
-from repro.machine.cpu import CPU, UNTAGGED_TAG
 from repro.machine.isa import Imm, Instruction, Op, Reg
 from repro.machine.loader import load_binary
+from repro.machine.state import UNTAGGED_TAG, MachineState
 from repro.obs.counters import PerfCounters
 from repro.obs.profiler import UNKNOWN_FUNCTION, CycleProfiler
 from repro.obs.tracing import (
@@ -246,16 +247,14 @@ def test_record_spans_absent_when_tracing_disabled():
 def run_workload(backend, *, attribute_tags=True, profiler=False, tracing=False):
     binary = compile_module(small_module(), R2CConfig.full(seed=5))
     process = load_binary(binary, seed=2)
-    cpu = CPU(
-        process, get_costs("epyc-rome"), backend=backend, attribute_tags=attribute_tags
-    )
-    attached = CycleProfiler(cpu) if profiler else None
+    state = MachineState(process, get_costs("epyc-rome"), attribute_tags=attribute_tags)
+    attached = CycleProfiler(state) if profiler else None
     if tracing:
         with traced():
-            result = cpu.run()
+            result = run(state, backend)
     else:
-        result = cpu.run()
-    return result, cpu, attached
+        result = run(state, backend)
+    return result, state, attached
 
 
 def test_perf_counters_identical_across_backends():
@@ -339,9 +338,9 @@ def test_profiler_unknown_symbols_fold_to_placeholder():
     process, _ = assemble(
         [I(Op.MOV, Reg.RAX, Imm(4)), I(Op.OUT, Reg.RAX), I(Op.EXIT, Imm(0))]
     )
-    cpu = CPU(process, get_costs("epyc-rome"))
-    profiler = CycleProfiler(cpu)
-    result = cpu.run()
+    state = MachineState(process, get_costs("epyc-rome"))
+    profiler = CycleProfiler(state)
+    result = run(state)
     assert list(profiler.func_cycles) == [UNKNOWN_FUNCTION]
     assert profiler.total_cycles == result.cycles
 
@@ -349,15 +348,15 @@ def test_profiler_unknown_symbols_fold_to_placeholder():
 def test_profiler_detach_restores_hook():
     process, _ = assemble([I(Op.EXIT, Imm(0))])
     seen = []
-    cpu = CPU(process, get_costs("epyc-rome"))
-    cpu.trace_fn = lambda c, rip, ins: seen.append(rip)
-    profiler = CycleProfiler(cpu)
+    state = MachineState(process, get_costs("epyc-rome"))
+    state.trace_fn = lambda c, rip, ins: seen.append(rip)
+    profiler = CycleProfiler(state)
     # Bound-method equality, not identity: each attribute access mints a
     # fresh bound method object.
-    assert cpu.trace_fn == profiler._trace
+    assert state.trace_fn == profiler._trace
     profiler.detach()
-    assert cpu.trace_fn != profiler._trace
-    cpu.run()
+    assert state.trace_fn != profiler._trace
+    run(state)
     assert seen  # the original hook still fires
 
 
@@ -365,10 +364,10 @@ def test_profiler_sees_faulting_runs_identically():
     folded = {}
     for backend in BACKENDS:
         process, _ = assemble([I(Op.NOP), I(Op.TRAP), I(Op.EXIT, Imm(0))])
-        cpu = CPU(process, get_costs("epyc-rome"), backend=backend)
-        profiler = CycleProfiler(cpu)
+        state = MachineState(process, get_costs("epyc-rome"))
+        profiler = CycleProfiler(state)
         with pytest.raises(BoobyTrapTriggered):
-            cpu.run()
+            run(state, backend)
         folded[backend] = (profiler.folded_stacks(), profiler.instructions)
     assert folded["reference"] == folded["fast"]
     assert folded["fast"][1] == 2  # NOP + the trap itself
@@ -402,15 +401,15 @@ def test_observability_is_passive(seed, mode, backend, load_seed):
     snapshots = []
     for observed in (False, True):
         process = load_binary(binary, seed=load_seed)
-        cpu = CPU(process, get_costs("epyc-rome"), backend=backend, attribute_tags=True)
+        state = MachineState(process, get_costs("epyc-rome"), attribute_tags=True)
         profiler = None
         error = None
         if observed:
             previous = enable_tracing(True)
-            profiler = CycleProfiler(cpu)
+            profiler = CycleProfiler(state)
         try:
             with span("test/run", "test"):
-                result = cpu.run()
+                result = run(state, backend)
         except Exception as exc:  # noqa: BLE001 - fault identity is the point
             result = None
             error = (type(exc), str(exc))
@@ -423,8 +422,8 @@ def test_observability_is_passive(seed, mode, backend, load_seed):
             (
                 dataclasses.asdict(result) if result is not None else None,
                 error,
-                cpu.rip,
-                list(cpu.regs),
+                state.rip,
+                list(state.regs),
             )
         )
     assert snapshots[0] == snapshots[1]

@@ -140,11 +140,15 @@ def test_optimized_full_r2c_matches_interpreter(program_seed, config_seed):
 
 def test_optimization_is_fair_between_baseline_and_protected():
     """Both sides of an overhead measurement see the same optimizer."""
-    from repro.eval.harness import run_module
+    from repro.eval.engine import RunRequest, get_session_engine
     from repro.workloads.spec import build_spec_benchmark
 
     module = build_spec_benchmark("xz")
-    o0 = run_module(module, R2CConfig.baseline())
-    o1 = run_module(module, R2CConfig.baseline().replace(opt_level=1))
+    o0, o1 = get_session_engine().submit(
+        [
+            RunRequest(module=module, config=R2CConfig.baseline()),
+            RunRequest(module=module, config=R2CConfig.baseline().replace(opt_level=1)),
+        ]
+    )
     assert o1.output == o0.output
     assert o1.instructions <= o0.instructions

@@ -145,7 +145,9 @@ def test_cloned_process_runs_byte_identical_to_fresh_load():
     """Process.clone() is a faithful fork: a clone of a loaded full-R2C
     process executes exactly like a second load under the same seed, on
     both backends."""
-    from repro.machine.loader import make_cpu
+    from repro.machine.backends import run
+    from repro.machine.costs import get_costs
+    from repro.machine.state import MachineState
     from repro.workloads.victim import build_victim
 
     binary = compile_module(build_victim(requests=3), R2CConfig.full(seed=9))
@@ -157,8 +159,7 @@ def test_cloned_process_runs_byte_identical_to_fresh_load():
             process.register_service("attack_hook", lambda proc, cpu: 0)
         results = []
         for process in (fresh, clone):
-            cpu = make_cpu(process, "epyc-rome", backend=backend)
-            results.append(cpu.run())
+            results.append(run(MachineState(process, get_costs("epyc-rome")), backend))
         assert fresh.output == clone.output
         assert results[0].instructions == results[1].instructions
         assert results[0].cycles == results[1].cycles

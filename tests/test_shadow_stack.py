@@ -21,9 +21,10 @@ from repro.attacks import (
 from repro.core.config import R2CConfig
 from repro.defenses import DEFENSE_MODELS
 from repro.errors import ShadowStackViolation
+from repro.machine.backends import run
 from repro.machine.costs import get_costs
-from repro.machine.cpu import CPU
 from repro.machine.loader import load_binary
+from repro.machine.state import MachineState
 from repro.core.compiler import compile_module
 from repro.workloads.victim import build_victim
 from repro.workloads.spec import build_spec_benchmark
@@ -46,7 +47,7 @@ def test_legitimate_programs_run_under_shadow_stack():
         binary = compile_module(build_spec_benchmark("xz"), config)
         process = load_binary(binary, seed=3)
         process.register_service("attack_hook", lambda p, c: 0)
-        result = CPU(process, get_costs("epyc-rome"), shadow_stack=True).run()
+        result = run(MachineState(process, get_costs("epyc-rome"), shadow_stack=True))
         assert result.exit_code == 0
 
 

@@ -24,9 +24,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.machine.backends import get_backend
 from repro.machine.costs import get_costs
-from repro.machine.cpu import ExecutionResult
 from repro.machine.isa import Imm, Instruction, Op, Reg
-from repro.machine.state import MachineState
+from repro.machine.state import ExecutionResult, MachineState
 
 from tests.test_backends import BACKENDS, assemble
 

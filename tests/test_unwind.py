@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.config import R2CConfig
 from repro.core.compiler import compile_module
+from repro.machine.backends import run
 from repro.machine.costs import get_costs
-from repro.machine.cpu import CPU
 from repro.machine.isa import Reg
 from repro.machine.loader import load_binary
+from repro.machine.state import MachineState
 from repro.toolchain.unwind import UnwindError, backtrace, unwind
 from repro.workloads.victim import build_victim
 
@@ -35,7 +36,7 @@ def capture_backtrace(config, *, load_seed=4, corrupt=False):
 
     process.register_service("attack_hook", hook)
     try:
-        CPU(process, get_costs("epyc-rome")).run()
+        run(MachineState(process, get_costs("epyc-rome")))
     except Exception:
         if not corrupt:  # a corrupted stack is allowed to crash the victim
             raise
@@ -75,7 +76,7 @@ def test_unwind_reports_frame_details():
         return 0
 
     process.register_service("attack_hook", hook)
-    CPU(process, get_costs("epyc-rome")).run()
+    run(MachineState(process, get_costs("epyc-rome")))
     frames = captured["frames"]
     assert frames[0].function == "validate"
     # Each outer frame's rsp is strictly higher than the inner one's.
