@@ -24,10 +24,11 @@ then cross-checks observable behaviour at the sync point:
 
 Fetch/decode is amortized across the group: each distinct (binary,
 layout) pays one full ``prepare`` (decode is additionally cached per
-binary fingerprint), and identical-layout replicas receive a cheap
-*clone* of that prepared program (``Backend.clone_program``) instead of
-re-binding — N replicas of one image decode once and bind once, and
-differently diversified binaries each decode once, not once per run.
+binary fingerprint), and identical-layout replicas receive
+``Backend.clone_program`` of that prepared program.  On ``fast`` that is
+a cheap slot-copy instead of a re-bind — N replicas of one image decode
+once and bind once — and differently diversified binaries each decode
+once, not once per run.  The other backends just ``prepare`` a replica.
 
 A divergence is surfaced as a :class:`DivergenceReport` — the
 crash-report analogue for the MVEE detection signal: which variant, at
@@ -196,10 +197,10 @@ class LockstepGroup:
         self.variants: List[LockstepVariant] = []
         # Fetch/decode amortization: the first variant of each distinct
         # (binary, layout) pays the full prepare (decode is additionally
-        # cached per binary fingerprint); identical-layout replicas get a
-        # cheap clone of that program instead of re-binding — every
-        # pre-resolved address is layout-derived, so only the memory
-        # reference and per-run fetch state change.
+        # cached per binary fingerprint); identical-layout replicas get
+        # the backend's clone of that program (on fast, a copy instead of
+        # a re-bind — every pre-resolved address is layout-derived, so
+        # only the memory reference and per-run fetch state change).
         prototypes: Dict[tuple, object] = {}
         for index, process in enumerate(processes):
             state = MachineState(

@@ -92,16 +92,23 @@ class ExecutionBackend:
     """A dispatch/execute stage over *(program, state)* pairs.
 
     Each backend supplies ``prepare`` (resolve a state's process into
-    the program form it drives), ``clone_program`` and ``_drive``
-    (advance from ``state.rip`` until EXIT, a fault, or ``max_steps``
-    instructions, accumulating into ``res`` exactly like the reference
-    loop; counters are flushed even when a fault propagates).  On top of
-    ``_drive``, ``execute`` runs to completion and ``step`` advances at
-    most ``max_steps`` instructions, returning True once the program
-    has halted.
+    the program form it drives) and ``_drive`` (advance from
+    ``state.rip`` until EXIT, a fault, or ``max_steps`` instructions,
+    accumulating into ``res`` exactly like the reference loop; counters
+    are flushed even when a fault propagates).  On top of ``_drive``,
+    ``execute`` runs to completion and ``step`` advances at most
+    ``max_steps`` instructions, returning True once the program has
+    halted.
     """
 
     name: str
+
+    def clone_program(self, program, state):
+        """The program for ``state``, whose process shares ``program``'s
+        binary and layout (a lockstep replica).  By default that is just
+        ``prepare(state)``; a backend whose prepared form has a cheaper
+        copy overrides this."""
+        return self.prepare(state)
 
     def execute(self, program, state, res):
         self._drive(program, state, res, None)
@@ -126,11 +133,6 @@ class ReferenceBackend(ExecutionBackend):
 
     def prepare(self, state):
         """The reference program is the process's instruction index."""
-        return state.process.instructions
-
-    def clone_program(self, program, state):
-        """Reference programs carry no per-process bindings; a "clone" is
-        just the new state's own instruction index (free either way)."""
         return state.process.instructions
 
     def _drive(self, program, cpu, res, max_steps: Optional[int]):

@@ -56,10 +56,11 @@ interpreted forever), stale fetch-permission epochs (prologs compare
 the per-block validated epoch against the drive's mirror of
 :attr:`Memory.perm_epoch`; the driver re-validates by fetch-checking the
 slice and only then re-enters compiled code), budget or step-slice
-exhaustion, and faults (compiled blocks charge an exact per-prefix
-constant from a baked table, then re-raise with ``rip`` at the faulting
-instruction; trace bodies key both fault tables by the generated source
-line, since one guest address can occur in more than one segment).  A
+exhaustion, and faults (every compiled unit, block or trace, charges
+an exact per-prefix constant from one baked fault table keyed by the
+generated source line that raised, then re-raises with ``rip`` at the
+faulting instruction; a line key, not a guest address, because one
+address can occur in more than one segment of a trace).  A
 trace deopt re-validates *all* constituent slices before the trace runs
 again, and budget deopts from a loop trace fall through to the
 interpreter exactly like block deopts.  Interpreter segments run
@@ -75,7 +76,7 @@ against both other backends.
 Compiled code objects are cached per (module fingerprint, config digest,
 address-space layout, cost-model signature): lockstep replicas of one
 image re-``exec`` shared code objects against their own memory bindings
-instead of re-generating source (:meth:`JitBackend.clone_program`).
+instead of re-generating source (see :class:`JitProgram`).
 """
 
 from __future__ import annotations
@@ -522,10 +523,16 @@ class _SliceCompiler:
     accumulated at codegen time.  The generated body carries only the
     genuinely dynamic parts — LRU probes for lines not guaranteed
     resident (misses ``m``) — and the terminator flush charges
-    ``K + m * penalty`` in one statement.  Faults restore the exact
-    executed prefix from a baked per-block table keyed by faulting
-    ``rip``.  Per-tag and per-opcode counts are never compiled (those
-    drives run on ``fast``).
+    ``K + m * penalty`` in one statement.  Per-tag and per-opcode counts
+    are never compiled (those drives run on ``fast``).
+
+    Faults restore the exact executed prefix from the unit's baked fault
+    table ``faults``: generated line -> ``(rip, x, k, h, o, b, t)``, the
+    faultable instruction a fault on that line attributes to and the
+    prefix executed through it (instructions, cycle units, i-cache hit
+    charges, memory ops, and the branches and taken branches a trace
+    retires at segment ends; both 0 in a block).  Pure lines carry the
+    entry of the most recent faultable instruction.
     """
 
     def __init__(self, addr: int, segments: List[Lowering], costs,
@@ -545,6 +552,8 @@ class _SliceCompiler:
             for lowering in segments
         ]
         jus = [j for lowering in segments for j in lowering.jus]
+        #: Instructions in the unit (per iteration, for a trace).
+        self.total = len(jus)
         self.needs_try = any(_faultable(j) for j in jus)
         self.indent = "        " if self.needs_try else "    "
         self.load(self.plans[0], segments[0])
@@ -552,22 +561,20 @@ class _SliceCompiler:
             must for plan in self.plans for probes in plan for _, must in probes
         )
         self.has_mem_any = any(j.has_mem for j in jus)
-        # Static accumulators and the per-prefix fault table.
+        # Static accumulators (branches ``b``/``t`` move only in traces).
         self.stat_x = 0
         self.stat_k = 0
         self.stat_g = 0
         self.stat_o = 0
         self.stat_p = 0
+        self.stat_b = 0
+        self.stat_t = 0
         self._pending: List[Tuple[int, int]] = []
-        self.xb: Dict[int, Tuple[int, int, int, int, int]] = {}
-        # Fault attribution: every emitted line is tagged with the rip of
-        # the faultable instruction a fault on it attributes to (pure
-        # lines attribute to the most recent faultable — identical to the
-        # old ``I = <rip>`` bookkeeping, without its happy-path cost).
-        # The except handler recovers the rip from the faulting line
-        # number via a baked table (see :func:`_fault_lineno`).
-        self._line_rip: List[int] = []
-        self._ctx_rip = next((j.rip for j in jus if _faultable(j)), 0)
+        # The fault-table entry of each emitted line, and of the next one.
+        self._tags: List[Tuple[int, ...]] = []
+        self._tag = (next((j.rip for j in jus if _faultable(j)), 0),) + (0,) * 6
+        #: Generated line -> fault-table entry (None without a try).
+        self.faults: Optional[dict] = None
 
     # -- helpers -----------------------------------------------------------
 
@@ -584,7 +591,25 @@ class _SliceCompiler:
 
     def emit(self, line: str) -> None:
         self.lines.append(self.indent + line)
-        self._line_rip.append(self._ctx_rip)
+        self._tags.append(self._tag)
+
+    def prefix(self) -> Tuple[int, ...]:
+        """The static executed prefix so far: (instructions, cycle units,
+        i-cache hit charges, memory ops, branches, taken branches)."""
+        return (
+            self.stat_x, self.stat_k, self.stat_g + self.stat_p, self.stat_o,
+            self.stat_b, self.stat_t,
+        )
+
+    def assemble(self, head: List[str], tail: List[str]) -> str:
+        """Join the function source and key the fault table by the line
+        each body statement lands on.  The table is linked into the
+        execution namespace as an object (:meth:`JitBackend._install`),
+        so ``compile()`` never parses it."""
+        if self.needs_try:
+            first = len(head) + 1
+            self.faults = {first + index: tag for index, tag in enumerate(self._tags)}
+        return "\n".join(head + self.lines + tail)
 
     def flush_probes(self) -> None:
         """Emit the pending LRU probe batch.
@@ -643,7 +668,7 @@ class _SliceCompiler:
     # so a hit licenses one indexed view access outright.  Every miss —
     # unaligned, unmaterialized, unmapped, protected, guard, big-endian
     # host — falls back to the accessor call, which reproduces the exact
-    # behaviour including the fault, from a line the ``LN`` table
+    # behaviour including the fault, from a line the fault table
     # attributes to the same instruction.
 
     def emit_load_q(self, target: str, qvar: str) -> None:
@@ -704,16 +729,10 @@ class _SliceCompiler:
         if self.needs_try and _faultable(ju):
             # A fault at this instruction must observe exactly the probes
             # of instructions up to and including it — flush the batch now.
+            # Every line from here to the next faultable instruction
+            # restores this prefix.
             self.flush_probes()
-            self.mark_fault(ju)
-            self._ctx_rip = ju.rip
-
-    def mark_fault(self, ju: _JU) -> None:
-        """Record the executed prefix a fault at ``ju`` restores (blocks
-        key it by the faulting rip)."""
-        self.xb[ju.rip] = (
-            self.stat_x, self.stat_k, self.stat_g, self.stat_o, self.stat_p,
-        )
+            self._tag = (ju.rip,) + self.prefix()
 
     # -- semantics ---------------------------------------------------------
 
@@ -943,7 +962,7 @@ class _SliceCompiler:
         addr = self.addr
         head = [
             f"def b_{addr:x}(cpu, r, S, C):",
-            f"    n = C[0] + {len(jus)}",
+            f"    n = C[0] + {self.total}",
             f"    if n > C[5] or E[{addr}] != C[6]:",
             f"        return {~addr}",
         ]
@@ -954,35 +973,23 @@ class _SliceCompiler:
         if jus[last].op in (Op.CALL, Op.RET):
             head.append("    sh = cpu._bk_shadow")
         tail: List[str] = []
-        self.ln = None
         if self.needs_try:
             head.append("    try:")
             tail.append("    except BaseException:")
-            tail.append(f"        I = LN_{addr:x}[TB()]")
-            tail.append(f"        x_, k_, g_, o_, p_ = X_{addr:x}[I]")
+            tail.append(f"        I, x_, k_, h_, o_, _, _ = F_b_{addr:x}[TB()]")
             tail.append("        C[0] += x_")
             if self.has_probe:
                 tail.append(f"        C[1] += k_ + m * {self.penalty}")
-                tail.append("        C[3] += g_ + p_ - m")
+                tail.append("        C[3] += h_ - m")
                 tail.append("        C[4] += m")
             else:
                 tail.append("        C[1] += k_")
-                tail.append("        C[3] += g_")
+                tail.append("        C[3] += h_")
             if self.has_mem_any:
                 tail.append("        C[2] += o_")
             tail.append("        cpu.rip = I")
             tail.append("        raise")
-            # The faulting-line -> rip map the except handler reads.  Both
-            # baked tables (this and the fault-prefix table ``xb``) are
-            # injected into the execution namespace as objects at link
-            # time rather than rendered as source literals — ``compile()``
-            # never parses them.
-            first_body = len(head) + 1
-            self.ln = {
-                first_body + index: rip
-                for index, rip in enumerate(self._line_rip)
-            }
-        return "\n".join(head + self.lines + tail)
+        return self.assemble(head, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -1012,14 +1019,13 @@ class _TraceCompiler(_SliceCompiler):
     per-iteration static charges are applied as ``it * constant`` only at
     exits, deopts, and faults.
 
-    Fault attribution generalizes the block scheme: because one guest
-    address can occur in more than one segment (an inner loop's block
-    recorded twice, or slices that overlap), both baked tables — faulting
-    line -> rip and faulting line -> executed-prefix stats — are keyed by
-    the *generated source line* directly.  The prefix stats are
-    per-iteration; the handler adds the ``it``-scaled full-iteration
-    constants on top.  Accounting is the block compiler's static folding
-    throughout.
+    Fault attribution is the block compiler's line-keyed table, which is
+    what a trace needs: one guest address can occur in more than one
+    segment (an inner loop's block recorded twice, or slices that
+    overlap), and each occurrence has its own executed prefix.  The
+    prefix is per-iteration; the handler adds the ``it``-scaled
+    full-iteration constants on top.  Accounting is the block compiler's
+    static folding throughout.
     """
 
     # Per-iteration static constants are unknown until the whole body is
@@ -1033,7 +1039,7 @@ class _TraceCompiler(_SliceCompiler):
     _T_T = "_TIT_"   # taken branches at segment ends
     #: Register write-back site: expands to one semicolon-joined line
     #: restoring every cached register into ``r`` (line counts are stable,
-    #: so the baked line tables stay valid).
+    #: so the baked fault table stays valid).
     _T_W = "_WB_"
 
     #: Register accesses in emitted statements (``r[<index>]``); each one
@@ -1046,7 +1052,6 @@ class _TraceCompiler(_SliceCompiler):
             segments[0][0], [lowering for _, lowering in segments], costs, monotone
         )
         self.segments = segments
-        self.total = sum(len(lowering.jus) for _, lowering in segments)
         self.indent += "    "
         #: Loop-invariant base registers (second compile pass only):
         #: static ``off + base`` accesses through them hoist the address
@@ -1058,10 +1063,6 @@ class _TraceCompiler(_SliceCompiler):
         self.hoist_bases = hoist_bases
         self._slots: Dict[Tuple[int, Optional[int]], int] = {}
         self._slot_kinds: Dict[Tuple[int, Optional[int]], set] = {}
-        self.stat_b = 0
-        self.stat_t = 0
-        self._line_stats: List[Tuple[int, ...]] = []
-        self._ctx_stats: Tuple[int, ...] = (0,) * 6
         #: Registers referenced anywhere in the body (insertion-ordered);
         #: each lives in a local ``g<index>`` for the whole trace.
         self.cached: Dict[int, None] = {}
@@ -1071,9 +1072,7 @@ class _TraceCompiler(_SliceCompiler):
     def emit(self, line: str) -> None:
         if "r[" in line:
             line = self._REG_REF.sub(self._cache_reg, line)
-        self.lines.append(self.indent + line)
-        self._line_rip.append(self._ctx_rip)
-        self._line_stats.append(self._ctx_stats)
+        super().emit(line)
 
     def _cache_reg(self, match) -> str:
         index = int(match.group(1))
@@ -1121,14 +1120,6 @@ class _TraceCompiler(_SliceCompiler):
             return
         super().emit_store(off, base, value)
 
-    def mark_fault(self, ju: _JU) -> None:
-        # Keyed by generated line instead: every line emitted from here
-        # to the next faultable instruction carries these stats.
-        self._ctx_stats = (
-            self.stat_x, self.stat_k, self.stat_g + self.stat_p, self.stat_o,
-            self.stat_b, self.stat_t,
-        )
-
     # -- trace-specific emission -------------------------------------------
 
     def _charge(self, prefix) -> List[str]:
@@ -1154,11 +1145,7 @@ class _TraceCompiler(_SliceCompiler):
     def _side_exit(self, target: int) -> None:
         """Flush the exact executed prefix and leave the trace through a
         normal (non-deopt) return of the off-trace address."""
-        prefix = (
-            self.stat_x, self.stat_k, self.stat_g + self.stat_p, self.stat_o,
-            self.stat_b, self.stat_t,
-        )
-        for stmt in self._charge(prefix):
+        for stmt in self._charge(self.prefix()):
             self.emit("    " + stmt)
         self.emit("    JS['trace_side_exits'] += 1")
         self.emit(f"    return {target}")
@@ -1241,9 +1228,7 @@ class _TraceCompiler(_SliceCompiler):
         tail: List[str] = []
         if self.needs_try:
             tail.append("    except BaseException:")
-            tail.append("        L = TB()")
-            tail.append(f"        I = LNT_{H:x}[L]")
-            tail.append(f"        x_, k_, h_, o_, b_, t_ = XT_{H:x}[L]")
+            tail.append(f"        I, x_, k_, h_, o_, b_, t_ = F_t_{H:x}[TB()]")
             tail.extend(
                 "        " + stmt
                 for stmt in self._charge(("x_", "k_", "h_", "o_", "b_", "t_"))
@@ -1251,16 +1236,8 @@ class _TraceCompiler(_SliceCompiler):
             tail.append("        cpu.rip = I")
             tail.append("        raise")
 
-        first_body = len(head) + 1
-        self.ln = {
-            first_body + index: rip for index, rip in enumerate(self._line_rip)
-        }
-        self.xt = {
-            first_body + index: stats
-            for index, stats in enumerate(self._line_stats)
-        }
         writeback = "; ".join(f"r[{i}] = g{i}" for i in self.cached) or "pass"
-        source = "\n".join(head + self.lines + tail)
+        source = self.assemble(head, tail)
         for token, value in (
             (self._T_W, writeback),
             (self._T_K, self.stat_k),
@@ -1274,51 +1251,36 @@ class _TraceCompiler(_SliceCompiler):
         return source
 
 
-class _TraceUnit(NamedTuple):
-    """One compiled loop trace, shareable across processes of one image.
+# ---------------------------------------------------------------------------
+# Compiled units, the compiled-code cache, and programs
+# ---------------------------------------------------------------------------
 
-    ``segments`` lists the constituent slice heads (in trace order) —
-    the driver fetch-revalidates all of them before re-entering the
-    trace after an epoch deopt, and the CLI renders trace membership
-    from them.  ``ln_table``/``xt_table`` are the line-keyed fault
-    tables (see :class:`_TraceCompiler`)."""
+
+class _Unit(NamedTuple):
+    """One compiled block or loop trace, shareable across processes of
+    one image.
+
+    ``segments`` lists the constituent slice heads in order (just the
+    head, for a block): the driver fetch-revalidates all of them before
+    re-entering the unit after an epoch deopt, and the CLI renders trace
+    membership from them.  ``length`` counts its instructions (per
+    iteration, for a trace).  ``faults`` is the line-keyed fault table
+    (see :class:`_SliceCompiler`), or None when nothing in the unit can
+    fault.  ``back_target`` is a block's backward direct-branch target:
+    a loop-header candidate the tier-3 promoter arms for recording."""
 
     code: object
     name: str
     segments: List[int]
     length: int
-    ln_table: Optional[dict]
-    xt_table: Optional[dict]
-
-
-# ---------------------------------------------------------------------------
-# Compiled-code cache, linked code, and programs
-# ---------------------------------------------------------------------------
-
-
-class _BlockUnit:
-    """One compiled slice, shareable across processes of one image.
-
-    ``x_table``/``ln_table`` are the block's baked fault tables (see
-    :class:`_SliceCompiler`): linked into the execution namespace as
-    plain objects so the source ``compile()`` parses stays small."""
-
-    __slots__ = ("code", "name", "x_table", "ln_table", "back_target")
-
-    def __init__(self, code, name: str, x_table=None, ln_table=None,
-                 back_target: Optional[int] = None):
-        self.code = code
-        self.name = name
-        self.x_table = x_table
-        self.ln_table = ln_table
-        #: Backward direct-branch target (a loop-header candidate the
-        #: tier-3 promoter arms for trace recording), or None.
-        self.back_target = back_target
+    faults: Optional[dict]
+    back_target: Optional[int] = None
 
 
 #: (fingerprint, digest, layout bases, costs signature, monotone) ->
-#: {block head address: _BlockUnit or None (negative-cached: interp-only)}.
-_CODE_CACHE: Dict[tuple, Dict[int, Optional[_BlockUnit]]] = {}
+#: {block head: _Unit, or None (negative-cached: interp-only);
+#: ("t", loop head): _Unit}.
+_CODE_CACHE: Dict[tuple, Dict[object, Optional[_Unit]]] = {}
 
 
 def clear_jit_cache() -> None:
@@ -1326,42 +1288,75 @@ def clear_jit_cache() -> None:
     _CODE_CACHE.clear()
 
 
-class _Variant:
-    """A program's compiled code, linked to its process.
+class JitProgram:
+    """Prepared form for the ``jit`` backend: one process under one cost
+    model.
 
-    Holds the per-process execution namespace (memory accessors, runtime
-    services, error types), the address -> linked-function dispatch
-    table, per-head entry counts driving promotion, the negative cache of
-    heads that cannot lower, and the per-head validated fetch epochs (of
-    the block, or of every segment of the loop trace installed there)."""
+    Preparing builds a cheap handle over the process's instruction
+    index — no decode, no bind, no codegen — so cold or short-lived
+    processes pay nothing for selecting this backend.  :meth:`link` runs
+    on the first compiled drive.  It builds the per-process execution
+    namespace (memory accessors, runtime services, error types) that
+    compiled units are ``exec``-ed against, the address -> linked-function
+    dispatch ``table``, per-head ``entries`` driving promotion, the
+    ``no_compile`` negative cache, the per-head validated fetch
+    ``epochs`` (of the block, or of every segment of the loop trace
+    installed there), and the tier-3 state.  ``units`` is the image's
+    entry in the compiled-code cache: every program of one image,
+    lockstep replicas included, links the same code objects, so N
+    variants generate and compile each hot unit's source once."""
 
     __slots__ = (
+        "process", "costs", "instructions", "cache_key", "monotone",
         "units", "table", "entries", "no_compile", "epochs", "namespace",
-        "pending", "armed", "loop_targets", "no_trace", "trace_tries", "traces",
+        "pending", "armed", "loop_targets", "trace_tries", "traces",
     )
 
-    def __init__(self, program: "JitProgram"):
-        # Tier-3 state.  ``pending`` is the list armed loop-head wrappers
-        # append to when their entry counter crosses the trace threshold
-        # (the driver polls its truthiness once per block transition).
-        self.pending: List[int] = []
-        self.armed: Dict[int, object] = {}
-        self.loop_targets: set = set()
-        self.no_trace: set = set()
-        self.trace_tries: Dict[int, int] = {}
-        #: Trace head -> installed loop trace.
-        self.traces: Dict[int, _TraceUnit] = {}
-        monotone = program.monotone()
-        key = (
-            None if program.cache_key is None
-            else program.cache_key + (monotone,)
-        )
-        self.units = {} if key is None else _CODE_CACHE.setdefault(key, {})
-        self.table: Dict[int, object] = {}
+    def __init__(self, process, costs):
+        self.process = process
+        self.costs = costs
+        self.instructions = process.instructions
+        #: None until :meth:`link`.
+        self.table: Optional[Dict[int, object]] = None
+        binary = process.binary
+        fingerprint = getattr(binary, "module_fingerprint", None)
+        digest = getattr(binary, "config_digest", None)
+        if fingerprint and digest:
+            layout = process.layout
+            self.cache_key = (
+                fingerprint,
+                digest,
+                layout.text_base,
+                layout.data_base,
+                layout.heap_base,
+                layout.stack_base,
+                costs_signature(costs),
+            )
+        else:
+            self.cache_key = None
+
+    def link(self) -> None:
+        """Build the execution state of the first compiled drive.  The
+        text-fits-the-i-cache walk (:func:`_text_fits_icache`) runs here,
+        once per program, so ``prepare`` stays cheap."""
+        self.monotone = monotone = _text_fits_icache(self.instructions, self.costs)
+        key = self.cache_key
+        self.units = {} if key is None else _CODE_CACHE.setdefault(key + (monotone,), {})
+        self.table = {}
         self.entries: Dict[int, int] = {}
         self.no_compile: set = set()
         self.epochs: Dict[int, int] = {}
-        process = program.process
+        # Tier-3 state.  ``pending`` is the list armed loop-head wrappers
+        # append to when their entry counter crosses the trace threshold
+        # (the driver polls its truthiness once per block transition).  A
+        # head whose ``trace_tries`` reach _TRACE_MAX_TRIES is given up.
+        self.pending: List[int] = []
+        self.armed: Dict[int, object] = {}
+        self.loop_targets: set = set()
+        self.trace_tries: Dict[int, int] = {}
+        #: Trace head -> installed loop trace.
+        self.traces: Dict[int, _Unit] = {}
+        process = self.process
         memory = process.memory
         namespace = {
             "M": MASK64,
@@ -1388,79 +1383,20 @@ class _Variant:
             "TB": _fault_lineno,
         }
         namespace["PRB1"], namespace["PRB"] = _make_probers(
-            program.costs.icache_ways, monotone
+            self.costs.icache_ways, monotone
         )
         # Per-program "block fully probed" marks for monotone mode.
         namespace["PD"] = {}
         self.namespace = namespace
 
-
-class JitProgram:
-    """Prepared form for the ``jit`` backend: a cheap handle over the
-    process's instruction index.  All lowering is lazy — no decode, no
-    bind, no codegen happens here — so cold or short-lived processes pay
-    nothing for selecting this backend."""
-
-    __slots__ = (
-        "process", "costs", "instructions", "cache_key",
-        "_linked", "_fastprog", "_monotone",
-    )
-
-    def __init__(self, process, costs):
-        self.process = process
-        self.costs = costs
-        self.instructions = process.instructions
-        self._linked: Optional[_Variant] = None
-        self._fastprog = None
-        self._monotone: Optional[bool] = None
-        binary = process.binary
-        fingerprint = getattr(binary, "module_fingerprint", None)
-        digest = getattr(binary, "config_digest", None)
-        if fingerprint and digest:
-            layout = process.layout
-            self.cache_key = (
-                fingerprint,
-                digest,
-                layout.text_base,
-                layout.data_base,
-                layout.heap_base,
-                layout.stack_base,
-                costs_signature(costs),
-            )
-        else:
-            self.cache_key = None
-
-    def monotone(self) -> bool:
-        """Whether the text working set fits the i-cache (computed once,
-        lazily — it walks the instruction index)."""
-        if self._monotone is None:
-            self._monotone = _text_fits_icache(self.instructions, self.costs)
-        return self._monotone
-
-    def linked(self) -> _Variant:
-        """The compiled code linked to this program's process (built on
-        the first compiled drive)."""
-        if self._linked is None:
-            self._linked = _Variant(self)
-        return self._linked
-
-    def fast_program(self):
-        """The tier-0 bound program, for observed drives delegated to
-        ``fast`` (trace hook, tag attribution or opcode counting).  Bound
-        lazily and cached — observed runs pay the bind cost, plain runs
-        never do."""
-        if self._fastprog is None:
-            self._fastprog = get_bound_program(self.process, self.costs)
-        return self._fastprog
-
     def trace_info(self) -> Dict[int, dict]:
         """Installed loop traces: head -> {segments, length} (the
         ``disasm-blocks`` CLI renders this)."""
-        if self._linked is None:
+        if self.table is None:
             return {}
         return {
             head: {"segments": list(unit.segments), "length": unit.length}
-            for head, unit in self._linked.traces.items()
+            for head, unit in self.traces.items()
         }
 
 
@@ -1491,6 +1427,10 @@ class JitBackend(ExecutionBackend):
     # -- program management -------------------------------------------------
 
     def prepare(self, state):
+        """The :class:`JitProgram` for the state's process under its cost
+        model, cached on the process.  A lockstep replica (a
+        ``Process.clone()``) starts with no cached programs, so it gets a
+        program of its own that links the image's shared compiled units."""
         cache = state.process.uop_programs
         key = ("jit", id(state.costs))
         entry = cache.get(key)
@@ -1501,40 +1441,35 @@ class JitBackend(ExecutionBackend):
         cache[key] = (state.costs, program)
         return program
 
-    def clone_program(self, program, state):
-        """Rebind to a replica process.  Construction is cheap (no bind,
-        no codegen); replicas share compiled code objects through the
-        image-keyed cache, so N lockstep variants of one image generate
-        and compile each hot block's source exactly once."""
-        clone = JitProgram(state.process, state.costs)
-        JIT_STATS["programs"] += 1
-        state.process.uop_programs[("jit", id(state.costs))] = (state.costs, clone)
-        return clone
-
     # -- lowering -----------------------------------------------------------
 
-    def _promote(self, program, variant, addr: int):
+    def _install(self, program, head: int, unit: _Unit):
+        """Link ``unit`` into ``program`` and dispatch ``head`` to it.
+        The head's validated epoch resets: the first entry fetch-checks
+        every segment (a head is promoted once, and a trace replaces the
+        block whose epoch covered that block alone)."""
+        namespace = program.namespace
+        if unit.faults is not None:
+            namespace[f"F_{unit.name}"] = unit.faults
+        exec(unit.code, namespace)
+        fn = program.table[head] = namespace[unit.name]
+        program.epochs[head] = -1
+        return fn
+
+    def _promote(self, program, addr: int):
         """Lower the slice at ``addr`` to a linked block function, or
         negative-cache it (returns None: interpret this head forever)."""
-        units = variant.units
+        units = program.units
         if addr in units:
             unit = units[addr]
             if unit is not None:
                 JIT_STATS["code_cache_hits"] += 1
         else:
-            unit = self._compile_slice(program, addr)
-            units[addr] = unit
+            unit = units[addr] = self._compile_slice(program, addr)
         if unit is None:
-            variant.no_compile.add(addr)
+            program.no_compile.add(addr)
             return None
-        namespace = variant.namespace
-        if unit.ln_table is not None:
-            namespace[f"LN_{addr:x}"] = unit.ln_table
-        if unit.x_table is not None:
-            namespace[f"X_{addr:x}"] = unit.x_table
-        exec(unit.code, namespace)
-        variant.epochs.setdefault(addr, -1)
-        variant.table[addr] = namespace[unit.name]
+        self._install(program, addr, unit)
         # Tier 3: install the loop trace another process of this image
         # compiled for this head (lockstep replicas record and compile each
         # trace exactly once), or arm loop-header candidates — this block's
@@ -1543,28 +1478,32 @@ class JitBackend(ExecutionBackend):
         trace = units.get(("t", addr))
         if trace is not None:
             JIT_STATS["code_cache_hits"] += 1
-            return self._install_trace(variant, addr, trace)
+            program.traces[addr] = trace
+            return self._install(program, addr, trace)
         if unit.back_target is not None:
-            self._arm(variant, unit.back_target)
-        if addr in variant.loop_targets:
-            self._arm(variant, addr)
-        return variant.table[addr]
+            self._arm(program, unit.back_target)
+        if addr in program.loop_targets:
+            self._arm(program, addr)
+        return program.table[addr]
 
     # -- tier 3: arming, recording, formation -------------------------------
 
-    def _arm(self, variant, head: int) -> None:
+    def _arm(self, program, head: int) -> None:
         """Wrap the compiled block at ``head`` with an entry counter that
         requests trace recording once the head proves hot.  The wrapper
         is the only tier-3 cost a non-hot block ever pays, and it is
         removed again as soon as the head is traced or given up."""
-        if head in variant.armed or head in variant.traces or head in variant.no_trace:
+        if (
+            head in program.armed or head in program.traces
+            or program.trace_tries.get(head, 0) >= _TRACE_MAX_TRIES
+        ):
             return
-        fn = variant.table.get(head)
+        fn = program.table.get(head)
         if fn is None:
-            variant.loop_targets.add(head)
+            program.loop_targets.add(head)
             return
         counter = [0]
-        pending = variant.pending
+        pending = program.pending
 
         def counting(cpu, r, S, C, _fn=fn, _c=counter, _h=head, _p=pending):
             value = _fn(cpu, r, S, C)
@@ -1573,15 +1512,15 @@ class JitBackend(ExecutionBackend):
                 _p.append(_h)
             return value
 
-        variant.armed[head] = fn
-        variant.table[head] = counting
+        program.armed[head] = fn
+        program.table[head] = counting
 
-    def _disarm(self, variant, head: int) -> None:
-        fn = variant.armed.pop(head, None)
+    def _disarm(self, program, head: int) -> None:
+        fn = program.armed.pop(head, None)
         if fn is not None:
-            variant.table[head] = fn
+            program.table[head] = fn
 
-    def _record(self, program, variant, cpu, r, S, C, rip: int, value):
+    def _record(self, program, cpu, r, S, C, rip: int, value):
         """Drive execution while recording a loop path through the most
         recently requested head.  Entered from the driver right after the
         block at ``rip`` returned ``value``; returns the last undispatched
@@ -1590,12 +1529,13 @@ class JitBackend(ExecutionBackend):
         Recording starts when control reaches the head.  A path that
         returns to the head through segments joined by direct ``jmp`` or
         ``jcc`` compiles to a loop trace.  Anything else abandons the
-        recording: a transition of another kind (call, return, indirect
-        jump, runtime call, trap, slice cut), EXIT, a deopt escape, a head
-        with no compiled function, or the segment limit."""
-        pending = variant.pending
+        recording and re-arms the head, until its tries run out: a
+        transition of another kind (call, return, indirect jump, runtime
+        call, trap, slice cut), EXIT, a deopt escape, a head with no
+        compiled function, or the segment limit."""
+        pending = program.pending
         head = pending[-1]
-        table_get = variant.table.get
+        table_get = program.table.get
         path: Optional[List[Tuple[int, Lowering]]] = None
         while True:
             if path is None and rip == head:
@@ -1607,7 +1547,7 @@ class JitBackend(ExecutionBackend):
                     break
                 if value == head:
                     pending.remove(head)
-                    self._form_trace(program, variant, head, path)
+                    self._form_trace(program, head, path)
                     return value
                 if len(path) >= _TRACE_MAX_SEGMENTS:
                     break
@@ -1621,75 +1561,49 @@ class JitBackend(ExecutionBackend):
             cpu.rip = rip = value
             value = fn(cpu, r, S, C)
         pending.remove(head)
-        tries = variant.trace_tries.get(head, 0) + 1
-        variant.trace_tries[head] = tries
-        self._disarm(variant, head)
-        if tries >= _TRACE_MAX_TRIES:
-            variant.no_trace.add(head)
-        else:
-            self._arm(variant, head)
+        program.trace_tries[head] = program.trace_tries.get(head, 0) + 1
+        self._disarm(program, head)
+        self._arm(program, head)
         return value
 
-    def _form_trace(self, program, variant, head: int, path) -> None:
+    def _form_trace(self, program, head: int, path) -> None:
         """Compile a recorded loop path (or take the image's cached trace
         for ``head``) and install it."""
-        self._disarm(variant, head)
-        unit = variant.units.get(("t", head))
+        self._disarm(program, head)
+        unit = program.units.get(("t", head))
         if unit is not None:
             JIT_STATS["code_cache_hits"] += 1
-            self._install_trace(variant, head, unit)
-            return
-        costs, monotone = program.costs, program.monotone()
-        compiler = _TraceCompiler(path, costs, monotone)
-        source = compiler.generate()
-        # Second pass: registers never written in the body are
-        # loop-invariant, so accesses through them can hoist the address
-        # arithmetic and page-view lookups out of the loop.
-        invariant = frozenset(compiler.cached) - compiler.written_regs()
-        if invariant:
-            compiler = _TraceCompiler(path, costs, monotone, hoist_bases=invariant)
+        else:
+            costs, monotone = program.costs, program.monotone
+            compiler = _TraceCompiler(path, costs, monotone)
             source = compiler.generate()
-        unit = _TraceUnit(
-            compile(source, f"<jit-trace:{head:#x}>", "exec"), f"t_{head:x}",
-            [addr for addr, _ in path], compiler.total,
-            compiler.ln if compiler.needs_try else None,
-            compiler.xt if compiler.needs_try else None,
-        )
-        variant.units[("t", head)] = unit
-        JIT_STATS["traces_compiled"] += 1
-        JIT_STATS["loop_traces"] += 1
-        self._install_trace(variant, head, unit)
+            # Second pass: registers never written in the body are
+            # loop-invariant, so accesses through them can hoist the address
+            # arithmetic and page-view lookups out of the loop.
+            invariant = frozenset(compiler.cached) - compiler.written_regs()
+            if invariant:
+                compiler = _TraceCompiler(path, costs, monotone, hoist_bases=invariant)
+                source = compiler.generate()
+            unit = program.units[("t", head)] = _Unit(
+                compile(source, f"<jit-trace:{head:#x}>", "exec"), f"t_{head:x}",
+                [addr for addr, _ in path], compiler.total, compiler.faults,
+            )
+            JIT_STATS["traces_compiled"] += 1
+            JIT_STATS["loop_traces"] += 1
+        program.traces[head] = unit
+        self._install(program, head, unit)
 
-    def _install_trace(self, variant, head: int, unit: _TraceUnit):
-        namespace = variant.namespace
-        if unit.ln_table is not None:
-            namespace[f"LNT_{head:x}"] = unit.ln_table
-            namespace[f"XT_{head:x}"] = unit.xt_table
-        exec(unit.code, namespace)
-        fn = namespace[unit.name]
-        # The head's validated epoch covered its block alone: the first
-        # entry fetch-checks every segment.
-        variant.epochs[head] = -1
-        variant.traces[head] = unit
-        variant.table[head] = fn
-        return fn
-
-    def _compile_slice(self, program, addr: int) -> Optional[_BlockUnit]:
+    def _compile_slice(self, program, addr: int) -> Optional[_Unit]:
         lowering = lower_slice(program.instructions, addr)
         if not lowering.compiles:
             return None
-        compiler = _SliceCompiler(
-            addr, [lowering], program.costs, monotone=program.monotone(),
-        )
-        source = compiler.generate()
-        code = compile(source, f"<jit:{addr:#x}>", "exec")
+        compiler = _SliceCompiler(addr, [lowering], program.costs, program.monotone)
+        code = compile(compiler.generate(), f"<jit:{addr:#x}>", "exec")
         JIT_STATS["blocks_compiled"] += 1
         JIT_STATS["superinstructions_fused"] += len(lowering.fused)
-        return _BlockUnit(
-            code, f"b_{addr:x}",
-            x_table=compiler.xb if compiler.needs_try else None,
-            ln_table=compiler.ln,
-            back_target=backward_branch_target(lowering.items),
+        return _Unit(
+            code, f"b_{addr:x}", [addr], compiler.total, compiler.faults,
+            backward_branch_target(lowering.items),
         )
 
     # -- execution ----------------------------------------------------------
@@ -1701,18 +1615,21 @@ class JitBackend(ExecutionBackend):
             # it), and tag attribution / opcode counts are per-instruction
             # bookkeeping compiled blocks fold away.  The whole drive runs
             # on the fast interpreter.
-            self._fast._drive(program.fast_program(), cpu, res, max_steps)
+            self._fast._drive(
+                get_bound_program(program.process, program.costs), cpu, res, max_steps
+            )
             return
 
         process = cpu.process
         memory = process.memory
         icache = cpu.icache
-        variant = program.linked()
-        table_get = variant.table.get
-        entries = variant.entries
-        no_compile = variant.no_compile
-        epochs_get = variant.epochs.get
-        pending = variant.pending
+        if program.table is None:
+            program.link()
+        table_get = program.table.get
+        entries = program.entries
+        no_compile = program.no_compile
+        epochs_get = program.epochs.get
+        pending = program.pending
 
         cpu._bk_shadow = cpu.shadow_stack if cpu.shadow_stack_enabled else None
         cpu._bk_calls = 0
@@ -1734,7 +1651,7 @@ class JitBackend(ExecutionBackend):
         # "Block fully probed" marks describe one i-cache's contents; if a
         # cached program is ever re-driven against a fresh machine state
         # (new, cold i-cache), the marks must not carry over.
-        namespace = variant.namespace
+        namespace = program.namespace
         if namespace.get("PD_OWNER") is not icache:
             namespace["PD"].clear()
             namespace["PD_OWNER"] = icache
@@ -1750,7 +1667,7 @@ class JitBackend(ExecutionBackend):
                         count = entries.get(rip, 0) + 1
                         entries[rip] = count
                         if count >= _PROMOTE_THRESHOLD:
-                            fn = promote(program, variant, rip)
+                            fn = promote(program, rip)
                     if fn is None:
                         if not interp(program, cpu, res, C, memory, max_total):
                             break
@@ -1759,7 +1676,7 @@ class JitBackend(ExecutionBackend):
                 if pending:
                     # An armed loop head crossed the trace threshold:
                     # drive through the recorder until the path resolves.
-                    value = self._record(program, variant, cpu, r, S, C, rip, value)
+                    value = self._record(program, cpu, r, S, C, rip, value)
                 if value is None:
                     break  # EXIT: rip and exit code already set
                 if value >= 0:
@@ -1771,7 +1688,7 @@ class JitBackend(ExecutionBackend):
                 addr = ~value
                 cpu.rip = addr
                 if epochs_get(addr, -1) != C[6] and self._revalidate(
-                    program, memory, variant, addr, C
+                    program, memory, addr, C
                 ):
                     continue
                 JIT_STATS["deopts"] += 1
@@ -1854,13 +1771,13 @@ class JitBackend(ExecutionBackend):
             return False
         return True
 
-    def _revalidate(self, program, memory, variant, addr: int, C) -> bool:
+    def _revalidate(self, program, memory, addr: int, C) -> bool:
         """Fetch-check the code compiled at ``addr`` — its slice, or every
         segment of the loop trace installed there — against current
         permissions.  On success the epoch is stamped and compiled code may
         skip per-instruction fetch checks; on failure the caller falls to
         the interpreter, which faults with exact counters."""
-        trace = variant.traces.get(addr)
+        trace = program.traces.get(addr)
         try:
             for head in (addr,) if trace is None else trace.segments:
                 for iaddr, instr in slice_block(program.instructions, head, _SLICE_LIMIT):
@@ -1868,6 +1785,6 @@ class JitBackend(ExecutionBackend):
         except MemoryFault:
             return False
         epoch = memory.perm_epoch
-        variant.epochs[addr] = epoch
+        program.epochs[addr] = epoch
         C[6] = epoch
         return True

@@ -27,6 +27,10 @@ Layers:
   loads and stores (the toolchain's variable-index slot and global
   accesses) inside generated loops.  A separate seeded stream, so the
   sweep above and every corpus entry keep generating the same programs.
+* ``test_fuzz_lockstep_seeded`` — each IR module as a three-replica
+  :class:`~repro.defenses.lockstep.LockstepGroup` on every backend, at a
+  random ``sync_every``: the group must stay clean and every replica
+  must match the IR interpreter.
 * ``test_fuzz_hypothesis_explore`` — a hypothesis-driven seed explorer
   (derandomized, no database) for shrink-assisted local exploration.
 
@@ -52,6 +56,7 @@ from hypothesis import strategies as st
 
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
+from repro.defenses.lockstep import LockstepGroup, MveeOutcome
 from repro.machine.isa import Imm, Instruction, Mem, Op, Reg
 from repro.machine.loader import load_binary
 from repro.toolchain.builder import IRBuilder
@@ -605,6 +610,37 @@ def check_ir_seed(seed: int, indexed: bool = False) -> None:
         raise AssertionError(f"ir seed {seed} diverged; repro at {path}")
 
 
+def check_lockstep_seed(seed: int) -> None:
+    """The IR module for ``seed``, compiled and loaded as
+    :func:`check_ir_seed` does, plus two ``Process.clone()`` replicas, as
+    one lockstep group on every backend, synced every ``n`` instructions
+    for an ``n`` drawn from ``_slices(seed)``.  The replicas share binary
+    and layout, so the backend clones the leader's prepared program and
+    the group compares registers at every sync point."""
+    rng = random.Random(~seed)
+    config = random_config(rng)
+    module = ir_module(seed)
+    binary = compile_module(module, config)
+    load_seed = rng.randrange(1, 100)
+    sync_every = next(_slices(seed))
+    expected = interpret_module(module)
+    for backend in BACKENDS:
+        process = load_binary(binary, seed=load_seed)
+        process.register_service("attack_hook", lambda proc, cpu: 0)
+        group = LockstepGroup(
+            [process, process.clone(), process.clone()],
+            backend=backend,
+            sync_every=sync_every,
+            instruction_budget=BUDGET,
+        )
+        assert group.compare_state, backend
+        result = group.run()
+        assert result.outcome is MveeOutcome.CLEAN, (backend, sync_every, result.divergence)
+        for variant in result.variants:
+            observed = (variant.process.exit_code, variant.output)
+            assert observed == expected, (backend, sync_every, variant.index)
+
+
 # ---------------------------------------------------------------------------
 # The committed regression corpus: pinned seeds, always run.
 # ---------------------------------------------------------------------------
@@ -655,6 +691,11 @@ def test_fuzz_indexed_machine_seeded(seed):
 @pytest.mark.parametrize("seed", range(max(3, FUZZ_CASES // 16)))
 def test_fuzz_indexed_ir_seeded(seed):
     check_ir_seed(seed, indexed=True)
+
+
+@pytest.mark.parametrize("seed", range(max(6, FUZZ_CASES // 4)))
+def test_fuzz_lockstep_seeded(seed):
+    check_lockstep_seed(seed)
 
 
 # ---------------------------------------------------------------------------

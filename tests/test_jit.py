@@ -301,6 +301,48 @@ def test_fetch_epoch_bump_between_back_edges():
     assert after["traces_compiled"] - before["traces_compiled"] <= 2
 
 
+def test_fault_at_an_address_a_loop_trace_covers_twice():
+    """A loop trace can cover one guest address in two segments, each
+    with its own executed prefix, which is why fault tables are keyed by
+    generated source line.  The trace forms at M as ``[M, H, N]``, so
+    ``M…je`` appears both as its own segment and inside H's.  RBX walks
+    off the end of the data mapping; 510 or 511 loads before the fault
+    land the faulting load in each of the two copies.  The fault, its
+    ``rip``, registers and counters must equal the interpreters'."""
+    for loads in (510, 511):
+        spec = [
+            (Op.MOV, Reg.RAX, Imm(0)),
+            (Op.MOV, Reg.RBX, Imm(DATA + 0x10000 - 8 * loads)),
+            (Op.MOV, Reg.RCX, Imm(10_000)),
+            (Op.MOV, Reg.RSI, Imm(0)),
+            (Op.JMP, ("L", 12)),
+            (Op.SUB, Reg.RCX, Imm(1)),  # 5: H
+            (Op.MOV, Reg.RDX, Mem(Reg.RBX, 0)),  # 6: M
+            (Op.ADD, Reg.RAX, Reg.RDX),
+            (Op.ADD, Reg.RBX, Imm(8)),
+            (Op.XOR, Reg.RSI, Imm(1)),
+            (Op.CMP, Reg.RSI, Imm(0)),
+            (Op.JE, ("L", 5)),
+            (Op.CMP, Reg.RCX, Imm(0)),  # 12: N
+            (Op.JG, ("L", 6)),
+            (Op.EXIT, Imm(0)),
+        ]
+        spec = [entry if len(entry) == 3 else (*entry, None) for entry in spec]
+        process, addresses = build_spec(spec)
+        state = MachineState(process, get_costs("epyc-rome"))
+        with pytest.raises(MemoryFault):
+            run(state, "jit")
+        head, h, n = addresses[6], addresses[5], addresses[12]
+        assert get_backend("jit").prepare(state).trace_info() == {
+            head: {"segments": [head, h, n], "length": 15}
+        }
+        outcome = compare_backends(lambda: build_spec(spec)[0])
+        assert outcome["error"][0] is MemoryFault
+        assert outcome["rip"] == head
+        assert outcome["regs"][Reg.RBX] == DATA + 0x10000
+        assert outcome["regs"][Reg.RSI] == (0 if loads == 510 else 1)
+
+
 def test_indirect_jump_target_flip_identical():
     """A hot ``jmp reg`` whose target flips permanently mid-run: the
     block ending in it runs compiled at tier 2, returning whichever
@@ -455,7 +497,7 @@ def test_block_recovery_boundaries_and_fusion(capsys):
     jit.execute(jit_program, state, ExecutionResult())
     units = {
         addr: unit
-        for addr, unit in jit_program.linked().units.items()
+        for addr, unit in jit_program.units.items()
         if addr in tiers
     }
     assert any(unit is not None for unit in units.values())
