@@ -422,6 +422,7 @@ def experiment_table3(
     attacks: Optional[Sequence[str]] = None,
     defenses: Optional[Sequence[str]] = None,
     base_seed: int = 100,
+    engine: Optional[ExperimentEngine] = None,
 ) -> Dict[str, Dict[str, Dict[str, int]]]:
     """Run every attack against every defense model.
 
@@ -429,8 +430,10 @@ def experiment_table3(
     "crashed": n, "failed": n}}} over ``trials`` independently diversified
     victims.  N-variant defense rows (``model.variants > 1``, e.g.
     ``r2c-mvee``) run every probe in batched lockstep, so the ``diverged``
-    tally counts cross-check catches.
+    tally counts cross-check catches.  Every session runs on the engine's
+    backend.
     """
+    backend = _engine(engine).backend
     attack_names = list(attacks) if attacks else list(ALL_ATTACKS)
     defense_names = list(defenses) if defenses else list(DEFENSE_MODELS)
     matrix: Dict[str, Dict[str, Dict[str, int]]] = {}
@@ -452,6 +455,7 @@ def experiment_table3(
                     shadow_stack=model.shadow_stack,
                     variants=model.variants,
                     load_seed=base_seed + 17 * trial,
+                    backend=backend,
                 )
                 result = ALL_ATTACKS[attack_name](
                     session, attacker_seed=base_seed + 31 * trial
@@ -471,7 +475,7 @@ def btra_guess_probability(btras: int, leaks: int) -> float:
 
 
 def _probe_benign_heap_picks(
-    config: R2CConfig, *, load_seed: int, attacker_seed: int
+    config: R2CConfig, *, load_seed: int, attacker_seed: int, backend: str
 ) -> Tuple[int, int]:
     """One heap-pointer-picking trial against a freshly diversified victim.
 
@@ -481,7 +485,7 @@ def _probe_benign_heap_picks(
     surfaced no heap pointers.  Shared by the §7.2.3 measurement and the
     BTDP density sweep.
     """
-    session = VictimSession(config, load_seed=load_seed)
+    session = VictimSession(config, load_seed=load_seed, backend=backend)
     picked: Dict[str, List[int]] = {}
 
     def hook(view):
@@ -504,6 +508,7 @@ def experiment_security_probabilities(
     leaks: Sequence[int] = (1, 2, 3, 4),
     mc_trials: int = 20000,
     stack_samples: int = 30,
+    engine: Optional[ExperimentEngine] = None,
 ) -> Dict[str, object]:
     """Compare measured guessing odds against the paper's closed forms.
 
@@ -512,8 +517,10 @@ def experiment_security_probabilities(
     * **Heap-pointer picking** (§7.2.3): against real compiled victims,
       leak the stack at the vulnerability, cluster, pick a random member
       of the heap cluster, and check (against runtime ground truth)
-      whether it was benign — the measured H/(H+B).
+      whether it was benign — the measured H/(H+B).  The victims run on
+      the engine's backend.
     """
+    backend = _engine(engine).backend
     rng = DiversityRng(7).child("security-mc")
     closed = {n: btra_guess_probability(btras, n) for n in leaks}
     measured = {}
@@ -533,6 +540,7 @@ def experiment_security_probabilities(
             R2CConfig.full(seed=500 + index),
             load_seed=900 + index,
             attacker_seed=index,
+            backend=backend,
         )
         if not total:
             continue
@@ -651,6 +659,7 @@ def experiment_btdp_sweep(
                     full.replace(seed=700 + index),
                     load_seed=300 + index,
                     attacker_seed=index,
+                    backend=engine.backend,
                 )
                 benign += picks[0]
                 total += picks[1]
@@ -822,6 +831,7 @@ def experiment_supervised(
     attack: str = "blindrop",
     trials: int = 3,
     base_seed: int = 300,
+    engine: Optional[ExperimentEngine] = None,
 ) -> Dict[Tuple[str, str], Dict[str, object]]:
     """Measure attack success and detection latency per restart policy.
 
@@ -836,11 +846,12 @@ def experiment_supervised(
     monoculture victim, ``restart-same`` reproduces the Blind-ROP success
     while ``restart-rerandomize`` breaks the cross-probe inference and
     drives success to zero; full R2C detects the probing within a few
-    probes under any policy.
+    probes under any policy.  Every session runs on the engine's backend.
     """
     from repro.eval.stats import median as _median
     from repro.reliability.supervisor import SupervisedSession
 
+    backend = _engine(engine).backend
     attack_fn = ALL_ATTACKS[attack]
     configs = {
         "baseline": lambda seed: R2CConfig.baseline(),
@@ -863,6 +874,7 @@ def experiment_supervised(
                     policy=policy,
                     execute_only=victim_name != "baseline",
                     load_seed=base_seed + 17 * trial,
+                    backend=backend,
                 )
                 result = attack_fn(session, attacker_seed=base_seed + 31 * trial)
                 tallies[result.outcome.value] += 1

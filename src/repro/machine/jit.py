@@ -3,7 +3,8 @@ compilation and loop-trace compilation.
 
 The ``jit`` backend executes nothing up front.  ``prepare`` is a cheap
 handle around the process's instruction index; lowering happens *per
-dynamic block head, on its second entry*:
+dynamic block head, on its second entry* (or its first, when another
+process of the same binary already compiled the unit):
 
 * tier 1 — :func:`lower_slice`: :func:`repro.machine.blocks.slice_block`
   recovers the straight-line run from the entry address through its
@@ -43,16 +44,18 @@ dynamic block head, on its second entry*:
 Block functions thread by address: a function returns the next block
 head as a non-negative ``int`` (register values are masked, so real
 addresses never collide with escapes), ``None`` after EXIT, or the
-bitwise complement ``~addr`` as a *deopt escape*.  The driver trampolines
+bitwise complement ``~offset`` of its head's text offset as a *deopt
+escape*.  The driver trampolines
 between compiled functions through one dictionary lookup; trace
 functions obey the same protocol, so a trace is just a block function
 that covers many blocks and many iterations per call.
 
 **The deopt contract.**  Anything compiled code cannot reproduce
 *bit-identically* re-enters an interpreter mid-run with all partial
-counters flushed first: cold code (fewer than two entries), slices
-containing an instruction tier 1 cannot lower (negative-cached,
-interpreted forever), stale fetch-permission epochs (prologs compare
+counters flushed first: cold code (fewer than two entries, and no
+unit for it in the binary's cache entry), slices containing an
+instruction tier 1 cannot lower (negative-cached, interpreted
+forever), stale fetch-permission epochs (prologs compare
 the per-block validated epoch against the drive's mirror of
 :attr:`Memory.perm_epoch`; the driver re-validates by fetch-checking the
 slice and only then re-enters compiled code), budget or step-slice
@@ -73,16 +76,24 @@ holds ``jit`` to byte-identical :class:`ExecutionResult`\\ s, faults,
 ``rip``, counters, folded profiles, and lockstep divergence points
 against both other backends.
 
-Compiled code objects are cached per (module fingerprint, config digest,
-address-space layout, cost-model signature): lockstep replicas of one
-image re-``exec`` shared code objects against their own memory bindings
-instead of re-generating source (see :class:`JitProgram`).
+Compiled code belongs to the binary, not the process: every load of one
+binary under one cost model — lockstep replicas and re-randomized
+restarts under a fresh ASLR layout alike — shares one code-cache entry
+(:data:`_CODE_CACHE`).  Units are position-independent: every address
+literal is written relative to the text base ``T`` and bound once per
+program as a parameter default when the unit is linked (never as an add
+per executed exit), and fault tables hold text offsets, relocated on the
+fault path only.  The entry also keeps the monotone i-cache verdict, so
+the text walk behind it runs once per binary, and a head whose unit the
+entry already holds links on its *first* entry in every later process
+(see :class:`JitProgram`).
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import (
@@ -99,6 +110,7 @@ from repro.machine.blocks import backward_branch_target, fuse_slice, slice_block
 from repro.machine.costs import CYCLE_UNIT, costs_signature, fold_cost
 from repro.machine.icache import block_line_plan, line_span
 from repro.machine.isa import Imm, Mem, Op, Reg
+from repro.machine.memory import PAGE_SIZE
 from repro.machine.uops import TERMINATOR_OPS, _DIRECT_BRANCH_OPS, _kind, get_bound_program
 from repro.numeric import MASK64, to_signed, truncated_div
 
@@ -386,16 +398,17 @@ def _faultable(ju: _JU) -> bool:
     return ju.op in _FAULTABLE or ju.has_mem
 
 
-def _mem_addr_expr(off: int, base: Optional[int], idx: Optional[int] = None,
+def _mem_addr_expr(off: str, base: Optional[int], idx: Optional[int] = None,
                    scale: int = 1) -> str:
     """The masked effective address ``MachineState._mem_address``
-    computes, as a generated-code expression."""
+    computes, as a generated-code expression (``off`` is the rendered
+    displacement: a literal, or a name bound to a relocated address)."""
     if idx is not None:
-        terms = f"{off!r} + r[{idx}] * {scale}"
+        terms = f"{off} + r[{idx}] * {scale}"
         return f"({terms} + r[{base}]) & M" if base is not None else f"({terms}) & M"
     if base is None:
-        return repr(off)
-    return f"({off!r} + r[{base}]) & M"
+        return off
+    return f"({off} + r[{base}]) & M"
 
 
 def _sx(expr: str) -> str:
@@ -528,16 +541,38 @@ class _SliceCompiler:
 
     Faults restore the exact executed prefix from the unit's baked fault
     table ``faults``: generated line -> ``(rip, x, k, h, o, b, t)``, the
-    faultable instruction a fault on that line attributes to and the
-    prefix executed through it (instructions, cycle units, i-cache hit
-    charges, memory ops, and the branches and taken branches a trace
-    retires at segment ends; both 0 in a block).  Pure lines carry the
-    entry of the most recent faultable instruction.
+    text offset of the faultable instruction a fault on that line
+    attributes to and the prefix executed through it (instructions, cycle
+    units, i-cache hit charges, memory ops, and the branches and taken
+    branches a trace retires at segment ends; both 0 in a block).  Pure
+    lines carry the entry of the most recent faultable instruction.
+
+    The source is position-independent: every address literal is written
+    relative to the text base ``T`` of the program that links it.  Exit
+    addresses, i-cache line tags (relative to ``L``, the base's line),
+    and operands the loader resolved from a symbol (``symbolic``: text
+    offset -> which of ``a``/``b`` carried one; data sits one fixed gap
+    after text, so it shares the slide) become parameter defaults such
+    as ``a<i>=T+<offset>`` that ``exec`` evaluates once per link, so
+    executing a unit pays no relocation add.  The head needs none: the
+    prolog reads its epoch at its text offset and a deopt escape returns
+    ``~offset``.  Paths that run at most once per process (EXIT, a trap,
+    a fault) use ``T+<offset>`` inline.  ``base`` is the text base of
+    the program that generates the unit; i-cache set indices and page
+    splits depend on it only through the residue the code-cache key
+    holds.
     """
 
     def __init__(self, addr: int, segments: List[Lowering], costs,
-                 monotone: bool = False):
-        self.addr = addr
+                 monotone: bool = False, base: int = 0,
+                 symbolic: Optional[Dict[int, Tuple[bool, bool]]] = None):
+        self.base = base
+        #: The head's text offset: names the unit and keys its epoch,
+        #: its deopt escape and its ``PD`` mark.
+        self.offset = addr - base
+        self.symbolic = symbolic or {}
+        #: Default-argument expression -> parameter name.
+        self.bound: Dict[str, str] = {}
         self.costs = costs
         #: Text fits the i-cache (see :func:`_text_fits_icache`): probes
         #: are first-touch-only and skippable once the block has probed
@@ -572,9 +607,59 @@ class _SliceCompiler:
         self._pending: List[Tuple[int, int]] = []
         # The fault-table entry of each emitted line, and of the next one.
         self._tags: List[Tuple[int, ...]] = []
-        self._tag = (next((j.rip for j in jus if _faultable(j)), 0),) + (0,) * 6
+        self._tag = (next((j.rip - base for j in jus if _faultable(j)), 0),) + (0,) * 6
         #: Generated line -> fault-table entry (None without a try).
         self.faults: Optional[dict] = None
+
+    # -- relocation --------------------------------------------------------
+
+    def bind(self, expr: str) -> str:
+        """The parameter whose default evaluates ``expr`` when the unit is
+        linked (one name per distinct expression)."""
+        name = self.bound.get(expr)
+        if name is None:
+            name = self.bound[expr] = f"a{len(self.bound)}"
+        return name
+
+    def at(self, addr: int) -> str:
+        """A text-relative address, bound at link time."""
+        return self.bind(f"T+{addr - self.base}")
+
+    def once(self, addr: int) -> str:
+        """A text-relative address on a path run at most once per
+        process, computed where it runs."""
+        return f"T+{addr - self.base}"
+
+    def signature(self, function: str) -> str:
+        """The ``def`` line, with the link-time bound parameters."""
+        params = "".join(f", {name}={expr}" for expr, name in self.bound.items())
+        return f"def {function}(cpu, r, S, C{params}):"
+
+    def _symbolic(self, ju: _JU) -> Tuple[bool, bool]:
+        return self.symbolic.get(ju.rip - self.base, (False, False))
+
+    def imm(self, ju: _JU, signed: bool = False) -> str:
+        """The instruction's immediate (``to_signed`` with ``signed``)."""
+        a_sym, b_sym = self._symbolic(ju)
+        if b_sym if ju.kb == "I" else a_sym:
+            return self.bind(f"ts(T+{ju.imm - self.base})") if signed else self.at(ju.imm)
+        return repr(to_signed(ju.imm) if signed else ju.imm)
+
+    def disp(self, ju: _JU, operand: str) -> Tuple[int, Optional[int], bool]:
+        """Operand ``a`` or ``b``'s memory displacement, its base
+        register, and whether the displacement is a relocated address."""
+        a_sym, b_sym = self._symbolic(ju)
+        if operand == "a":
+            return ju.a_off, ju.a_base, a_sym
+        return ju.b_off, ju.b_base, b_sym
+
+    def lit(self, value: int, relocated: bool) -> str:
+        return self.at(value) if relocated else repr(value)
+
+    def mem_addr(self, ju: _JU, operand: str) -> str:
+        """Operand ``a`` or ``b``'s effective-address expression."""
+        off, base, relocated = self.disp(ju, operand)
+        return _mem_addr_expr(self.lit(off, relocated), base, ju.idx, ju.scale)
 
     # -- helpers -----------------------------------------------------------
 
@@ -629,12 +714,16 @@ class _SliceCompiler:
         # ``PD`` mark before its terminator), every later probe is a
         # guaranteed hit with no state change — skip the calls outright.
         guard = "if not f: " if self.monotone else ""
+        # Line tags move with the text base (``L`` is its line); set
+        # indices do not, because the code-cache key fixes the base's
+        # residue modulo the i-cache period.
+        first = self.base // self.costs.icache_line
         if len(pending) == 1:
             index, line = pending[0]
-            self.emit(f"{guard}m += PRB1(S, {index}, {line})")
+            self.emit(f"{guard}m += PRB1(S, {index}, {self.bind(f'L+{line - first}')})")
         else:
-            pairs = ", ".join(f"({index}, {line})" for index, line in pending)
-            self.emit(f"{guard}m += PRB(S, ({pairs}))")
+            pairs = ", ".join(f"({index}, L+{line - first})" for index, line in pending)
+            self.emit(f"{guard}m += PRB(S, {self.bind(f'({pairs})')})")
         self.stat_p += len(pending)
         pending.clear()
 
@@ -677,18 +766,23 @@ class _SliceCompiler:
         self.emit(f"u = RMG({qvar} - z)")
         self.emit(f"{target} = u[z >> 3] if u is not None and not z & 7 else RW({qvar})")
 
-    def emit_load(self, target: str, off: int, base: Optional[int]) -> None:
+    def emit_load(self, target: str, off: int, base: Optional[int],
+                  relocated: bool = False) -> None:
         """``target = read_word(off [+ r[base]])``; absolute addresses fold
-        the page split and alignment test at codegen time."""
+        the page split and alignment test at codegen time (a relocated
+        address keeps its page offset: slides are page multiples)."""
         if base is None:
             z = off & 4095
             if not z & 7:
-                self.emit(f"u = RMG({off - z})")
-                self.emit(f"{target} = u[{z >> 3}] if u is not None else RW({off!r})")
+                self.emit(f"u = RMG({self.lit(off - z, relocated)})")
+                self.emit(
+                    f"{target} = u[{z >> 3}] if u is not None "
+                    f"else RW({self.lit(off, relocated)})"
+                )
             else:
-                self.emit(f"{target} = RW({off!r})")
+                self.emit(f"{target} = RW({self.lit(off, relocated)})")
             return
-        self.emit(f"q = ({off!r} + r[{base}]) & M")
+        self.emit(f"q = ({self.lit(off, relocated)} + r[{base}]) & M")
         self.emit_load_q(target, "q")
 
     def emit_store_q(self, qvar: str, value: str) -> None:
@@ -701,17 +795,18 @@ class _SliceCompiler:
         self.emit(f"if u is None or z & 7: WW({qvar}, {value})")
         self.emit(f"else: u[z >> 3] = {value}")
 
-    def emit_store(self, off: int, base: Optional[int], value: str) -> None:
+    def emit_store(self, off: int, base: Optional[int], relocated: bool,
+                   value: str) -> None:
         if base is None:
             z = off & 4095
             if not z & 7:
-                self.emit(f"u = WMG({off - z})")
-                self.emit(f"if u is None: WW({off!r}, {value})")
+                self.emit(f"u = WMG({self.lit(off - z, relocated)})")
+                self.emit(f"if u is None: WW({self.lit(off, relocated)}, {value})")
                 self.emit(f"else: u[{z >> 3}] = {value}")
             else:
-                self.emit(f"WW({off!r}, {value})")
+                self.emit(f"WW({self.lit(off, relocated)}, {value})")
             return
-        self.emit(f"q = ({off!r} + r[{base}]) & M")
+        self.emit(f"q = ({self.lit(off, relocated)} + r[{base}]) & M")
         self.emit_store_q("q", value)
 
     # -- accounting --------------------------------------------------------
@@ -732,7 +827,7 @@ class _SliceCompiler:
             # Every line from here to the next faultable instruction
             # restores this prefix.
             self.flush_probes()
-            self._tag = (ju.rip,) + self.prefix()
+            self._tag = (ju.rip - self.base,) + self.prefix()
 
     # -- semantics ---------------------------------------------------------
 
@@ -740,7 +835,7 @@ class _SliceCompiler:
         if ju.ka == "R":
             return f"r[{ju.a_reg}]"
         if ju.ka == "I":
-            return repr(ju.imm)
+            return self.imm(ju)
         raise AssertionError(ju.ka)
 
     def b_val(self, ju: _JU) -> str:
@@ -748,11 +843,9 @@ class _SliceCompiler:
         if kb == "R":
             return f"r[{ju.b_reg}]"
         if kb == "I":
-            return repr(ju.imm)
-        if kb == "MB":
-            return f"RW({_mem_addr_expr(ju.b_off, ju.b_base)})"
-        if kb == "MA":
-            return f"RW({ju.b_off!r})"
+            return self.imm(ju)
+        if kb in ("MB", "MA"):
+            return f"RW({self.mem_addr(ju, 'b')})"
         raise AssertionError(kb)
 
     def emit_semantics(self, position: int, ju: _JU) -> None:
@@ -765,22 +858,22 @@ class _SliceCompiler:
             # loop-invariant (see ``_TraceCompiler.emit_load``).
             if ka == "R":
                 if kb in ("MB", "MA"):
-                    self.emit_load(f"r[{ju.a_reg}]", ju.b_off, ju.b_base)
+                    self.emit_load(f"r[{ju.a_reg}]", *self.disp(ju, "b"))
                 elif kb == "MX":
-                    self.emit(f"q = {_mem_addr_expr(ju.b_off, ju.b_base, ju.idx, ju.scale)}")
+                    self.emit(f"q = {self.mem_addr(ju, 'b')}")
                     self.emit_load_q(f"r[{ju.a_reg}]", "q")
                 else:
                     self.emit(f"r[{ju.a_reg}] = {self.b_val(ju)}")
             elif ka == "MX":
-                self.emit(f"q = {_mem_addr_expr(ju.a_off, ju.a_base, ju.idx, ju.scale)}")
+                self.emit(f"q = {self.mem_addr(ju, 'a')}")
                 self.emit_store_q("q", self.b_val(ju))
             else:
-                self.emit_store(ju.a_off, ju.a_base, self.b_val(ju))
+                self.emit_store(*self.disp(ju, "a"), self.b_val(ju))
         elif op in _ALU_EXPR:
             expr = _ALU_EXPR[op]
             if ka == "R":
                 if kb in ("MB", "MA"):
-                    self.emit_load("y", ju.b_off, ju.b_base)
+                    self.emit_load("y", *self.disp(ju, "b"))
                     bexpr = "y"
                 else:
                     bexpr = self.b_val(ju)
@@ -788,24 +881,21 @@ class _SliceCompiler:
                     # Inline sign extension for register/loaded operands;
                     # fold it entirely for immediates.
                     sa = _sx(f"r[{ju.a_reg}]")
-                    sb = repr(to_signed(ju.imm)) if kb == "I" else _sx(bexpr)
+                    sb = self.imm(ju, signed=True) if kb == "I" else _sx(bexpr)
                     body = f"({sa} * {sb})"
                 else:
                     body = expr.format(a=f"r[{ju.a_reg}]", b=bexpr)
                 mask = "" if op in _NO_MASK_OPS else " & M"
                 self.emit(f"r[{ju.a_reg}] = {body}{mask}")
             else:  # MB destination: read-modify-write one address
-                self.emit(f"q = {_mem_addr_expr(ju.a_off, ju.a_base)}")
+                self.emit(f"q = {self.mem_addr(ju, 'a')}")
                 self.emit_load_q("y", "q")
                 body = expr.format(a="y", b=self.b_val(ju))
                 mask = "" if op in _NO_MASK_OPS else " & M"
                 self.emit(f"y = {body}{mask}")
                 self.emit_store_q("q", "y")
         elif op is Op.LEA:
-            if kb == "MB":
-                self.emit(f"r[{ju.a_reg}] = {_mem_addr_expr(ju.b_off, ju.b_base)}")
-            else:
-                self.emit(f"r[{ju.a_reg}] = {ju.b_off!r}")
+            self.emit(f"r[{ju.a_reg}] = {self.mem_addr(ju, 'b')}")
         elif op is Op.PUSH:
             if position in self._run_positions:
                 # Inside a fused push run: `p` already holds RSP.
@@ -819,17 +909,19 @@ class _SliceCompiler:
             self.emit_load_q(f"r[{ju.a_reg}]", "p")
             self.emit(f"r[{_RSP}] = (p + 8) & M")
         elif op is Op.IDIV:
+            fault = f"raise ME('division by zero at %#x' % ({self.once(ju.rip)}))"
             if kb == "R":
                 self.emit(f"dv = ts(r[{ju.b_reg}])")
                 self.emit("if dv == 0:")
-                self.emit(f"    raise ME('division by zero at {ju.rip:#x}')")
+                self.emit("    " + fault)
                 self.emit(f"r[{ju.a_reg}] = td(ts(r[{ju.a_reg}]), dv) & M")
             else:
-                divisor = to_signed(ju.imm)
-                if divisor == 0:
-                    self.emit(f"raise ME('division by zero at {ju.rip:#x}')")
+                # A relocated divisor is an address, never 0.
+                divisor = self.imm(ju, signed=True)
+                if divisor == "0":
+                    self.emit(fault)
                 else:
-                    self.emit(f"r[{ju.a_reg}] = td(ts(r[{ju.a_reg}]), {divisor!r}) & M")
+                    self.emit(f"r[{ju.a_reg}] = td(ts(r[{ju.a_reg}]), {divisor}) & M")
         elif op is Op.NEG:
             self.emit(f"r[{ju.a_reg}] = (-r[{ju.a_reg}]) & M")
         elif op is Op.CMP or op is Op.TEST:
@@ -839,14 +931,14 @@ class _SliceCompiler:
                 if ka == "R":
                     lhs = _sx(f"r[{ju.a_reg}]")
                 else:
-                    self.emit_load("y", ju.a_off, ju.a_base)
+                    self.emit_load("y", *self.disp(ju, "a"))
                     lhs = _sx("y")
                 if kb == "I":
-                    rhs = repr(to_signed(ju.imm))
+                    rhs = self.imm(ju, signed=True)
                 elif kb == "R":
                     rhs = _sx(f"r[{ju.b_reg}]")
                 else:
-                    self.emit_load("y", ju.b_off, ju.b_base)
+                    self.emit_load("y", *self.disp(ju, "b"))
                     rhs = _sx("y")
                 value = f"{lhs} - {rhs}"
             else:
@@ -860,11 +952,9 @@ class _SliceCompiler:
             self.emit(f"r[{ju.a_reg}] = 1 if cpu._cmp {_SETCC_COND[op]} else 0")
         elif op in (Op.VLOAD, Op.VLOAD512):
             nbytes = _VBYTES[op]
-            addr = _mem_addr_expr(ju.b_off, ju.b_base) if kb == "MB" else repr(ju.b_off)
-            self.emit(f"cpu.vregs[{ju.a_reg - _YMM0}] = RD({addr}, {nbytes})")
+            self.emit(f"cpu.vregs[{ju.a_reg - _YMM0}] = RD({self.mem_addr(ju, 'b')}, {nbytes})")
         elif op in (Op.VSTORE, Op.VSTORE512):
-            addr = _mem_addr_expr(ju.a_off, ju.a_base) if ka == "MB" else repr(ju.a_off)
-            self.emit(f"WR({addr}, cpu.vregs[{ju.b_reg - _YMM0}])")
+            self.emit(f"WR({self.mem_addr(ju, 'a')}, cpu.vregs[{ju.b_reg - _YMM0}])")
         elif op is Op.OUT:
             self.emit(f"OA({self.a_val(ju)})")
         elif op in (Op.NOP, Op.VZEROUPPER):
@@ -876,21 +966,21 @@ class _SliceCompiler:
         op = ju.op
         if op is Op.EXIT:
             ka = ju.ka
-            value = repr(ju.imm) if ka == "I" else (f"r[{ju.a_reg}]" if ka == "R" else "0")
+            value = self.imm(ju) if ka == "I" else (f"r[{ju.a_reg}]" if ka == "R" else "0")
             self.emit(f"cpu._exit_code = {value}")
             self.emit("cpu._halted = True")
-            self.emit(f"cpu.rip = {ju.next_rip}")
+            self.emit(f"cpu.rip = {self.once(ju.next_rip)}")
             self.emit_flush_and("return None")
         elif op is Op.TRAP:
             self.emit("cpu._bk_traps += 1")
-            self.emit(f"raise BTT({ju.rip})")
+            self.emit(f"raise BTT({self.once(ju.rip)})")
         elif op is Op.JMP:
             self.emit("cpu._bk_branches += 1")
             self.emit("cpu._bk_taken += 1")
             if ju.ka == "R":
                 self.emit_flush_and(f"return r[{ju.a_reg}]")
             else:
-                self.emit_flush_and(f"return {ju.target}")
+                self.emit_flush_and(f"return {self.imm(ju)}")
         elif op in _JCC_COND:
             cond = _JCC_COND[op]
             value = "w_" if self.fused_cmp else "cpu._cmp"
@@ -899,27 +989,28 @@ class _SliceCompiler:
             self.emit("    cpu._bk_taken += 1")
             for stmt in self.flush_stmts():
                 self.emit("    " + stmt)
-            self.emit(f"    return {ju.target}")
-            self.emit_flush_and(f"return {ju.next_rip}")
+            self.emit(f"    return {self.imm(ju)}")
+            self.emit_flush_and(f"return {self.at(ju.next_rip)}")
         elif op is Op.CALL:
             self.emit(f"if cpu.check_alignment and r[{_RSP}] % 16 != 0:")
             self.emit(
-                "    raise SM('rsp=%#x not 16-byte aligned at call "
-                f"({ju.rip:#x})' % r[{_RSP}])"
+                "    raise SM('rsp=%#x not 16-byte aligned at call (%#x)' "
+                f"% (r[{_RSP}], {self.once(ju.rip)}))"
             )
             indirect = ju.ka == "R"
             if indirect:
                 self.emit(f"tv = r[{ju.a_reg}]")
             self.emit(f"p = (r[{_RSP}] - 8) & M")
             self.emit(f"r[{_RSP}] = p")
-            self.emit_store_q("p", repr(ju.next_rip))
+            ret = self.at(ju.next_rip)
+            self.emit_store_q("p", ret)
             self.emit("if sh is not None:")
-            self.emit(f"    sh.append({ju.next_rip})")
+            self.emit(f"    sh.append({ret})")
             self.emit("cpu._bk_calls += 1")
             if indirect:
                 self.emit_flush_and("return tv")
             else:
-                self.emit_flush_and(f"return {ju.target}")
+                self.emit_flush_and(f"return {self.imm(ju)}")
         elif op is Op.RET:
             self.emit(f"p = r[{_RSP}]")
             self.emit_load_q("tv", "p")
@@ -931,14 +1022,15 @@ class _SliceCompiler:
             self.emit("cpu._bk_rets += 1")
             self.emit_flush_and("return tv")
         elif op is Op.CALLRT:
-            self.emit(f"fn = PSV({ju.sym!r})")
-            self.emit(f"cpu.rip = {ju.rip}")
-            self.emit("r[0] = fn(P, cpu) & M")
+            self.emit("pr = cpu.process")
+            self.emit(f"fn = pr.service({ju.sym!r})")
+            self.emit(f"cpu.rip = {self.at(ju.rip)}")
+            self.emit("r[0] = fn(pr, cpu) & M")
             self.emit("C[6] = MEM.perm_epoch")
-            self.emit_flush_and(f"return {ju.next_rip}")
+            self.emit_flush_and(f"return {self.at(ju.next_rip)}")
         else:  # slice cut (limit / missing successor): plain fall-through
             self.emit_semantics(len(self.jus) - 1, ju)
-            self.emit_flush_and(f"return {ju.next_rip}")
+            self.emit_flush_and(f"return {self.at(ju.next_rip)}")
 
     # -- assembly ----------------------------------------------------------
 
@@ -954,29 +1046,28 @@ class _SliceCompiler:
                     # Every probe of this block has now executed at least
                     # once; its lines are resident forever (nothing ever
                     # evicts), so later executions skip the probes.
-                    self.emit(f"if not f: PD[{self.addr}] = 1")
+                    self.emit(f"if not f: PD[{self.offset}] = 1")
                 self.emit_terminator(ju)
             else:
                 self.emit_semantics(position, ju)
 
-        addr = self.addr
         head = [
-            f"def b_{addr:x}(cpu, r, S, C):",
+            self.signature(f"b_{self.offset:x}"),
             f"    n = C[0] + {self.total}",
-            f"    if n > C[5] or E[{addr}] != C[6]:",
-            f"        return {~addr}",
+            f"    if n > C[5] or E[{self.offset}] != C[6]:",
+            f"        return {~self.offset}",
         ]
         if self.has_probe:
             head.append("    m = 0")
             if self.monotone:
-                head.append(f"    f = {addr} in PD")
+                head.append(f"    f = {self.offset} in PD")
         if jus[last].op in (Op.CALL, Op.RET):
             head.append("    sh = cpu._bk_shadow")
         tail: List[str] = []
         if self.needs_try:
             head.append("    try:")
             tail.append("    except BaseException:")
-            tail.append(f"        I, x_, k_, h_, o_, _, _ = F_b_{addr:x}[TB()]")
+            tail.append(f"        I, x_, k_, h_, o_, _, _ = F_b_{self.offset:x}[TB()]")
             tail.append("        C[0] += x_")
             if self.has_probe:
                 tail.append(f"        C[1] += k_ + m * {self.penalty}")
@@ -987,7 +1078,7 @@ class _SliceCompiler:
                 tail.append("        C[3] += h_")
             if self.has_mem_any:
                 tail.append("        C[2] += o_")
-            tail.append("        cpu.rip = I")
+            tail.append("        cpu.rip = T + I")
             tail.append("        raise")
         return self.assemble(head, tail)
 
@@ -1047,9 +1138,11 @@ class _TraceCompiler(_SliceCompiler):
     _REG_REF = re.compile(r"\br\[(\d+)\]")
 
     def __init__(self, segments: List[Tuple[int, Lowering]], costs, monotone: bool,
+                 base: int = 0, symbolic: Optional[Dict[int, Tuple[bool, bool]]] = None,
                  hoist_bases: frozenset = frozenset()):
         super().__init__(
-            segments[0][0], [lowering for _, lowering in segments], costs, monotone
+            segments[0][0], [lowering for _, lowering in segments], costs, monotone,
+            base, symbolic,
         )
         self.segments = segments
         self.indent += "    "
@@ -1061,8 +1154,9 @@ class _TraceCompiler(_SliceCompiler):
         #: and nothing can invalidate a view mid-call (permission epochs
         #: only move at runtime services, which never enter traces).
         self.hoist_bases = hoist_bases
-        self._slots: Dict[Tuple[int, Optional[int]], int] = {}
-        self._slot_kinds: Dict[Tuple[int, Optional[int]], set] = {}
+        #: (rendered displacement, base register) -> slot index.
+        self._slots: Dict[Tuple[str, int], int] = {}
+        self._slot_kinds: Dict[Tuple[str, int], set] = {}
         #: Registers referenced anywhere in the body (insertion-ordered);
         #: each lives in a local ``g<index>`` for the whole trace.
         self.cached: Dict[int, None] = {}
@@ -1093,7 +1187,7 @@ class _TraceCompiler(_SliceCompiler):
                     written.add(int(match.group(1)))
         return written
 
-    def _slot(self, off: int, base: int, write: bool) -> int:
+    def _slot(self, off: str, base: int, write: bool) -> int:
         key = (off, base)
         slot = self._slots.get(key)
         if slot is None:
@@ -1103,22 +1197,24 @@ class _TraceCompiler(_SliceCompiler):
         self.cached[base] = None
         return slot
 
-    def emit_load(self, target: str, off: int, base: Optional[int]) -> None:
+    def emit_load(self, target: str, off: int, base: Optional[int],
+                  relocated: bool = False) -> None:
         if base is not None and base in self.hoist_bases:
-            j = self._slot(off, base, False)
+            j = self._slot(self.lit(off, relocated), base, False)
             self.emit(
                 f"{target} = ur{j}[y{j}] if ur{j} is not None else RW(q{j})"
             )
             return
-        super().emit_load(target, off, base)
+        super().emit_load(target, off, base, relocated)
 
-    def emit_store(self, off: int, base: Optional[int], value: str) -> None:
+    def emit_store(self, off: int, base: Optional[int], relocated: bool,
+                   value: str) -> None:
         if base is not None and base in self.hoist_bases:
-            j = self._slot(off, base, True)
+            j = self._slot(self.lit(off, relocated), base, True)
             self.emit(f"if uw{j} is None: WW(q{j}, {value})")
             self.emit(f"else: uw{j}[y{j}] = {value}")
             return
-        super().emit_store(off, base, value)
+        super().emit_store(off, base, relocated, value)
 
     # -- trace-specific emission -------------------------------------------
 
@@ -1142,7 +1238,7 @@ class _TraceCompiler(_SliceCompiler):
         out.append(f"cpu._bk_taken += it * {self._T_T}{t}")
         return out
 
-    def _side_exit(self, target: int) -> None:
+    def _side_exit(self, target: str) -> None:
         """Flush the exact executed prefix and leave the trace through a
         normal (non-deopt) return of the off-trace address."""
         for stmt in self._charge(self.prefix()):
@@ -1164,18 +1260,18 @@ class _TraceCompiler(_SliceCompiler):
             # fall-through on the inverted condition (the exit prefix
             # therefore excludes this branch's taken count).
             self.emit(f"if {value} {_COND_INVERT[cond]}:")
-            self._side_exit(ju.next_rip)
+            self._side_exit(self.at(ju.next_rip))
             self.stat_t += 1
         else:
             self.emit(f"if {value} {cond}:")
             self.stat_t += 1
-            self._side_exit(ju.target)
+            self._side_exit(self.imm(ju))
             self.stat_t -= 1
 
     # -- assembly ----------------------------------------------------------
 
     def generate(self) -> str:
-        H = self.addr
+        H = self.offset
         segments = self.segments
         for index, ((_, lowering), plan) in enumerate(zip(segments, self.plans)):
             self.load(plan, lowering)
@@ -1196,7 +1292,7 @@ class _TraceCompiler(_SliceCompiler):
             self.emit(f"    PD[{~H}] = 1")
             self.emit("    f = 1")
 
-        head = [f"def t_{H:x}(cpu, r, S, C):", "    n = C[0]"]
+        head = [self.signature(f"t_{H:x}"), "    n = C[0]"]
         if self.has_probe:
             head.append("    m = 0")
             if self.monotone:
@@ -1208,7 +1304,7 @@ class _TraceCompiler(_SliceCompiler):
             )
         for (off, base), j in self._slots.items():
             head.append(
-                f"    q{j} = ({off!r} + g{base}) & M; "
+                f"    q{j} = ({off} + g{base}) & M; "
                 f"z_ = q{j} & 4095; y{j} = z_ >> 3"
             )
             kinds = self._slot_kinds[(off, base)]
@@ -1233,7 +1329,7 @@ class _TraceCompiler(_SliceCompiler):
                 "        " + stmt
                 for stmt in self._charge(("x_", "k_", "h_", "o_", "b_", "t_"))
             )
-            tail.append("        cpu.rip = I")
+            tail.append("        cpu.rip = T + I")
             tail.append("        raise")
 
         writeback = "; ".join(f"r[{i}] = g{i}" for i in self.cached) or "pass"
@@ -1257,17 +1353,18 @@ class _TraceCompiler(_SliceCompiler):
 
 
 class _Unit(NamedTuple):
-    """One compiled block or loop trace, shareable across processes of
-    one image.
+    """One compiled block or loop trace, shareable across every process
+    of one binary, whatever its layout.
 
-    ``segments`` lists the constituent slice heads in order (just the
-    head, for a block): the driver fetch-revalidates all of them before
-    re-entering the unit after an epoch deopt, and the CLI renders trace
-    membership from them.  ``length`` counts its instructions (per
-    iteration, for a trace).  ``faults`` is the line-keyed fault table
-    (see :class:`_SliceCompiler`), or None when nothing in the unit can
-    fault.  ``back_target`` is a block's backward direct-branch target:
-    a loop-header candidate the tier-3 promoter arms for recording."""
+    ``segments`` lists the text offsets of the constituent slice heads in
+    order (just the head, for a block): the driver fetch-revalidates all
+    of them before re-entering the unit after an epoch deopt, and the CLI
+    renders trace membership from them.  ``length`` counts its
+    instructions (per iteration, for a trace).  ``faults`` is the
+    line-keyed fault table (see :class:`_SliceCompiler`), or None when
+    nothing in the unit can fault.  ``back_target`` is the text offset of
+    a block's backward direct-branch target: a loop-header candidate the
+    tier-3 promoter arms for recording."""
 
     code: object
     name: str
@@ -1277,14 +1374,52 @@ class _Unit(NamedTuple):
     back_target: Optional[int] = None
 
 
-#: (fingerprint, digest, layout bases, costs signature, monotone) ->
-#: {block head: _Unit, or None (negative-cached: interp-only);
-#: ("t", loop head): _Unit}.
-_CODE_CACHE: Dict[tuple, Dict[object, Optional[_Unit]]] = {}
+class _BinaryCode(NamedTuple):
+    """What the compiled-code cache holds for one binary under one cost
+    model: the i-cache fit verdict (:func:`_text_fits_icache`), which
+    operands the loader resolves from a symbol (text offset -> ``(a,
+    b)``), and ``units``: text offset -> :class:`_Unit`, or None
+    (negative-cached: interpreted only), and ``("t", offset)`` -> loop
+    trace."""
+
+    monotone: bool
+    symbolic: Dict[int, Tuple[bool, bool]]
+    units: Dict[object, Optional[_Unit]]
+
+
+def _symbolic_operands(binary) -> Dict[int, Tuple[bool, bool]]:
+    """Text offset -> whether operand ``a``/``b`` of the instruction there
+    is one the loader resolves from a symbol: an immediate (except
+    CALLRT's service name) or a memory displacement.  Text and data
+    symbols both move with the text slide (data sits one fixed gap after
+    text), so these are exactly the operands a relocated unit rewrites."""
+    symbolic = {}
+    for offset, instr in binary.text:
+        # One pass per binary over every instruction: exact type tests
+        # (Imm and Mem have no subclasses) keep it cheap.
+        a, b = instr.a, instr.b
+        kind_a, kind_b = type(a), type(b)
+        a_sym = (
+            kind_a is Mem or (kind_a is Imm and instr.op is not Op.CALLRT)
+        ) and a.symbol is not None
+        b_sym = (kind_b is Imm or kind_b is Mem) and b.symbol is not None
+        if a_sym or b_sym:
+            symbolic[offset] = (a_sym, b_sym)
+    return symbolic
+
+
+#: (fingerprint, digest, costs signature, text-base residue, data gap) ->
+#: :class:`_BinaryCode`.  The residue is the text base modulo the
+#: i-cache period and the page size: set indices, guaranteed-hit plans,
+#: the fit verdict and page splits of absolute operands repeat with it,
+#: and ASLR slides are page multiples, so every load of a binary shares
+#: one entry.
+_CODE_CACHE: Dict[tuple, _BinaryCode] = {}
 
 
 def clear_jit_cache() -> None:
-    """Drop all cached compiled units (test isolation helper)."""
+    """Drop all cached compiled units and fit verdicts (test isolation
+    helper)."""
     _CODE_CACHE.clear()
 
 
@@ -1296,24 +1431,33 @@ class JitProgram:
     index — no decode, no bind, no codegen — so cold or short-lived
     processes pay nothing for selecting this backend.  :meth:`link` runs
     on the first compiled drive.  It builds the per-process execution
-    namespace (memory accessors, runtime services, error types) that
-    compiled units are ``exec``-ed against, the address -> linked-function
+    namespace (memory accessors, runtime services, error types, and the
+    text base ``T`` that relocated units bind as they link) that compiled
+    units are ``exec``-ed against, the address -> linked-function
     dispatch ``table``, per-head ``entries`` driving promotion, the
-    ``no_compile`` negative cache, the per-head validated fetch
-    ``epochs`` (of the block, or of every segment of the loop trace
-    installed there), and the tier-3 state.  ``units`` is the image's
-    entry in the compiled-code cache: every program of one image,
-    lockstep replicas included, links the same code objects, so N
-    variants generate and compile each hot unit's source once."""
+    ``no_compile`` negative cache, the validated fetch ``epochs`` per
+    head text offset (of the block, or of every segment of the loop
+    trace installed there), and the tier-3 state.  ``units`` is the binary's
+    entry in the compiled-code cache, keyed by text offset: every process
+    of one binary — any layout, lockstep replicas included — links the
+    same code objects, so each hot unit's source is generated and
+    compiled once per binary, and a head whose unit is already there
+    links on its first entry.  A process without a binary fingerprint
+    shares nothing and links at base 0 (its offsets are its addresses).
+
+    Nothing here refers back to the process (the process caches its
+    program, and the drive's state carries the process), and linked
+    functions are not left in the namespace, so a finished process and
+    its memory are freed as soon as the last reference goes, not at the
+    next full garbage collection."""
 
     __slots__ = (
-        "process", "costs", "instructions", "cache_key", "monotone",
+        "costs", "instructions", "cache_key", "base", "monotone", "symbolic",
         "units", "table", "entries", "no_compile", "epochs", "namespace",
         "pending", "armed", "loop_targets", "trace_tries", "traces",
     )
 
     def __init__(self, process, costs):
-        self.process = process
         self.costs = costs
         self.instructions = process.instructions
         #: None until :meth:`link`.
@@ -1323,28 +1467,42 @@ class JitProgram:
         digest = getattr(binary, "config_digest", None)
         if fingerprint and digest:
             layout = process.layout
+            sets = costs.icache_size // (costs.icache_line * costs.icache_ways)
+            residue = layout.text_base % lcm(sets * costs.icache_line, PAGE_SIZE)
+            self.base = layout.text_base
             self.cache_key = (
                 fingerprint,
                 digest,
-                layout.text_base,
-                layout.data_base,
-                layout.heap_base,
-                layout.stack_base,
                 costs_signature(costs),
+                residue,
+                layout.data_base - layout.text_base,
             )
         else:
+            self.base = 0
             self.cache_key = None
 
-    def link(self) -> None:
-        """Build the execution state of the first compiled drive.  The
-        text-fits-the-i-cache walk (:func:`_text_fits_icache`) runs here,
-        once per program, so ``prepare`` stays cheap."""
-        self.monotone = monotone = _text_fits_icache(self.instructions, self.costs)
+    def link(self, process) -> None:
+        """Build the execution state of ``process``'s first compiled
+        drive.  The binary's cache entry holds the text-fits-the-i-cache
+        verdict (:func:`_text_fits_icache`), so its walk runs once per
+        binary and cost model, and ``prepare`` stays cheap."""
         key = self.cache_key
-        self.units = {} if key is None else _CODE_CACHE.setdefault(key + (monotone,), {})
+        code = None if key is None else _CODE_CACHE.get(key)
+        if code is None:
+            code = _BinaryCode(
+                _text_fits_icache(self.instructions, self.costs),
+                {} if key is None else _symbolic_operands(process.binary),
+                {},
+            )
+            if key is not None:
+                _CODE_CACHE[key] = code
+        self.monotone = monotone = code.monotone
+        self.symbolic = code.symbolic
+        self.units = code.units
         self.table = {}
         self.entries: Dict[int, int] = {}
         self.no_compile: set = set()
+        #: Head text offset -> validated fetch epoch.
         self.epochs: Dict[int, int] = {}
         # Tier-3 state.  ``pending`` is the list armed loop-head wrappers
         # append to when their entry counter crosses the trace threshold
@@ -1356,9 +1514,10 @@ class JitProgram:
         self.trace_tries: Dict[int, int] = {}
         #: Trace head -> installed loop trace.
         self.traces: Dict[int, _Unit] = {}
-        process = self.process
         memory = process.memory
         namespace = {
+            "T": self.base,
+            "L": self.base // self.costs.icache_line,
             "M": MASK64,
             "ts": to_signed,
             "td": truncated_div,
@@ -1375,9 +1534,7 @@ class JitProgram:
             "RMG": memory._rmv.get,
             "WMG": memory._wmv.get,
             "MEM": memory,
-            "P": process,
             "OA": process.output.append,
-            "PSV": process.service,
             "E": self.epochs,
             "JS": JIT_STATS,
             "TB": _fault_lineno,
@@ -1395,7 +1552,10 @@ class JitProgram:
         if self.table is None:
             return {}
         return {
-            head: {"segments": list(unit.segments), "length": unit.length}
+            head: {
+                "segments": [self.base + offset for offset in unit.segments],
+                "length": unit.length,
+            }
             for head, unit in self.traces.items()
         }
 
@@ -1411,7 +1571,8 @@ class JitBackend(ExecutionBackend):
     ``prepare`` returns a cheap :class:`JitProgram`; lowering happens per
     dynamic block head on its second entry (tier 1 slice recovery +
     fusion, then tier 2 codegen, with compiled code objects shared
-    through the image-keyed cache).  ``execute``/``step`` trampoline
+    through the binary-keyed cache, whose units link on a head's first
+    entry).  ``execute``/``step`` trampoline
     between compiled block functions by address, deopting to the
     reference interpreter wherever compiled code cannot reproduce
     interpreter behaviour bit-for-bit (see the module docstring)."""
@@ -1429,8 +1590,9 @@ class JitBackend(ExecutionBackend):
     def prepare(self, state):
         """The :class:`JitProgram` for the state's process under its cost
         model, cached on the process.  A lockstep replica (a
-        ``Process.clone()``) starts with no cached programs, so it gets a
-        program of its own that links the image's shared compiled units."""
+        ``Process.clone()``) or a reload starts with no cached programs,
+        so it gets a program of its own that links the binary's shared
+        compiled units."""
         cache = state.process.uop_programs
         key = ("jit", id(state.costs))
         entry = cache.get(key)
@@ -1445,43 +1607,47 @@ class JitBackend(ExecutionBackend):
 
     def _install(self, program, head: int, unit: _Unit):
         """Link ``unit`` into ``program`` and dispatch ``head`` to it.
-        The head's validated epoch resets: the first entry fetch-checks
-        every segment (a head is promoted once, and a trace replaces the
-        block whose epoch covered that block alone)."""
+        The function leaves the namespace it keeps as its globals, so the
+        two form no reference cycle.  The head's validated epoch resets:
+        the first entry fetch-checks every segment (a head is promoted
+        once, and a trace replaces the block whose epoch covered that
+        block alone)."""
         namespace = program.namespace
         if unit.faults is not None:
             namespace[f"F_{unit.name}"] = unit.faults
         exec(unit.code, namespace)
-        fn = program.table[head] = namespace[unit.name]
-        program.epochs[head] = -1
+        fn = program.table[head] = namespace.pop(unit.name)
+        program.epochs[head - program.base] = -1
         return fn
 
     def _promote(self, program, addr: int):
         """Lower the slice at ``addr`` to a linked block function, or
         negative-cache it (returns None: interpret this head forever)."""
         units = program.units
-        if addr in units:
-            unit = units[addr]
+        offset = addr - program.base
+        if offset in units:
+            unit = units[offset]
             if unit is not None:
                 JIT_STATS["code_cache_hits"] += 1
         else:
-            unit = units[addr] = self._compile_slice(program, addr)
+            unit = units[offset] = self._compile_slice(program, addr)
         if unit is None:
             program.no_compile.add(addr)
             return None
         self._install(program, addr, unit)
-        # Tier 3: install the loop trace another process of this image
-        # compiled for this head (lockstep replicas record and compile each
-        # trace exactly once), or arm loop-header candidates — this block's
-        # backward branch target, and this head itself if a back edge to it
-        # was seen before it was promoted.
-        trace = units.get(("t", addr))
+        # Tier 3: install the loop trace another process of this binary
+        # compiled for this head (lockstep replicas and re-randomized
+        # reloads record and compile each trace exactly once), or arm
+        # loop-header candidates — this block's backward branch target,
+        # and this head itself if a back edge to it was seen before it was
+        # promoted.
+        trace = units.get(("t", offset))
         if trace is not None:
             JIT_STATS["code_cache_hits"] += 1
             program.traces[addr] = trace
             return self._install(program, addr, trace)
         if unit.back_target is not None:
-            self._arm(program, unit.back_target)
+            self._arm(program, program.base + unit.back_target)
         if addr in program.loop_targets:
             self._arm(program, addr)
         return program.table[addr]
@@ -1567,26 +1733,29 @@ class JitBackend(ExecutionBackend):
         return value
 
     def _form_trace(self, program, head: int, path) -> None:
-        """Compile a recorded loop path (or take the image's cached trace
+        """Compile a recorded loop path (or take the binary's cached trace
         for ``head``) and install it."""
         self._disarm(program, head)
-        unit = program.units.get(("t", head))
+        base = program.base
+        key = ("t", head - base)
+        unit = program.units.get(key)
         if unit is not None:
             JIT_STATS["code_cache_hits"] += 1
         else:
-            costs, monotone = program.costs, program.monotone
-            compiler = _TraceCompiler(path, costs, monotone)
+            options = (program.costs, program.monotone, base, program.symbolic)
+            compiler = _TraceCompiler(path, *options)
             source = compiler.generate()
             # Second pass: registers never written in the body are
             # loop-invariant, so accesses through them can hoist the address
             # arithmetic and page-view lookups out of the loop.
             invariant = frozenset(compiler.cached) - compiler.written_regs()
             if invariant:
-                compiler = _TraceCompiler(path, costs, monotone, hoist_bases=invariant)
+                compiler = _TraceCompiler(path, *options, hoist_bases=invariant)
                 source = compiler.generate()
-            unit = program.units[("t", head)] = _Unit(
-                compile(source, f"<jit-trace:{head:#x}>", "exec"), f"t_{head:x}",
-                [addr for addr, _ in path], compiler.total, compiler.faults,
+            unit = program.units[key] = _Unit(
+                compile(source, f"<jit-trace:{compiler.offset:#x}>", "exec"),
+                f"t_{compiler.offset:x}",
+                [addr - base for addr, _ in path], compiler.total, compiler.faults,
             )
             JIT_STATS["traces_compiled"] += 1
             JIT_STATS["loop_traces"] += 1
@@ -1597,13 +1766,18 @@ class JitBackend(ExecutionBackend):
         lowering = lower_slice(program.instructions, addr)
         if not lowering.compiles:
             return None
-        compiler = _SliceCompiler(addr, [lowering], program.costs, program.monotone)
-        code = compile(compiler.generate(), f"<jit:{addr:#x}>", "exec")
+        base = program.base
+        compiler = _SliceCompiler(
+            addr, [lowering], program.costs, program.monotone, base, program.symbolic
+        )
+        offset = compiler.offset
+        code = compile(compiler.generate(), f"<jit:{offset:#x}>", "exec")
         JIT_STATS["blocks_compiled"] += 1
         JIT_STATS["superinstructions_fused"] += len(lowering.fused)
+        back = backward_branch_target(lowering.items)
         return _Unit(
-            code, f"b_{addr:x}", [addr], compiler.total, compiler.faults,
-            backward_branch_target(lowering.items),
+            code, f"b_{offset:x}", [offset], compiler.total, compiler.faults,
+            None if back is None else back - base,
         )
 
     # -- execution ----------------------------------------------------------
@@ -1616,7 +1790,7 @@ class JitBackend(ExecutionBackend):
             # bookkeeping compiled blocks fold away.  The whole drive runs
             # on the fast interpreter.
             self._fast._drive(
-                get_bound_program(program.process, program.costs), cpu, res, max_steps
+                get_bound_program(cpu.process, program.costs), cpu, res, max_steps
             )
             return
 
@@ -1624,10 +1798,12 @@ class JitBackend(ExecutionBackend):
         memory = process.memory
         icache = cpu.icache
         if program.table is None:
-            program.link()
+            program.link(process)
         table_get = program.table.get
         entries = program.entries
         no_compile = program.no_compile
+        units = program.units
+        base = program.base
         epochs_get = program.epochs.get
         pending = program.pending
 
@@ -1666,7 +1842,10 @@ class JitBackend(ExecutionBackend):
                     if rip not in no_compile:
                         count = entries.get(rip, 0) + 1
                         entries[rip] = count
-                        if count >= _PROMOTE_THRESHOLD:
+                        # A head whose unit the binary's cache entry
+                        # already holds links on its first entry: its
+                        # compile is paid.
+                        if count >= _PROMOTE_THRESHOLD or rip - base in units:
                             fn = promote(program, rip)
                     if fn is None:
                         if not interp(program, cpu, res, C, memory, max_total):
@@ -1684,10 +1863,10 @@ class JitBackend(ExecutionBackend):
                     continue
                 # Deopt escape: the prolog rejected the block or trace
                 # (stale fetch epoch, or the folded allowance would be
-                # exceeded).
-                addr = ~value
+                # exceeded) and returned its head's ~text offset.
+                addr = base + ~value
                 cpu.rip = addr
-                if epochs_get(addr, -1) != C[6] and self._revalidate(
+                if epochs_get(~value, -1) != C[6] and self._revalidate(
                     program, memory, addr, C
                 ):
                     continue
@@ -1778,13 +1957,14 @@ class JitBackend(ExecutionBackend):
         skip per-instruction fetch checks; on failure the caller falls to
         the interpreter, which faults with exact counters."""
         trace = program.traces.get(addr)
+        heads = (addr,) if trace is None else (program.base + s for s in trace.segments)
         try:
-            for head in (addr,) if trace is None else trace.segments:
+            for head in heads:
                 for iaddr, instr in slice_block(program.instructions, head, _SLICE_LIMIT):
                     memory.fetch_check(iaddr, instr.size)
         except MemoryFault:
             return False
         epoch = memory.perm_epoch
-        program.epochs[addr] = epoch
+        program.epochs[addr - program.base] = epoch
         C[6] = epoch
         return True

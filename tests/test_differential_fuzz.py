@@ -31,6 +31,10 @@ Layers:
   :class:`~repro.defenses.lockstep.LockstepGroup` on every backend, at a
   random ``sync_every``: the group must stay clean and every replica
   must match the IR interpreter.
+* ``test_fuzz_rerandomized_seeded`` — each IR module's binary loaded
+  under two load seeds with different text slides, in one process: on
+  the jit, the second load runs the units the first compiled, relocated
+  to its own text base and linked on first entry.
 * ``test_fuzz_hypothesis_explore`` — a hypothesis-driven seed explorer
   (derandomized, no database) for shrink-assisted local exploration.
 
@@ -641,6 +645,51 @@ def check_lockstep_seed(seed: int) -> None:
             assert observed == expected, (backend, sync_every, variant.index)
 
 
+def check_rerandomized_seed(seed: int) -> None:
+    """The IR module for ``seed``, compiled as :func:`check_ir_seed` does,
+    loaded twice in one process — under its load seed and under the next
+    load seed whose text slide differs, as a re-randomizing restart
+    would.  Every backend runs the first load whole and the second
+    through ``step()`` slices from ``_slices(seed)``; both observations
+    must equal ``reference``'s, and both outputs the IR interpreter's."""
+    rng = random.Random(~seed)
+    config = random_config(rng)
+    module = ir_module(seed)
+    binary = compile_module(module, config)
+    first = rng.randrange(1, 100)
+
+    def make(load_seed):
+        process = load_binary(binary, seed=load_seed)
+        process.register_service("attack_hook", lambda proc, cpu: 0)
+        return process
+
+    second = first + 1
+    while make(second).text_base == make(first).text_base:
+        second += 1
+    try:
+        observed = {
+            backend: (
+                run_one_backend(lambda: make(first), backend, instruction_budget=BUDGET),
+                run_one_backend(
+                    lambda: make(second), backend, slices=_slices(seed),
+                    instruction_budget=BUDGET,
+                ),
+            )
+            for backend in BACKENDS
+        }
+        for backend, outcome in observed.items():
+            assert outcome == observed["reference"], (
+                f"backend {backend!r} diverged from reference across layouts"
+            )
+        expected = interpret_module(module)
+        for outcome in observed["reference"]:
+            assert outcome["error"] is None, outcome["error"]
+            assert (outcome["exit_code"], outcome["result"]["output"]) == expected
+    except AssertionError:
+        path = _dump_repro("rerandomized", seed)
+        raise AssertionError(f"rerandomized seed {seed} diverged; repro at {path}")
+
+
 # ---------------------------------------------------------------------------
 # The committed regression corpus: pinned seeds, always run.
 # ---------------------------------------------------------------------------
@@ -660,6 +709,8 @@ def test_corpus_replay(path):
     indexed = entry.get("indexed", False)
     if entry["kind"] == "machine":
         check_machine_seed(entry["seed"], entry.get("budget", BUDGET), indexed)
+    elif entry["kind"] == "rerandomized":
+        check_rerandomized_seed(entry["seed"])
     else:
         check_ir_seed(entry["seed"], indexed)
 
@@ -696,6 +747,11 @@ def test_fuzz_indexed_ir_seeded(seed):
 @pytest.mark.parametrize("seed", range(max(6, FUZZ_CASES // 4)))
 def test_fuzz_lockstep_seeded(seed):
     check_lockstep_seed(seed)
+
+
+@pytest.mark.parametrize("seed", range(max(6, FUZZ_CASES // 4)))
+def test_fuzz_rerandomized_seeded(seed):
+    check_rerandomized_seed(seed)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,35 @@ def test_table3_matrix_small():
     assert "●" in rendered and "○" in rendered
 
 
+def test_session_drivers_run_on_the_engine_backend(monkeypatch):
+    """The drivers that build victim sessions — Table 3, §7.2.3's heap
+    picks (behind ``security`` and the BTDP sweep) and the supervised
+    campaigns — run them on the session engine's backend: under an
+    engine on ``fast``, no other registered backend prepares a
+    program."""
+    from repro.eval.engine import ExperimentEngine, get_session_engine, set_session_engine
+    from repro.eval.experiments import experiment_btdp_sweep, experiment_supervised
+    from repro.machine.backends import BACKENDS
+
+    prepared = set()
+    for name, backend in BACKENDS.items():
+        def prepare(state, _name=name, _prepare=backend.prepare):
+            prepared.add(_name)
+            return _prepare(state)
+
+        monkeypatch.setattr(backend, "prepare", prepare)
+    original = get_session_engine()
+    set_session_engine(ExperimentEngine(jobs=1, backend="fast"))
+    try:
+        experiment_table3(trials=1, attacks=["rop"], defenses=["r2c"])
+        experiment_security_probabilities(leaks=(1,), mc_trials=10, stack_samples=1)
+        experiment_btdp_sweep(maxima=(2,), stack_samples=1)
+        experiment_supervised(policies=("none",), victims=("r2c",), trials=1)
+    finally:
+        set_session_engine(original)
+    assert prepared == {"fast"}
+
+
 def test_security_probability_closed_form():
     assert btra_guess_probability(10, 1) == pytest.approx(1 / 11)
     assert btra_guess_probability(10, 4) == pytest.approx(0.00007, abs=2e-5)

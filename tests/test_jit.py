@@ -19,13 +19,22 @@ import pytest
 
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
-from repro.errors import ExecutionLimitExceeded, MemoryFault
+from repro.errors import (
+    BoobyTrapTriggered,
+    ExecutionLimitExceeded,
+    GuardPageFault,
+    MachineError,
+    MemoryFault,
+)
 from repro.machine.backends import get_backend, run
 from repro.machine.blocks import recover_blocks
 from repro.machine.costs import get_costs
 from repro.machine.debugger import Debugger
 from repro.machine.isa import Imm, Instruction, Mem, Op, Reg
 from repro.machine.jit import (
+    _CODE_CACHE,
+    _SliceCompiler,
+    _TraceCompiler,
     _classify,
     _text_fits_icache,
     clear_jit_cache,
@@ -36,6 +45,7 @@ from repro.machine.loader import load_binary
 from repro.machine.memory import Perm
 from repro.machine.state import ExecutionResult, MachineState
 from repro.machine.uops import get_bound_program
+from repro.toolchain.binary import Binary
 from repro.toolchain.builder import IRBuilder
 from repro.workloads.spec import SPEC_BENCHMARKS, build_spec_benchmark
 from repro.workloads.victim import build_victim
@@ -495,10 +505,11 @@ def test_block_recovery_boundaries_and_fusion(capsys):
     jit_program = jit.prepare(state)
     state.rip = process.entry_point
     jit.execute(jit_program, state, ExecutionResult())
+    # The binary's units are keyed by text offset.
     units = {
-        addr: unit
-        for addr, unit in jit_program.units.items()
-        if addr in tiers
+        process.text_base + offset: unit
+        for offset, unit in jit_program.units.items()
+        if isinstance(offset, int) and process.text_base + offset in tiers
     }
     assert any(unit is not None for unit in units.values())
     for addr, unit in units.items():
@@ -543,22 +554,26 @@ def test_monotone_icache_detection():
 
 
 # ---------------------------------------------------------------------------
-# Tier 2: the compiled-code cache is shared across loads of one image.
+# Tiers 2 and 3: compiled code belongs to the binary.  Units are keyed
+# per binary, relocated to each load's text base, and linked on a head's
+# first entry in every later process.
 # ---------------------------------------------------------------------------
+
+
+def _run_jit(binary, seed):
+    process = load_binary(binary, seed=seed)
+    state = MachineState(process, get_costs("epyc-rome"))
+    return process, run(state, "jit")
 
 
 def test_code_cache_reused_across_loads_of_one_image():
     binary = compile_module(loop_module(), R2CConfig.full(seed=10))
-
-    def run_once():
-        process = load_binary(binary, seed=1)
-        state = MachineState(process, get_costs("epyc-rome"))
-        return run(state, "jit")
+    clear_jit_cache()
 
     before = jit_stats_snapshot()
-    first = run_once()
+    first_process, first = _run_jit(binary, 1)
     mid = jit_stats_snapshot()
-    second = run_once()
+    _, second = _run_jit(binary, 1)
     after = jit_stats_snapshot()
 
     assert dataclasses.asdict(first) == dataclasses.asdict(second)
@@ -568,6 +583,171 @@ def test_code_cache_reused_across_loads_of_one_image():
     # objects instead of recompiling.
     assert after["blocks_compiled"] == mid["blocks_compiled"]
     assert after["code_cache_hits"] > mid["code_cache_hits"]
+
+    # A re-randomized load — another text base — compiles no block and
+    # no trace: it links the same units, relocated, under one key.
+    process, third = _run_jit(binary, 2)
+    assert process.text_base != first_process.text_base
+    assert jit_stats_snapshot()["blocks_compiled"] == after["blocks_compiled"]
+    assert jit_stats_snapshot()["traces_compiled"] == after["traces_compiled"]
+    assert len(_CODE_CACHE) == 1
+    reference = run(
+        MachineState(load_binary(binary, seed=2), get_costs("epyc-rome")), "reference"
+    )
+    assert dataclasses.asdict(third) == dataclasses.asdict(reference)
+
+
+def test_units_are_identical_under_two_layouts(monkeypatch):
+    """Every unit generated for one binary — blocks and loop traces,
+    with pushed BTRAs, calls and global accesses — has byte-identical
+    source and fault table under two layouts: nothing in it names an
+    address of the layout it was generated under."""
+    generated = {}
+
+    def recording(generate):
+        def wrapper(self):
+            source = generate(self)
+            generated[source.split("(", 1)[0]] = (source, self.faults)
+            return source
+
+        return wrapper
+
+    monkeypatch.setattr(_SliceCompiler, "generate", recording(_SliceCompiler.generate))
+    monkeypatch.setattr(_TraceCompiler, "generate", recording(_TraceCompiler.generate))
+    binary = compile_module(
+        build_spec_benchmark("xz"), R2CConfig.full(seed=3, btra_mode="push")
+    )
+    units = []
+    for seed in (1, 2):
+        clear_jit_cache()
+        generated.clear()
+        _run_jit(binary, seed)
+        units.append(dict(generated))
+    assert units[0] == units[1]
+    sources = [source for source, _ in units[0].values()]
+    assert any(source.startswith("def t_") for source in sources)
+    assert any("sh.append(a" in source for source in sources)
+
+
+def _fault_binary(kind: str) -> Binary:
+    """A position-independent binary whose code faults, at the
+    instruction its ``fault`` symbol names, inside a unit a first process
+    compiles: ``div`` divides by a counter that reaches 0 on the loop's
+    fifth trip; ``guard`` walks an indexed load through the data symbol
+    ``buf`` into the guard page its constructor installs, on the fourth
+    trip; ``trap`` loads a text address and runs a booby trap."""
+    if kind == "div":
+        code = [
+            I(Op.MOV, Reg.RCX, Imm(5)),
+            "loop", I(Op.SUB, Reg.RCX, Imm(1)), I(Op.MOV, Reg.RAX, Imm(100)),
+            "fault", I(Op.IDIV, Reg.RAX, Reg.RCX),
+        ]
+    elif kind == "guard":
+        code = [
+            I(Op.MOV, Reg.RDX, Imm(0)), I(Op.MOV, Reg.RCX, Imm(8)),
+            "loop", "fault",
+            I(Op.MOV, Reg.RAX, Mem(None, 0, index=Reg.RDX, scale=8, symbol="buf")),
+            I(Op.ADD, Reg.RDX, Imm(512)), I(Op.SUB, Reg.RCX, Imm(1)),
+        ]
+    else:
+        code = [
+            I(Op.JMP, Imm(symbol="loop")),
+            "loop", I(Op.MOV, Reg.RAX, Imm(symbol="loop")),
+            "fault", I(Op.TRAP),
+        ]
+    code += [
+        I(Op.CMP, Reg.RCX, Imm(0)), I(Op.JG, Imm(symbol="loop")),
+        I(Op.OUT, Reg.RAX), I(Op.EXIT, Imm(0)),
+    ]
+    symbols = {"_start": 0}
+    text = []
+    offset = 0
+    for item in code:
+        if isinstance(item, str):
+            symbols[item] = offset
+        else:
+            text.append((offset, item))
+            offset += item.size
+
+    def guard(process, rng):
+        process.memory.protect(process.data_base + 3 * 4096, 4096, Perm.NONE, guard=True)
+
+    return Binary(
+        name=f"shared-{kind}",
+        text=text,
+        text_size=offset,
+        data_size=4 * 4096,
+        symbols_text=symbols,
+        symbols_data={"buf": 0},
+        constructors=[guard] if kind == "guard" else [],
+        metadata={"module_fingerprint": f"shared-{kind}", "config_digest": "test"},
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, error",
+    [("div", MachineError), ("guard", GuardPageFault), ("trap", BoobyTrapTriggered)],
+)
+def test_fault_inside_a_shared_unit_reports_its_own_layout(kind, error):
+    """A division by zero, a guard-page load and a booby trap, raised by
+    a unit a first process compiled under another text base, report the
+    second layout's ``rip``, exception message and counters — equal to
+    ``reference`` — and the second process compiles nothing."""
+    binary = _fault_binary(kind)
+    clear_jit_cache()
+    jit = get_backend("jit")
+    first = load_binary(binary, seed=1)
+    state = MachineState(first, get_costs("epyc-rome"))
+    program = jit.prepare(state)
+    state.rip = first.entry_point
+    with pytest.raises(error):
+        jit.execute(program, state, ExecutionResult())
+    if kind == "trap":
+        # A trap ends the process the first time its block runs; a
+        # second entry (a restarted worker) compiles the block.
+        state.rip = first.symbols["loop"]
+        with pytest.raises(error):
+            jit.execute(program, state, ExecutionResult())
+
+    before = jit_stats_snapshot()
+    outcome = compare_backends(lambda: load_binary(binary, seed=2))
+    after = jit_stats_snapshot()
+    assert after["blocks_compiled"] == before["blocks_compiled"]
+    assert after["code_cache_hits"] > before["code_cache_hits"]
+    second = load_binary(binary, seed=2)
+    assert second.text_base != first.text_base
+    assert outcome["error"][0] is error
+    assert outcome["rip"] == second.symbols["fault"]
+    if kind == "div":
+        assert outcome["error"][1] == f"division by zero at {outcome['rip']:#x}"
+    elif kind == "trap":
+        assert outcome["regs"][Reg.RAX] == second.symbols["loop"]
+
+
+def test_second_process_interprets_nothing_where_units_are_cached(monkeypatch):
+    """A head whose unit the binary's cache entry holds links on its
+    first entry: a second process, under another layout, starts no
+    interpreter span at any such head."""
+    binary = compile_module(loop_module(), R2CConfig.full(seed=13))
+    clear_jit_cache()
+    _run_jit(binary, 1)
+    jit = get_backend("jit")
+    spans = []
+    interp = jit._interp
+
+    def recording(program, cpu, *args):
+        spans.append(cpu.rip - program.base)
+        return interp(program, cpu, *args)
+
+    monkeypatch.setattr(jit, "_interp", recording)
+    process, _ = _run_jit(binary, 2)
+    (entry,) = _CODE_CACHE.values()
+    cached = {
+        offset for offset, unit in entry.units.items()
+        if isinstance(offset, int) and unit is not None
+    }
+    assert cached and spans
+    assert not cached & set(spans)
 
 
 # ---------------------------------------------------------------------------
