@@ -25,6 +25,7 @@ import pytest
 
 from repro.eval.engine import ExperimentEngine, set_session_engine
 from repro.eval.report import render_engine_summary
+from repro.machine.backends import DEFAULT_BACKEND
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -54,9 +55,9 @@ def pytest_addoption(parser):
     )
     group.addoption(
         "--backend",
-        default="reference",
-        help="execution backend for experiment runs "
-        "(reference, fast or jit; identical results, different wall time)",
+        default=DEFAULT_BACKEND,
+        help="execution backend for experiment runs (reference, fast or jit; "
+        f"identical results, different wall time; default: {DEFAULT_BACKEND})",
     )
 
 

@@ -28,7 +28,7 @@ import time
 
 from repro.eval import experiments, report
 from repro.eval.engine import ExperimentEngine, set_session_engine
-from repro.machine.backends import available_backends
+from repro.machine.backends import DEFAULT_BACKEND, available_backends
 
 QUICK_BENCHMARKS = ["perlbench", "mcf", "lbm", "omnetpp", "xalancbmk", "xz"]
 
@@ -59,6 +59,16 @@ def add_workload_args(parser: argparse.ArgumentParser, help: str) -> None:
     )
     parser.add_argument(
         "--machine", default="epyc-rome", help="cost model (default: epyc-rome)"
+    )
+
+
+def add_backend_arg(parser: argparse.ArgumentParser, help: str) -> None:
+    """``--backend``, defaulting to :data:`DEFAULT_BACKEND`."""
+    parser.add_argument(
+        "--backend",
+        default=DEFAULT_BACKEND,
+        choices=available_backends(),
+        help=f"{help} (default: {DEFAULT_BACKEND})",
     )
 
 
@@ -226,12 +236,7 @@ def chaos_main(argv) -> int:
         metavar="N",
         help="worker processes (default: 2; crashes/hangs need a pool)",
     )
-    parser.add_argument(
-        "--backend",
-        default="reference",
-        choices=available_backends(),
-        help="execution backend (default: reference)",
-    )
+    add_backend_arg(parser, "execution backend")
     parser.add_argument(
         "--seed", type=int, default=0, metavar="N", help="fault-plan seed (default: 0)"
     )
@@ -313,12 +318,7 @@ def lint_main(argv) -> int:
         action="store_true",
         help="also execute each cell with RunRequest.verify set",
     )
-    parser.add_argument(
-        "--backend",
-        default="reference",
-        choices=available_backends(),
-        help="execution backend for --run cells",
-    )
+    add_backend_arg(parser, "execution backend for --run cells")
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N", help="worker processes for --run cells"
     )
@@ -354,12 +354,8 @@ def profile_main(argv) -> int:
         "cycle attribution with BTRA-safe call stacks.",
     )
     add_workload_args(parser, "SPEC workload to profile")
-    parser.add_argument(
-        "--backend",
-        default="reference",
-        choices=available_backends(),
-        help="execution backend (default: reference; profiles are "
-        "byte-identical either way)",
+    add_backend_arg(
+        parser, "execution backend; profiles are byte-identical on every backend"
     )
     parser.add_argument(
         "--top", type=int, default=15, metavar="N", help="rows per report table"
@@ -573,12 +569,7 @@ def mvee_main(argv) -> int:
     parser.add_argument(
         "--attacker-seed", type=int, default=0, metavar="N", help="attacker RNG seed"
     )
-    parser.add_argument(
-        "--backend",
-        default="fast",
-        choices=available_backends(),
-        help="execution backend (default: fast)",
-    )
+    add_backend_arg(parser, "execution backend")
     parser.add_argument(
         "--sync-every", type=int, default=256, metavar="N", help="cross-check batch size"
     )
@@ -703,12 +694,10 @@ def fleet_main(argv) -> int:
         "--deadline", type=float, default=0.1, metavar="S",
         help="per-request deadline in virtual seconds (default: 0.1)",
     )
-    parser.add_argument(
-        "--backend",
-        default="fast",
-        choices=available_backends(),
-        help="execution backend for the measured service profiles "
-        "(default: fast; metrics are backend-invariant)",
+    add_backend_arg(
+        parser,
+        "execution backend for the measured service profiles; "
+        "metrics are backend-invariant",
     )
     parser.add_argument(
         "--machine", default="epyc-rome", help="cost model (default: epyc-rome)"
@@ -722,11 +711,6 @@ def fleet_main(argv) -> int:
         action="store_true",
         help="arm seeded worker kills/hangs, attack probes, and compile "
         "faults; the run must still resolve every request",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="shared on-disk compile cache (workers and repeat runs "
-        "single-flight their builds through it)",
     )
     parser.add_argument(
         "--out",
@@ -746,7 +730,6 @@ def fleet_main(argv) -> int:
         machine=args.machine,
         seed=args.seed,
         chaos=args.chaos,
-        cache_dir=args.cache_dir,
         deadline_seconds=args.deadline,
     )
     print(report.render_fleet(fleet_report))
@@ -908,12 +891,9 @@ def main(argv=None) -> int:
         metavar="N",
         help="worker processes for independent runs (default: 1, serial)",
     )
-    parser.add_argument(
-        "--backend",
-        default="reference",
-        choices=available_backends(),
-        help="execution backend for all runs (default: reference; "
-        "'fast' uses the pre-decoded micro-op pipeline, same results)",
+    add_backend_arg(
+        parser,
+        "execution backend for all runs; every backend gives the same results",
     )
     parser.add_argument(
         "--records-out",

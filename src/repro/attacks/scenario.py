@@ -25,7 +25,7 @@ from repro.attacks.surface import AttackerView, ReferenceKnowledge
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
 from repro.errors import MachineError
-from repro.machine.backends import run
+from repro.machine.backends import DEFAULT_BACKEND, run
 from repro.machine.costs import get_costs
 from repro.machine.loader import load_binary
 from repro.machine.state import ExecutionResult, MachineState
@@ -167,7 +167,7 @@ class VictimSession:
         layout_info: Optional[VictimLayoutInfo] = None,
         rerandomize_on_restart: bool = False,
         shadow_stack: bool = False,
-        backend: str = "reference",
+        backend: str = DEFAULT_BACKEND,
         variants: int = 1,
         sync_every: int = 256,
         instruction_budget: int = 5_000_000,

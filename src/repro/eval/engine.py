@@ -10,8 +10,9 @@ every overhead measurement.  This module centralizes the loop:
   A request is fully keyed by (module fingerprint, config digest, machine,
   load seed, budget, heap size); because the simulator is deterministic,
   that key *determines* the record.
-* :class:`CompileCache` — content-addressed: a given (module, config) is
-  compiled exactly once per session, however many drivers ask for it.
+* :class:`CompileCache` — content-addressed and in memory: a given
+  (module, config) is compiled once per process (the session's, and
+  each pool worker's), however many drivers ask for it.
 * Executors — a serial in-process path and a ``ProcessPoolExecutor``
   fan-out (``jobs > 1``) over independent cells, with deterministic result
   ordering regardless of completion order.  Requests sharing a compile key
@@ -51,7 +52,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
@@ -434,28 +435,10 @@ def _execute_request_phases(
 #: stalling the process cannot take the host session down with it.
 _IN_POOL_WORKER = False
 
-#: Directory for the shared on-disk compile cache inside pool workers
-#: (set by the pool initializer when the engine was given ``cache_dir``).
-_WORKER_CACHE_DIR: Optional[str] = None
 
-
-def _mark_pool_worker(cache_dir: Optional[str] = None) -> None:
-    global _IN_POOL_WORKER, _WORKER_CACHE_DIR
+def _mark_pool_worker() -> None:
+    global _IN_POOL_WORKER
     _IN_POOL_WORKER = True
-    _WORKER_CACHE_DIR = cache_dir
-
-
-def _make_compile_cache(cache_dir: Optional[str]) -> CompileCache:
-    """The in-memory cache, disk-backed when a directory is configured.
-
-    Imported lazily: :mod:`repro.fleet.cache` subclasses
-    :class:`CompileCache`, so a top-level import would be circular.
-    """
-    if cache_dir is None:
-        return CompileCache()
-    from repro.fleet.cache import DiskCompileCache
-
-    return DiskCompileCache(cache_dir)
 
 
 def _execute_request_guarded(
@@ -525,7 +508,7 @@ def _worker_execute_group(
 ) -> List[Tuple[int, RunRecord]]:
     global _WORKER_CACHE
     if _WORKER_CACHE is None:
-        _WORKER_CACHE = _make_compile_cache(_WORKER_CACHE_DIR)
+        _WORKER_CACHE = CompileCache()
     if trace and not tracing_enabled():
         # The parent enabled tracing after this worker was forked (or the
         # pool spawned fresh): mirror the flag so the request spans exist
@@ -578,8 +561,14 @@ class EngineSummary:
     requested: int
     executed: int
     run_cache_hits: int
+    #: Executed records whose binary came from (or was built into) the
+    #: compile cache of the process that ran them.  Each pool worker keeps
+    #: its own cache, so under ``jobs > 1`` these two depend on which
+    #: process ran what: one binary may be compiled in several.
     compile_cache_hits: int
     compiles: int
+    #: Distinct (module, config) binaries the executed records ran —
+    #: independent of ``jobs`` and of the order work reached the workers.
     distinct_binaries: int
     compile_seconds: float
     run_seconds: float
@@ -590,6 +579,24 @@ class EngineSummary:
     @property
     def workers(self) -> int:
         return len(self.worker_runs)
+
+
+#: Pool breakage is retried with capped exponential backoff (the n-th
+#: rebuild waits ``min(POOL_BACKOFF_CAP, POOL_BACKOFF_BASE * 2**(n-1))``
+#: seconds) at most ``MAX_POOL_REBUILDS`` times per batch before the
+#: engine falls back to serial in-process execution; a request that
+#: breaks the pool more than ``MAX_REQUEST_RETRIES`` times is quarantined
+#: with an ``error`` record.  Read at use time, so a test can patch them.
+MAX_POOL_REBUILDS = 3
+MAX_REQUEST_RETRIES = 2
+POOL_BACKOFF_BASE = 0.05
+POOL_BACKOFF_CAP = 1.0
+
+
+def _backoff(rebuilds: int) -> None:
+    delay = min(POOL_BACKOFF_CAP, POOL_BACKOFF_BASE * (2 ** (rebuilds - 1)))
+    if delay > 0:
+        time.sleep(delay)
 
 
 class ExperimentEngine:
@@ -605,10 +612,8 @@ class ExperimentEngine:
     ``fault_plan`` threads a :class:`repro.reliability.faults.FaultPlan`
     through every execution (serial and worker-side); ``timeout`` is the
     per-future wall-clock deadline in seconds (``None`` = wait forever).
-    Pool breakage is retried with capped exponential backoff at most
-    ``max_pool_rebuilds`` times before the engine falls back to serial
-    in-process execution; a request that breaks the pool more than
-    ``max_request_retries`` times is quarantined with an ``error`` record.
+    Pool breakage is retried, then survived by serial fallback and
+    quarantine (see :data:`MAX_POOL_REBUILDS`).
     """
 
     def __init__(
@@ -618,26 +623,13 @@ class ExperimentEngine:
         *,
         fault_plan: Optional["FaultPlan"] = None,
         timeout: Optional[float] = None,
-        max_pool_rebuilds: int = 3,
-        max_request_retries: int = 2,
-        pool_backoff_base: float = 0.05,
-        pool_backoff_cap: float = 1.0,
-        cache_dir: Optional[str] = None,
     ):
         get_backend(backend)  # fail fast on unknown names
         self.backend = backend
         self.jobs = max(1, int(jobs))
         self.fault_plan = fault_plan
         self.timeout = timeout
-        self.max_pool_rebuilds = max(0, int(max_pool_rebuilds))
-        self.max_request_retries = max(0, int(max_request_retries))
-        self.pool_backoff_base = pool_backoff_base
-        self.pool_backoff_cap = pool_backoff_cap
-        #: When set, compiles persist to (and are shared through) this
-        #: directory — the serial path, every pool worker, and the fleet
-        #: all read and write the same single-flight store.
-        self.cache_dir = cache_dir
-        self.cache = _make_compile_cache(cache_dir)
+        self.cache = CompileCache()
         self.records: List[RunRecord] = []
         self._run_cache: Dict[RunKey, RunRecord] = {}
         self._run_cache_hits = 0
@@ -792,7 +784,7 @@ class ExperimentEngine:
         items: List[List[Tuple[int, RunRequest]]] = list(groups.values()) + solo
         rebuilds = 0
         while items:
-            if rebuilds > self.max_pool_rebuilds:
+            if rebuilds > MAX_POOL_REBUILDS:
                 # The pool keeps dying: run what is left in-process.  The
                 # guarded executor records injected worker crashes instead
                 # of honouring them, so this path always terminates.
@@ -805,9 +797,7 @@ class ExperimentEngine:
                 break
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    initializer=_mark_pool_worker,
-                    initargs=(self.cache_dir,),
+                    max_workers=self.jobs, initializer=_mark_pool_worker
                 )
             try:
                 fmap = {
@@ -820,7 +810,7 @@ class ExperimentEngine:
                 rebuilds += 1
                 self._pool_rebuilds += 1
                 self._discard_pool(terminate=False)
-                self._backoff(rebuilds)
+                _backoff(rebuilds)
                 continue
             items = []
             deadline = None if self.timeout is None else time.monotonic() + self.timeout
@@ -865,7 +855,7 @@ class ExperimentEngine:
                 rebuilds += 1
                 self._pool_rebuilds += 1
                 self._discard_pool(terminate=False)
-                self._backoff(rebuilds)
+                _backoff(rebuilds)
                 # Retry survivors one request per future: the next breakage
                 # then identifies poison requests individually.  A pool
                 # break takes down every in-flight future, so strikes must
@@ -892,18 +882,13 @@ class ExperimentEngine:
                         items.append([(index, request)])
                         continue
                     attempts[index] = attempts.get(index, 0) + 1
-                    if attempts[index] > self.max_request_retries:
+                    if attempts[index] > MAX_REQUEST_RETRIES:
                         self._quarantined += 1
                         records[index] = self._quarantine_record(request)
                     else:
                         items.append([(index, request)])
         ordered = sorted(records.items())
         return [(unique[index][0], record) for index, record in ordered]
-
-    def _backoff(self, rebuilds: int) -> None:
-        delay = min(self.pool_backoff_cap, self.pool_backoff_base * (2 ** (rebuilds - 1)))
-        if delay > 0:
-            time.sleep(delay)
 
     def _timeout_record(self, request: RunRequest) -> RunRecord:
         hang = (
@@ -956,12 +941,15 @@ class ExperimentEngine:
             quarantined=self._quarantined,
             serial_fallbacks=self._serial_fallbacks,
         )
+        binaries: Set[CompileKey] = set()
         for record in self.records:
             worker_runs[record.worker] = worker_runs.get(record.worker, 0) + 1
             if record.cache_hit:
                 compile_hits += 1
             else:
                 compiles += 1
+            if record.text_bytes:  # failure records carry no binary
+                binaries.add((record.module_fingerprint, record.config_digest))
             compile_seconds += record.compile_seconds
             run_seconds += record.run_seconds
             failures.count(record)
@@ -973,7 +961,7 @@ class ExperimentEngine:
             run_cache_hits=self._run_cache_hits,
             compile_cache_hits=compile_hits,
             compiles=compiles,
-            distinct_binaries=len(self.cache) if self.jobs == 1 else compiles,
+            distinct_binaries=len(binaries),
             compile_seconds=compile_seconds,
             run_seconds=run_seconds,
             worker_runs=worker_runs,

@@ -140,7 +140,7 @@ def render_engine_summary(summary) -> str:
         f"Engine: {summary.executed} runs executed "
         f"({summary.requested} requested, {summary.run_cache_hits} run-cache hits) "
         f"across {summary.batches} batches, jobs={summary.jobs}, "
-        f"backend={getattr(summary, 'backend', 'reference')}",
+        f"backend={summary.backend}",
         f"  compiles: {summary.compiles} "
         f"(+{summary.compile_cache_hits} compile-cache hits, "
         f"{summary.distinct_binaries} distinct binaries)",
@@ -152,8 +152,8 @@ def render_engine_summary(summary) -> str:
             f"{worker}:{count}" for worker, count in sorted(summary.worker_runs.items())
         )
         lines.append(f"  workers ({summary.workers}): {utilization}")
-    failures = getattr(summary, "failures", None)
-    if failures is not None and not failures.clean:
+    failures = summary.failures
+    if not failures.clean:
         outcomes = ", ".join(
             f"{outcome}:{count}" for outcome, count in sorted(failures.by_outcome.items())
         )
@@ -253,20 +253,10 @@ def render_fleet(report) -> str:
         f"{report.throughput_dip_pct:.1f}% "
         f"({report.swap_window_rps:.1f} rps in swap windows vs "
         f"{report.steady_rps:.1f} steady)",
+        f"  compile cache: hits {report.cache['hits']}  "
+        f"misses {report.cache['misses']}",
+        "",
     ]
-    cache = report.cache
-    if cache:
-        disk = (
-            f"  disk hits {cache['disk_hits']}  writes {cache['disk_writes']}  "
-            f"flight waits {cache['singleflight_waits']}"
-            if "disk_hits" in cache
-            else ""
-        )
-        lines.append(
-            f"  compile cache: hits {cache.get('hits', 0)}  "
-            f"misses {cache.get('misses', 0)}{disk}"
-        )
-    lines.append("")
     if report.zero_lost:
         lines.append(
             "fleet: OK — every request resolved to a typed outcome "

@@ -4,9 +4,6 @@ R2C's pitch is that diversity pays off because the *service keeps
 running* while attacks turn into faults.  This package models the
 defender-side machinery that makes that true at fleet scale:
 
-* :mod:`repro.fleet.cache` — a cross-worker on-disk, single-flight
-  compile cache, so N workers (and N invocations) never build the same
-  (fingerprint, digest) twice;
 * :mod:`repro.fleet.workers` — supervised victim workers with real
   compiled binaries, measured service profiles, and crash/backoff state;
 * :mod:`repro.fleet.core` — the :class:`~repro.fleet.core.Fleet`
@@ -23,7 +20,6 @@ it is bit-identical across backends and runs; the artifact keeps it
 apart from the host's compile-cache telemetry and wall seconds.
 """
 
-from repro.fleet.cache import DiskCompileCache
 from repro.fleet.core import ChaosSpec, Fleet, FleetOutcome, FleetStats, TokenBucket
 from repro.fleet.loadgen import FleetReport, open_loop_arrivals, run_fleet
 from repro.fleet.workers import CLOCK_HZ, FleetWorker, ServiceProfile, WorkerState
@@ -31,7 +27,6 @@ from repro.fleet.workers import CLOCK_HZ, FleetWorker, ServiceProfile, WorkerSta
 __all__ = [
     "CLOCK_HZ",
     "ChaosSpec",
-    "DiskCompileCache",
     "Fleet",
     "FleetOutcome",
     "FleetReport",

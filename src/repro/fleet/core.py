@@ -28,7 +28,7 @@ The robustness contract, by construction:
   hung worker's in-flight request is re-enqueued at the queue head and
   completes ``DEGRADED``;
 * **quarantine + warm spares** — a flapping slot leaves rotation and is
-  replaced from the shared compile cache (a disk hit makes the spare
+  replaced from the shared compile cache (a cache hit makes the spare
   warm — activation costs a swap, not a compile);
 * **zero-downtime re-randomization** — the next generation compiles in
   the background, the worker drains between requests, and the swap

@@ -23,9 +23,9 @@ from typing import Dict, List, Optional
 
 from repro.core.config import R2CConfig
 from repro.eval.engine import CompileCache
-from repro.fleet.cache import DiskCompileCache
 from repro.fleet.core import ChaosSpec, Fleet, FleetOutcome
 from repro.fleet.workers import FleetWorker, ServiceProfile
+from repro.machine.backends import DEFAULT_BACKEND
 from repro.rng import DiversityRng
 from repro.workloads.webserver import build_webserver
 
@@ -209,12 +209,11 @@ def run_fleet(
     rps: float = 300.0,
     duration_seconds: float = 2.0,
     rerand_interval: Optional[float] = 1.0,
-    backend: str = "fast",
+    backend: str = DEFAULT_BACKEND,
     machine: str = "epyc-rome",
     seed: int = 0,
     chaos: bool = False,
     chaos_spec: Optional[ChaosSpec] = None,
-    cache_dir: Optional[str] = None,
     deadline_seconds: float = 0.1,
     hedge_after_seconds: Optional[float] = 0.03,
     max_queue: int = 64,
@@ -228,9 +227,7 @@ def run_fleet(
     builds; the run must still resolve every request (the scheduler
     raises otherwise).
     """
-    cache: CompileCache = (
-        DiskCompileCache(cache_dir) if cache_dir else CompileCache()
-    )
+    cache = CompileCache()
     module = build_webserver(requests=2, footprint_pages=2)
     base_config = R2CConfig.full(seed=1_000 + seed)
     pool = [
@@ -299,18 +296,6 @@ def run_fleet(
         else duration_seconds
     )
 
-    cache_stats: Dict[str, object] = {
-        "hits": cache.hits,
-        "misses": cache.misses,
-        "compile_seconds": cache.compile_seconds,
-    }
-    if isinstance(cache, DiskCompileCache):
-        cache_stats.update(
-            disk_hits=cache.disk_hits,
-            disk_writes=cache.disk_writes,
-            singleflight_waits=cache.singleflight_waits,
-            corrupt_entries=cache.corrupt_entries,
-        )
     return FleetReport(
         backend=backend,
         machine=machine,
@@ -341,6 +326,10 @@ def run_fleet(
         swap_window_rps=swap_window_rps,
         steady_rps=steady_rps,
         throughput_dip_pct=dip_pct,
-        cache=cache_stats,
+        cache={
+            "hits": cache.hits,
+            "misses": cache.misses,
+            "compile_seconds": cache.compile_seconds,
+        },
         anchor=anchor,
     )

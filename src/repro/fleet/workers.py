@@ -2,12 +2,13 @@
 
 A :class:`FleetWorker` owns one slot in the fleet.  Each *generation* of
 the slot is a freshly-diversified build (new :class:`R2CConfig` seed)
-compiled through the shared :class:`~repro.fleet.cache.DiskCompileCache`
-and measured once for real on the configured backend: the worker loads
-the binary, runs the webserver workload to completion, and records the
-resulting :class:`ServiceProfile` (cycles, instructions, i-cache
-behaviour).  Every request the scheduler routes to that generation is
-then *accounted* from the profile against the virtual clock — simulated
+compiled through the fleet's shared in-memory
+:class:`~repro.eval.engine.CompileCache` and measured once for real on
+the configured backend: the worker loads the binary, runs the webserver
+workload to completion, and records the resulting
+:class:`ServiceProfile` (cycles, instructions, i-cache behaviour).
+Every request the scheduler routes to that generation is then
+*accounted* from the profile against the virtual clock — simulated
 cycles are backend-invariant, so the whole fleet simulation is
 deterministic across backends while still being anchored to a genuine
 guest execution per generation.
@@ -29,7 +30,7 @@ from typing import Callable, Optional
 from repro.core.config import R2CConfig
 from repro.errors import InjectedFault
 from repro.eval.engine import CompileCache
-from repro.machine.backends import run
+from repro.machine.backends import DEFAULT_BACKEND, run
 from repro.machine.costs import get_costs
 from repro.machine.loader import load_binary
 from repro.machine.state import MachineState
@@ -91,7 +92,7 @@ class ServiceProfile:
     #: Host seconds (environmental — never feeds the virtual clock).
     compile_seconds: float
     run_seconds: float
-    #: The build came out of the compile cache (memory or disk).
+    #: The build came out of the compile cache.
     cache_hit: bool
 
     @property
@@ -118,7 +119,7 @@ class FleetWorker:
         base_config: R2CConfig,
         cache: CompileCache,
         *,
-        backend: str = "fast",
+        backend: str = DEFAULT_BACKEND,
         machine: str = "epyc-rome",
         load_seed: int = 0xF1EE7,
         instruction_budget: int = 5_000_000,

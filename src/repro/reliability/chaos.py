@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import R2CConfig
 from repro.eval.engine import ExperimentEngine, RunRequest
+from repro.machine.backends import DEFAULT_BACKEND
 from repro.reliability.faults import FaultPlan, FaultRule
 from repro.workloads.victim import build_victim
 from repro.workloads.webserver import build_webserver
@@ -171,7 +172,7 @@ class FleetChaosReport:
 
 def run_fleet_chaos(
     *,
-    backend: str = "fast",
+    backend: str = DEFAULT_BACKEND,
     seed: int = 0,
     workers: int = 4,
     rps: float = 300.0,
@@ -249,7 +250,7 @@ def run_fleet_chaos(
 def run_chaos(
     *,
     jobs: int = 2,
-    backend: str = "reference",
+    backend: str = DEFAULT_BACKEND,
     seed: int = 0,
     timeout: float = 10.0,
 ) -> ChaosReport:

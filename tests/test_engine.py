@@ -284,3 +284,19 @@ def test_engine_summary_counts():
     assert summary.compiles == 3
     assert summary.distinct_binaries == 3
     assert sum(summary.worker_runs.values()) == summary.executed
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_distinct_binaries_do_not_depend_on_jobs(jobs):
+    """A binary compiled in the parent and again in a pool worker is one
+    distinct binary, whatever process ran which request."""
+    module = small_module()
+    config = R2CConfig.full(seed=1)
+    with ExperimentEngine(jobs=jobs) as engine:
+        # A one-request batch runs in-process even when a pool exists...
+        engine.submit([RunRequest(module, config, load_seed=1)])
+        # ...and two requests sharing its compile key form one work item.
+        engine.submit([RunRequest(module, config, load_seed=seed) for seed in (2, 3)])
+        summary = engine.summary()
+    assert summary.executed == 3
+    assert summary.distinct_binaries == 1

@@ -1,26 +1,21 @@
 """Tests for the victim fleet (repro.fleet.*).
 
-The acceptance physics under test: the on-disk compile cache is
-content-addressed, single-flight, and self-healing; the scheduler never
-loses a request (every arrival resolves to a typed outcome, under load
-shedding, chaos, and rolling re-randomization alike); and the whole
-simulation is bit-deterministic — same seed, same metrics, on every
-backend.
+The acceptance physics under test: the scheduler never loses a request
+(every arrival resolves to a typed outcome, under load shedding, chaos,
+and rolling re-randomization alike); and the whole simulation is
+bit-deterministic — same seed, same metrics, on every backend.
 """
 
 import json
-import os
 import pickle
-import time
 
 import pytest
 
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
-from repro.eval.engine import CompileCache, ExperimentEngine, RunRequest
+from repro.eval.engine import CompileCache
 from repro.fleet import (
     ChaosSpec,
-    DiskCompileCache,
     Fleet,
     FleetOutcome,
     FleetWorker,
@@ -40,93 +35,15 @@ def module():
 
 
 # ---------------------------------------------------------------------------
-# DiskCompileCache
+# Binaries
 # ---------------------------------------------------------------------------
 
 def test_binary_pickle_roundtrip(module):
     """Binaries (including the BTDP constructor) survive pickling — the
-    invariant the on-disk store and the engine's pool both rest on."""
+    invariant the engine's process pool rests on."""
     binary = compile_module(module, R2CConfig.full(seed=3))
     clone = pickle.loads(pickle.dumps(binary))
     assert clone.constructors  # the BTDP constructor survived
-
-
-def test_disk_cache_hits_across_instances(module, tmp_path):
-    config = R2CConfig.baseline()
-    first = DiskCompileCache(str(tmp_path))
-    _, _, hit = first.get_or_compile(module, config)
-    assert not hit and first.disk_writes == 1
-
-    # A fresh instance (another process, another session) hits the disk.
-    second = DiskCompileCache(str(tmp_path))
-    binary, _, hit = second.get_or_compile(module, config)
-    assert hit and second.disk_hits == 1 and second.disk_writes == 0
-    # ...and the loaded binary is the same build.
-    original = first._entries[(module.fingerprint(), config.digest())]
-    assert binary.config_digest == original.config_digest
-    assert binary.text_size == original.text_size
-
-
-def test_disk_cache_heals_corrupt_entry(module, tmp_path):
-    config = R2CConfig.baseline()
-    cache = DiskCompileCache(str(tmp_path))
-    cache.get_or_compile(module, config)
-    path = cache.entry_path((module.fingerprint(), config.digest()))
-    with open(path, "wb") as handle:
-        handle.write(b"truncated garbage")
-
-    healer = DiskCompileCache(str(tmp_path))
-    _, _, hit = healer.get_or_compile(module, config)
-    assert not hit  # recompiled
-    assert healer.corrupt_entries == 1
-    assert healer.disk_writes == 1  # and re-persisted a good entry
-
-
-def test_disk_cache_waits_for_flight_then_compiles(module, tmp_path):
-    """A held lock makes concurrent callers wait; if the flight never
-    lands, the waiter compiles locally instead of deadlocking."""
-    config = R2CConfig.baseline()
-    cache = DiskCompileCache(str(tmp_path), wait_seconds=0.05, poll_seconds=0.01)
-    lock = cache._lock_path((module.fingerprint(), config.digest()))
-    with open(lock, "w", encoding="utf-8") as handle:
-        handle.write("999999")  # a flight holder that never finishes
-    _, _, hit = cache.get_or_compile(module, config)
-    assert not hit
-    assert cache.singleflight_waits == 1
-
-
-def test_disk_cache_breaks_stale_locks(module, tmp_path):
-    config = R2CConfig.baseline()
-    cache = DiskCompileCache(str(tmp_path), wait_seconds=0.2, poll_seconds=0.01,
-                             lock_stale_seconds=0.01)
-    lock = cache._lock_path((module.fingerprint(), config.digest()))
-    with open(lock, "w", encoding="utf-8") as handle:
-        handle.write("999999")
-    stale = time.time() - 60.0
-    os.utime(lock, (stale, stale))
-    cache.get_or_compile(module, config)
-    assert not os.path.exists(lock)  # broken, compiled, released
-
-
-def test_engine_cache_dir_shares_compiles(module, tmp_path):
-    request = RunRequest(module, R2CConfig.baseline(), label="fleet/engine")
-    first = ExperimentEngine(jobs=1, cache_dir=str(tmp_path))
-    try:
-        assert isinstance(first.cache, DiskCompileCache)
-        records = first.submit([request])
-        assert records[0].outcome == "ok"
-        assert first.cache.disk_writes == 1
-    finally:
-        first.close()
-
-    second = ExperimentEngine(jobs=1, cache_dir=str(tmp_path))
-    try:
-        records = second.submit([request])
-        assert records[0].outcome == "ok"
-        assert second.cache.disk_hits == 1
-        assert second.cache.misses == 0
-    finally:
-        second.close()
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +168,13 @@ def test_rolling_rerandomization_zero_drops(module):
 # End-to-end: run_fleet
 # ---------------------------------------------------------------------------
 
-def test_run_fleet_deterministic_across_backends_and_runs(tmp_path):
+def test_run_fleet_deterministic_across_backends_and_runs():
     kwargs = dict(workers=2, rps=150.0, duration_seconds=0.5, seed=9, chaos=True)
     fast = run_fleet(backend="fast", **kwargs)
-    again = run_fleet(backend="fast", cache_dir=str(tmp_path), **kwargs)
-    reference = run_fleet(backend="reference", **kwargs)
+    again = run_fleet(backend="fast", **kwargs)
     assert fast.serving() == again.serving()
-    assert fast.serving() == reference.serving()
+    for backend in ("reference", "jit"):
+        assert run_fleet(backend=backend, **kwargs).serving() == fast.serving()
     # Different seeds genuinely differ.
     other = run_fleet(backend="fast", workers=2, rps=150.0,
                       duration_seconds=0.5, seed=10, chaos=True)

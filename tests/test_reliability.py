@@ -12,6 +12,7 @@ import pickle
 import pytest
 
 from repro.core.config import R2CConfig
+from repro.eval import engine as engine_module
 from repro.eval.engine import (
     CACHEABLE_OUTCOMES,
     ExperimentEngine,
@@ -205,12 +206,13 @@ def test_parallel_hang_times_out_innocents_unaffected():
     assert hang.failure["rule"] == "HANG"
 
 
-def test_serial_fallback_after_repeated_breakage():
+def test_serial_fallback_after_repeated_breakage(monkeypatch):
     """With no rebuild budget, the engine degrades to in-process execution
     and still returns the full batch."""
+    monkeypatch.setattr(engine_module, "MAX_POOL_REBUILDS", 0)
     plan = FaultPlan(rules=(FaultRule("CRASH", "worker-crash", match="inject/crash"),))
     labels = ["ok/a", "inject/crash", "ok/b"]
-    with ExperimentEngine(jobs=2, fault_plan=plan, max_pool_rebuilds=0) as engine:
+    with ExperimentEngine(jobs=2, fault_plan=plan) as engine:
         records = engine.submit(victim_requests(labels))
         summary = engine.summary()
     assert [r.label for r in records] == labels
