@@ -399,7 +399,7 @@ def disasm_blocks_main(argv) -> int:
     workload.
 
     Compiles and loads the workload exactly as a run would, recovers the
-    basic-block CFG from the bound micro-op program
+    basic-block CFG from the process's instruction index
     (:func:`repro.machine.blocks.recover_blocks`), and prints one section
     per block: address range, instruction count, the tier the jit takes
     the block's head to (2 = compiles to a block function, 1 =
@@ -422,7 +422,6 @@ def disasm_blocks_main(argv) -> int:
     from repro.machine.jit import lower_slice
     from repro.machine.loader import load_binary
     from repro.machine.state import MachineState
-    from repro.machine.uops import get_bound_program
 
     parser = argparse.ArgumentParser(
         prog="python -m repro disasm-blocks",
@@ -442,16 +441,15 @@ def disasm_blocks_main(argv) -> int:
 
     binary, process = load_workload(args)
     costs = get_costs(args.machine)
-    program = recover_blocks(get_bound_program(process, costs))
+    blocks = recover_blocks(process.instructions)
     lowerings = {
-        block.addr: lower_slice(process.instructions, block.addr)
-        for block in program.blocks
+        block.addr: lower_slice(process.instructions, block.addr) for block in blocks
     }
     compiled = [lowering for lowering in lowerings.values() if lowering.compiles]
     print(
         f"{args.workload} ({args.config}, seed {args.seed}): "
-        f"{len(program.blocks)} blocks, {len(compiled)} at tier 2, "
-        f"{len(program.blocks) - len(compiled)} at tier 1, "
+        f"{len(blocks)} blocks, {len(compiled)} at tier 2, "
+        f"{len(blocks) - len(compiled)} at tier 1, "
         f"{sum(len(lowering.fused) for lowering in compiled)} superinstructions fused"
     )
     # Tier-3 trace membership needs a run: traces are recorded from hot
@@ -474,7 +472,7 @@ def disasm_blocks_main(argv) -> int:
         for name, address in sorted(process.symbols.items())
         if "::" not in name
     }
-    for block in program.blocks:
+    for block in blocks:
         lowering = lowerings[block.addr]
         tier = 2 if lowering.compiles else 1
         if args.tier is not None and tier != args.tier:

@@ -22,13 +22,10 @@ then cross-checks observable behaviour at the sync point:
   group compares ``rip`` and all sixteen registers at every sync point,
   naming the first mismatching register in the report.
 
-Fetch/decode is amortized across the group: each distinct (binary,
-layout) pays one full ``prepare`` (decode is additionally cached per
-binary fingerprint), and identical-layout replicas receive
-``Backend.clone_program`` of that prepared program.  On ``fast`` that is
-a cheap slot-copy instead of a re-bind — N replicas of one image decode
-once and bind once — and differently diversified binaries each decode
-once, not once per run.  The other backends just ``prepare`` a replica.
+Every variant gets its own program from ``Backend.prepare``, and none
+pays for code it does not run: on ``fast`` a variant binds each
+instruction the first time it fetches it, and on ``jit`` a replica links
+the compiled units its binary already holds.
 
 A divergence is surfaced as a :class:`DivergenceReport` — the
 crash-report analogue for the MVEE detection signal: which variant, at
@@ -195,13 +192,6 @@ class LockstepGroup:
         self.monitor = monitor if monitor is not None else DefenseMonitor()
         costs = costs if costs is not None else get_costs("epyc-rome")
         self.variants: List[LockstepVariant] = []
-        # Fetch/decode amortization: the first variant of each distinct
-        # (binary, layout) pays the full prepare (decode is additionally
-        # cached per binary fingerprint); identical-layout replicas get
-        # the backend's clone of that program (on fast, a copy instead of
-        # a re-bind — every pre-resolved address is layout-derived, so
-        # only the memory reference and per-run fetch state change).
-        prototypes: Dict[tuple, object] = {}
         for index, process in enumerate(processes):
             state = MachineState(
                 process,
@@ -213,20 +203,10 @@ class LockstepGroup:
                 raise MachineError(f"variant {index} has no entry point")
             state.rip = process.entry_point
             state._halted = False
-            key = (
-                # Hand-built processes (no binary) never share programs.
-                id(process.binary) if process.binary is not None else id(process),
-                process.layout.text_base,
-                process.layout.data_base,
-                process.layout.heap_base,
-                process.layout.stack_base,
-            )
-            prototype = prototypes.get(key)
-            if prototype is None:
-                program = self._backend.prepare(state)
-                prototypes[key] = program
-            else:
-                program = self._backend.clone_program(prototype, state)
+            # A replica (a Process.clone()) has no cached program, so each
+            # variant gets its own: on fast it binds what that variant
+            # runs, on jit it links the binary's shared compiled units.
+            program = self._backend.prepare(state)
             self.variants.append(
                 LockstepVariant(
                     index=index,

@@ -562,9 +562,10 @@ class EngineSummary:
     executed: int
     run_cache_hits: int
     #: Executed records whose binary came from (or was built into) the
-    #: compile cache of the process that ran them.  Each pool worker keeps
-    #: its own cache, so under ``jobs > 1`` these two depend on which
-    #: process ran what: one binary may be compiled in several.
+    #: compile cache of the process that ran them; failure records, which
+    #: carry no binary, count in neither.  Each pool worker keeps its own
+    #: cache, so under ``jobs > 1`` these two depend on which process ran
+    #: what: one binary may be compiled in several.
     compile_cache_hits: int
     compiles: int
     #: Distinct (module, config) binaries the executed records ran —
@@ -944,12 +945,12 @@ class ExperimentEngine:
         binaries: Set[CompileKey] = set()
         for record in self.records:
             worker_runs[record.worker] = worker_runs.get(record.worker, 0) + 1
-            if record.cache_hit:
-                compile_hits += 1
-            else:
-                compiles += 1
             if record.text_bytes:  # failure records carry no binary
                 binaries.add((record.module_fingerprint, record.config_digest))
+                if record.cache_hit:
+                    compile_hits += 1
+                else:
+                    compiles += 1
             compile_seconds += record.compile_seconds
             run_seconds += record.run_seconds
             failures.count(record)

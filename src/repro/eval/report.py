@@ -135,16 +135,21 @@ def render_opt_levels(data) -> str:
 
 def render_engine_summary(summary) -> str:
     """Render an :class:`repro.eval.engine.EngineSummary`: cache behavior,
-    compile/run wall time, and per-worker utilization."""
+    compile/run host seconds summed over runs, and per-worker
+    utilization.  Under ``jobs > 1`` each worker process compiles into its
+    own cache, so the compile and compile-cache-hit counts are marked as
+    per-worker, and the summed seconds can exceed the session's wall
+    time."""
+    per_worker = ", counted per worker process" if summary.jobs > 1 else ""
     lines = [
         f"Engine: {summary.executed} runs executed "
         f"({summary.requested} requested, {summary.run_cache_hits} run-cache hits) "
         f"across {summary.batches} batches, jobs={summary.jobs}, "
         f"backend={summary.backend}",
-        f"  compiles: {summary.compiles} "
+        f"  compiles{per_worker}: {summary.compiles} "
         f"(+{summary.compile_cache_hits} compile-cache hits, "
         f"{summary.distinct_binaries} distinct binaries)",
-        f"  wall time: compile {summary.compile_seconds:.2f}s, "
+        f"  time summed over runs: compile {summary.compile_seconds:.2f}s, "
         f"run {summary.run_seconds:.2f}s",
     ]
     if summary.worker_runs:

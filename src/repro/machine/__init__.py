@@ -17,8 +17,8 @@ assumes.  It provides:
   snapshot-able value; one decoded program can drive N states.  Runs
   account cycles, calls and i-cache traffic in :class:`ExecutionResult`.
 * :mod:`repro.machine.uops` / :mod:`repro.machine.backends` — the
-  fetch/decode/execute pipeline: binaries are decoded once into
-  pre-resolved micro-ops (cached by content fingerprint) and driven by
+  fetch/decode/execute pipeline: a process's instructions are bound
+  into pre-resolved micro-ops as they are first fetched and driven by
   the ``reference`` interpreter loop, the ``fast`` handler-table backend,
   or the ``jit`` backend (:mod:`repro.machine.blocks` /
   :mod:`repro.machine.jit`: compiled block functions and tier-3 loop traces;

@@ -2,10 +2,11 @@
 
 Architectural state lives in :class:`~repro.machine.state.MachineState`;
 a backend owns the interpretation loop and takes a *(program, state)*
-pair.  ``prepare(state)`` resolves the decoded program for that state's
-process (cached per process, so N states over one binary decode once);
-``execute(program, state, res)`` runs the state from ``state.rip`` to
-completion; ``step(program, state, res, max_steps)`` advances at most
+pair.  ``prepare(state)`` returns the program that backend drives for
+the state's process (``fast`` and ``jit`` cache it on the process, so N
+states over one process share it); ``execute(program, state, res)`` runs
+the state from ``state.rip`` to completion;
+``step(program, state, res, max_steps)`` advances at most
 ``max_steps`` instructions and returns whether the program has halted —
 the primitive under the debugger's single-stepping and the lockstep
 MVEE's batched N-variant scheduling.  :func:`run` is the one-call form:
@@ -18,11 +19,12 @@ Three implementations ship:
   instruction index; it re-classifies operands and re-checks fetch
   permissions on every instruction and is the semantic baseline every
   other backend is measured against.
-* :class:`FastBackend` (``"fast"``) — drives the pre-resolved micro-op
-  stream produced by :mod:`repro.machine.uops`.  Operand dispatch, memory
-  address recipes, instruction costs, and i-cache line spans were all
-  resolved at decode/bind time, so the hot loop is a handler call plus
-  cost bookkeeping.  Fetch-permission checks are memoized per micro-op
+* :class:`FastBackend` (``"fast"``) — drives the pre-resolved micro-ops
+  of :mod:`repro.machine.uops`, binding each address the first time it
+  fetches it.  Operand dispatch, memory address recipes, instruction
+  costs, and i-cache line spans are resolved at that bind, so the hot
+  loop is a handler call plus cost bookkeeping, and a process binds only
+  the code it runs.  Fetch-permission checks are memoized per micro-op
   against :attr:`Memory.perm_epoch`, which every mapping/protection
   change bumps.
 * :class:`~repro.machine.jit.JitBackend` (``"jit"``) — the final stage
@@ -67,13 +69,7 @@ from repro.errors import (
 from repro.machine.costs import CYCLE_UNIT
 from repro.machine.isa import Imm, Mem, Op, Reg, VECTOR_WORDS, WORD
 from repro.machine.state import UNTAGGED_TAG, ExecutionResult
-from repro.machine.uops import (
-    HALT,
-    MicroOp,
-    SYNC,
-    clone_bound_program,
-    get_bound_program,
-)
+from repro.machine.uops import HALT, SYNC, MicroOp, _bind_one, get_bound_program
 from repro.numeric import MASK64, to_signed, truncated_div
 
 __all__ = [
@@ -102,13 +98,6 @@ class ExecutionBackend:
     """
 
     name: str
-
-    def clone_program(self, program, state):
-        """The program for ``state``, whose process shares ``program``'s
-        binary and layout (a lockstep replica).  By default that is just
-        ``prepare(state)``; a backend whose prepared form has a cheaper
-        copy overrides this."""
-        return self.prepare(state)
 
     def execute(self, program, state, res):
         self._drive(program, state, res, None)
@@ -402,29 +391,19 @@ class FastBackend(ExecutionBackend):
 
     Per instruction the loop does: a memoized fetch-permission check, the
     budget tick, the i-cache charge over precomputed line spans, the cost
-    accounting (in exact integer cycle units), and one handler call.  Control flow follows pre-wired ``next_u``/``target`` links, so
-    the common case never consults the instruction index.
+    accounting (in exact integer cycle units), and one handler call.
+    An address is bound to its micro-op the first time the loop fetches
+    it, and the micro-op is linked into the ``next_u``/``target`` slot of
+    its predecessor, so the common case never consults the index.
     """
 
     name = "fast"
 
     def prepare(self, state):
-        """Bind (or fetch the cached) micro-op program for the state's
-        process under its cost model.  Decode is cached per
-        (module fingerprint, config digest), binding per (process, cost
-        model) — so N states over one loaded binary share one program."""
+        """The micro-op program of the state's process under its cost
+        model, cached on the process — so N states over one process share
+        one program.  It starts empty; ``_drive`` binds what it fetches."""
         return get_bound_program(state.process, state.costs)
-
-    def clone_program(self, program, state):
-        """Rebind a prepared program to ``state``'s process by cloning.
-
-        The caller guarantees the process shares the source's binary and
-        layout (see ``LockstepGroup``); the clone swaps only the memory
-        reference and per-run fetch state, skipping the full bind.  The
-        result is cached on the process like a ``prepare`` result."""
-        clone = clone_bound_program(program, state.process.memory)
-        state.process.uop_programs[id(state.costs)] = (state.costs, clone)
-        return clone
 
     def _drive(self, program, cpu, res, max_steps: Optional[int]):
         process = cpu.process
@@ -445,8 +424,9 @@ class FastBackend(ExecutionBackend):
         tag_units = res.tag_cycle_units
         tag_counts = res.tag_counts
 
-        # Handler-visible counters live on the state; driver-local ones are
-        # flushed in the ``finally`` exactly like the reference loop.
+        # Handler-visible state lives on the state; loop-local counters
+        # are flushed in the ``finally`` exactly like the reference loop.
+        cpu._bk_mem = memory
         cpu._bk_shadow = cpu.shadow_stack if cpu.shadow_stack_enabled else None
         cpu._bk_calls = 0
         cpu._bk_rets = 0
@@ -462,7 +442,11 @@ class FastBackend(ExecutionBackend):
         cache_misses = 0
         ep = memory.perm_epoch
 
-        u = index_get(cpu.rip)
+        # Each of the four ways control reaches an address the loop has
+        # not linked (this first fetch, a fall-through, a computed or
+        # first-taken direct target, the fall-through after a service
+        # call) looks the address up and binds it on a miss.
+        u = index_get(cpu.rip) or _bind_one(program, cpu.rip)
         try:
             if u is None:
                 if not cpu._halted:
@@ -525,16 +509,21 @@ class FastBackend(ExecutionBackend):
                     if nxt is None:
                         nu = u.next_u
                         if nu is None:
-                            _missing(cpu, memory, u.next_rip, remaining)
-                            break
+                            nu = index_get(u.next_rip) or _bind_one(program, u.next_rip)
+                            if nu is None:
+                                _missing(cpu, memory, u.next_rip, remaining)
+                                break
+                            u.next_u = nu
                         u = nu
                     elif nxt.__class__ is MicroOp:
                         u = nxt
                     elif nxt.__class__ is int:
-                        nu = index_get(nxt)
+                        nu = index_get(nxt) or _bind_one(program, nxt)
                         if nu is None:
                             _missing(cpu, memory, nxt, remaining)
                             break
+                        if u.target == nxt:  # a direct branch, taken first
+                            u.target = nu
                         u = nu
                     elif nxt is HALT:
                         cpu.rip = u.next_rip
@@ -543,8 +532,11 @@ class FastBackend(ExecutionBackend):
                         ep = memory.perm_epoch
                         nu = u.next_u
                         if nu is None:
-                            _missing(cpu, memory, u.next_rip, remaining)
-                            break
+                            nu = index_get(u.next_rip) or _bind_one(program, u.next_rip)
+                            if nu is None:
+                                _missing(cpu, memory, u.next_rip, remaining)
+                                break
+                            u.next_u = nu
                         u = nu
         finally:
             res.instructions += executed

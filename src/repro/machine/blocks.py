@@ -2,12 +2,12 @@
 
 The machine layer lowers guest code through four tiers:
 
-* **tier 0** — the decoded, bound micro-op table
-  (:class:`repro.machine.uops.BoundProgram`), the terminal form the
-  ``fast`` backend drives directly;
-* **tier 1** (this module) — a recovered basic-block CFG over the
-  micro-op stream, with hot adjacent micro-ops fused into
-  *superinstructions* (compare-and-branch pairs, push runs);
+* **tier 0** — micro-ops (:mod:`repro.machine.uops`), each bound the
+  first time the ``fast`` backend fetches its address; the terminal
+  form that backend drives directly;
+* **tier 1** (this module) — a recovered basic-block CFG over a
+  process's instruction index, with hot adjacent instructions fused
+  into *superinstructions* (compare-and-branch pairs, push runs);
 * **tier 2** (:mod:`repro.machine.jit`) — one ``exec``-compiled Python
   function per block, threaded together by direct jumps;
 * **tier 3** (:mod:`repro.machine.jit`) — hot loop heads (backward
@@ -17,9 +17,9 @@ The machine layer lowers guest code through four tiers:
   trace function with guard-protected side exits.
 
 Tier 1's contract: block boundaries are **stable** — derived only from
-addresses, sizes, and direct branch targets, all fixed at bind time —
+addresses, sizes, and direct branch targets, all fixed at load time —
 and every block is a maximal straight-line run: entered only at its
-head, left only at its final micro-op.  How far down the pipeline the
+head, left only at its final instruction.  How far down the pipeline the
 code at a head gets is the jit's call, not this module's:
 :func:`repro.machine.jit.lower_slice` lowers the slice from the head
 through its terminator to tier 2 when every instruction in it lowers;
@@ -38,13 +38,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.machine.isa import Imm, Op
-from repro.machine.uops import BoundProgram, MicroOp, TERMINATOR_OPS
+from repro.machine.isa import Imm, Instruction, Op
+from repro.machine.uops import TERMINATOR_OPS, _direct_target
 from repro.numeric import MASK64
 
 __all__ = [
     "BasicBlock",
-    "BlockProgram",
     "recover_blocks",
     "slice_block",
     "fuse_slice",
@@ -61,26 +60,24 @@ FUSABLE_BRANCHES = frozenset({Op.JE, Op.JNE, Op.JL, Op.JLE, Op.JG, Op.JGE})
 
 
 class BasicBlock:
-    """One recovered straight-line run of micro-ops."""
+    """One recovered straight-line run of instructions, as
+    ``(address, instruction)`` pairs."""
 
-    __slots__ = ("bid", "addr", "uops")
+    __slots__ = ("bid", "addr", "items")
 
-    def __init__(self, bid: int, uops: List[MicroOp]):
+    def __init__(self, bid: int, items: List[Tuple[int, Instruction]]):
         self.bid = bid
-        self.addr = uops[0].rip
-        self.uops = uops
+        self.addr = items[0][0]
+        self.items = items
 
     def __len__(self) -> int:
-        return len(self.uops)
+        return len(self.items)
 
     @property
     def end(self) -> int:
-        """Address one past the last micro-op."""
-        return self.uops[-1].next_rip
-
-    @property
-    def terminator(self) -> MicroOp:
-        return self.uops[-1]
+        """Address one past the last instruction."""
+        addr, instr = self.items[-1]
+        return addr + instr.size
 
     def successors(self) -> List[Tuple[str, Optional[int]]]:
         """Static successor edges as (kind, address-or-None) pairs.
@@ -90,18 +87,15 @@ class BasicBlock:
         straight-line block split by an incoming branch target) is a
         plain ``fall`` edge.
         """
-        last = self.uops[-1]
+        last = self.items[-1][1]
         op = last.op
-        target = last.target
-        taken = target.rip if isinstance(target, MicroOp) else (
-            target if isinstance(target, int) else None
-        )
+        taken = _direct_target(last)
         if op is Op.JMP:
             return [("jump", taken)]
         if op in FUSABLE_BRANCHES:
-            return [("taken", taken), ("fall", last.next_rip)]
+            return [("taken", taken), ("fall", self.end)]
         if op is Op.CALL:
-            return [("call", taken), ("return-site", last.next_rip)]
+            return [("call", taken), ("return-site", self.end)]
         if op is Op.RET:
             return [("ret", None)]
         if op is Op.EXIT:
@@ -109,61 +103,45 @@ class BasicBlock:
         if op is Op.TRAP:
             return [("trap", None)]
         # CALLRT and blocks split by an incoming edge fall through.
-        return [("fall", last.next_rip)]
+        return [("fall", self.end)]
 
 
-class BlockProgram:
-    """The tier-1 form: a block list plus a head-address lookup table."""
+def recover_blocks(instructions: Dict[int, Instruction]) -> List[BasicBlock]:
+    """Recover the basic-block CFG of a process's instruction index
+    (address -> instruction, in text order).
 
-    __slots__ = ("blocks", "by_addr")
-
-    def __init__(self, blocks: List[BasicBlock]):
-        self.blocks = blocks
-        #: Block-head address -> block.
-        self.by_addr: Dict[int, BasicBlock] = {b.addr: b for b in blocks}
-
-
-def recover_blocks(program: BoundProgram) -> BlockProgram:
-    """Recover the basic-block CFG of a bound program.
-
-    Leaders are: the first micro-op, every direct branch target, and
-    every instruction following a terminator.  Non-contiguous address
-    runs (hand-assembled processes with gaps) also split, so the
-    in-block invariant ``uops[k].next_u is uops[k+1]`` always holds.
+    Leaders are: the first instruction, every direct branch target that
+    holds an instruction, and every instruction following a terminator.
+    Non-contiguous address runs (hand-assembled processes with gaps)
+    also split, so each instruction of a block ends where the next one
+    starts.
     """
-    order = program.order
-    leaders = set()
-    if order:
-        leaders.add(order[0].rip)
-    for u in order:
-        if isinstance(u.target, MicroOp):
-            leaders.add(u.target.rip)
-        if u.op in TERMINATOR_OPS and u.next_u is not None:
-            leaders.add(u.next_rip)
+    leaders = {next(iter(instructions))} if instructions else set()
+    for addr, instr in instructions.items():
+        target = _direct_target(instr)
+        if target in instructions:
+            leaders.add(target)
+        if instr.op in TERMINATOR_OPS and addr + instr.size in instructions:
+            leaders.add(addr + instr.size)
 
     blocks: List[BasicBlock] = []
-    current: List[MicroOp] = []
+    current: List[Tuple[int, Instruction]] = []
 
     def close() -> None:
         if current:
             blocks.append(BasicBlock(len(blocks), list(current)))
             current.clear()
 
-    previous: Optional[MicroOp] = None
-    for u in order:
-        if current and (
-            u.rip in leaders
-            or previous is None
-            or previous.next_u is not u
-        ):
+    follows: Optional[int] = None  # address after the previous instruction
+    for addr, instr in instructions.items():
+        if current and (addr in leaders or addr != follows):
             close()
-        current.append(u)
-        previous = u
-        if u.op in TERMINATOR_OPS:
+        current.append((addr, instr))
+        follows = addr + instr.size
+        if instr.op in TERMINATOR_OPS:
             close()
-            previous = None
     close()
-    return BlockProgram(blocks)
+    return blocks
 
 
 def slice_block(instructions, addr: int, limit: int = 256) -> List[tuple]:

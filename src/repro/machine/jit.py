@@ -263,7 +263,7 @@ _CMP_FORMS = {("R", "R"), ("R", "I"), ("R", "MB"), ("MB", "R"), ("MB", "I")}
 class _JU:
     """One instruction's lowering record: operand kinds pre-classified,
     immediates masked, memory recipes extracted with the tier-0 binder's
-    rules (:func:`repro.machine.uops._bind`: an offset is masked only
+    rules (:func:`repro.machine.uops._bind_one`: an offset is masked only
     when the operand has neither base nor index).  ``idx``/``scale``
     are the index register and scale of an ``MX`` operand (None/1
     otherwise; at most one operand of a lowered instruction is ``MX``)."""

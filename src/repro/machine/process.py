@@ -124,8 +124,9 @@ class Process:
         self.exit_code: Optional[int] = None
         self._services: Dict[str, RuntimeService] = {}
         self._peak_resident = 0
-        # Bound micro-op programs, one per cost model, filled lazily by
-        # repro.machine.uops.get_bound_program for the fast backend.
+        # Prepared programs, one per (backend, cost model): the fast
+        # backend's micro-op programs (repro.machine.uops.get_bound_program)
+        # and the jit's JitProgram.
         self.uop_programs: Dict[int, tuple] = {}
         # Set by the loader:
         self.binary = None  # the Binary this process was loaded from

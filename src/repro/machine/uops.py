@@ -1,28 +1,32 @@
-"""The decode stage: pre-resolved micro-ops for the ``fast`` backend.
+"""The bind stage: pre-resolved micro-ops for the ``fast`` backend.
 
 The reference interpreter re-classifies operands (``isinstance`` chains),
 re-computes memory-operand addresses from scratch, and re-derives i-cache
 line spans for every executed instruction.  All of that is static: it
-depends only on the binary, the (per-process) load layout, and the machine
-cost model — never on run-time machine state.  This module pays those
-costs once per loaded binary:
+depends only on the instruction, the (per-process) load layout, and the
+machine cost model — never on run-time machine state.  This module pays
+those costs once per executed address:
 
-* :func:`decode_binary` lowers a :class:`~repro.toolchain.binary.Binary`
-  into a handler-per-instruction template table, cached globally by the
-  binary's content fingerprint ``(module_fingerprint, config_digest)`` —
-  the same key the compile cache uses, so a binary is decoded exactly once
-  per session no matter how many processes load it.
-* :func:`get_bound_program` binds the templates to one loaded process
-  under one cost model, producing a table of :class:`MicroOp`\\ s with
-  absolute addresses, precomputed fall-through/branch-target links,
-  per-instruction base cost, and i-cache line occupancy folded in.
+* :func:`get_bound_program` returns the (initially empty)
+  :class:`BoundProgram` of one loaded process under one cost model.
+* :func:`_bind_one` binds one instruction of that process into a
+  :class:`MicroOp` — its specialized handler, absolute operand
+  addresses, base cost and i-cache line occupancy.
+  :meth:`FastBackend._drive <repro.machine.backends.FastBackend._drive>`
+  calls it the first time it fetches an address, and links the micro-op
+  into the fall-through (``next_u``) or direct-branch (``target``) slot
+  of the micro-op that led there, so steady-state control flow never
+  consults the index.
 
 Handlers follow a tiny calling convention shared with the ``fast``
 backend driver (:mod:`repro.machine.backends`): ``handler(cpu, uop)``
-returns ``None`` to fall through, a :class:`MicroOp` for a pre-resolved
-branch target, an ``int`` for a computed target (``ret``/indirect calls),
-:data:`HALT` after ``EXIT``, or :data:`SYNC` after a runtime service call
-(whose host code may have changed page permissions).
+reaches guest memory through ``cpu._bk_mem``, which ``_drive`` sets (so
+no micro-op holds a process's memory), and returns ``None`` to fall
+through, the micro-op's ``target`` for a taken direct branch (a
+:class:`MicroOp` once linked, its address until then), an ``int`` for a
+computed target (``ret``/indirect calls), :data:`HALT` after ``EXIT``,
+or :data:`SYNC` after a runtime service call (whose host code may have
+changed page permissions).
 
 Every handler replicates the reference interpreter's semantics exactly —
 including operand evaluation order, masking, fault types and messages —
@@ -33,7 +37,7 @@ equivalence suite enforce this.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import (
     BoobyTrapTriggered,
@@ -80,30 +84,27 @@ class MicroOp:
         "a_off",
         "b_base",
         "b_off",
-        "mem",
         "sym",
         "fetch_epoch",
     )
 
 
 class BoundProgram:
-    """A fully bound micro-op table for one (process, cost model) pair.
+    """The micro-ops of one (process, cost model) pair, bound on demand.
 
-    ``index`` maps absolute addresses to micro-ops; ``order`` lists the
-    same micro-ops in text order.  The ordered view is the lowering IR
-    the upper tiers consume: basic-block recovery
-    (:mod:`repro.machine.blocks`) walks ``order`` splitting at
-    :data:`TERMINATOR_OPS`, and the block boundaries it derives are
-    *stable* — they depend only on addresses, sizes, and direct branch
-    targets, all of which are fixed at bind time.
+    ``index`` maps absolute addresses to micro-ops and starts empty: the
+    ``fast`` backend binds an instruction (:func:`_bind_one`) the first
+    time it fetches that address, so a process pays only for the code it
+    runs.  The program keeps the process's instruction index and the
+    cost model, never the process or its memory.
     """
 
-    __slots__ = ("index", "order", "entry_count")
+    __slots__ = ("index", "instructions", "costs")
 
-    def __init__(self, index: Dict[int, MicroOp], order: Optional[List[MicroOp]] = None):
-        self.index = index
-        self.order = list(index.values()) if order is None else order
-        self.entry_count = len(index)
+    def __init__(self, instructions: Dict[int, Instruction], costs):
+        self.index: Dict[int, MicroOp] = {}
+        self.instructions = instructions
+        self.costs = costs
 
 
 Handler = Callable[[object, MicroOp], object]
@@ -126,28 +127,28 @@ def _mov_ri(cpu, u):
 
 def _mov_r_mb(cpu, u):
     r = cpu.regs
-    r[u.a_reg] = u.mem.read_word((u.b_off + r[u.b_base]) & MASK64)
+    r[u.a_reg] = cpu._bk_mem.read_word((u.b_off + r[u.b_base]) & MASK64)
 
 
 def _mov_r_ma(cpu, u):
-    cpu.regs[u.a_reg] = u.mem.read_word(u.b_off)
+    cpu.regs[u.a_reg] = cpu._bk_mem.read_word(u.b_off)
 
 
 def _mov_mb_r(cpu, u):
     r = cpu.regs
-    u.mem.write_word((u.a_off + r[u.a_base]) & MASK64, r[u.b_reg])
+    cpu._bk_mem.write_word((u.a_off + r[u.a_base]) & MASK64, r[u.b_reg])
 
 
 def _mov_ma_r(cpu, u):
-    u.mem.write_word(u.a_off, cpu.regs[u.b_reg])
+    cpu._bk_mem.write_word(u.a_off, cpu.regs[u.b_reg])
 
 
 def _mov_mb_i(cpu, u):
-    u.mem.write_word((u.a_off + cpu.regs[u.a_base]) & MASK64, u.imm)
+    cpu._bk_mem.write_word((u.a_off + cpu.regs[u.a_base]) & MASK64, u.imm)
 
 
 def _mov_ma_i(cpu, u):
-    u.mem.write_word(u.a_off, u.imm)
+    cpu._bk_mem.write_word(u.a_off, u.imm)
 
 
 def _lea_r_mb(cpu, u):
@@ -163,20 +164,20 @@ def _push_r(cpu, u):
     r = cpu.regs
     rsp = (r[_RSP] - WORD) & MASK64
     r[_RSP] = rsp
-    u.mem.write_word(rsp, r[u.a_reg])
+    cpu._bk_mem.write_word(rsp, r[u.a_reg])
 
 
 def _push_i(cpu, u):
     r = cpu.regs
     rsp = (r[_RSP] - WORD) & MASK64
     r[_RSP] = rsp
-    u.mem.write_word(rsp, u.imm)
+    cpu._bk_mem.write_word(rsp, u.imm)
 
 
 def _pop_r(cpu, u):
     r = cpu.regs
     rsp = r[_RSP]
-    r[u.a_reg] = u.mem.read_word(rsp)
+    r[u.a_reg] = cpu._bk_mem.read_word(rsp)
     r[_RSP] = (rsp + WORD) & MASK64
 
 
@@ -193,20 +194,22 @@ def _make_alu(fn) -> Dict[str, Handler]:
 
     def r_mb(cpu, u):
         r = cpu.regs
-        r[u.a_reg] = fn(r[u.a_reg], u.mem.read_word((u.b_off + r[u.b_base]) & MASK64)) & MASK64
+        r[u.a_reg] = fn(
+            r[u.a_reg], cpu._bk_mem.read_word((u.b_off + r[u.b_base]) & MASK64)
+        ) & MASK64
 
     def r_ma(cpu, u):
         r = cpu.regs
-        r[u.a_reg] = fn(r[u.a_reg], u.mem.read_word(u.b_off)) & MASK64
+        r[u.a_reg] = fn(r[u.a_reg], cpu._bk_mem.read_word(u.b_off)) & MASK64
 
     def mb_r(cpu, u):
         r = cpu.regs
-        mem = u.mem
+        mem = cpu._bk_mem
         addr = (u.a_off + r[u.a_base]) & MASK64
         mem.write_word(addr, fn(mem.read_word(addr), r[u.b_reg]) & MASK64)
 
     def mb_i(cpu, u):
-        mem = u.mem
+        mem = cpu._bk_mem
         addr = (u.a_off + cpu.regs[u.a_base]) & MASK64
         mem.write_word(addr, fn(mem.read_word(addr), u.imm) & MASK64)
 
@@ -258,20 +261,20 @@ def _cmp_ri(cpu, u):
 def _cmp_r_mb(cpu, u):
     r = cpu.regs
     cpu._cmp = to_signed(r[u.a_reg]) - to_signed(
-        u.mem.read_word((u.b_off + r[u.b_base]) & MASK64)
+        cpu._bk_mem.read_word((u.b_off + r[u.b_base]) & MASK64)
     )
 
 
 def _cmp_mb_r(cpu, u):
     r = cpu.regs
-    cpu._cmp = to_signed(u.mem.read_word((u.a_off + r[u.a_base]) & MASK64)) - to_signed(
-        r[u.b_reg]
-    )
+    cpu._cmp = to_signed(
+        cpu._bk_mem.read_word((u.a_off + r[u.a_base]) & MASK64)
+    ) - to_signed(r[u.b_reg])
 
 
 def _cmp_mb_i(cpu, u):
     cpu._cmp = to_signed(
-        u.mem.read_word((u.a_off + cpu.regs[u.a_base]) & MASK64)
+        cpu._bk_mem.read_word((u.a_off + cpu.regs[u.a_base]) & MASK64)
     ) - to_signed(u.imm)
 
 
@@ -332,7 +335,7 @@ def _call_i(cpu, u):
         )
     rsp = (r[_RSP] - WORD) & MASK64
     r[_RSP] = rsp
-    u.mem.write_word(rsp, u.next_rip)
+    cpu._bk_mem.write_word(rsp, u.next_rip)
     shadow = cpu._bk_shadow
     if shadow is not None:
         shadow.append(u.next_rip)
@@ -349,7 +352,7 @@ def _call_r(cpu, u):
     target = r[u.a_reg]
     rsp = (r[_RSP] - WORD) & MASK64
     r[_RSP] = rsp
-    u.mem.write_word(rsp, u.next_rip)
+    cpu._bk_mem.write_word(rsp, u.next_rip)
     shadow = cpu._bk_shadow
     if shadow is not None:
         shadow.append(u.next_rip)
@@ -360,7 +363,7 @@ def _call_r(cpu, u):
 def _ret(cpu, u):
     r = cpu.regs
     rsp = r[_RSP]
-    target = u.mem.read_word(rsp)
+    target = cpu._bk_mem.read_word(rsp)
     r[_RSP] = (rsp + WORD) & MASK64
     shadow = cpu._bk_shadow
     if shadow is not None:
@@ -384,13 +387,13 @@ def _make_vload(nbytes: int, absolute: bool) -> Handler:
     if absolute:
 
         def h(cpu, u):
-            cpu.vregs[u.a_reg - _YMM0] = u.mem.read(u.b_off, nbytes)
+            cpu.vregs[u.a_reg - _YMM0] = cpu._bk_mem.read(u.b_off, nbytes)
 
     else:
 
         def h(cpu, u):
             addr = (u.b_off + cpu.regs[u.b_base]) & MASK64
-            cpu.vregs[u.a_reg - _YMM0] = u.mem.read(addr, nbytes)
+            cpu.vregs[u.a_reg - _YMM0] = cpu._bk_mem.read(addr, nbytes)
 
     return h
 
@@ -399,13 +402,13 @@ def _make_vstore(absolute: bool) -> Handler:
     if absolute:
 
         def h(cpu, u):
-            u.mem.write(u.a_off, cpu.vregs[u.b_reg - _YMM0])
+            cpu._bk_mem.write(u.a_off, cpu.vregs[u.b_reg - _YMM0])
 
     else:
 
         def h(cpu, u):
             addr = (u.a_off + cpu.regs[u.a_base]) & MASK64
-            u.mem.write(addr, cpu.vregs[u.b_reg - _YMM0])
+            cpu._bk_mem.write(addr, cpu.vregs[u.b_reg - _YMM0])
 
     return h
 
@@ -462,13 +465,13 @@ def _g_push(cpu, u):
     r = cpu.regs
     rsp = (r[_RSP] - WORD) & MASK64
     r[_RSP] = rsp
-    u.mem.write_word(rsp, cpu._read_operand(u.instr.a))
+    cpu._bk_mem.write_word(rsp, cpu._read_operand(u.instr.a))
 
 
 def _g_pop(cpu, u):
     r = cpu.regs
     rsp = r[_RSP]
-    cpu._write_operand(u.instr.a, u.mem.read_word(rsp))
+    cpu._write_operand(u.instr.a, cpu._bk_mem.read_word(rsp))
     r[_RSP] = (rsp + WORD) & MASK64
 
 
@@ -546,7 +549,7 @@ def _g_call(cpu, u):
     target = cpu._branch_target(u.instr.a)
     rsp = (r[_RSP] - WORD) & MASK64
     r[_RSP] = rsp
-    u.mem.write_word(rsp, u.next_rip)
+    cpu._bk_mem.write_word(rsp, u.next_rip)
     shadow = cpu._bk_shadow
     if shadow is not None:
         shadow.append(u.next_rip)
@@ -559,7 +562,7 @@ def _make_g_vload(nbytes: int) -> Handler:
         i = u.instr
         if not isinstance(i.b, Mem):
             raise InvalidInstruction("vload requires a memory source")
-        data = u.mem.read(cpu._mem_address(i.b), nbytes)
+        data = cpu._bk_mem.read(cpu._mem_address(i.b), nbytes)
         cpu.vregs[i.a - Reg.YMM0] = data
 
     return h
@@ -569,7 +572,7 @@ def _g_vstore(cpu, u):
     i = u.instr
     if not isinstance(i.a, Mem):
         raise InvalidInstruction("vstore requires a memory destination")
-    u.mem.write(cpu._mem_address(i.a), cpu.vregs[i.b - Reg.YMM0])
+    cpu._bk_mem.write(cpu._mem_address(i.a), cpu.vregs[i.b - Reg.YMM0])
 
 
 def _g_callrt(cpu, u):
@@ -693,17 +696,26 @@ def _build_handler_table() -> Dict[Tuple[Op, str, str], Handler]:
 
 HANDLERS: Dict[Tuple[Op, str, str], Handler] = _build_handler_table()
 
-#: Branch-family opcodes whose immediate targets are pre-wired to MicroOps.
+#: Branch-family opcodes whose immediate target ``fast`` links to a MicroOp.
 _DIRECT_BRANCH_OPS = frozenset(
     {Op.JMP, Op.JE, Op.JNE, Op.JL, Op.JLE, Op.JG, Op.JGE, Op.CALL}
 )
+
+
+def _direct_target(instr: Instruction) -> Optional[int]:
+    """The resolved immediate target of a direct branch, or None."""
+    a = instr.a
+    if isinstance(a, Imm) and a.symbol is None and instr.op in _DIRECT_BRANCH_OPS:
+        return a.value & MASK64
+    return None
+
 
 #: Opcodes that end a basic block: control transfers (taken or not),
 #: halts, traps, and runtime-service calls (whose host code may remap
 #: pages, invalidating fetch memoization for whatever follows).  The
 #: block-recovery tier (:mod:`repro.machine.blocks`) splits on these and
 #: on every direct branch target, so a block is a maximal straight-line
-#: run — entered only at its head, left only at its last micro-op.
+#: run — entered only at its head, left only at its last instruction.
 TERMINATOR_OPS = frozenset(
     {
         Op.JMP,
@@ -745,224 +757,77 @@ def select_handler(instr: Instruction) -> Handler:
 
 
 # ---------------------------------------------------------------------------
-# Decode cache: one template table per binary content fingerprint.
+# Bind: resolve one instruction against one loaded process and cost model.
 # ---------------------------------------------------------------------------
 
 
-class DecodedProgram:
-    """Layout-independent decode of one binary: a handler per instruction."""
+def _bind_one(program: BoundProgram, addr: int) -> Optional[MicroOp]:
+    """Bind the instruction at ``addr`` into ``program`` (None if there is
+    no instruction there).
 
-    __slots__ = ("handlers",)
-
-    def __init__(self, handlers: List[Handler]):
-        self.handlers = handlers
-
-
-#: (module_fingerprint, config_digest) -> DecodedProgram.  Mirrors the
-#: engine's compile-cache key, so each distinct binary decodes once per
-#: session regardless of how many Binary instances or processes exist.
-_DECODE_CACHE: Dict[Tuple[str, str], DecodedProgram] = {}
-
-#: Observability counters for the decode cache (asserted by tests).
-DECODE_STATS = {"decodes": 0, "cache_hits": 0}
-
-
-def decode_binary(binary) -> DecodedProgram:
-    """Return (and cache) the micro-op template table for ``binary``."""
-    fingerprint = binary.module_fingerprint
-    digest = binary.config_digest
-    key = (fingerprint, digest) if fingerprint and digest else None
-    if key is not None:
-        cached = _DECODE_CACHE.get(key)
-        if cached is not None:
-            DECODE_STATS["cache_hits"] += 1
-            return cached
-    else:
-        cached = getattr(binary, "_decoded_program", None)
-        if cached is not None:
-            DECODE_STATS["cache_hits"] += 1
-            return cached
-    DECODE_STATS["decodes"] += 1
-    decoded = DecodedProgram([select_handler(instr) for _, instr in binary.text])
-    if key is not None:
-        _DECODE_CACHE[key] = decoded
-    else:
-        binary._decoded_program = decoded
-    return decoded
-
-
-def clear_decode_cache() -> None:
-    """Drop all cached decodes (test isolation helper)."""
-    _DECODE_CACHE.clear()
-    DECODE_STATS["decodes"] = 0
-    DECODE_STATS["cache_hits"] = 0
-
-
-# ---------------------------------------------------------------------------
-# Bind: resolve templates against one loaded process and one cost model.
-# ---------------------------------------------------------------------------
-
-
-def _bind(
-    items: List[Tuple[int, Instruction]],
-    handlers: List[Handler],
-    costs,
-    memory,
-) -> BoundProgram:
-    op_units = costs.op_unit_costs
-    line_size = costs.icache_line
-    index: Dict[int, MicroOp] = {}
-    uops: List[MicroOp] = []
-    for (addr, instr), handler in zip(items, handlers):
-        a, b = instr.a, instr.b
-        # Post-rebase sanity: an unresolved symbolic immediate (outside
-        # CALLRT) must fault through the reference operand path.
-        if (
-            isinstance(a, Imm)
-            and a.symbol is not None
-            and instr.op is not Op.CALLRT
-        ) or (isinstance(b, Imm) and b.symbol is not None):
-            handler = GENERIC[instr.op]
-        u = MicroOp()
-        u.rip = addr
-        u.size = instr.size
-        u.next_rip = addr + instr.size
-        u.op = instr.op
-        u.tag = instr.tag
-        u.instr = instr
-        u.base_cost = op_units[instr.op]
-        u.has_mem = isinstance(a, Mem) or isinstance(b, Mem)
-        u.lines = tuple(line_span(addr, instr.size, line_size))
-        u.handler = handler
-        u.next_u = None
-        u.target = None
-        u.a_reg = int(a) if isinstance(a, Reg) else 0
-        u.b_reg = int(b) if isinstance(b, Reg) else 0
-        if isinstance(b, Imm) and b.symbol is None:
-            u.imm = b.value & MASK64
-        elif isinstance(a, Imm) and a.symbol is None:
-            u.imm = a.value & MASK64
-        else:
-            u.imm = 0
-        if isinstance(a, Mem):
-            u.a_base = None if a.base is None else int(a.base)
-            u.a_off = (
-                a.offset & MASK64
-                if a.base is None and a.index is None
-                else a.offset
-            )
-        else:
-            u.a_base = None
-            u.a_off = 0
-        if isinstance(b, Mem):
-            u.b_base = None if b.base is None else int(b.base)
-            u.b_off = (
-                b.offset & MASK64
-                if b.base is None and b.index is None
-                else b.offset
-            )
-        else:
-            u.b_base = None
-            u.b_off = 0
-        u.mem = memory
-        u.sym = a.symbol if isinstance(a, Imm) else None
-        u.fetch_epoch = -1
-        index[addr] = u
-        uops.append(u)
-    # Second pass: wire fall-through links and direct branch targets.
-    for u in uops:
-        u.next_u = index.get(u.next_rip)
-        if u.op in _DIRECT_BRANCH_OPS:
-            a = u.instr.a
-            if isinstance(a, Imm) and a.symbol is None:
-                tgt = a.value & MASK64
-                u.target = index.get(tgt, tgt)
-    return BoundProgram(index, uops)
-
-
-def clone_bound_program(program: BoundProgram, memory) -> BoundProgram:
-    """Rebind ``program`` to another process's memory without re-binding.
-
-    Sound only when the target process shares the source's binary *and*
-    layout: every pre-resolved field (rips, absolute operand addresses,
-    branch targets, immediates) is layout-derived and therefore identical,
-    so only the two per-process slots change — ``mem`` points at the new
-    process's memory and ``fetch_epoch`` (per-run i-cache fetch state)
-    resets.  Each clone owns private micro-ops, so concurrent variants in
-    a lockstep group never share mutable fetch state.
-
-    This skips template resolution and operand classification entirely,
-    which is what lets :class:`~repro.defenses.lockstep.LockstepGroup`
-    amortize decode *and* bind across N replicas of one image.
+    The micro-op starts unlinked: ``next_u`` is unset and a direct
+    branch's ``target`` is its address.  The ``fast`` loop stores the
+    micro-op it reaches in either slot the first time control follows it.
     """
-    source = program.index
-    index: Dict[int, MicroOp] = {}
-    for addr, u in source.items():
-        c = MicroOp()
-        c.rip = u.rip
-        c.next_rip = u.next_rip
-        c.size = u.size
-        c.op = u.op
-        c.tag = u.tag
-        c.instr = u.instr
-        c.base_cost = u.base_cost
-        c.has_mem = u.has_mem
-        c.lines = u.lines
-        c.handler = u.handler
-        c.a_reg = u.a_reg
-        c.b_reg = u.b_reg
-        c.imm = u.imm
-        c.a_base = u.a_base
-        c.a_off = u.a_off
-        c.b_base = u.b_base
-        c.b_off = u.b_off
-        c.sym = u.sym
-        c.mem = memory
-        c.fetch_epoch = -1
-        c.next_u = None
-        c.target = None
-        index[addr] = c
-    for addr, u in source.items():
-        c = index[addr]
-        if u.next_u is not None:
-            c.next_u = index[u.next_u.rip]
-        target = u.target
-        if isinstance(target, MicroOp):
-            c.target = index[target.rip]
-        else:
-            c.target = target
-    return BoundProgram(index, [index[u.rip] for u in program.order])
+    instr = program.instructions.get(addr)
+    if instr is None:
+        return None
+    op, a, b = instr.op, instr.a, instr.b
+    # Post-rebase sanity: an unresolved symbolic immediate (outside
+    # CALLRT) must fault through the reference operand path.
+    if (isinstance(a, Imm) and a.symbol is not None and op is not Op.CALLRT) or (
+        isinstance(b, Imm) and b.symbol is not None
+    ):
+        handler = GENERIC[op]
+    else:
+        handler = select_handler(instr)
+    u = MicroOp()
+    u.rip = addr
+    u.size = instr.size
+    u.next_rip = addr + instr.size
+    u.op = op
+    u.tag = instr.tag
+    u.instr = instr
+    u.base_cost = program.costs.op_unit_costs[op]
+    u.has_mem = isinstance(a, Mem) or isinstance(b, Mem)
+    u.lines = tuple(line_span(addr, instr.size, program.costs.icache_line))
+    u.handler = handler
+    u.next_u = None
+    u.target = _direct_target(instr)
+    u.a_reg = int(a) if isinstance(a, Reg) else 0
+    u.b_reg = int(b) if isinstance(b, Reg) else 0
+    if isinstance(b, Imm) and b.symbol is None:
+        u.imm = b.value & MASK64
+    elif isinstance(a, Imm) and a.symbol is None:
+        u.imm = a.value & MASK64
+    else:
+        u.imm = 0
+    if isinstance(a, Mem):
+        u.a_base = None if a.base is None else int(a.base)
+        u.a_off = a.offset & MASK64 if a.base is None and a.index is None else a.offset
+    else:
+        u.a_base = None
+        u.a_off = 0
+    if isinstance(b, Mem):
+        u.b_base = None if b.base is None else int(b.base)
+        u.b_off = b.offset & MASK64 if b.base is None and b.index is None else b.offset
+    else:
+        u.b_base = None
+        u.b_off = 0
+    u.sym = a.symbol if isinstance(a, Imm) else None
+    u.fetch_epoch = -1
+    program.index[addr] = u
+    return u
 
 
 def get_bound_program(process, costs) -> BoundProgram:
-    """Bound micro-op table for ``process`` under ``costs``, cached per pair."""
+    """The micro-op program of ``process`` under ``costs``, cached per
+    pair.  It starts empty; the ``fast`` loop fills it as it fetches."""
     cache = process.uop_programs
     key = id(costs)
     entry = cache.get(key)
     if entry is not None and entry[0] is costs:
         return entry[1]
-    binary = process.binary
-    items: Optional[List[Tuple[int, Instruction]]] = None
-    handlers: Optional[List[Handler]] = None
-    if binary is not None and binary.text:
-        decoded = decode_binary(binary)
-        text_base = process.text_base
-        instructions = process.instructions
-        try:
-            candidate = [
-                (text_base + offset, instructions[text_base + offset])
-                for offset, _ in binary.text
-            ]
-        except KeyError:
-            candidate = None
-        if candidate is not None and len(candidate) == len(instructions):
-            items = candidate
-            handlers = decoded.handlers
-    if items is None:
-        # No binary metadata (hand-built process) or the instruction index
-        # diverged from the binary text: decode this process directly.
-        items = list(process.instructions.items())
-        handlers = [select_handler(instr) for _, instr in items]
-    program = _bind(items, handlers, costs, process.memory)
+    program = BoundProgram(process.instructions, costs)
     cache[key] = (costs, program)
     return program

@@ -9,12 +9,15 @@ runs that crash mid-program — plus identical trace-hook and debugger
 behaviour.  These tests drive both backends over the same programs and
 compare everything.
 
-The decode stage itself is also covered: a binary is decoded into
-micro-ops exactly once per content fingerprint, however many times it is
-loaded.
+The bind stage itself is also covered: ``fast`` binds an instruction
+the first time it fetches it, links what it binds into the micro-op
+that led there, and leaves no reference cycle through a process's
+memory.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -36,7 +39,7 @@ from repro.machine.debugger import Debugger
 from repro.machine.isa import Imm, Instruction, Mem, Op, Reg
 from repro.machine.loader import load_binary
 from repro.machine.memory import Perm
-from repro.machine.uops import DECODE_STATS, clear_decode_cache, get_bound_program
+from repro.machine.uops import MicroOp, get_bound_program
 from repro.machine.process import AddressSpaceLayout, Process
 from repro.machine.state import ExecutionResult, MachineState
 
@@ -467,35 +470,8 @@ def test_debugger_breakpoints_work_on_fast_backend():
 
 
 # ---------------------------------------------------------------------------
-# The decode stage: one decode per binary fingerprint, one bind per
-# (process, cost model).
+# The bind stage: one program per (process, cost model), bound as fetched.
 # ---------------------------------------------------------------------------
-
-
-def test_binary_decoded_once_per_fingerprint(simple_module):
-    config = R2CConfig.full(seed=9)
-    first = compile_module(simple_module, config)
-    second = compile_module(simple_module, config)
-    assert first is not second
-    assert first.module_fingerprint == second.module_fingerprint
-
-    clear_decode_cache()
-    for binary in (first, second, first):
-        process = load_binary(binary, seed=1)
-        process.register_service("attack_hook", lambda proc, cpu: 0)
-        run(MachineState(process, get_costs("epyc-rome")), "fast")
-    assert DECODE_STATS["decodes"] == 1
-    assert DECODE_STATS["cache_hits"] == 2
-
-
-def test_distinct_configs_decode_separately(simple_module):
-    clear_decode_cache()
-    for seed in (1, 2):
-        binary = compile_module(simple_module, R2CConfig.full(seed=seed))
-        process = load_binary(binary, seed=1)
-        process.register_service("attack_hook", lambda proc, cpu: 0)
-        run(MachineState(process, get_costs("epyc-rome")), "fast")
-    assert DECODE_STATS["decodes"] == 2
 
 
 def test_bound_program_cached_per_process_and_costs():
@@ -505,7 +481,74 @@ def test_bound_program_cached_per_process_and_costs():
     assert get_bound_program(process, costs) is program
     other = get_bound_program(process, get_costs("xeon"))
     assert other is not program
-    assert program.entry_count == 2
+    assert program.index == {}
+
+
+def test_fast_binds_only_what_it_fetches():
+    def build(target):
+        return assemble([I(Op.JMP, Imm(target)), I(Op.NOP), I(Op.EXIT, Imm(0))])
+
+    _, addresses = build(0)
+    process, addresses = build(addresses[2])
+    state = MachineState(process, get_costs("epyc-rome"))
+    run(state, "fast")
+    program = get_backend("fast").prepare(state)
+    assert sorted(program.index) == [addresses[0], addresses[2]]
+
+
+def test_fast_links_what_it_binds():
+    """Unlinked micro-ops give the same results, only slower, so no
+    differential test can see a ``fast`` loop that never stores what it binds:
+    check the links themselves after a counted loop."""
+
+    def build(loop_head):
+        return assemble(
+            [
+                I(Op.MOV, Reg.RCX, Imm(0)),    # 0
+                I(Op.ADD, Reg.RCX, Imm(1)),    # 1: loop head
+                I(Op.CMP, Reg.RCX, Imm(5)),    # 2
+                I(Op.JL, Imm(loop_head)),      # 3: back edge
+                I(Op.OUT, Reg.RCX),            # 4
+                I(Op.EXIT, Imm(0)),            # 5
+            ]
+        )
+
+    _, addresses = build(0)
+    process, addresses = build(addresses[1])
+    state = MachineState(process, get_costs("epyc-rome"))
+    assert run(state, "fast").output == [5]
+    index = get_backend("fast").prepare(state).index
+    assert sorted(index) == addresses
+    back_edge = index[addresses[3]]
+    assert back_edge.target is index[addresses[1]]
+    for addr in addresses[:5]:  # every executed fall-through
+        follower = index[addr].next_u
+        assert follower.__class__ is MicroOp
+        assert follower.rip == index[addr].next_rip
+
+
+@pytest.mark.parametrize("attribute_tags", [False, True])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_finished_process_frees_its_memory(backend, attribute_tags):
+    """A run leaves no reference cycle that holds the process's memory:
+    once the process and its state are dropped, reference counting alone
+    frees the memory (the collector stays off)."""
+    from repro.workloads.spec import build_spec_benchmark
+
+    binary = compile_module(build_spec_benchmark("xz"), R2CConfig.full(seed=1))
+    process = load_binary(binary, seed=1)
+    memory = weakref.ref(process.memory)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        state = MachineState(process, get_costs("epyc-rome"), attribute_tags=attribute_tags)
+        result = run(state, backend)
+        assert result.exit_code == 0
+        del process, state, result
+        assert memory() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_rerunning_same_process_reuses_bound_program():

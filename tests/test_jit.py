@@ -44,7 +44,6 @@ from repro.machine.jit import (
 from repro.machine.loader import load_binary
 from repro.machine.memory import Perm
 from repro.machine.state import ExecutionResult, MachineState
-from repro.machine.uops import get_bound_program
 from repro.toolchain.binary import Binary
 from repro.toolchain.builder import IRBuilder
 from repro.workloads.spec import SPEC_BENCHMARKS, build_spec_benchmark
@@ -471,11 +470,11 @@ def test_block_recovery_boundaries_and_fusion(capsys):
         if new_addresses == addresses:
             break
         addresses = new_addresses
-    program = recover_blocks(get_bound_program(process, get_costs("epyc-rome")))
-    assert len(program.blocks) == 3
-    heads = sorted(program.by_addr)
+    blocks = {block.addr: block for block in recover_blocks(process.instructions)}
+    assert len(blocks) == 3
+    heads = sorted(blocks)
     assert heads == [addresses[0], addresses[1], addresses[8]]
-    loop = program.by_addr[addresses[1]]
+    loop = blocks[addresses[1]]
     assert len(loop) == 7
     assert ("taken", addresses[1]) in loop.successors()
     lowering = lower_slice(process.instructions, addresses[1])

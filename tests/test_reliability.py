@@ -117,6 +117,19 @@ def test_serial_injection_outcomes():
     assert by_label["inject/hang"].failure["rule"] == "HANG"
 
 
+def test_summary_counts_a_compile_only_for_a_binary():
+    """A compile-error record compiled nothing: one failed and one clean
+    request over the same binary make one compile, not two."""
+    plan = FaultPlan(rules=(FaultRule("CE", "compile-error", match="inject/compile"),))
+    with ExperimentEngine(jobs=1, fault_plan=plan) as engine:
+        failed, clean = engine.submit(victim_requests(["inject/compile", "clean"]))
+        summary = engine.summary()
+    assert failed.outcome == "error" and clean.outcome == "ok"
+    assert summary.compiles == 1
+    assert summary.compile_cache_hits == 0
+    assert summary.distinct_binaries == 1
+
+
 def test_injection_signature_prevents_cache_aliasing():
     """A clean cell and an injected cell for the same (module, config,
     seed) must not serve each other from the run cache."""

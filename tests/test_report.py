@@ -6,6 +6,8 @@ pins the load-bearing parts of the output (headers, rows, verdict
 lines) without chaining a full experiment run.
 """
 
+import dataclasses
+
 from repro.analysis.entropy import EntropyAudit
 from repro.analysis.findings import Finding
 from repro.analysis.lint import LintReport, LintTargetResult
@@ -93,6 +95,12 @@ def test_render_engine_summary_with_failures():
     text = render_engine_summary(summary)
     assert "8 runs executed" in text and "backend=fast" in text
     assert "compile 1.25s" in text and "run 3.50s" in text
+    # The seconds are sums over runs, not wall time, and with jobs > 1
+    # every worker process compiles into its own cache.
+    assert "time summed over runs: compile 1.25s" in text
+    assert "compiles, counted per worker process: 6 (+4 compile-cache hits" in text
+    serial = render_engine_summary(dataclasses.replace(summary, jobs=1))
+    assert "  compiles: 6 (+4 compile-cache hits" in serial
     assert "workers (2): 0:4, 1:4" in text
     assert "failures: 2 (fault:1, timeout:1)" in text
     assert "injected by rule: FLT001:1" in text
