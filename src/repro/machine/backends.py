@@ -32,10 +32,12 @@ Three implementations ship:
   basic-block CFG with superinstruction fusion,
   :mod:`repro.machine.blocks`; tier 2: one ``exec``-compiled Python
   function per block, :mod:`repro.machine.jit`).  Budget checks, cost
-  folds, and i-cache accounting collapse into block prologs; anything
-  the compiled form cannot express bit-identically deopts to the
-  ``reference`` interpreter loop mid-run; only observed drives (trace
-  hook, tag attribution, opcode counts) run on ``fast`` wholesale.
+  folds, and i-cache accounting collapse into block prologs.  ``fast``
+  is its one interpreter: cold code and anything the compiled form
+  cannot express bit-identically run there, in block-granular spans
+  over the process's micro-ops, and observed drives (trace hook, tag
+  attribution, opcode counts) run there wholesale.  ``reference`` stays
+  the differential oracle.
 
 All backends must fill byte-identical :class:`ExecutionResult`\\ s —
 same counters, same faults at the same ``rip``, same shadow-stack and
@@ -69,7 +71,7 @@ from repro.errors import (
 from repro.machine.costs import CYCLE_UNIT
 from repro.machine.isa import Imm, Mem, Op, Reg, VECTOR_WORDS, WORD
 from repro.machine.state import UNTAGGED_TAG, ExecutionResult
-from repro.machine.uops import HALT, SYNC, MicroOp, _bind_one, get_bound_program
+from repro.machine.uops import HALT, MicroOp, _bind_one, get_bound_program
 from repro.numeric import MASK64, to_signed, truncated_div
 
 __all__ = [
@@ -369,6 +371,23 @@ class ReferenceBackend(ExecutionBackend):
             res.output = cpu.process.output
 
 
+def flush_handler_counters(cpu, res) -> None:
+    """Add the ``cpu._bk_*`` counters handlers and compiled units bump into
+    ``res`` and zero them.  ``fast`` and ``jit`` drives end through here,
+    so a drive nested in another (a jit interpreter span) never counts
+    them twice."""
+    res.calls += cpu._bk_calls
+    cpu._bk_calls = 0
+    res.rets += cpu._bk_rets
+    cpu._bk_rets = 0
+    res.branches += cpu._bk_branches
+    cpu._bk_branches = 0
+    res.branches_taken += cpu._bk_taken
+    cpu._bk_taken = 0
+    res.traps += cpu._bk_traps
+    cpu._bk_traps = 0
+
+
 def _missing(cpu, memory, address, remaining):
     """Fault path for control flow reaching a non-instruction address.
 
@@ -424,15 +443,11 @@ class FastBackend(ExecutionBackend):
         tag_units = res.tag_cycle_units
         tag_counts = res.tag_counts
 
-        # Handler-visible state lives on the state; loop-local counters
-        # are flushed in the ``finally`` exactly like the reference loop.
+        # Handler-visible state lives on the state; its counters and the
+        # loop-local ones are flushed in the ``finally`` exactly like the
+        # reference loop.
         cpu._bk_mem = memory
         cpu._bk_shadow = cpu.shadow_stack if cpu.shadow_stack_enabled else None
-        cpu._bk_calls = 0
-        cpu._bk_rets = 0
-        cpu._bk_branches = 0
-        cpu._bk_taken = 0
-        cpu._bk_traps = 0
 
         remaining = max_steps
         executed = 0
@@ -460,7 +475,7 @@ class FastBackend(ExecutionBackend):
                         remaining -= 1
                     try:
                         if u.fetch_epoch != ep:
-                            memory.fetch_check(u.rip, u.size)
+                            memory.fetch_check(u.rip, u.instr.size)
                             u.fetch_epoch = ep
 
                         executed += 1
@@ -494,11 +509,13 @@ class FastBackend(ExecutionBackend):
                             mem_ops += 1
                         cycles += cost
                         if attribute:
-                            tag = u.tag if u.tag is not None else UNTAGGED_TAG
+                            tag = u.instr.tag
+                            if tag is None:
+                                tag = UNTAGGED_TAG
                             tag_units[tag] = tag_units.get(tag, 0) + cost
                             tag_counts[tag] = tag_counts.get(tag, 0) + 1
                         if count_ops:
-                            op = u.op
+                            op = u.instr.op
                             opcode_counts[op] = opcode_counts.get(op, 0) + 1
 
                         nxt = u.handler(cpu, u)
@@ -544,12 +561,8 @@ class FastBackend(ExecutionBackend):
             res.cycles = res.cycle_units / CYCLE_UNIT
             if attribute and tag_units:
                 res.tag_cycles = {tag: units / CYCLE_UNIT for tag, units in tag_units.items()}
-            res.calls += cpu._bk_calls
-            res.rets += cpu._bk_rets
-            res.branches += cpu._bk_branches
-            res.branches_taken += cpu._bk_taken
+            flush_handler_counters(cpu, res)
             res.mem_ops += mem_ops
-            res.traps += cpu._bk_traps
             icache.hits += hits
             icache.misses += cache_misses
             res.icache_hits = icache.hits

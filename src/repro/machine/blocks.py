@@ -23,8 +23,9 @@ head, left only at its final instruction.  How far down the pipeline the
 code at a head gets is the jit's call, not this module's:
 :func:`repro.machine.jit.lower_slice` lowers the slice from the head
 through its terminator to tier 2 when every instruction in it lowers;
-otherwise the head stays at tier 1 and executes on the ``reference``
-interpreter loop via the jit backend's deopt path.
+otherwise the head stays at tier 1 and its slice runs as an interpreter
+span on tier 0's micro-ops (the ``fast`` loop), via the jit backend's
+deopt path.
 
 Fusion never changes semantics, counters, or fault behaviour — a fused
 pair still charges two instructions, two costs (in the reference float

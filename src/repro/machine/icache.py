@@ -10,21 +10,22 @@ cache line through this set-associative LRU model.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List
+from typing import List, Tuple
 
 __all__ = ["ICache", "line_span", "block_line_plan"]
 
 
-def line_span(address: int, size: int, line_size: int) -> range:
-    """Cache lines covering ``[address, address + max(size, 1))``.
+def line_span(address: int, size: int, line_size: int) -> Tuple[int, ...]:
+    """Cache lines covering ``[address, address + max(size, 1))``, as a
+    tuple (``(first,)`` for the common one-line fetch).
 
     The single source of truth for line occupancy: the cache model, the
-    micro-op binder, and the profiler's shadow replay all use it, so a
-    fetch touches the same lines no matter which layer computes them.
+    micro-op binder, the jit, and the profiler's shadow replay all use it,
+    so a fetch touches the same lines no matter which layer computes them.
     """
     first = address // line_size
-    last = (address + max(size, 1) - 1) // line_size
-    return range(first, last + 1)
+    last = (address + size - 1) // line_size if size > 1 else first
+    return (first,) if last == first else tuple(range(first, last + 1))
 
 
 def block_line_plan(spans, line_size: int):

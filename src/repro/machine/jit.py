@@ -51,7 +51,7 @@ functions obey the same protocol, so a trace is just a block function
 that covers many blocks and many iterations per call.
 
 **The deopt contract.**  Anything compiled code cannot reproduce
-*bit-identically* re-enters an interpreter mid-run with all partial
+*bit-identically* re-enters the interpreter mid-run with all partial
 counters flushed first: cold code (fewer than two entries, and no
 unit for it in the binary's cache entry), slices containing an
 instruction tier 1 cannot lower (negative-cached, interpreted
@@ -66,12 +66,16 @@ faulting instruction; a line key, not a guest address, because one
 address can occur in more than one segment of a trace).  A
 trace deopt re-validates *all* constituent slices before the trace runs
 again, and budget deopts from a loop trace fall through to the
-interpreter exactly like block deopts.  Interpreter segments run
-block-granular spans on the *reference* loop directly into the caller's
-result — exact, because all cycle accounting is integer units.  A drive
-that starts with a trace hook, tag attribution or opcode counting
-installed is delegated to ``fast`` wholesale: those observe single
-instructions, which compiled code folds away.  The differential suite
+interpreter exactly like block deopts.  The interpreter is ``fast``'s
+micro-op loop, and only it: each segment runs one block-granular span
+(:func:`~repro.machine.blocks.slice_block` sizes it) over the process's
+micro-ops, bound on first fetch, directly into the caller's result —
+exact, because all cycle accounting is integer units and every drive
+adds the handler counters into the result and zeroes them
+(:func:`~repro.machine.backends.flush_handler_counters`).  A drive that
+starts with a trace hook, tag attribution or opcode counting installed
+runs on ``fast`` wholesale: those observe single instructions, which
+compiled code folds away.  The differential suite
 holds ``jit`` to byte-identical :class:`ExecutionResult`\\ s, faults,
 ``rip``, counters, folded profiles, and lockstep divergence points
 against both other backends.
@@ -105,13 +109,13 @@ from repro.errors import (
 )
 # The package imports ``backends`` first, and ``backends`` imports this
 # module only at its bottom, after ExecutionBackend is defined.
-from repro.machine.backends import ExecutionBackend
+from repro.machine.backends import ExecutionBackend, FastBackend, flush_handler_counters
 from repro.machine.blocks import backward_branch_target, fuse_slice, slice_block
 from repro.machine.costs import CYCLE_UNIT, costs_signature, fold_cost
 from repro.machine.icache import block_line_plan, line_span
 from repro.machine.isa import Imm, Mem, Op, Reg
 from repro.machine.memory import PAGE_SIZE
-from repro.machine.uops import TERMINATOR_OPS, _DIRECT_BRANCH_OPS, _kind, get_bound_program
+from repro.machine.uops import _kind, decode_operands, get_bound_program, unresolved_symbol
 from repro.numeric import MASK64, to_signed, truncated_div
 
 __all__ = [
@@ -262,11 +266,12 @@ _CMP_FORMS = {("R", "R"), ("R", "I"), ("R", "MB"), ("MB", "R"), ("MB", "I")}
 
 class _JU:
     """One instruction's lowering record: operand kinds pre-classified,
-    immediates masked, memory recipes extracted with the tier-0 binder's
-    rules (:func:`repro.machine.uops._bind_one`: an offset is masked only
-    when the operand has neither base nor index).  ``idx``/``scale``
-    are the index register and scale of an ``MX`` operand (None/1
-    otherwise; at most one operand of a lowered instruction is ``MX``)."""
+    and the operand fields decoded by tier 0's decoder
+    (:func:`repro.machine.uops.decode_operands`: immediates masked, an
+    offset masked only when the operand has neither base nor index).
+    ``idx``/``scale`` are the index register and scale of an ``MX``
+    operand (None/1 otherwise; at most one operand of a lowered
+    instruction is ``MX``)."""
 
     __slots__ = (
         "rip", "next_rip", "size", "op", "ka", "kb",
@@ -313,14 +318,10 @@ def _supported(op: Op, ka: str, kb: str) -> bool:
 def _classify(addr: int, instr) -> Optional[_JU]:
     """Lower one instruction to a :class:`_JU`, or None when only the
     generic (reference-semantics) path can run it."""
+    if unresolved_symbol(instr):
+        return None
     a, b = instr.a, instr.b
     op = instr.op
-    # Unresolved symbolic immediates (outside CALLRT) must fault through
-    # the reference operand path.
-    if (
-        isinstance(a, Imm) and a.symbol is not None and op is not Op.CALLRT
-    ) or (isinstance(b, Imm) and b.symbol is not None):
-        return None
     ka, kb = _kind(a), _kind(b)
     if op is Op.CALLRT:
         if not (isinstance(a, Imm) and a.symbol is not None):
@@ -334,32 +335,11 @@ def _classify(addr: int, instr) -> Optional[_JU]:
     ju.op = op
     ju.ka = ka
     ju.kb = kb
-    ju.a_reg = int(a) if isinstance(a, Reg) else 0
-    ju.b_reg = int(b) if isinstance(b, Reg) else 0
-    if isinstance(b, Imm) and b.symbol is None:
-        ju.imm = b.value & MASK64
-    elif isinstance(a, Imm) and a.symbol is None:
-        ju.imm = a.value & MASK64
-    else:
-        ju.imm = 0
-    if isinstance(a, Mem):
-        ju.a_base = None if a.base is None else int(a.base)
-        ju.a_off = a.offset & MASK64 if a.base is None and a.index is None else a.offset
-    else:
-        ju.a_base = None
-        ju.a_off = 0
-    if isinstance(b, Mem):
-        ju.b_base = None if b.base is None else int(b.base)
-        ju.b_off = b.offset & MASK64 if b.base is None and b.index is None else b.offset
-    else:
-        ju.b_base = None
-        ju.b_off = 0
+    decode_operands(ju, instr)
     indexed = a if ka == "MX" else b if kb == "MX" else None
     ju.idx = None if indexed is None else int(indexed.index)
     ju.scale = 1 if indexed is None else indexed.scale
-    ju.has_mem = isinstance(a, Mem) or isinstance(b, Mem)
     ju.sym = a.symbol if isinstance(a, Imm) else None
-    ju.target = ju.imm if (op in _DIRECT_BRANCH_OPS or op in _JCC_COND) and ka == "I" else None
     return ju
 
 
@@ -1572,18 +1552,15 @@ class JitBackend(ExecutionBackend):
     dynamic block head on its second entry (tier 1 slice recovery +
     fusion, then tier 2 codegen, with compiled code objects shared
     through the binary-keyed cache, whose units link on a head's first
-    entry).  ``execute``/``step`` trampoline
-    between compiled block functions by address, deopting to the
-    reference interpreter wherever compiled code cannot reproduce
-    interpreter behaviour bit-for-bit (see the module docstring)."""
+    entry).  ``execute``/``step`` trampoline between compiled block
+    functions by address.  Its one interpreter is a private ``fast``
+    backend: every span compiled code cannot reproduce bit-for-bit runs
+    on the process's micro-ops (see the module docstring)."""
 
     name = "jit"
 
     def __init__(self):
-        from repro.machine.backends import FastBackend, ReferenceBackend
-
         self._fast = FastBackend()
-        self._reference = ReferenceBackend()
 
     # -- program management -------------------------------------------------
 
@@ -1808,11 +1785,6 @@ class JitBackend(ExecutionBackend):
         pending = program.pending
 
         cpu._bk_shadow = cpu.shadow_stack if cpu.shadow_stack_enabled else None
-        cpu._bk_calls = 0
-        cpu._bk_rets = 0
-        cpu._bk_branches = 0
-        cpu._bk_taken = 0
-        cpu._bk_traps = 0
 
         max_total = None if max_steps is None else res.instructions + max_steps
         # Drive-cumulative accounting, flushed into ``res`` at interp
@@ -1904,51 +1876,26 @@ class JitBackend(ExecutionBackend):
         C[4] = 0
         res.icache_hits = icache.hits
         res.icache_misses = icache.misses
-        res.calls += cpu._bk_calls
-        cpu._bk_calls = 0
-        res.rets += cpu._bk_rets
-        cpu._bk_rets = 0
-        res.branches += cpu._bk_branches
-        cpu._bk_branches = 0
-        res.branches_taken += cpu._bk_taken
-        cpu._bk_taken = 0
-        res.traps += cpu._bk_traps
-        cpu._bk_traps = 0
+        flush_handler_counters(cpu, res)
         res.output = process.output
 
     def _interp(self, program, cpu, res, C, memory, max_total: Optional[int]) -> bool:
-        """Run one block-granular span on the reference interpreter,
-        directly into ``res`` (exact: all accounting is integer units).
-        Returns False when the drive is over (halt or step exhaustion)."""
+        """Run one block-granular span on the ``fast`` interpreter, over
+        the process's micro-ops, directly into ``res`` (exact: all
+        accounting is integer units).  Returns False when the drive is
+        over (halt or step exhaustion)."""
         self._flush(cpu, res, C, cpu.icache, cpu.process)
-        if cpu._halted:
+        if cpu._halted or (max_total is not None and res.instructions >= max_total):
             return False
-        if max_total is not None and res.instructions >= max_total:
-            return False
-        instructions = program.instructions
-        get = instructions.get
-        addr = cpu.rip
-        span = 0
-        while span < _SLICE_LIMIT:
-            instr = get(addr)
-            span += 1
-            # A missing instruction is included: the reference loop walks
-            # into it and raises the exact fetch fault / InvalidInstruction.
-            if instr is None or instr.op in TERMINATOR_OPS:
-                break
-            addr += instr.size
+        # At least one instruction: at an address with none, the
+        # interpreter raises the exact fetch fault or InvalidInstruction.
+        span = len(slice_block(program.instructions, cpu.rip, _SLICE_LIMIT)) or 1
         if max_total is not None:
-            left = max_total - res.instructions
-            if span > left:
-                span = left
-        self._reference._drive(instructions, cpu, res, span)
+            span = min(span, max_total - res.instructions)
+        self._fast._drive(get_bound_program(cpu.process, program.costs), cpu, res, span)
         C[6] = memory.perm_epoch
         self._allowance(cpu, res, C, max_total)
-        if cpu._halted:
-            return False
-        if max_total is not None and res.instructions >= max_total:
-            return False
-        return True
+        return not cpu._halted and (max_total is None or res.instructions < max_total)
 
     def _revalidate(self, program, memory, addr: int, C) -> bool:
         """Fetch-check the code compiled at ``addr`` — its slice, or every

@@ -166,6 +166,10 @@ class MachineState:
         self._cmp = 0  # signed result of the last CMP/TEST
         self._halted = False
         self._exit_code = 0
+        # Counters handlers and compiled units bump; ``fast`` and ``jit``
+        # drives add them into their result and zero them
+        # (backends.flush_handler_counters).
+        self._bk_calls = self._bk_rets = self._bk_branches = self._bk_taken = self._bk_traps = 0
         #: Exactly one driver may step this state (the debugger claims it);
         #: passive trace hooks chain on ``trace_fn`` instead.
         self.debugger_attached = False

@@ -1,4 +1,5 @@
-"""The bind stage: pre-resolved micro-ops for the ``fast`` backend.
+"""The bind stage: pre-resolved micro-ops for the ``fast`` backend, which
+is also the ``jit`` backend's interpreter.
 
 The reference interpreter re-classifies operands (``isinstance`` chains),
 re-computes memory-operand addresses from scratch, and re-derives i-cache
@@ -17,6 +18,9 @@ those costs once per executed address:
   into the fall-through (``next_u``) or direct-branch (``target``) slot
   of the micro-op that led there, so steady-state control flow never
   consults the index.
+* :func:`decode_operands` and :func:`unresolved_symbol` are the one
+  operand decoder: the jit's tier 1 (:func:`repro.machine.jit.lower_slice`)
+  fills its lowering records with them too.
 
 Handlers follow a tiny calling convention shared with the ``fast``
 backend driver (:mod:`repro.machine.backends`): ``handler(cpu, uop)``
@@ -67,9 +71,6 @@ class MicroOp:
     __slots__ = (
         "rip",
         "next_rip",
-        "size",
-        "op",
-        "tag",
         "instr",
         "base_cost",
         "has_mem",
@@ -84,7 +85,6 @@ class MicroOp:
         "a_off",
         "b_base",
         "b_off",
-        "sym",
         "fetch_epoch",
     )
 
@@ -95,16 +95,21 @@ class BoundProgram:
     ``index`` maps absolute addresses to micro-ops and starts empty: the
     ``fast`` backend binds an instruction (:func:`_bind_one`) the first
     time it fetches that address, so a process pays only for the code it
-    runs.  The program keeps the process's instruction index and the
-    cost model, never the process or its memory.
+    runs.  The program keeps the process's instruction index and what a
+    bind reads of the cost model (per-opcode cycle units, the i-cache
+    line size), never the process or its memory.  ``lines`` interns the
+    i-cache line tuples of its micro-ops, so micro-ops on the same lines
+    share one.
     """
 
-    __slots__ = ("index", "instructions", "costs")
+    __slots__ = ("index", "instructions", "op_units", "line_size", "lines")
 
     def __init__(self, instructions: Dict[int, Instruction], costs):
         self.index: Dict[int, MicroOp] = {}
         self.instructions = instructions
-        self.costs = costs
+        self.op_units = costs.op_unit_costs
+        self.line_size = costs.icache_line
+        self.lines: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 
 
 Handler = Callable[[object, MicroOp], object]
@@ -414,9 +419,10 @@ def _make_vstore(absolute: bool) -> Handler:
 
 
 def _callrt(cpu, u):
-    if u.sym is None:
+    symbol = u.instr.a.symbol
+    if symbol is None:
         raise InvalidInstruction("callrt requires a service name")
-    fn = cpu.process.service(u.sym)
+    fn = cpu.process.service(symbol)
     cpu.rip = u.rip  # services observe the machine mid-instruction
     cpu.regs[_RAX] = fn(cpu.process, cpu) & MASK64
     return SYNC
@@ -757,6 +763,55 @@ def select_handler(instr: Instruction) -> Handler:
 
 
 # ---------------------------------------------------------------------------
+# Operand decoding, shared by tier 0 (:func:`_bind_one`) and tier 1
+# (:func:`repro.machine.jit._classify`).
+# ---------------------------------------------------------------------------
+
+
+def unresolved_symbol(instr: Instruction) -> bool:
+    """True when an immediate still names a symbol after rebase (CALLRT's
+    service name aside): only the generic handlers run such an
+    instruction, faulting through the reference operand path."""
+    a, b = instr.a, instr.b
+    return (a.__class__ is Imm and a.symbol is not None and instr.op is not Op.CALLRT) or (
+        b.__class__ is Imm and b.symbol is not None
+    )
+
+
+def decode_operands(u, instr: Instruction) -> None:
+    """Fill ``u``'s operand fields from ``instr``: register numbers, the
+    masked immediate, each memory operand's base register and offset (an
+    offset is masked only when the operand has neither base nor index),
+    whether a memory operand is present, and a direct branch's target
+    address (None for any other instruction).  Operand classes are tested
+    by identity, as :func:`_kind` does: they have no subclasses."""
+    a, b = instr.a, instr.b
+    ka, kb = a.__class__, b.__class__
+    u.a_reg = int(a) if ka is Reg else 0
+    u.b_reg = int(b) if kb is Reg else 0
+    if kb is Imm and b.symbol is None:
+        u.imm = b.value & MASK64
+    elif ka is Imm and a.symbol is None:
+        u.imm = a.value & MASK64
+    else:
+        u.imm = 0
+    if ka is Mem:
+        u.a_base = None if a.base is None else int(a.base)
+        u.a_off = a.offset & MASK64 if a.base is None and a.index is None else a.offset
+    else:
+        u.a_base = None
+        u.a_off = 0
+    if kb is Mem:
+        u.b_base = None if b.base is None else int(b.base)
+        u.b_off = b.offset & MASK64 if b.base is None and b.index is None else b.offset
+    else:
+        u.b_base = None
+        u.b_off = 0
+    u.has_mem = ka is Mem or kb is Mem
+    u.target = _direct_target(instr)
+
+
+# ---------------------------------------------------------------------------
 # Bind: resolve one instruction against one loaded process and cost model.
 # ---------------------------------------------------------------------------
 
@@ -772,49 +827,16 @@ def _bind_one(program: BoundProgram, addr: int) -> Optional[MicroOp]:
     instr = program.instructions.get(addr)
     if instr is None:
         return None
-    op, a, b = instr.op, instr.a, instr.b
-    # Post-rebase sanity: an unresolved symbolic immediate (outside
-    # CALLRT) must fault through the reference operand path.
-    if (isinstance(a, Imm) and a.symbol is not None and op is not Op.CALLRT) or (
-        isinstance(b, Imm) and b.symbol is not None
-    ):
-        handler = GENERIC[op]
-    else:
-        handler = select_handler(instr)
     u = MicroOp()
     u.rip = addr
-    u.size = instr.size
     u.next_rip = addr + instr.size
-    u.op = op
-    u.tag = instr.tag
     u.instr = instr
-    u.base_cost = program.costs.op_unit_costs[op]
-    u.has_mem = isinstance(a, Mem) or isinstance(b, Mem)
-    u.lines = tuple(line_span(addr, instr.size, program.costs.icache_line))
-    u.handler = handler
+    u.base_cost = program.op_units[instr.op]
+    lines = line_span(addr, instr.size, program.line_size)
+    u.lines = program.lines.setdefault(lines, lines)
+    u.handler = GENERIC[instr.op] if unresolved_symbol(instr) else select_handler(instr)
     u.next_u = None
-    u.target = _direct_target(instr)
-    u.a_reg = int(a) if isinstance(a, Reg) else 0
-    u.b_reg = int(b) if isinstance(b, Reg) else 0
-    if isinstance(b, Imm) and b.symbol is None:
-        u.imm = b.value & MASK64
-    elif isinstance(a, Imm) and a.symbol is None:
-        u.imm = a.value & MASK64
-    else:
-        u.imm = 0
-    if isinstance(a, Mem):
-        u.a_base = None if a.base is None else int(a.base)
-        u.a_off = a.offset & MASK64 if a.base is None and a.index is None else a.offset
-    else:
-        u.a_base = None
-        u.a_off = 0
-    if isinstance(b, Mem):
-        u.b_base = None if b.base is None else int(b.base)
-        u.b_off = b.offset & MASK64 if b.base is None and b.index is None else b.offset
-    else:
-        u.b_base = None
-        u.b_off = 0
-    u.sym = a.symbol if isinstance(a, Imm) else None
+    decode_operands(u, instr)
     u.fetch_epoch = -1
     program.index[addr] = u
     return u

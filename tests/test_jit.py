@@ -12,6 +12,8 @@ BTRA-displaced returns.
 """
 
 import dataclasses
+import functools
+import itertools
 import re
 from types import SimpleNamespace
 
@@ -26,7 +28,7 @@ from repro.errors import (
     MachineError,
     MemoryFault,
 )
-from repro.machine.backends import get_backend, run
+from repro.machine.backends import ReferenceBackend, get_backend, run
 from repro.machine.blocks import recover_blocks
 from repro.machine.costs import get_costs
 from repro.machine.debugger import Debugger
@@ -258,11 +260,9 @@ def test_budget_exhaustion_mid_trace_iteration():
     assert outcomes["jit"]["result"]["instructions"] == budget + 1
 
 
-def test_fetch_epoch_bump_between_back_edges():
-    """A CALLRT service between inner-loop activations bumps the memory
-    permission epoch (the re-randomization signal).  The installed
-    trace's prolog must reject the stale epoch; the driver revalidates
-    every constituent slice and re-enters the same compiled trace."""
+def epoch_bump_process():
+    """A nested counted loop whose outer body calls a CALLRT service that
+    bumps the memory permission epoch (the re-randomization signal)."""
     spec = [
         (Op.MOV, Reg.RAX, Imm(0)),
         (Op.MOV, Reg.RDI, Imm(4)),  # outer trips
@@ -281,22 +281,26 @@ def test_fetch_epoch_bump_between_back_edges():
     spec.append((Op.OUT, Reg.RAX))
     spec.append((Op.EXIT, Imm(0)))
     spec = [entry if len(entry) == 3 else (*entry, None) for entry in spec]
+    process, _ = build_spec(spec)
 
-    def make():
-        process, _ = build_spec(spec)
+    def bump(proc, cpu):
+        # Same permissions, new epoch: exactly what a benign
+        # re-randomization step looks like to the fetch path.
+        proc.memory.protect(HEAP, 4096, Perm.RW)
+        return 0
 
-        def bump(proc, cpu):
-            # Same permissions, new epoch: exactly what a benign
-            # re-randomization step looks like to the fetch path.
-            proc.memory.protect(HEAP, 4096, Perm.RW)
-            return 0
+    process.register_service("bump", bump)
+    return process
 
-        process.register_service("bump", bump)
-        return process
 
+def test_fetch_epoch_bump_between_back_edges():
+    """A CALLRT service between inner-loop activations bumps the memory
+    permission epoch.  The installed trace's prolog must reject the stale
+    epoch; the driver revalidates every constituent slice and re-enters
+    the same compiled trace."""
     before = jit_stats_snapshot()
     outcomes = {
-        backend: run_one_backend(make, backend)
+        backend: run_one_backend(epoch_bump_process, backend)
         for backend in ("reference", "fast", "jit")
     }
     after = jit_stats_snapshot()
@@ -787,6 +791,112 @@ def test_observed_drives_run_on_fast_and_compile_nothing():
         assert on_jit == drive("fast", **{flag: True})[0], flag
     _, before, after = drive("jit")
     assert after["blocks_compiled"] > before["blocks_compiled"]
+
+
+# ---------------------------------------------------------------------------
+# One interpreter under the jit: every span runs on ``fast``'s micro-ops.
+# ---------------------------------------------------------------------------
+
+
+def test_jit_never_calls_the_reference_loop(monkeypatch):
+    """With the ``reference`` loop patched to raise, unobserved jit runs
+    (whole, in ``step()`` slices, out of budget, and across fetch-epoch
+    bumps) still finish and equal the reference results computed before
+    the patch."""
+    binary = compile_module(build_spec_benchmark("omnetpp"), R2CConfig.full(seed=1))
+
+    def omnetpp():
+        return load_binary(binary, seed=1)
+
+    cases = [
+        (omnetpp, {}),
+        (omnetpp, {"slices": itertools.repeat(97)}),
+        (omnetpp, {"instruction_budget": 40_000}),
+        (epoch_bump_process, {}),
+    ]
+    expected = [run_one_backend(make, "reference", **kwargs) for make, kwargs in cases]
+    assert expected[2]["error"][0] is ExecutionLimitExceeded
+
+    def refuse(self, program, cpu, res, max_steps):
+        raise AssertionError("the jit drove the reference loop")
+
+    monkeypatch.setattr(ReferenceBackend, "_drive", refuse)
+    clear_jit_cache()
+    for (make, kwargs), want in zip(cases, expected):
+        assert run_one_backend(make, "jit", **kwargs) == want
+
+
+def call_loop_process(trips: int, last: Op):
+    """A counted loop around a call, ending in ``last`` (EXIT or TRAP)."""
+    spec = [
+        (Op.MOV, Reg.RCX, Imm(trips)),
+        (Op.CALL, ("L", 6), None),  # loop head
+        (Op.SUB, Reg.RCX, Imm(1)),
+        (Op.CMP, Reg.RCX, Imm(0)),
+        (Op.JG, ("L", 1), None),
+        (last, Imm(0) if last is Op.EXIT else None, None),
+        (Op.ADD, Reg.RAX, Imm(1)),  # the callee
+        (Op.RET, None, None),
+    ]
+    return build_spec(spec)[0]
+
+
+def _handler_counters(state):
+    return [state._bk_calls, state._bk_rets, state._bk_branches, state._bk_taken,
+            state._bk_traps]
+
+
+@pytest.mark.parametrize("last", [Op.EXIT, Op.TRAP])
+def test_fast_drive_leaves_handler_counters_zero(last):
+    """``fast`` adds the handler counters into its result and zeroes
+    them, whether its drive returns or raises, so a drive nested in a
+    jit drive cannot count them twice."""
+    fast = get_backend("fast")
+    state = MachineState(call_loop_process(5, last), get_costs("epyc-rome"))
+    program = fast.prepare(state)
+    state.rip = state.process.entry_point
+    res = ExecutionResult()
+    assert not fast.step(program, state, res, 7)
+    assert res.calls and res.rets and res.branches
+    assert _handler_counters(state) == [0] * 5
+    if last is Op.TRAP:
+        with pytest.raises(BoobyTrapTriggered):
+            fast.execute(program, state, res)
+    else:
+        fast.execute(program, state, res)
+    assert _handler_counters(state) == [0] * 5
+    assert (res.calls, res.rets, res.branches, res.branches_taken, res.traps) == (
+        5, 5, 5, 4, int(last is Op.TRAP)
+    )
+
+
+def test_jit_spans_count_calls_returns_and_branches_once(monkeypatch):
+    """A jit run in small ``step()`` slices interprets calls, returns and
+    branches on ``fast`` inside its drives, and still matches
+    ``reference`` exactly on every counter, the trap included."""
+    make = functools.partial(call_loop_process, 40, Op.TRAP)
+    expected = run_one_backend(make, "reference", slices=itertools.repeat(5))
+    jit = get_backend("jit")
+    drive = jit._fast._drive
+    interpreted = dict.fromkeys(("calls", "rets", "branches"), 0)
+
+    def counting(program, cpu, res, max_steps):
+        before = {key: getattr(res, key) for key in interpreted}
+        try:
+            drive(program, cpu, res, max_steps)
+        finally:
+            for key in interpreted:
+                interpreted[key] += getattr(res, key) - before[key]
+
+    monkeypatch.setattr(jit._fast, "_drive", counting)
+    before = jit_stats_snapshot()
+    observed = run_one_backend(make, "jit", slices=itertools.repeat(5))
+    assert jit_stats_snapshot()["blocks_compiled"] > before["blocks_compiled"]
+    assert all(interpreted.values()), interpreted
+    assert observed["error"][0] is BoobyTrapTriggered
+    for key in ("calls", "rets", "branches", "branches_taken", "traps"):
+        assert observed["result"][key] == expected["result"][key], key
+    assert observed == expected
 
 
 # ---------------------------------------------------------------------------
