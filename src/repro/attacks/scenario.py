@@ -2,11 +2,19 @@
 
 A :class:`VictimSession` wraps one deployed victim: a binary compiled under
 the defense configuration being evaluated, plus the attacker's *reference*
-build of the same source (their own copy of the software).  ``spawn``
-starts a worker process; respawns reuse the same ASLR seed, modelling the
-fork-server/worker-restart behaviour Blind ROP exploits ("some servers
-restart crashed worker processes without reloading their binary code
-images", Section 4).
+build of the same source (their own copy of the software).  A session is
+a fork server, the worker-restart behaviour Blind ROP exploits ("some
+servers restart crashed worker processes without reloading their binary
+code images", Section 4): it loads each variant binary once, into an image
+that never runs, and every ``spawn`` forks a worker from it with
+:meth:`~repro.machine.process.Process.clone`, so every worker sees the same
+layout and no probe's writes reach the next.  Only a session that
+re-randomizes on restart (Section 7.3) loads afresh on every spawn.
+
+A binary is a pure function of its (module fingerprint, config digest)
+key, so a session takes each binary it needs from the session before it
+when that one built it: Table 3's attacks on one deployed victim compile
+it once.
 
 :func:`run_attack` executes a single-shot attack: it arms the victim's
 ``attack_hook`` vulnerability with the attack function, runs the victim,
@@ -17,7 +25,7 @@ and classifies the outcome.  Multi-probe attacks (Blind ROP, PIROP) drive
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.attacks.monitor import DefenseMonitor
 from repro.attacks.outcomes import AttackOutcome, AttackResult
@@ -28,8 +36,10 @@ from repro.errors import MachineError
 from repro.machine.backends import DEFAULT_BACKEND, run
 from repro.machine.costs import get_costs
 from repro.machine.loader import load_binary
+from repro.machine.process import Process
 from repro.machine.state import ExecutionResult, MachineState
 from repro.rng import DiversityRng
+from repro.toolchain.binary import Binary
 from repro.toolchain.ir import Module
 from repro.workloads.victim import (
     ATTACK_ARG,
@@ -137,6 +147,7 @@ class ProbeResult:
     # "timed-out" (supervised probes under a per-probe deadline)
     status: str
     result: Optional[ExecutionResult]
+    #: The fault that stopped the (leader) process, without its traceback.
     exception: Optional[MachineError]
     #: The (leader) machine state post-mortem: the only state of a
     #: single-variant probe, the leader's for an N-variant lockstep probe.
@@ -150,6 +161,28 @@ class ProbeResult:
     #: one-variant probe); its ``outcome`` is the verdict ``status`` is
     #: derived from.
     lockstep: Optional[LockstepResult] = None
+
+
+#: The previous session's builds, keyed by (module fingerprint, config
+#: digest), the engine's compile-cache key.  Each session replaces it with
+#: its own builds, so it holds at most one session's binaries.
+_previous_builds: Dict[Tuple[str, str], Binary] = {}
+
+
+def _build(module: Module, configs: Sequence[R2CConfig]) -> List[Binary]:
+    """``module`` compiled under each of ``configs``: the previous
+    session's binary where it has one for the key, a fresh compile
+    otherwise.  These builds then replace the memo."""
+    global _previous_builds
+    fingerprint = module.fingerprint()
+    keys = [(fingerprint, config.digest()) for config in configs]
+    builds: Dict[Tuple[str, str], Binary] = {}
+    for key, config in zip(keys, configs):
+        if key not in builds:
+            binary = _previous_builds.get(key)
+            builds[key] = binary if binary is not None else compile_module(module, config)
+    _previous_builds = builds
+    return [builds[key] for key in keys]
 
 
 class VictimSession:
@@ -196,39 +229,58 @@ class VictimSession:
         #: it into a virtual-clock probe deadline.
         self.instruction_budget = instruction_budget
         self._spawn_count = 0
-        self.binary = compile_module(self.module, config)
+        #: The fork server's loaded images, one per variant binary, loaded
+        #: on first spawn; never run, only cloned.
+        self._images: List[Process] = []
         # Follower builds roll different diversification dice (seeds
         # spaced 1000 apart), leaving the leader binary — and therefore
         # every single-variant code path — bit-identical to before.
-        self.variant_binaries = [self.binary] + [
-            compile_module(self.module, config.replace(seed=config.seed + 1000 * index))
-            for index in range(1, variants)
+        follower_configs = [
+            config.replace(seed=config.seed + 1000 * index) for index in range(1, variants)
         ]
         # The attacker's own copy: identical software, independently built.
         # Without diversification the builds are bit-identical (the
-        # monoculture); with diversification the attacker's copy rolled
-        # different dice.
+        # monoculture), so it is the victim's build; with diversification
+        # the attacker's copy rolled different dice.
         reference_config = (
             config.replace(seed=config.seed + 0x5EED) if config.any_diversification else config
         )
-        self.reference = ReferenceKnowledge(compile_module(self.module, reference_config))
+        builds = _build(self.module, [config, *follower_configs, reference_config])
+        self.binary = builds[0]
+        self.variant_binaries = builds[:variants]
+        self.reference = ReferenceKnowledge(builds[-1])
         self.monitor = DefenseMonitor(detection_budget=detection_budget)
 
     # -- process management ------------------------------------------------------
 
-    def spawn(self) -> Tuple[object, MachineState]:
+    def _spawn_processes(self, count: int) -> List[Process]:
+        """One worker process for each of the first ``count`` variant
+        binaries, all under this spawn's layout seed."""
+        spawn_index = self._spawn_count
+        self._spawn_count += 1
+        if self.rerandomize_on_restart:
+            seed = self.load_seed + spawn_index
+            return [
+                load_binary(binary, seed=seed, execute_only=self.execute_only)
+                for binary in self.variant_binaries[:count]
+            ]
+        for binary in self.variant_binaries[len(self._images):count]:
+            self._images.append(
+                load_binary(binary, seed=self.load_seed, execute_only=self.execute_only)
+            )
+        return [image.clone() for image in self._images[:count]]
+
+    def spawn(self) -> Tuple[Process, MachineState]:
         """Start a worker.
 
-        Default: same image, same ASLR — a forked worker restarting
-        "without reloading their binary code images" (Section 4).  With
-        ``rerandomize_on_restart`` every spawn re-randomizes the layout
-        (the Section 7.3 mitigation), which breaks cross-probe inference.
+        Default: a fork of the session's loaded image — same code, same
+        ASLR, fresh memory — like a fork server restarting a crashed
+        worker "without reloading their binary code images" (Section 4).
+        With ``rerandomize_on_restart`` every spawn loads the binary under
+        a new layout (the Section 7.3 mitigation), which breaks
+        cross-probe inference.
         """
-        seed = self.load_seed
-        if self.rerandomize_on_restart:
-            seed += self._spawn_count
-        self._spawn_count += 1
-        process = load_binary(self.binary, seed=seed, execute_only=self.execute_only)
+        process = self._spawn_processes(1)[0]
         state = MachineState(
             process,
             get_costs("epyc-rome"),
@@ -272,6 +324,11 @@ class VictimSession:
         try:
             result = run(state, self.backend)
         except MachineError as exc:
+            # Drop the traceback: its frames reach (through ``f_back``) the
+            # caller's frame, which holds the returned ProbeResult, so this
+            # probe's process and every page would sit in a reference
+            # cycle until a gc pass.  No reader of a ProbeResult needs it.
+            exc.__traceback__ = None
             status = self.monitor.classify(exc)
             # Payload-then-crash still counts: the attacker's code ran.
             if output_success(process.output):
@@ -298,14 +355,7 @@ class VictimSession:
         # Imported here: defenses.lockstep imports the attacks package.
         from repro.defenses.lockstep import LockstepGroup, MveeOutcome
 
-        seed = self.load_seed
-        if self.rerandomize_on_restart:
-            seed += self._spawn_count
-        self._spawn_count += 1
-        processes = [
-            load_binary(binary, seed=seed, execute_only=self.execute_only)
-            for binary in self.variant_binaries
-        ]
+        processes = self._spawn_processes(self.variants)
         leader_fired = arm_write_replay(
             processes, self.reference, hook, attacker_seed=attacker_seed
         )

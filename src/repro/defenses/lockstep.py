@@ -280,6 +280,10 @@ class LockstepGroup:
                 variant.program, variant.state, variant.result, steps
             )
         except MachineError as exc:
+            # Drop the traceback: its first frame holds ``variant``, whose
+            # ``error`` is this fault, so the variant's process and every
+            # page would sit in a reference cycle until a gc pass.
+            exc.__traceback__ = None
             variant.status = self.monitor.classify(exc)
             variant.error = exc
             return

@@ -439,16 +439,16 @@ def experiment_table3(
     matrix: Dict[str, Dict[str, Dict[str, int]]] = {}
     for defense_name in defense_names:
         model = DEFENSE_MODELS[defense_name]
-        matrix[defense_name] = {}
-        for attack_name in attack_names:
-            tallies = {
-                "success": 0,
-                "detected": 0,
-                "diverged": 0,
-                "crashed": 0,
-                "failed": 0,
-            }
-            for trial in range(trials):
+        row = matrix[defense_name] = {
+            attack_name: dict.fromkeys(
+                ("success", "detected", "diverged", "crashed", "failed"), 0
+            )
+            for attack_name in attack_names
+        }
+        # A trial's attacks all face one deployed victim, back to back,
+        # so each session reuses the previous one's builds.
+        for trial in range(trials):
+            for attack_name in attack_names:
                 session = VictimSession(
                     model.victim_config(seed=base_seed + trial),
                     execute_only=model.execute_only,
@@ -460,8 +460,7 @@ def experiment_table3(
                 result = ALL_ATTACKS[attack_name](
                     session, attacker_seed=base_seed + 31 * trial
                 )
-                tallies[result.outcome.value] += 1
-            matrix[defense_name][attack_name] = tallies
+                row[attack_name][result.outcome.value] += 1
     return matrix
 
 

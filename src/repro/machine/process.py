@@ -156,8 +156,10 @@ class Process:
         :meth:`repro.machine.memory.Memory.clone`).  Cloning a
         loaded process is an order of magnitude cheaper than re-loading
         the binary — it skips section mapping, instruction rebasing, and
-        the runtime constructors — which is how N-replica lockstep groups
-        keep per-variant setup cost below the fixed pipeline cost."""
+        the runtime constructors.  It is the fork of a fork server:
+        :class:`~repro.attacks.scenario.VictimSession` clones every worker
+        from an image it loaded once and never runs, and N-replica
+        lockstep groups clone their replicas from the leader."""
         clone = Process.__new__(Process)
         clone.layout = self.layout
         clone.memory = self.memory.clone()

@@ -142,28 +142,47 @@ def test_function_pointer_reloc_points_at_function():
 
 
 def test_cloned_process_runs_byte_identical_to_fresh_load():
-    """Process.clone() is a faithful fork: a clone of a loaded full-R2C
-    process executes exactly like a second load under the same seed, on
-    both backends."""
-    from repro.machine.backends import run
+    """Process.clone() is a faithful fork: clones of a loaded process that
+    never ran execute exactly like a second load under the same seed, on
+    every backend, whether the run exits or faults (in the hook or later in
+    guest code), and one clone's run leaves the image intact for the next."""
+    from repro.errors import MachineError
+    from repro.machine.backends import available_backends, run
     from repro.machine.costs import get_costs
-    from repro.machine.state import MachineState
+    from repro.machine.state import ExecutionResult, MachineState
     from repro.workloads.victim import build_victim
 
-    binary = compile_module(build_victim(requests=3), R2CConfig.full(seed=9))
-    for backend in ("reference", "fast"):
-        original = load_binary(binary, seed=7)
-        fresh = load_binary(binary, seed=7)
-        clone = original.clone()
-        for process in (fresh, clone):
-            process.register_service("attack_hook", lambda proc, cpu: 0)
-        results = []
-        for process in (fresh, clone):
-            results.append(run(MachineState(process, get_costs("epyc-rome")), backend))
-        assert fresh.output == clone.output
-        assert results[0].instructions == results[1].instructions
-        assert results[0].cycles == results[1].cycles
-        assert results[0].exit_code == results[1].exit_code
+    def clean(proc, cpu):
+        return 0
+
+    def read_unmapped(proc, cpu):
+        proc.memory.read_word(0xDEAD_0000_0000)
+
+    def smash_handler(proc, cpu):
+        proc.memory.store_word_raw(proc.symbols["handler_ptr"], 0xDEAD_0000_0000)
+        return 0
+
+    def outcome(process, hook, backend):
+        process.register_service("attack_hook", hook)
+        state = MachineState(process, get_costs("epyc-rome"))
+        result = ExecutionResult()
+        fault = None
+        try:
+            run(state, backend, result)
+        except MachineError as exc:
+            fault = (type(exc), str(exc), state.rip)
+        return vars(result), fault, process.output, process.max_rss
+
+    module = build_victim(requests=3)
+    for config in (R2CConfig.baseline(), R2CConfig.full(seed=9)):
+        binary = compile_module(module, config)
+        image = load_binary(binary, seed=7)
+        for backend in available_backends():
+            for hook in (clean, read_unmapped, smash_handler):
+                fresh = outcome(load_binary(binary, seed=7), hook, backend)
+                assert (fresh[1] is None) == (hook is clean)
+                for _ in range(2):
+                    assert outcome(image.clone(), hook, backend) == fresh
 
 
 def test_cloned_process_is_isolated():

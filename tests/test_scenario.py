@@ -169,3 +169,112 @@ def test_cli_exits_nonzero_after_a_failed_run(monkeypatch, capsys):
     assert cli.main(["table1"]) == 1
     out = capsys.readouterr().out
     assert "failures: 1 (fault:1)" in out
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls to ``scenario.<name>`` (still calling through)."""
+    from repro.attacks import scenario
+
+    calls = []
+    real = getattr(scenario, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, name, counting)
+    return calls
+
+
+def test_restart_same_session_loads_each_variant_once(monkeypatch):
+    """A fork server loads each variant binary once and clones every
+    worker from that image; re-randomizing restarts load on every spawn."""
+    loads = _count_calls(monkeypatch, "load_binary")
+    for variants in (1, 2):
+        loads.clear()
+        session = VictimSession(R2CConfig.full(seed=3), variants=variants)
+        for _ in range(3):
+            session.probe_ex(lambda view: None)
+        assert len(loads) == variants
+        loads.clear()
+        session = VictimSession(
+            R2CConfig.full(seed=3), variants=variants, rerandomize_on_restart=True
+        )
+        for _ in range(3):
+            session.probe_ex(lambda view: None)
+        assert len(loads) == 3 * variants
+
+
+def test_a_probes_writes_never_reach_the_next_probe():
+    session = VictimSession(R2CConfig.baseline())
+    seen = []
+
+    def hook(view):
+        slot = view._process.symbols["handler_ptr"]
+        seen.append(view.read_word(slot))
+        view.write_word(slot, 0xDEAD_0000_0000)
+
+    assert session.probe(hook)[0] == "crashed"
+    assert session.probe(hook)[0] == "crashed"
+    assert seen[0] == seen[1] != 0xDEAD_0000_0000
+    status, result = session.probe(lambda view: None)
+    assert status == "clean" and result.exit_code == 0
+
+
+def test_sessions_reuse_the_previous_sessions_builds(monkeypatch):
+    """Consecutive sessions of one victim compile it once: the leader,
+    every follower and the attacker's copy, except under ``none``, whose
+    attacker's copy is the victim's build.  The memo then holds only the
+    latest session's builds."""
+    from repro.attacks import scenario
+    from repro.defenses import DEFENSE_MODELS
+
+    compiles = _count_calls(monkeypatch, "compile_module")
+    for name in ("none", "r2c", "r2c-mvee"):
+        model = DEFENSE_MODELS[name]
+        monkeypatch.setattr(scenario, "_previous_builds", {})
+        compiles.clear()
+        for _ in range(8):
+            session = VictimSession(model.victim_config(seed=100), variants=model.variants)
+        assert len(compiles) == (1 if name == "none" else model.variants + 1)
+    previous = session
+    compiles.clear()
+    session = VictimSession(R2CConfig.full(seed=101))
+    assert len(compiles) == 2
+    builds = {id(session.binary), id(session.reference.binary)}
+    assert {id(binary) for binary in scenario._previous_builds.values()} == builds
+    assert id(previous.binary) not in builds
+
+
+def _processes_left_in_cycles(action):
+    """Processes that only a reference cycle keeps alive after ``action()``."""
+    import gc
+
+    from repro.machine.process import Process
+
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        action()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return sum(isinstance(obj, Process) for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("variants", [1, 2])
+def test_a_crashed_probe_frees_its_process(variants):
+    """The fault a crashed probe keeps holds no traceback, so the probe's
+    processes are freed by reference counting, not by a later gc pass."""
+
+    def crash():
+        session = VictimSession(R2CConfig.baseline(), variants=variants)
+        probe = session.probe_ex(lambda view: view.read_word(0xDEAD_0000_0000))
+        assert probe.exception is not None
+
+    assert _processes_left_in_cycles(crash) == 0
