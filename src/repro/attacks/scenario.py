@@ -185,6 +185,20 @@ def _build(module: Module, configs: Sequence[R2CConfig]) -> List[Binary]:
     return [builds[key] for key in keys]
 
 
+#: The victim module of every session given none, built on first use.
+#: Sharing it is safe: ``_build`` only reads a module, ``compile_module``
+#: works on a deep copy, and ``Module.fingerprint()`` memoizes on the
+#: instance, so later sessions skip both the build and the hash.
+_default_victim: Optional[Module] = None
+
+
+def _victim_module() -> Module:
+    global _default_victim
+    if _default_victim is None:
+        _default_victim = build_victim()
+    return _default_victim
+
+
 class VictimSession:
     """One deployed victim + the attacker's reference knowledge."""
 
@@ -208,7 +222,7 @@ class VictimSession:
         if build_seed is not None:
             config = config.replace(seed=build_seed)
         self.config = config
-        self.module = module if module is not None else build_victim()
+        self.module = module if module is not None else _victim_module()
         self.layout = layout_info if layout_info is not None else VictimLayoutInfo()
         self.load_seed = load_seed
         self.execute_only = execute_only

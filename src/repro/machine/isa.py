@@ -216,6 +216,12 @@ class Op(enum.Enum):
     OUT = "out"  # append a register value to the process output stream
     EXIT = "exit"  # terminate the program with a status code
 
+    # Members compare by identity, so they may hash by it: enum's own
+    # ``__hash__`` is a Python-level call (hash of the member name) on
+    # every Op-keyed dict or set lookup — binds, slice walks and the
+    # reference loop make one per instruction.
+    __hash__ = object.__hash__
+
 
 JCC_OPS = (Op.JE, Op.JNE, Op.JL, Op.JLE, Op.JG, Op.JGE)
 SETCC_OPS = (Op.SETE, Op.SETNE, Op.SETL, Op.SETLE, Op.SETG, Op.SETGE)

@@ -57,19 +57,20 @@ unit for it in the binary's cache entry), slices containing an
 instruction tier 1 cannot lower (negative-cached, interpreted
 forever), stale fetch-permission epochs (prologs compare
 the per-block validated epoch against the drive's mirror of
-:attr:`Memory.perm_epoch`; the driver re-validates by fetch-checking the
-slice and only then re-enters compiled code), budget or step-slice
-exhaustion, and faults (every compiled unit, block or trace, charges
-an exact per-prefix constant from one baked fault table keyed by the
-generated source line that raised, then re-raises with ``rip`` at the
-faulting instruction; a line key, not a guest address, because one
-address can occur in more than one segment of a trace).  A
-trace deopt re-validates *all* constituent slices before the trace runs
-again, and budget deopts from a loop trace fall through to the
-interpreter exactly like block deopts.  The interpreter is ``fast``'s
-micro-op loop, and only it: each segment runs one block-granular span
-(:func:`~repro.machine.blocks.slice_block` sizes it) over the process's
-micro-ops, bound on first fetch, directly into the caller's result —
+:attr:`Memory.perm_epoch`; the driver re-validates with one ranged
+fetch check over the slice's bytes and only then re-enters compiled
+code), budget or step-slice exhaustion, and faults (every compiled
+unit, block or trace, charges an exact per-prefix constant from one
+baked fault table keyed by the generated source line that raised, then
+re-raises with ``rip`` at the faulting instruction; a line key, not a
+guest address, because one address can occur in more than one segment
+of a trace).  A trace deopt re-validates *all* constituent slices, one
+ranged check each, before the trace runs again, and budget deopts from
+a loop trace fall through to the interpreter exactly like block deopts.
+The interpreter is ``fast``'s micro-op loop, and only it: each segment
+runs one block-granular span (as many instructions as the slice at its
+start holds) over the process's micro-ops, bound on first fetch,
+directly into the caller's result —
 exact, because all cycle accounting is integer units and every drive
 adds the handler counters into the result and zeroes them
 (:func:`~repro.machine.backends.flush_handler_counters`).  A drive that
@@ -90,7 +91,11 @@ per executed exit), and fault tables hold text offsets, relocated on the
 fault path only.  The entry also keeps the monotone i-cache verdict, so
 the text walk behind it runs once per binary, and a head whose unit the
 entry already holds links on its *first* entry in every later process
-(see :class:`JitProgram`).
+(see :class:`JitProgram`).  A slice's extent is a fact about the binary
+too: the entry memoizes, per text offset, the instruction count and
+byte length of the slice :func:`~repro.machine.blocks.slice_block`
+recovers there, so no process of the binary walks a slice again to
+size an interpreter span or bound a revalidation's ranged check.
 """
 
 from __future__ import annotations
@@ -1358,13 +1363,17 @@ class _BinaryCode(NamedTuple):
     """What the compiled-code cache holds for one binary under one cost
     model: the i-cache fit verdict (:func:`_text_fits_icache`), which
     operands the loader resolves from a symbol (text offset -> ``(a,
-    b)``), and ``units``: text offset -> :class:`_Unit`, or None
+    b)``), ``units``: text offset -> :class:`_Unit`, or None
     (negative-cached: interpreted only), and ``("t", offset)`` -> loop
-    trace."""
+    trace, and ``extents``: text offset -> ``(instruction count, byte
+    length)`` of the slice :func:`~repro.machine.blocks.slice_block`
+    recovers from there, filled on first use
+    (:meth:`JitProgram.extent`)."""
 
     monotone: bool
     symbolic: Dict[int, Tuple[bool, bool]]
     units: Dict[object, Optional[_Unit]]
+    extents: Dict[int, Tuple[int, int]]
 
 
 def _symbolic_operands(binary) -> Dict[int, Tuple[bool, bool]]:
@@ -1422,7 +1431,9 @@ class JitProgram:
     of one binary — any layout, lockstep replicas included — links the
     same code objects, so each hot unit's source is generated and
     compiled once per binary, and a head whose unit is already there
-    links on its first entry.  A process without a binary fingerprint
+    links on its first entry.  ``extents`` is the same entry's slice
+    extents, so no process of the binary walks a slice another one
+    measured.  A process without a binary fingerprint
     shares nothing and links at base 0 (its offsets are its addresses).
 
     Nothing here refers back to the process (the process caches its
@@ -1433,8 +1444,8 @@ class JitProgram:
 
     __slots__ = (
         "costs", "instructions", "cache_key", "base", "monotone", "symbolic",
-        "units", "table", "entries", "no_compile", "epochs", "namespace",
-        "pending", "armed", "loop_targets", "trace_tries", "traces",
+        "units", "extents", "table", "entries", "no_compile", "epochs",
+        "namespace", "pending", "armed", "loop_targets", "trace_tries", "traces",
     )
 
     def __init__(self, process, costs):
@@ -1473,12 +1484,14 @@ class JitProgram:
                 _text_fits_icache(self.instructions, self.costs),
                 {} if key is None else _symbolic_operands(process.binary),
                 {},
+                {},
             )
             if key is not None:
                 _CODE_CACHE[key] = code
         self.monotone = monotone = code.monotone
         self.symbolic = code.symbolic
         self.units = code.units
+        self.extents = code.extents
         self.table = {}
         self.entries: Dict[int, int] = {}
         self.no_compile: set = set()
@@ -1525,6 +1538,25 @@ class JitProgram:
         # Per-program "block fully probed" marks for monotone mode.
         namespace["PD"] = {}
         self.namespace = namespace
+
+    def extent(self, offset: int) -> Tuple[int, int]:
+        """``(instruction count, byte length)`` of the slice at text
+        ``offset``: what :func:`~repro.machine.blocks.slice_block`
+        recovers there, walked on the binary's first use of the offset.
+        A slice's instructions are contiguous, so its bytes are the one
+        range ``[head, head + length)``; an address with no instruction
+        has the empty extent ``(0, 0)``."""
+        extent = self.extents.get(offset)
+        if extent is None:
+            head = self.base + offset
+            items = slice_block(self.instructions, head, _SLICE_LIMIT)
+            if items:
+                last, instr = items[-1]
+                extent = (len(items), last + instr.size - head)
+            else:
+                extent = (0, 0)
+            self.extents[offset] = extent
+        return extent
 
     def trace_info(self) -> Dict[int, dict]:
         """Installed loop traces: head -> {segments, length} (the
@@ -1882,14 +1914,16 @@ class JitBackend(ExecutionBackend):
     def _interp(self, program, cpu, res, C, memory, max_total: Optional[int]) -> bool:
         """Run one block-granular span on the ``fast`` interpreter, over
         the process's micro-ops, directly into ``res`` (exact: all
-        accounting is integer units).  Returns False when the drive is
+        accounting is integer units).  The span is as long as the slice
+        at ``rip``, read from the binary's memoized extents
+        (:meth:`JitProgram.extent`).  Returns False when the drive is
         over (halt or step exhaustion)."""
         self._flush(cpu, res, C, cpu.icache, cpu.process)
         if cpu._halted or (max_total is not None and res.instructions >= max_total):
             return False
         # At least one instruction: at an address with none, the
         # interpreter raises the exact fetch fault or InvalidInstruction.
-        span = len(slice_block(program.instructions, cpu.rip, _SLICE_LIMIT)) or 1
+        span = program.extent(cpu.rip - program.base)[0] or 1
         if max_total is not None:
             span = min(span, max_total - res.instructions)
         self._fast._drive(get_bound_program(cpu.process, program.costs), cpu, res, span)
@@ -1900,18 +1934,26 @@ class JitBackend(ExecutionBackend):
     def _revalidate(self, program, memory, addr: int, C) -> bool:
         """Fetch-check the code compiled at ``addr`` — its slice, or every
         segment of the loop trace installed there — against current
-        permissions.  On success the epoch is stamped and compiled code may
-        skip per-instruction fetch checks; on failure the caller falls to
-        the interpreter, which faults with exact counters."""
+        permissions, with one ranged :meth:`Memory.fetch_check` per
+        segment over the bytes of its slice (:meth:`JitProgram.extent`).
+        The range is the union of the slice's instruction ranges, so a
+        passing check covers the same pages as per-instruction checks
+        and leaves the same execute-only pages resident.  On success the
+        epoch is stamped and compiled code may skip per-instruction
+        fetch checks; on failure the caller falls to the interpreter,
+        which fetches instruction by instruction and faults at the exact
+        one with exact counters."""
+        base = program.base
+        offset = addr - base
         trace = program.traces.get(addr)
-        heads = (addr,) if trace is None else (program.base + s for s in trace.segments)
+        segments = (offset,) if trace is None else trace.segments
+        extent = program.extent
         try:
-            for head in heads:
-                for iaddr, instr in slice_block(program.instructions, head, _SLICE_LIMIT):
-                    memory.fetch_check(iaddr, instr.size)
+            for segment in segments:
+                memory.fetch_check(base + segment, extent(segment)[1])
         except MemoryFault:
             return False
         epoch = memory.perm_epoch
-        program.epochs[addr - program.base] = epoch
+        program.epochs[offset] = epoch
         C[6] = epoch
         return True

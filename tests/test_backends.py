@@ -17,6 +17,7 @@ memory.
 
 import dataclasses
 import gc
+import itertools
 import weakref
 
 import pytest
@@ -38,7 +39,7 @@ from repro.machine.costs import get_costs
 from repro.machine.debugger import Debugger
 from repro.machine.isa import Imm, Instruction, Mem, Op, Reg
 from repro.machine.loader import load_binary
-from repro.machine.memory import Perm
+from repro.machine.memory import PAGE_SIZE, Perm
 from repro.machine.uops import MicroOp, get_bound_program
 from repro.machine.process import AddressSpaceLayout, Process
 from repro.machine.state import ExecutionResult, MachineState
@@ -315,6 +316,85 @@ def test_runtime_service_changing_permissions_identical():
 
     outcome = compare_backends(make)
     assert outcome["error"][0] is GuardPageFault
+
+
+def straddling_loop_process(inside: bool):
+    """A counted loop whose block crosses from the first text page into
+    the second — the boundary falls ``inside`` a sized NOP, or right
+    after it.  Its third trip calls a runtime service that revokes
+    execute permission on the second page, after two entries of the
+    block (enough for ``jit`` to compile it).  The fourth entry then
+    faults fetching from the second page."""
+    head = [
+        I(Op.MOV, Reg.RCX, Imm(0)),
+        I(Op.JMP, Imm(0)),  # to the loop
+        I(Op.CALLRT, Imm(symbol="revoke")),  # the third trip's detour
+        I(Op.JMP, Imm(0)),  # back to the loop
+    ]
+    add, nop = I(Op.ADD, Reg.RCX, Imm(1)), I(Op.NOP, size=8)
+    loop = PAGE_SIZE - add.size - (3 if inside else nop.size)
+    instrs = head + [I(Op.NOP, size=loop - sum(instr.size for instr in head))]
+    instrs += [
+        add, nop,
+        I(Op.CMP, Reg.RCX, Imm(3)), I(Op.JE, Imm(0)),  # to the detour
+        I(Op.CMP, Reg.RCX, Imm(6)), I(Op.JL, Imm(0)),  # to the loop
+        I(Op.EXIT, Imm(0)),
+    ]
+    process, addresses = assemble(instrs)
+    assert addresses[5] == TEXT + loop
+    for index, target in ((1, 5), (3, 5), (8, 2), (10, 5)):
+        instrs[index].a = Imm(addresses[target])
+
+    def revoke(proc, cpu):
+        proc.memory.protect(TEXT + PAGE_SIZE, PAGE_SIZE, Perm.R)
+        return 0
+
+    process.register_service("revoke", revoke)
+    return process, addresses
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["inside-nop", "after-nop"])
+def test_execute_permission_revoked_under_a_straddling_block(inside, monkeypatch):
+    """Every backend faults at the same instruction, with the same
+    registers, counters and resident set, when a text page loses execute
+    permission under a block that straddles it — through ``run`` and
+    through ``step()`` slices.  On ``jit`` the block is compiled, so its
+    stale epoch deopts and the revalidation fails: the interpreter span
+    that follows raises the fault."""
+    jit = get_backend("jit")
+    revalidations = []
+    real = jit._revalidate
+
+    def recording(*args):
+        revalidations.append(real(*args))
+        return revalidations[-1]
+
+    monkeypatch.setattr(jit, "_revalidate", recording)
+    processes = []
+
+    def make():
+        process, _ = straddling_loop_process(inside)
+        processes.append(process)
+        return process
+
+    # The NOP itself, or the first instruction on the second page.
+    _, addresses = straddling_loop_process(inside)
+    fault = addresses[6 if inside else 7]
+    for sliced in (False, True):
+        observed = {}
+        for backend in BACKENDS:
+            slices = itertools.cycle([5, 3, 11]) if sliced else None
+            outcome = run_one_backend(make, backend, slices=slices)
+            outcome["resident"] = processes[-1].memory.resident_bytes()
+            observed[backend] = outcome
+        want = observed["reference"]
+        assert want["error"][0] is MemoryFault
+        assert want["rip"] == fault
+        assert want["regs"][Reg.RCX] == 4
+        assert want["resident"] == 2 * PAGE_SIZE  # both text pages, fetched
+        for backend in BACKENDS:
+            assert observed[backend] == want, (backend, sliced)
+    assert False in revalidations
 
 
 def test_step_faults_only_when_it_fetches_a_missing_instruction():

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import itertools
 import re
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -32,6 +33,7 @@ from repro.machine.backends import ReferenceBackend, get_backend, run
 from repro.machine.blocks import recover_blocks
 from repro.machine.costs import get_costs
 from repro.machine.debugger import Debugger
+from repro.machine import jit as jit_module
 from repro.machine.isa import Imm, Instruction, Mem, Op, Reg
 from repro.machine.jit import (
     _CODE_CACHE,
@@ -751,6 +753,49 @@ def test_second_process_interprets_nothing_where_units_are_cached(monkeypatch):
     }
     assert cached and spans
     assert not cached & set(spans)
+
+
+def test_later_processes_walk_no_slice_the_binary_measured(monkeypatch):
+    """Slice extents belong to the binary: after a first clone of a
+    loaded image runs in ``step()`` slices, a second clone and a reload
+    under another layout size every interpreter span and bound every
+    revalidation from the memo.  The only slices they walk are the
+    ones tier 3 lowers again to record a path.  Every run equals
+    ``reference`` on the same load."""
+    binary = compile_module(build_spec_benchmark("omnetpp"), R2CConfig.full(seed=1))
+    image = load_binary(binary, seed=1)
+
+    def reload():
+        return load_binary(binary, seed=2)
+
+    walks = {}
+    real = jit_module.slice_block
+
+    def counting(*args, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        walks["lower_slice" if caller == "lower_slice" else "other"] += 1
+        return real(*args, **kwargs)
+
+    def run_jit(make):
+        walks.update(lower_slice=0, other=0)
+        observed = run_one_backend(make, "jit", slices=itertools.repeat(97))
+        return observed, dict(walks)
+
+    monkeypatch.setattr(jit_module, "slice_block", counting)
+    clear_jit_cache()
+    first, first_walks = run_jit(image.clone)
+    second, second_walks = run_jit(image.clone)
+    reloaded, reload_walks = run_jit(reload)
+    assert first_walks["other"] > 0
+    assert second_walks["other"] == 0
+    assert reload_walks["other"] == 0
+    assert len(_CODE_CACHE) == 1
+
+    want = run_one_backend(image.clone, "reference", slices=itertools.repeat(97))
+    assert want["error"] is None
+    assert first == want
+    assert second == want
+    assert reloaded == run_one_backend(reload, "reference", slices=itertools.repeat(97))
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,19 @@ def test_sessions_reuse_the_previous_sessions_builds(monkeypatch):
     assert id(previous.binary) not in builds
 
 
+def test_sessions_given_no_module_share_one_victim(monkeypatch):
+    """Sessions created without a module build the default victim once
+    and share that module object (and its memoized fingerprint)."""
+    from repro.attacks import scenario
+
+    monkeypatch.setattr(scenario, "_default_victim", None)
+    builds = _count_calls(monkeypatch, "build_victim")
+    first = VictimSession(R2CConfig.baseline())
+    second = VictimSession(R2CConfig.full(seed=5))
+    assert first.module is second.module
+    assert len(builds) == 1
+
+
 def _processes_left_in_cycles(action):
     """Processes that only a reference cycle keeps alive after ``action()``."""
     import gc
