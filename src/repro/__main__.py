@@ -377,13 +377,14 @@ def profile_main(argv) -> int:
     result = run(state, args.backend)
     print(profiler.report(top=args.top))
     print()
-    counters = result.perf_counters()
+    btra = sum(n for tag, n in result.tag_counts.items() if tag.startswith("btra"))
+    btdp = sum(n for tag, n in result.tag_counts.items() if tag.startswith("btdp"))
     print(
-        f"counters: {counters.instructions} instructions, "
-        f"{counters.cycles:.0f} cycles, "
-        f"i-cache miss rate {100.0 * counters.icache_miss_rate:.2f}%, "
-        f"{counters.branches_taken}/{counters.branches} branches taken, "
-        f"{counters.btra_events} BTRA / {counters.btdp_events} BTDP events"
+        f"counters: {result.instructions} instructions, "
+        f"{result.cycles:.0f} cycles, "
+        f"i-cache miss rate {100.0 * result.icache_miss_rate:.2f}%, "
+        f"{result.branches_taken}/{result.branches} branches taken, "
+        f"{btra} BTRA / {btdp} BTDP events"
     )
     print(f"[{time.perf_counter() - started:.1f}s]")
     if args.folded:

@@ -464,20 +464,6 @@ class LockstepGroup:
             )
         return result
 
-    # -- observability -------------------------------------------------------
-
-    def perf_counters(self):
-        """Merged per-variant counters: scalar events summed, tag buckets
-        namespaced per variant (``v0/app``, ``v1/btra-setup``, ...)."""
-        from repro.obs.counters import PerfCounters, merge_variant_counters
-
-        return merge_variant_counters(
-            {
-                f"v{v.index}": PerfCounters.from_result(v.result)
-                for v in self.variants
-            }
-        )
-
 
 def run_bitflip_lockstep(
     *,

@@ -36,8 +36,8 @@ Three implementations ship:
   is its one interpreter: cold code and anything the compiled form
   cannot express bit-identically run there, in block-granular spans
   over the process's micro-ops, and observed drives (trace hook, tag
-  attribution, opcode counts) run there wholesale.  ``reference`` stays
-  the differential oracle.
+  attribution) run there wholesale.  ``reference`` stays the
+  differential oracle.
 
 All backends must fill byte-identical :class:`ExecutionResult`\\ s —
 same counters, same faults at the same ``rip``, same shadow-stack and
@@ -136,7 +136,6 @@ class ReferenceBackend(ExecutionBackend):
         regs = cpu.regs
         memory = cpu.process.memory
         budget = cpu.instruction_budget - res.instructions
-        count_ops = cpu.count_opcodes
         shadow = cpu.shadow_stack if cpu.shadow_stack_enabled else None
         attribute = cpu.attribute_tags
         tag_units = res.tag_cycle_units
@@ -187,8 +186,6 @@ class ReferenceBackend(ExecutionBackend):
                     tag = instr.tag if instr.tag is not None else UNTAGGED_TAG
                     tag_units[tag] = tag_units.get(tag, 0) + cost
                     tag_counts[tag] = tag_counts.get(tag, 0) + 1
-                if count_ops:
-                    res.opcode_counts[op] = res.opcode_counts.get(op, 0) + 1
 
                 next_rip = rip + instr.size
 
@@ -302,7 +299,7 @@ class ReferenceBackend(ExecutionBackend):
                         next_rip = cpu._branch_target(instr.a)
                         taken += 1
                 elif op is Op.CALL:
-                    if cpu.check_alignment and regs[Reg.RSP] % 16 != 0:
+                    if regs[Reg.RSP] % 16 != 0:
                         raise StackMisaligned(
                             f"rsp={regs[Reg.RSP]:#x} not 16-byte aligned at call ({rip:#x})"
                         )
@@ -437,8 +434,6 @@ class FastBackend(ExecutionBackend):
         mem_extra = cpu.costs.mem_operand_extra_units
         budget = cpu.instruction_budget - res.instructions
         trace = cpu.trace_fn
-        count_ops = cpu.count_opcodes
-        opcode_counts = res.opcode_counts
         attribute = cpu.attribute_tags
         tag_units = res.tag_cycle_units
         tag_counts = res.tag_counts
@@ -514,9 +509,6 @@ class FastBackend(ExecutionBackend):
                                 tag = UNTAGGED_TAG
                             tag_units[tag] = tag_units.get(tag, 0) + cost
                             tag_counts[tag] = tag_counts.get(tag, 0) + 1
-                        if count_ops:
-                            op = u.instr.op
-                            opcode_counts[op] = opcode_counts.get(op, 0) + 1
 
                         nxt = u.handler(cpu, u)
                     except BaseException:

@@ -74,9 +74,9 @@ directly into the caller's result —
 exact, because all cycle accounting is integer units and every drive
 adds the handler counters into the result and zeroes them
 (:func:`~repro.machine.backends.flush_handler_counters`).  A drive that
-starts with a trace hook, tag attribution or opcode counting installed
-runs on ``fast`` wholesale: those observe single instructions, which
-compiled code folds away.  The differential suite
+starts with a trace hook or tag attribution installed runs on ``fast``
+wholesale: those observe single instructions, which compiled code folds
+away.  The differential suite
 holds ``jit`` to byte-identical :class:`ExecutionResult`\\ s, faults,
 ``rip``, counters, folded profiles, and lockstep divergence points
 against both other backends.
@@ -521,8 +521,8 @@ class _SliceCompiler:
     accumulated at codegen time.  The generated body carries only the
     genuinely dynamic parts — LRU probes for lines not guaranteed
     resident (misses ``m``) — and the terminator flush charges
-    ``K + m * penalty`` in one statement.  Per-tag and per-opcode counts
-    are never compiled (those drives run on ``fast``).
+    ``K + m * penalty`` in one statement.  Per-tag counts are never
+    compiled (those drives run on ``fast``).
 
     Faults restore the exact executed prefix from the unit's baked fault
     table ``faults``: generated line -> ``(rip, x, k, h, o, b, t)``, the
@@ -977,7 +977,7 @@ class _SliceCompiler:
             self.emit(f"    return {self.imm(ju)}")
             self.emit_flush_and(f"return {self.at(ju.next_rip)}")
         elif op is Op.CALL:
-            self.emit(f"if cpu.check_alignment and r[{_RSP}] % 16 != 0:")
+            self.emit(f"if r[{_RSP}] % 16 != 0:")
             self.emit(
                 "    raise SM('rsp=%#x not 16-byte aligned at call (%#x)' "
                 f"% (r[{_RSP}], {self.once(ju.rip)}))"
@@ -1792,12 +1792,12 @@ class JitBackend(ExecutionBackend):
     # -- execution ----------------------------------------------------------
 
     def _drive(self, program, cpu, res, max_steps: Optional[int]):
-        if cpu.trace_fn is not None or cpu.attribute_tags or cpu.count_opcodes:
+        if cpu.trace_fn is not None or cpu.attribute_tags:
             # Observed drives need every instruction: trace hooks ride the
             # interpreter's hoisted-hook semantics (profilers depend on
-            # it), and tag attribution / opcode counts are per-instruction
-            # bookkeeping compiled blocks fold away.  The whole drive runs
-            # on the fast interpreter.
+            # it), and tag attribution is per-instruction bookkeeping
+            # compiled blocks fold away.  The whole drive runs on the fast
+            # interpreter.
             self._fast._drive(
                 get_bound_program(cpu.process, program.costs), cpu, res, max_steps
             )

@@ -5,7 +5,7 @@ registers, the vector registers, ``rip``, the compare flag, the shadow
 stack, the i-cache, the halt latch — plus the handles execution needs (the
 :class:`~repro.machine.process.Process` whose memory it reads and writes,
 the :class:`~repro.machine.costs.MachineCosts` model) and the knobs that
-parameterize interpretation (alignment checking, instruction budget, tag
+parameterize interpretation (instruction budget, shadow stack, tag
 attribution, the trace hook).
 
 Execution itself lives elsewhere: a *program* (the process's decoded
@@ -46,7 +46,7 @@ from typing import Dict, List
 from repro.errors import InvalidInstruction
 from repro.machine.costs import MachineCosts
 from repro.machine.icache import ICache
-from repro.machine.isa import Imm, Mem, Op, Reg
+from repro.machine.isa import Imm, Mem, Reg
 from repro.machine.process import Process
 from repro.numeric import MASK64
 
@@ -64,16 +64,22 @@ UNTAGGED_TAG = "app"
 class ExecutionResult:
     """Counters and outputs from one program run.
 
-    Every field is backend-invariant: the ``reference`` and ``fast``
-    backends fill identical values (including ``opcode_counts`` and
-    ``tag_cycles``) for the same program and seed.
+    Every field is backend-invariant: every registered backend fills
+    identical values (including ``tag_cycles``) for the same program and
+    seed.  How a backend got them (blocks compiled, deopts taken) is
+    host-side, not machine state; :data:`repro.machine.jit.JIT_STATS`
+    counts that.
     """
 
     exit_code: int = 0
+    #: Instructions executed, including the one that faulted (the budget
+    #: check and trace hook run before execution).
     instructions: int = 0
-    #: Total cycles as a float, derived from ``cycle_units`` at every
-    #: flush point (one exact division — never accumulated in float, so
-    #: sliced ``step()`` runs and whole runs agree bit-for-bit).
+    #: Total simulated cycles (per-opcode base cost + i-cache miss
+    #: penalties + the memory-operand surcharge) as a float, derived from
+    #: ``cycle_units`` at every flush point (one exact division — never
+    #: accumulated in float, so sliced ``step()`` runs and whole runs
+    #: agree bit-for-bit).
     cycles: float = 0.0
     #: Total cycles in exact integer units of 1/``CYCLE_UNIT`` cycles —
     #: the canonical accumulator all backends add into.  Integer addition
@@ -82,10 +88,13 @@ class ExecutionResult:
     cycle_units: int = 0
     calls: int = 0
     rets: int = 0
+    #: Branch-family instructions executed: ``jmp`` and every ``jcc``
+    #: (calls and returns are counted apart).
     branches: int = 0
     #: Branch-family instructions that redirected control flow.  A faulting
     #: indirect target is not counted (the fault wins, matching the
-    #: reference loop's ordering).
+    #: reference loop's ordering).  The frontend predicts fall-through, so
+    #: these are also the mispredicts.
     branches_taken: int = 0
     icache_hits: int = 0
     icache_misses: int = 0
@@ -96,29 +105,26 @@ class ExecutionResult:
     #: the BoobyTrapTriggered fault propagates.
     traps: int = 0
     output: List[int] = field(default_factory=list)
-    opcode_counts: Dict[Op, int] = field(default_factory=dict)
     #: Cycles attributed to instruction tags, filled when the state runs
     #: with ``attribute_tags=True``.  Untagged instructions land under
     #: :data:`UNTAGGED_TAG`.  Derived from ``tag_cycle_units`` at flush
     #: time; the unit buckets sum to ``cycle_units`` exactly and
-    #: ``tag_counts`` sums to ``instructions`` exactly.
+    #: ``tag_counts`` sums to ``instructions`` exactly, while
+    #: ``sum(tag_cycles.values())`` equals ``cycles`` only up to float
+    #: re-association (compare with ``math.isclose``).
     tag_cycles: Dict[str, float] = field(default_factory=dict)
     #: Per-tag cycle totals in integer units (canonical accumulator
     #: behind ``tag_cycles``).
     tag_cycle_units: Dict[str, int] = field(default_factory=dict)
-    #: Per-tag executed-instruction counts (same bucketing as ``tag_cycles``).
+    #: Per-tag executed-instruction counts (same bucketing as
+    #: ``tag_cycles``).  Those under ``btra*`` and ``btdp*`` tags are the
+    #: reactive-camouflage work a run performed.
     tag_counts: Dict[str, int] = field(default_factory=dict)
 
     @property
     def icache_miss_rate(self) -> float:
         total = self.icache_hits + self.icache_misses
         return self.icache_misses / total if total else 0.0
-
-    def perf_counters(self):
-        """This run as a :class:`repro.obs.counters.PerfCounters` view."""
-        from repro.obs.counters import PerfCounters
-
-        return PerfCounters.from_result(self)
 
 
 class MachineState:
@@ -135,18 +141,14 @@ class MachineState:
         process: Process,
         costs: MachineCosts,
         *,
-        check_alignment: bool = True,
         instruction_budget: int = 50_000_000,
-        count_opcodes: bool = False,
         trace_fn=None,
         shadow_stack: bool = False,
         attribute_tags: bool = False,
     ):
         self.process = process
         self.costs = costs
-        self.check_alignment = check_alignment
         self.instruction_budget = instruction_budget
-        self.count_opcodes = count_opcodes
         #: Backward-edge CFI (Section 8.2 comparison): calls push the
         #: return address onto a protected shadow stack; a ret whose target
         #: disagrees raises ShadowStackViolation.

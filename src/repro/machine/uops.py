@@ -334,7 +334,7 @@ _CONDITIONS = {
 
 def _call_i(cpu, u):
     r = cpu.regs
-    if cpu.check_alignment and r[_RSP] % 16 != 0:
+    if r[_RSP] % 16 != 0:
         raise StackMisaligned(
             f"rsp={r[_RSP]:#x} not 16-byte aligned at call ({u.rip:#x})"
         )
@@ -350,7 +350,7 @@ def _call_i(cpu, u):
 
 def _call_r(cpu, u):
     r = cpu.regs
-    if cpu.check_alignment and r[_RSP] % 16 != 0:
+    if r[_RSP] % 16 != 0:
         raise StackMisaligned(
             f"rsp={r[_RSP]:#x} not 16-byte aligned at call ({u.rip:#x})"
         )
@@ -548,7 +548,7 @@ def _make_g_jcc(cond) -> Handler:
 
 def _g_call(cpu, u):
     r = cpu.regs
-    if cpu.check_alignment and r[_RSP] % 16 != 0:
+    if r[_RSP] % 16 != 0:
         raise StackMisaligned(
             f"rsp={r[_RSP]:#x} not 16-byte aligned at call ({u.rip:#x})"
         )

@@ -65,18 +65,10 @@ class CycleProfiler:
     The constructor installs itself as ``state.trace_fn`` (chaining any
     hook already present — the debugger, a test spy — which keeps firing
     first); :meth:`detach` restores the previous hook.
-
-    ``variant`` optionally names the machine state being profiled (e.g.
-    ``"v1"`` in an N-variant lockstep group): it becomes the root frame
-    of every folded stack, so N per-variant profiles concatenate into one
-    flamegraph with a subtree per variant.  The default (``None``) leaves
-    all keys exactly as before.
     """
 
-    def __init__(self, cpu, *, variant: Optional[str] = None):
+    def __init__(self, cpu):
         self.cpu = cpu
-        self.variant = variant
-        self._prefix = f"{variant};" if variant else ""
         costs = cpu.costs
         self._op_units = costs.op_unit_costs
         self._mem_extra_units = costs.mem_operand_extra_units
@@ -191,7 +183,7 @@ class CycleProfiler:
         self.rip_counts[rip] = self.rip_counts.get(rip, 0) + 1
         units = self.func_cycle_units
         units[fn] = units.get(fn, 0) + cost
-        key = self._prefix + ";".join(stack)
+        key = ";".join(stack)
         units = self.stack_cycle_units
         units[key] = units.get(key, 0) + cost
 

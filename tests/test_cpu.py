@@ -174,18 +174,6 @@ def test_alignment_enforced_at_call():
         backends.run(machine(process))
 
 
-def test_alignment_check_can_be_disabled():
-    instrs = [
-        I(Op.PUSH, Imm(1)),
-        I(Op.CALL, Imm(0)),
-        I(Op.EXIT, Imm(0)),
-        I(Op.RET),
-    ]
-    process, addresses = assemble(instrs)
-    instrs[1].a = Imm(addresses[3])
-    assert backends.run(machine(process, check_alignment=False)).exit_code == 0
-
-
 def test_conditional_jumps():
     instrs = [
         I(Op.MOV, Reg.RAX, Imm(5)),
@@ -295,15 +283,6 @@ def test_trace_fn_sees_every_instruction():
     process, _ = assemble(instrs)
     backends.run(machine(process, trace_fn=lambda c, rip, ins: seen.append(ins.op)))
     assert seen == [Op.MOV, Op.EXIT]
-
-
-def test_opcode_counting():
-    process, _ = assemble(
-        [I(Op.MOV, Reg.RAX, Imm(1)), I(Op.MOV, Reg.RBX, Imm(2)), I(Op.EXIT, Imm(0))]
-    )
-    result = backends.run(machine(process, count_opcodes=True))
-    assert result.opcode_counts[Op.MOV] == 2
-    assert result.opcode_counts[Op.EXIT] == 1
 
 
 def test_mem_operand_with_index_scale():

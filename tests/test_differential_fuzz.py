@@ -5,8 +5,7 @@ one emitting IR modules compiled under random R2C configs — drive every
 registered backend (``reference``, ``fast``, ``jit``) over the same
 program and assert the observations are byte-identical: the full
 :class:`ExecutionResult` (instructions, cycles, mem ops, i-cache
-hits/misses, branch/call/ret/trap counts, tag attribution, opcode
-counts, output), the fault class, message and resting ``rip`` for
+hits/misses, branch/call/ret/trap counts, tag attribution, output), the fault class, message and resting ``rip`` for
 crashing runs, the final register file, and the shadow stack.  Every
 machine program also runs on every backend through ``step()`` slices of
 random length, which must observe exactly what the uninterrupted run
@@ -425,12 +424,12 @@ def _dump_repro(kind: str, seed: int, spec: Optional[List[Entry]] = None,
 def check_machine_seed(seed: int, budget: int = BUDGET, indexed: bool = False) -> None:
     """Differential over the machine-level program for ``seed``.
 
-    The primary runs are *plain* (no opcode counting, no tag attribution)
+    The primary runs are *plain* (no tag attribution)
     — the only drives the jit compiles, so loop traces and their side
     exits actually execute, whole and sliced (:func:`check_machine_spec`).
-    Every fourth seed also runs an observed leg (opcode counts and tag
-    attribution), where ``jit`` delegates to ``fast``: it checks ``fast``
-    against ``reference`` for those counters."""
+    Every fourth seed also runs an observed leg (tag attribution), where
+    ``jit`` delegates to ``fast``: it checks ``fast`` against
+    ``reference`` for those counters."""
     spec = machine_spec(seed, indexed)
     try:
         check_machine_spec(spec, budget, seed)
@@ -438,7 +437,6 @@ def check_machine_seed(seed: int, budget: int = BUDGET, indexed: bool = False) -
             differential(
                 lambda: build_process(spec),
                 instruction_budget=budget,
-                count_opcodes=True,
                 attribute_tags=True,
             )
     except AssertionError:
@@ -597,8 +595,8 @@ def check_ir_seed(seed: int, indexed: bool = False) -> None:
 
     try:
         # Plain first — the drive the jit compiles (tier 3 included) —
-        # then the observed leg, where jit runs on fast: opcode-count and
-        # tag-attribution parity of fast against reference.
+        # then the observed leg, where jit runs on fast: tag-attribution
+        # parity of fast against reference.
         outcome = differential(make, instruction_budget=BUDGET)
         assert outcome["error"] is None, outcome["error"]
         # The oracle: the IR interpreter's exit code and output.
@@ -606,7 +604,6 @@ def check_ir_seed(seed: int, indexed: bool = False) -> None:
         differential(
             make,
             instruction_budget=BUDGET,
-            count_opcodes=True,
             attribute_tags=True,
         )
     except AssertionError:

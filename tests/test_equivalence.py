@@ -164,7 +164,6 @@ def test_backends_agree_on_random_programs(program_seed, config_seed):
                 module,
                 config,
                 backend=backend,
-                count_opcodes=True,
                 attribute_tags=True,
             )
             results[backend] = dataclasses.asdict(result)

@@ -28,6 +28,7 @@ from repro.errors import (
     GuardPageFault,
     MachineError,
     MemoryFault,
+    StackMisaligned,
 )
 from repro.machine.backends import ReferenceBackend, get_backend, run
 from repro.machine.blocks import recover_blocks
@@ -799,15 +800,15 @@ def test_later_processes_walk_no_slice_the_binary_measured(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Observed drives (tag attribution, opcode counts) run on ``fast``.
+# Observed drives (tag attribution, a trace hook) run on ``fast``.
 # ---------------------------------------------------------------------------
 
 
 def test_observed_drives_run_on_fast_and_compile_nothing():
-    """Jit drives with ``attribute_tags`` or ``count_opcodes`` lower
-    nothing — the jit counters stay put — and equal ``fast`` byte for
-    byte.  A plain drive of a fresh load of the same binary afterwards
-    still compiles the hot loop's blocks."""
+    """Jit drives with ``attribute_tags`` or a trace hook lower nothing —
+    the jit counters stay put — and equal ``fast`` byte for byte; the
+    hook sees every executed instruction.  A plain drive of a fresh load
+    of the same binary afterwards still compiles the hot loop's blocks."""
     binary = compile_module(loop_module(), R2CConfig.full(seed=11))
 
     def drive(backend_name, **flags):
@@ -826,14 +827,21 @@ def test_observed_drives_run_on_fast_and_compile_nothing():
         return observed, before, jit_stats_snapshot()
 
     clear_jit_cache()
-    for flag, counts in (
-        ("attribute_tags", "tag_counts"),
-        ("count_opcodes", "opcode_counts"),
-    ):
-        on_jit, before, after = drive("jit", **{flag: True})
-        assert after == before, flag
-        assert on_jit["result"][counts], flag
-        assert on_jit == drive("fast", **{flag: True})[0], flag
+    on_jit, before, after = drive("jit", attribute_tags=True)
+    assert after == before
+    assert on_jit["result"]["tag_counts"]
+    assert on_jit == drive("fast", attribute_tags=True)[0]
+
+    seen = {"jit": [], "fast": []}
+    on_jit, before, after = drive(
+        "jit", trace_fn=lambda cpu, rip, instr: seen["jit"].append(rip)
+    )
+    assert after == before
+    assert len(seen["jit"]) == on_jit["result"]["instructions"] > 0
+    on_fast = drive("fast", trace_fn=lambda cpu, rip, instr: seen["fast"].append(rip))[0]
+    assert on_jit == on_fast
+    assert seen["jit"] == seen["fast"]
+
     _, before, after = drive("jit")
     assert after["blocks_compiled"] > before["blocks_compiled"]
 
@@ -942,6 +950,49 @@ def test_jit_spans_count_calls_returns_and_branches_once(monkeypatch):
     for key in ("calls", "rets", "branches", "branches_taken", "traps"):
         assert observed["result"][key] == expected["result"][key], key
     assert observed == expected
+
+
+def misaligned_call_process():
+    """A counted loop (12 trips) whose ``call`` heads a block that control
+    reaches only through ``jmp`` and ``jne``, so the jit compiles it.  On
+    the trip where ``rcx == 4`` a ``push`` misaligns the stack and a
+    ``jmp`` enters that compiled ``call``."""
+    spec = [
+        (Op.MOV, Reg.RCX, Imm(12)),
+        (Op.JMP, ("L", 6), None),
+        (Op.CMP, Reg.RCX, Imm(4)),  # 2: loop top
+        (Op.JNE, ("L", 6), None),
+        (Op.PUSH, Imm(0), None),
+        (Op.JMP, ("L", 6), None),
+        (Op.CALL, ("L", 11), None),  # 6: the call head
+        (Op.SUB, Reg.RCX, Imm(1)),
+        (Op.CMP, Reg.RCX, Imm(0)),
+        (Op.JG, ("L", 2), None),
+        (Op.EXIT, Imm(0), None),
+        (Op.RET, None, None),  # 11: the callee
+    ]
+    return build_spec(spec)
+
+
+@pytest.mark.parametrize("slice_len", [None, 5], ids=["whole", "sliced"])
+def test_compiled_call_raises_stack_misaligned(slice_len):
+    """A misaligned ``call`` in compiled code raises the interpreters'
+    ``StackMisaligned`` at the same ``rip``, with the same registers and
+    counters, in a whole run and in ``step()`` slices."""
+
+    def outcome(backend):
+        slices = None if slice_len is None else itertools.repeat(slice_len)
+        return run_one_backend(lambda: misaligned_call_process()[0], backend, slices)
+
+    want = outcome("reference")
+    before = jit_stats_snapshot()
+    assert outcome("jit") == want
+    assert jit_stats_snapshot()["blocks_compiled"] > before["blocks_compiled"]
+    assert outcome("fast") == want
+    assert want["error"][0] is StackMisaligned
+    assert want["rip"] == misaligned_call_process()[1][6]
+    assert want["regs"][Reg.RCX] == 4
+    assert want["result"]["calls"] == 8
 
 
 # ---------------------------------------------------------------------------

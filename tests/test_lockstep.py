@@ -144,13 +144,3 @@ def test_divergence_increments_monitor_and_maps_to_attack_outcome():
     assert result.detections == 1
     assert AttackOutcome.DIVERGED.value == "diverged"
 
-
-def test_merged_counters_attribute_per_variant():
-    """The group's merged perf view sums scalars and namespaces tag
-    buckets per variant."""
-    group = _replica_group(count=2)
-    group.run()
-    merged = group.perf_counters()
-    per_variant = [variant.result.instructions for variant in group.variants]
-    assert merged.instructions == sum(per_variant)
-    assert merged.instructions > 0

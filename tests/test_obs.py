@@ -4,9 +4,9 @@ The wall has three bricks:
 
 * **Golden traces** — the span tree for one engine-mediated compile+run
   is pinned name-for-name (names, parentage, ordering; never durations).
-* **Round-trips** — every JSON artifact (trace, counters) loads
-  back, and unknown keys are dropped, matching ``RunRecord.from_json``'s
-  forward-compatibility semantics.
+* **Round-trips** — the trace JSON artifact loads back, and unknown keys
+  are dropped, matching ``RunRecord.from_json``'s forward-compatibility
+  semantics.
 * **Passivity** — attaching a profiler or enabling tracing never changes
   ``ExecutionResult``, faults, or the final ``rip`` (hypothesis swept).
 """
@@ -14,12 +14,14 @@ The wall has three bricks:
 import dataclasses
 import json
 import math
+import re
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.__main__ import main
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
 from repro.errors import BoobyTrapTriggered
@@ -29,7 +31,6 @@ from repro.machine.costs import get_costs
 from repro.machine.isa import Imm, Instruction, Op, Reg
 from repro.machine.loader import load_binary
 from repro.machine.state import UNTAGGED_TAG, MachineState
-from repro.obs.counters import PerfCounters
 from repro.obs.profiler import UNKNOWN_FUNCTION, CycleProfiler
 from repro.obs.tracing import (
     Span,
@@ -257,29 +258,22 @@ def run_workload(backend, *, attribute_tags=True, profiler=False, tracing=False)
     return result, state, attached
 
 
+def tag_events(result, prefix):
+    """Executed instructions under tags starting with ``prefix``: the
+    BTRA (``btra``) or BTDP (``btdp``) work a run performed."""
+    return sum(n for tag, n in result.tag_counts.items() if tag.startswith(prefix))
+
+
 def test_perf_counters_identical_across_backends():
-    views = {}
+    results = {backend: run_workload(backend)[0] for backend in BACKENDS}
+    result = results["reference"]
     for backend in BACKENDS:
-        result, _, _ = run_workload(backend)
-        views[backend] = result.perf_counters()
-    assert views["reference"] == views["fast"]
-    counters = views["reference"]
-    assert counters.instructions > 0
-    assert 0 < counters.branches_taken <= counters.branches
-    assert counters.branch_mispredicts == counters.branches_taken
-    assert counters.mem_ops > 0
-    assert counters.btra_events > 0
-    assert counters.btdp_events > 0
-
-
-def test_perf_counters_json_round_trip_drops_unknown_keys():
-    result, _, _ = run_workload("fast")
-    counters = result.perf_counters()
-    data = json.loads(counters.to_json())
-    assert data["schema"] == "repro-counters/v1"
-    data["from_the_future"] = 123
-    loaded = PerfCounters.from_json(json.dumps(data))
-    assert loaded == counters
+        assert results[backend] == result, backend
+    assert result.instructions > 0
+    assert 0 < result.branches_taken <= result.branches
+    assert result.mem_ops > 0
+    assert tag_events(result, "btra") > 0
+    assert tag_events(result, "btdp") > 0
 
 
 def test_tag_attribution_decomposes_exactly():
@@ -297,9 +291,56 @@ def test_tag_attribution_decomposes_exactly():
 
 def test_counters_zero_without_tag_attribution():
     result, _, _ = run_workload("fast", attribute_tags=False)
-    counters = result.perf_counters()
-    assert counters.btra_events == 0 and counters.btdp_events == 0
-    assert counters.tag_counts == {}
+    assert tag_events(result, "btra") == 0 and tag_events(result, "btdp") == 0
+    assert result.tag_counts == {} and result.tag_cycles == {}
+
+
+# ---------------------------------------------------------------------------
+# ``python -m repro profile``: the one CLI reader of the counters.
+# ---------------------------------------------------------------------------
+
+COUNTERS_LINE = re.compile(
+    r"counters: (\d+) instructions, (\d+) cycles, i-cache miss rate ([\d.]+)%, "
+    r"(\d+)/(\d+) branches taken, (\d+) BTRA / (\d+) BTDP events"
+)
+
+
+def test_profile_cli_prints_the_run_counters_on_every_backend(tmp_path, capsys):
+    """``profile xz`` prints the same report and writes the same folded
+    stacks on every backend, and each number on its ``counters:`` line
+    is the matching field of a tag-attributed ``reference`` run of the
+    same build (full R2C, seed 1) and load (seed 1), the CLI defaults."""
+    folded_path = tmp_path / "xz.folded"
+    reports, folded = {}, {}
+    for backend in BACKENDS:
+        argv = ["profile", "xz", "--top", "3", "--folded", str(folded_path)]
+        assert main(argv + ["--backend", backend]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        # Every line but the host-time one, e.g. ``[0.8s]``.
+        reports[backend] = [
+            line for line in printed if not re.fullmatch(r"\[\d+\.\ds\]", line)
+        ]
+        assert len(reports[backend]) == len(printed) - 1
+        folded[backend] = folded_path.read_text()
+    for backend in BACKENDS:
+        assert reports[backend] == reports["reference"], backend
+        assert folded[backend] == folded["reference"], backend
+
+    binary = compile_module(build_spec_benchmark("xz"), R2CConfig.full(seed=1))
+    state = MachineState(
+        load_binary(binary, seed=1), get_costs("epyc-rome"), attribute_tags=True
+    )
+    result = run(state, "reference")
+    (line,) = [line for line in reports["reference"] if line.startswith("counters:")]
+    match = COUNTERS_LINE.fullmatch(line)
+    assert match, line
+    instructions, cycles, miss_pct, taken, branches, btra, btdp = match.groups()
+    assert int(instructions) == result.instructions
+    assert float(cycles) == pytest.approx(result.cycles, abs=0.5)
+    assert float(miss_pct) == pytest.approx(100.0 * result.icache_miss_rate, abs=0.005)
+    assert (int(taken), int(branches)) == (result.branches_taken, result.branches)
+    assert int(btra) == tag_events(result, "btra") > 0
+    assert int(btdp) == tag_events(result, "btdp") > 0
 
 
 # ---------------------------------------------------------------------------
