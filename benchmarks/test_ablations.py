@@ -6,8 +6,6 @@ turning the paper's design arguments (Sections 4.1, 5.1, 5.2, 7.3) into
 executable evidence.
 """
 
-import pytest
-
 from repro.attacks import AttackOutcome, VictimSession, aocr_attack
 from repro.core.config import R2CConfig
 from repro.eval.engine import RunRequest, get_session_engine

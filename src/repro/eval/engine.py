@@ -10,9 +10,11 @@ every overhead measurement.  This module centralizes the loop:
   A request is fully keyed by (module fingerprint, config digest, machine,
   load seed, budget, heap size); because the simulator is deterministic,
   that key *determines* the record.
-* :class:`CompileCache` — content-addressed and in memory: a given
-  (module, config) is compiled once per process (the session's, and
-  each pool worker's), however many drivers ask for it.
+* :class:`CompileCache` — content-addressed, in memory and bounded: a
+  given (module, config) is compiled once per process (the session's,
+  and each pool worker's) while its binary is among the
+  :data:`COMPILE_CACHE_CAPACITY` most recently used, however many
+  drivers ask for it.
 * Executors — a serial in-process path and a ``ProcessPoolExecutor``
   fan-out (``jobs > 1``) over independent cells, with deterministic result
   ordering regardless of completion order.  Requests sharing a compile key
@@ -49,6 +51,7 @@ import atexit
 import json
 import os
 import time
+from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
@@ -249,16 +252,27 @@ def read_records(path: str) -> List[RunRecord]:
         return [RunRecord.from_json(line) for line in handle if line.strip()]
 
 
+#: Binaries a :class:`CompileCache` keeps.  Every hit of ``all --quick``
+#: lies within 59 binaries of the key's previous use, while a seed sweep
+#: or a re-randomizing fleet compiles a new binary per cell or generation
+#: and never asks for an old one again.
+COMPILE_CACHE_CAPACITY = 64
+
+
 class CompileCache:
-    """Content-addressed (module fingerprint, config digest) -> Binary."""
+    """Content-addressed (module fingerprint, config digest) -> Binary,
+    least recently used first.  A hit refreshes the key's recency; a
+    compile past :data:`COMPILE_CACHE_CAPACITY` evicts the least recently
+    used binary (``evictions``), which a later request compiles again."""
 
     def __init__(self) -> None:
-        self._entries: Dict[CompileKey, Binary] = {}
+        self._entries: OrderedDict[CompileKey, Binary] = OrderedDict()
         self.hits = 0
         self.misses = 0
+        self.evictions = 0
         self.compile_seconds = 0.0
-        #: How many times each key was actually compiled (always 1 per key
-        #: in a given process — the session-level compile counter).
+        #: How many times each key was actually compiled in this process:
+        #: 1, or more when the key was evicted and requested again.
         self.compile_counts: Dict[CompileKey, int] = {}
 
     def __len__(self) -> int:
@@ -269,12 +283,16 @@ class CompileCache:
         key = (module.fingerprint(), config.digest())
         binary = self._entries.get(key)
         if binary is not None:
+            self._entries.move_to_end(key)
             self.hits += 1
             return binary, 0.0, True
         started = time.perf_counter()
         binary = compile_module(module, config)
         elapsed = time.perf_counter() - started
         self._entries[key] = binary
+        if len(self._entries) > COMPILE_CACHE_CAPACITY:
+            self._entries.popitem(last=False)
+            self.evictions += 1
         self.misses += 1
         self.compile_seconds += elapsed
         self.compile_counts[key] = self.compile_counts.get(key, 0) + 1
@@ -926,7 +944,9 @@ class ExperimentEngine:
         return write_records(self.records, path)
 
     def compile_count(self, module: Module, config: R2CConfig) -> int:
-        """How many times this exact (module, config) was compiled in-process."""
+        """How many times this exact (module, config) was compiled in
+        this process: more than once only when its binary was evicted
+        from the compile cache in between."""
         return self.cache.compile_counts.get(
             (module.fingerprint(), config.digest()), 0
         )

@@ -259,7 +259,7 @@ def render_fleet(report) -> str:
         f"({report.swap_window_rps:.1f} rps in swap windows vs "
         f"{report.steady_rps:.1f} steady)",
         f"  compile cache: hits {report.cache['hits']}  "
-        f"misses {report.cache['misses']}",
+        f"misses {report.cache['misses']}  evictions {report.cache['evictions']}",
         "",
     ]
     if report.zero_lost:

@@ -329,6 +329,7 @@ def run_fleet(
         cache={
             "hits": cache.hits,
             "misses": cache.misses,
+            "evictions": cache.evictions,
             "compile_seconds": cache.compile_seconds,
         },
         anchor=anchor,

@@ -84,7 +84,12 @@ against both other backends.
 Compiled code belongs to the binary, not the process: every load of one
 binary under one cost model — lockstep replicas and re-randomized
 restarts under a fresh ASLR layout alike — shares one code-cache entry
-(:data:`_CODE_CACHE`).  Units are position-independent: every address
+(:data:`_CODE_CACHE`) while the entry is resident.  The cache keeps the
+:data:`_CODE_CACHE_CAPACITY` (32) most recently linked binaries; linking
+one more evicts the least recent.  A running process keeps the entry it
+linked, so eviction changes when code is compiled, never what runs: the
+binary's next process starts a fresh entry and compiles its units
+again.  Units are position-independent: every address
 literal is written relative to the text base ``T`` and bound once per
 program as a parameter default when the unit is linked (never as an add
 per executed exit), and fault tables hold text offsets, relocated on the
@@ -102,6 +107,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import OrderedDict
 from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -167,6 +173,7 @@ JIT_STATS = {
     "superinstructions_fused": 0,
     "deopts": 0,
     "code_cache_hits": 0,
+    "code_cache_evictions": 0,
     "traces_compiled": 0,
     "loop_traces": 0,
     "superblocks": 0,
@@ -1397,13 +1404,24 @@ def _symbolic_operands(binary) -> Dict[int, Tuple[bool, bool]]:
     return symbolic
 
 
+#: Binaries whose compiled code :data:`_CODE_CACHE` keeps.  Every hit of
+#: a full ``all --backend jit`` run lies within 17 binaries of the
+#: entry's previous use, and a 10 s r2cbench run of any workload but
+#: ``spec-sweep`` links at most about 27 binaries, while a seed sweep or
+#: a re-randomizing fleet makes a new binary per cell or generation and
+#: never returns to an old one.
+_CODE_CACHE_CAPACITY = 32
+
 #: (fingerprint, digest, costs signature, text-base residue, data gap) ->
-#: :class:`_BinaryCode`.  The residue is the text base modulo the
-#: i-cache period and the page size: set indices, guaranteed-hit plans,
-#: the fit verdict and page splits of absolute operands repeat with it,
-#: and ASLR slides are page multiples, so every load of a binary shares
-#: one entry.
-_CODE_CACHE: Dict[tuple, _BinaryCode] = {}
+#: :class:`_BinaryCode`, least recently linked first.  The residue is
+#: the text base modulo the i-cache period and the page size: set
+#: indices, guaranteed-hit plans, the fit verdict and page splits of
+#: absolute operands repeat with it, and ASLR slides are page multiples,
+#: so every load of a binary shares one entry while it is resident.
+#: Linking a binary past capacity evicts the least recently linked one
+#: (``JIT_STATS["code_cache_evictions"]``); its running processes keep
+#: the entry's dicts, and its next process starts a fresh entry.
+_CODE_CACHE: OrderedDict[tuple, _BinaryCode] = OrderedDict()
 
 
 def clear_jit_cache() -> None:
@@ -1430,10 +1448,10 @@ class JitProgram:
     entry in the compiled-code cache, keyed by text offset: every process
     of one binary — any layout, lockstep replicas included — links the
     same code objects, so each hot unit's source is generated and
-    compiled once per binary, and a head whose unit is already there
-    links on its first entry.  ``extents`` is the same entry's slice
-    extents, so no process of the binary walks a slice another one
-    measured.  A process without a binary fingerprint
+    compiled once per binary while the entry is resident, and a head
+    whose unit is already there links on its first entry.  ``extents``
+    is the same entry's slice extents, so no process of the binary walks
+    a slice another one measured.  A process without a binary fingerprint
     shares nothing and links at base 0 (its offsets are its addresses).
 
     Nothing here refers back to the process (the process caches its
@@ -1479,7 +1497,9 @@ class JitProgram:
         binary and cost model, and ``prepare`` stays cheap."""
         key = self.cache_key
         code = None if key is None else _CODE_CACHE.get(key)
-        if code is None:
+        if code is not None:
+            _CODE_CACHE.move_to_end(key)
+        else:
             code = _BinaryCode(
                 _text_fits_icache(self.instructions, self.costs),
                 {} if key is None else _symbolic_operands(process.binary),
@@ -1488,6 +1508,9 @@ class JitProgram:
             )
             if key is not None:
                 _CODE_CACHE[key] = code
+                if len(_CODE_CACHE) > _CODE_CACHE_CAPACITY:
+                    _CODE_CACHE.popitem(last=False)
+                    JIT_STATS["code_cache_evictions"] += 1
         self.monotone = monotone = code.monotone
         self.symbolic = code.symbolic
         self.units = code.units

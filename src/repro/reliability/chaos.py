@@ -5,7 +5,7 @@ that injects every fault kind into real workloads, submit it through a
 fault-armed :class:`~repro.eval.engine.ExperimentEngine`, and assert the
 engine's contract held — a full, request-ordered record list with every
 injected fault surfaced as the *expected* ``outcome`` (no unhandled
-exception, no lost cell).  CI runs this matrix on both execution backends
+exception, no lost cell).  CI runs this matrix on every registered backend
 with ``--jobs 4``.
 """
 

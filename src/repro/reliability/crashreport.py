@@ -19,7 +19,7 @@ Triage classifies the fault the way R2C's reactive story needs:
 * ``benign-fault`` — everything else (wild access, budget exhaustion):
   possibly an attack side effect, but not a trap detection.
 
-Reports are deterministic: both execution backends leave identical
+Reports are deterministic: every registered backend leaves identical
 architectural state at a fault (the differential tests compare serialized
 reports byte-for-byte across backends).
 """

@@ -10,7 +10,7 @@ fault kinds, each exercising a different error path:
 ``bitflip``
     Flip seeded bits in a mapped region of the loaded process before
     execution (:meth:`~repro.machine.memory.Memory.corrupt_bit`).  Applied
-    once, pre-run, so both execution backends then run the *same* corrupted
+    once, pre-run, so every registered backend then runs the *same* corrupted
     image — fault records stay byte-identical across backends.
 ``alloc-oom``
     Arm the process allocator to fail after N more allocations

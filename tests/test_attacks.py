@@ -14,7 +14,6 @@ from repro.attacks import (
     VictimSession,
     aocr_attack,
     blindrop_attack,
-    indirect_jitrop_attack,
     jitrop_attack,
     pirop_attack,
     rop_attack,

@@ -5,7 +5,7 @@ import pytest
 from repro.attacks.clustering import classify_word, cluster_by_gaps
 from repro.core.config import R2CConfig
 from repro.core.compiler import compile_module
-from repro.core.passes.btdp import DECOY_PREFIX, HARDENED_PTR_SYMBOL, NAIVE_ARRAY_SYMBOL
+from repro.core.passes.btdp import HARDENED_PTR_SYMBOL, NAIVE_ARRAY_SYMBOL
 from repro.errors import GuardPageFault
 from repro.machine.backends import run
 from repro.machine.costs import get_costs

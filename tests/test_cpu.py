@@ -6,7 +6,6 @@ import pytest
 from repro.errors import (
     BoobyTrapTriggered,
     ExecutionLimitExceeded,
-    InvalidInstruction,
     MachineError,
     StackMisaligned,
 )

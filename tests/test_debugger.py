@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
-from repro.machine.backends import get_backend, run
+from repro.machine.backends import run
 from repro.machine.costs import get_costs
 from repro.machine.debugger import Debugger
 from repro.machine.isa import Imm, Instruction, Mem, Op, Reg

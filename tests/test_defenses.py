@@ -1,7 +1,5 @@
 """Tests for the related-defense models (the Table 3 rows)."""
 
-import pytest
-
 from repro.attacks import ALL_ATTACKS, AttackOutcome, VictimSession, aocr_attack
 from repro.defenses import DEFENSE_MODELS
 

@@ -46,7 +46,6 @@ dumped seed as a corpus file once the divergence is fixed.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import random

@@ -10,6 +10,7 @@ records round-trip.
 import pytest
 
 from repro.core.config import R2CConfig
+from repro.eval import engine as engine_module
 from repro.eval.engine import (
     CompileCache,
     ExperimentEngine,
@@ -124,6 +125,25 @@ def test_compile_cache_seed_changes_layout():
     assert a is not b
     # Differently seeded diversification: different text layout.
     assert a.symbols_text != b.symbols_text or a.eh_frame_rows() != b.eh_frame_rows()
+
+
+def test_compile_cache_evicts_the_least_recently_used_binary(monkeypatch):
+    """Past capacity the cache drops the binary it used least recently:
+    a hit refreshes recency, and an evicted key compiles again."""
+    monkeypatch.setattr(engine_module, "COMPILE_CACHE_CAPACITY", 2)
+    cache = CompileCache()
+    module = small_module()
+    a, b, c = (R2CConfig.full(seed=seed) for seed in (1, 2, 3))
+    cache.get_or_compile(module, a)
+    cache.get_or_compile(module, b)
+    assert cache.get_or_compile(module, a)[2]
+    cache.get_or_compile(module, c)
+    assert cache.evictions == 1
+    assert len(cache) == 2
+    assert cache.get_or_compile(module, a)[2]
+    assert not cache.get_or_compile(module, b)[2]
+    assert cache.compile_counts[(module.fingerprint(), b.digest())] == 2
+    assert cache.evictions == 2
 
 
 def test_binary_carries_cache_identity():

@@ -8,7 +8,6 @@ store-before-load, bounded loops, DAG call graphs) modules, and every one
 is executed three ways.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import R2CConfig

@@ -1,7 +1,5 @@
 """Tests for the feng-shui AOCR refinement (Section 7.2.3)."""
 
-import pytest
-
 from repro.attacks import AttackOutcome, VictimSession, aocr_attack
 from repro.attacks.fengshui import (
     GROOMED_DISTANCES,

@@ -1,7 +1,5 @@
 """Tests for the defender-side introspection utilities."""
 
-import pytest
-
 from repro.core.config import R2CConfig
 from repro.eval.introspect import (
     HookProbe,

@@ -799,6 +799,50 @@ def test_later_processes_walk_no_slice_the_binary_measured(monkeypatch):
     assert reloaded == run_one_backend(reload, "reference", slices=itertools.repeat(97))
 
 
+@pytest.mark.parametrize("slice_length", [97, 256, 1000])
+def test_forced_eviction_mid_run_stays_byte_identical(monkeypatch, slice_length):
+    """With room for one binary, four processes of two binaries (xz,
+    omnetpp, xz, omnetpp), driven round-robin in ``step()`` slices,
+    evict each other's entries on every link.  The evicted processes run
+    on the entries they linked, the second xz and omnetpp compile
+    theirs again, and every run equals ``reference``."""
+    monkeypatch.setattr(jit_module, "_CODE_CACHE_CAPACITY", 1)
+    binaries = {
+        name: compile_module(build_spec_benchmark(name), R2CConfig.full(seed=seed))
+        for name, seed in (("xz", 3), ("omnetpp", 4))
+    }
+    order = ["xz", "omnetpp", "xz", "omnetpp"]
+    clear_jit_cache()
+    before = jit_stats_snapshot()
+    jit = get_backend("jit")
+    drives = []
+    for name in order:
+        process = load_binary(binaries[name], seed=1)
+        state = MachineState(process, get_costs("epyc-rome"))
+        program = jit.prepare(state)
+        state.rip = process.entry_point
+        drives.append((program, state, ExecutionResult()))
+    running = list(drives)
+    while running:
+        running = [
+            drive for drive in running if not jit.step(*drive, slice_length)
+        ]
+    assert len(_CODE_CACHE) == 1
+    after = jit_stats_snapshot()
+    assert after["code_cache_evictions"] - before["code_cache_evictions"] == 3
+
+    wants = {
+        name: run_one_backend(functools.partial(load_binary, binary, seed=1), "reference")
+        for name, binary in binaries.items()
+    }
+    for name, (_, state, res) in zip(order, drives):
+        want = wants[name]
+        assert want["error"] is None
+        assert dataclasses.asdict(res) == want["result"], name
+        assert state.rip == want["rip"], name
+        assert list(state.regs) == want["regs"], name
+
+
 # ---------------------------------------------------------------------------
 # Observed drives (tag attribution, a trace hook) run on ``fast``.
 # ---------------------------------------------------------------------------

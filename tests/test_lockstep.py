@@ -17,7 +17,6 @@ from repro.attacks.scenario import VictimSession, run_attack
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
 from repro.defenses.lockstep import (
-    DivergenceReport,
     LockstepGroup,
     MveeOutcome,
     run_bitflip_lockstep,

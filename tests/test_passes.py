@@ -2,8 +2,6 @@
 
 import copy
 
-import pytest
-
 from repro.core.config import R2CConfig
 from repro.core.compiler import compile_module
 from repro.core.pass_manager import build_plan

@@ -1,6 +1,5 @@
 """Tests for liveness intervals and linear-scan allocation."""
 
-from repro.machine.isa import Reg
 from repro.rng import DiversityRng
 from repro.toolchain.builder import IRBuilder
 from repro.toolchain.callconv import ALLOCATABLE

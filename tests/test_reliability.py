@@ -16,7 +16,6 @@ from repro.eval import engine as engine_module
 from repro.eval.engine import (
     CACHEABLE_OUTCOMES,
     ExperimentEngine,
-    RunRecord,
     RunRequest,
 )
 from repro.eval.report import render_engine_summary

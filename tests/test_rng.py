@@ -1,6 +1,5 @@
 """Tests for the deterministic diversification RNG."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.rng import DiversityRng

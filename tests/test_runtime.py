@@ -1,7 +1,5 @@
 """Tests for the R2C runtime constructor (Section 5.2 details)."""
 
-import pytest
-
 from repro.core.config import R2CConfig
 from repro.core.compiler import compile_module
 from repro.machine.loader import load_binary

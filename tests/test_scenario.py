@@ -6,7 +6,7 @@ from repro.attacks.monitor import DefenseMonitor
 from repro.attacks.scenario import AttackAborted, VictimSession, run_attack
 from repro.attacks.outcomes import AttackOutcome
 from repro.core.config import R2CConfig
-from repro.workloads.victim import ATTACK_ARG, SUCCESS_TAG
+from repro.workloads.victim import ATTACK_ARG
 
 
 def test_probe_clean_on_noop_hook():

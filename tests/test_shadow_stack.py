@@ -8,8 +8,6 @@ the program legitimately makes), so a shadow stack never fires on it —
 while every return-hijacking attack is caught immediately.
 """
 
-import pytest
-
 from repro.attacks import (
     ALL_ATTACKS,
     AttackOutcome,
@@ -26,7 +24,6 @@ from repro.machine.costs import get_costs
 from repro.machine.loader import load_binary
 from repro.machine.state import MachineState
 from repro.core.compiler import compile_module
-from repro.workloads.victim import build_victim
 from repro.workloads.spec import build_spec_benchmark
 
 

@@ -1,12 +1,8 @@
 """Tests for the attacker surface: capabilities and reference knowledge."""
 
-import pytest
-
 from repro.attacks.scenario import VictimSession, output_success
-from repro.attacks.surface import AttackerView, ReferenceKnowledge
+from repro.attacks.surface import ReferenceKnowledge
 from repro.core.config import R2CConfig
-from repro.errors import MemoryFault
-from repro.machine.isa import Reg
 from repro.workloads.victim import ATTACK_ARG, SUCCESS_TAG, VictimLayoutInfo
 
 WORD = 8
