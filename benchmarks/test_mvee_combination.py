@@ -89,7 +89,8 @@ def lockstep_cost():
 
     The single leg compiles, loads, prepares and runs one variant.  The
     lockstep leg compiles and loads once, forks the other replicas with
-    ``Process.clone()`` under one layout, and runs them in one
+    ``Process.clone()`` under one layout (every replica runs on the
+    load's one set of micro-ops), and runs them in one
     :class:`LockstepGroup` with the per-sync cross-check armed.  Every
     leg compiles under a fresh seed, so no leg hits another's compile
     cache.  The minimum is the least-noisy estimator of host wall time.
@@ -131,8 +132,8 @@ def lockstep_cost():
 def test_lockstep_cost_per_variant(run_once):
     """The amortized-setup claim, measured: a 4-variant LockstepGroup
     completes the webserver workload in under 2.5x the wall cost of one
-    variant (one compile and load serve all four states, and each
-    replica binds only the instructions it runs)."""
+    variant (one compile and load serve all four states, and the
+    replicas share one bind of the instructions they run)."""
     single_wall, single, lockstep_wall, lockstep = run_once(lockstep_cost)
     outcome = lockstep.outcome.value
     ratio = lockstep_wall / single_wall
@@ -148,6 +149,6 @@ def test_lockstep_cost_per_variant(run_once):
     # 4 variants actually ran: ~4x the simulated work of one.
     instructions = sum(variant.result.instructions for variant in lockstep.variants)
     assert instructions > 3 * single.instructions
-    # The acceptance bar: one compile and load, plus a bind per replica
-    # of only what it runs, keeps N=4 under 2.5x.
+    # The acceptance bar: one compile, load and bind of what the
+    # replicas run keeps N=4 under 2.5x.
     assert ratio < 2.5, (lockstep_wall, single_wall)

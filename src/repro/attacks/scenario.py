@@ -5,8 +5,8 @@ the defense configuration being evaluated, plus the attacker's *reference*
 build of the same source (their own copy of the software).  A session is
 a fork server, the worker-restart behaviour Blind ROP exploits ("some
 servers restart crashed worker processes without reloading their binary
-code images", Section 4): it loads each variant binary once, into an image
-that never runs, and every ``spawn`` forks a worker from it with
+code images", Section 4): each variant binary has one loaded image that
+never runs, and every ``spawn`` forks a worker from it with
 :meth:`~repro.machine.process.Process.clone`, so every worker sees the same
 layout and no probe's writes reach the next.  Only a session that
 re-randomizes on restart (Section 7.3) loads afresh on every spawn.
@@ -14,7 +14,11 @@ re-randomizes on restart (Section 7.3) loads afresh on every spawn.
 A binary is a pure function of its (module fingerprint, config digest)
 key, so a session takes each binary it needs from the session before it
 when that one built it: Table 3's attacks on one deployed victim compile
-it once.
+it once.  An image is likewise a pure function of its binary, load seed
+and ``execute_only``, and it never runs, so a session takes each image
+it needs from the last session that spawned when that one loaded it
+under the same key: a Table 3 trial's attacks share one load, and every
+worker of theirs clones it.
 
 :func:`run_attack` executes a single-shot attack: it arms the victim's
 ``attack_hook`` vulnerability with the attack function, runs the victim,
@@ -169,10 +173,12 @@ class ProbeResult:
 _previous_builds: Dict[Tuple[str, str], Binary] = {}
 
 
-def _build(module: Module, configs: Sequence[R2CConfig]) -> List[Binary]:
-    """``module`` compiled under each of ``configs``: the previous
-    session's binary where it has one for the key, a fresh compile
-    otherwise.  These builds then replace the memo."""
+def _build(
+    module: Module, configs: Sequence[R2CConfig]
+) -> Tuple[List[Tuple[str, str]], List[Binary]]:
+    """The build key of ``module`` under each of ``configs``, and the
+    binary: the previous session's where it has one for the key, a fresh
+    compile otherwise.  These builds then replace the memo."""
     global _previous_builds
     fingerprint = module.fingerprint()
     keys = [(fingerprint, config.digest()) for config in configs]
@@ -182,7 +188,36 @@ def _build(module: Module, configs: Sequence[R2CConfig]) -> List[Binary]:
             binary = _previous_builds.get(key)
             builds[key] = binary if binary is not None else compile_module(module, config)
     _previous_builds = builds
-    return [builds[key] for key in keys]
+    return keys, [builds[key] for key in keys]
+
+
+#: The loaded images of the last session that spawned from images, keyed
+#: by (build key, load seed, ``execute_only``).  Each such session
+#: replaces it with its own, so it holds at most one session's images.
+_previous_images: Dict[Tuple[Tuple[str, str], int, bool], Process] = {}
+
+
+def _load_images(
+    build_keys: Sequence[Tuple[str, str]],
+    binaries: Sequence[Binary],
+    seed: int,
+    execute_only: bool,
+) -> List[Process]:
+    """Each binary loaded under ``seed``: the previous session's image
+    where it has one for the key, a fresh load otherwise.  These images
+    then replace the memo.  Sharing is safe because an image never runs
+    and nothing changes it: every worker is a clone."""
+    global _previous_images
+    keys = [(key, seed, execute_only) for key in build_keys]
+    images: Dict[Tuple[Tuple[str, str], int, bool], Process] = {}
+    for key, binary in zip(keys, binaries):
+        if key not in images:
+            image = _previous_images.get(key)
+            if image is None:
+                image = load_binary(binary, seed=seed, execute_only=execute_only)
+            images[key] = image
+    _previous_images = images
+    return [images[key] for key in keys]
 
 
 #: The victim module of every session given none, built on first use.
@@ -243,8 +278,8 @@ class VictimSession:
         #: it into a virtual-clock probe deadline.
         self.instruction_budget = instruction_budget
         self._spawn_count = 0
-        #: The fork server's loaded images, one per variant binary, loaded
-        #: on first spawn; never run, only cloned.
+        #: The fork server's loaded images, one per variant binary, taken
+        #: or loaded on first spawn; never run, only cloned.
         self._images: List[Process] = []
         # Follower builds roll different diversification dice (seeds
         # spaced 1000 apart), leaving the leader binary — and therefore
@@ -259,9 +294,10 @@ class VictimSession:
         reference_config = (
             config.replace(seed=config.seed + 0x5EED) if config.any_diversification else config
         )
-        builds = _build(self.module, [config, *follower_configs, reference_config])
+        keys, builds = _build(self.module, [config, *follower_configs, reference_config])
         self.binary = builds[0]
         self.variant_binaries = builds[:variants]
+        self._build_keys = keys[:variants]
         self.reference = ReferenceKnowledge(builds[-1])
         self.monitor = DefenseMonitor(detection_budget=detection_budget)
 
@@ -278,17 +314,20 @@ class VictimSession:
                 load_binary(binary, seed=seed, execute_only=self.execute_only)
                 for binary in self.variant_binaries[:count]
             ]
-        for binary in self.variant_binaries[len(self._images):count]:
-            self._images.append(
-                load_binary(binary, seed=self.load_seed, execute_only=self.execute_only)
+        if len(self._images) < count:
+            self._images = _load_images(
+                self._build_keys[:count],
+                self.variant_binaries[:count],
+                self.load_seed,
+                self.execute_only,
             )
         return [image.clone() for image in self._images[:count]]
 
     def spawn(self) -> Tuple[Process, MachineState]:
         """Start a worker.
 
-        Default: a fork of the session's loaded image — same code, same
-        ASLR, fresh memory — like a fork server restarting a crashed
+        Default: a fork of the deployment's loaded image — same code,
+        same ASLR, fresh memory — like a fork server restarting a crashed
         worker "without reloading their binary code images" (Section 4).
         With ``rerandomize_on_restart`` every spawn loads the binary under
         a new layout (the Section 7.3 mitigation), which breaks

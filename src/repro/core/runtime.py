@@ -44,7 +44,7 @@ class BtdpConstructor:
 
     A class (not a closure) so :class:`~repro.toolchain.binary.Binary`
     stays picklable — binaries cross process boundaries in the engine's
-    worker pool and rest on disk in the fleet's shared compile cache.
+    worker pool.
     """
 
     def __init__(self, config: R2CConfig):

@@ -22,10 +22,12 @@ then cross-checks observable behaviour at the sync point:
   group compares ``rip`` and all sixteen registers at every sync point,
   naming the first mismatching register in the report.
 
-Every variant gets its own program from ``Backend.prepare``, and none
-pays for code it does not run: on ``fast`` a variant binds each
-instruction the first time it fetches it, and on ``jit`` a replica links
-the compiled units its binary already holds.
+Every variant gets its program from ``Backend.prepare``, and none pays
+for code it does not run: on ``fast`` an instruction is bound the first
+time any process of its load fetches it, so replicas cloned from one
+load share one set of micro-ops and bind each instruction once, and on
+``jit`` a replica links the compiled units its binary already holds
+(its interpreter spans run on the load's shared micro-ops).
 
 A divergence is surfaced as a :class:`DivergenceReport` — the
 crash-report analogue for the MVEE detection signal: which variant, at
@@ -203,9 +205,9 @@ class LockstepGroup:
                 raise MachineError(f"variant {index} has no entry point")
             state.rip = process.entry_point
             state._halted = False
-            # A replica (a Process.clone()) has no cached program, so each
-            # variant gets its own: on fast it binds what that variant
-            # runs, on jit it links the binary's shared compiled units.
+            # On fast, replicas cloned from one load share its program,
+            # bound as any of them fetches; on jit each variant gets its
+            # own program, which links the binary's shared compiled units.
             program = self._backend.prepare(state)
             self.variants.append(
                 LockstepVariant(

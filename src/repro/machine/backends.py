@@ -23,10 +23,12 @@ Three implementations ship:
   of :mod:`repro.machine.uops`, binding each address the first time it
   fetches it.  Operand dispatch, memory address recipes, instruction
   costs, and i-cache line spans are resolved at that bind, so the hot
-  loop is a handler call plus cost bookkeeping, and a process binds only
-  the code it runs.  Fetch-permission checks are memoized per micro-op
-  against :attr:`Memory.perm_epoch`, which every mapping/protection
-  change bumps.
+  loop is a handler call plus cost bookkeeping, and a load binds only
+  the code its processes run, once for all its clones.  A fetch check
+  runs once per page: the loop compares each micro-op's interned page
+  with the page it last checked, and on a change looks the page up in
+  the memory's set of pages checked since the last mapping/protection
+  change.
 * :class:`~repro.machine.jit.JitBackend` (``"jit"``) — the final stage
   of the progressive-lowering pipeline (tier 0: micro-ops; tier 1:
   basic-block CFG with superinstruction fusion,
@@ -385,6 +387,11 @@ def flush_handler_counters(cpu, res) -> None:
     cpu._bk_traps = 0
 
 
+#: ``fast``'s "no page checked yet" marker: a fresh drive, and every
+#: point where permissions may have changed, start from it.
+_UNCHECKED = object()
+
+
 def _missing(cpu, memory, address, remaining):
     """Fault path for control flow reaching a non-instruction address.
 
@@ -405,20 +412,34 @@ def _missing(cpu, memory, address, remaining):
 class FastBackend(ExecutionBackend):
     """Micro-op driver: dispatch over pre-resolved handlers.
 
-    Per instruction the loop does: a memoized fetch-permission check, the
-    budget tick, the i-cache charge over precomputed line spans, the cost
-    accounting (in exact integer cycle units), and one handler call.
-    An address is bound to its micro-op the first time the loop fetches
-    it, and the micro-op is linked into the ``next_u``/``target`` slot of
-    its predecessor, so the common case never consults the index.
+    Per instruction the loop does: a fetch-permission check memoized per
+    page, the budget tick, the i-cache charge over precomputed line
+    spans, the cost accounting (in exact integer cycle units), and one
+    handler call.  An address is bound to its micro-op the first time the
+    loop fetches it, and the micro-op is linked into the
+    ``next_u``/``target`` slot of its predecessor, so the common case
+    never consults the index.
+
+    The fetch check is exact.  ``memory._fetched`` holds the pages that
+    passed a fetch check since the last :meth:`Memory.map_region` or
+    :meth:`Memory.protect` (both clear it), and a page that passed once
+    passes again, with nothing more to record: its residency was noted
+    the first time.  So the loop keeps the page it checked last, by
+    identity; a micro-op on that page skips the check, and one on another
+    page reads the set, running :meth:`Memory.fetch_check` only on a
+    miss.  After a runtime service or a trace hook, which may change
+    permissions, the next fetch reads the set again.  An instruction
+    whose bytes do not lie in one page (``page`` None) is checked on
+    every fetch, so each of its pages is noted resident.
     """
 
     name = "fast"
 
     def prepare(self, state):
         """The micro-op program of the state's process under its cost
-        model, cached on the process — so N states over one process share
-        one program.  It starts empty; ``_drive`` binds what it fetches."""
+        model, cached on the load — so every state over the load or any
+        of its clones shares one program.  It starts empty; ``_drive``
+        binds what it fetches."""
         return get_bound_program(state.process, state.costs)
 
     def _drive(self, program, cpu, res, max_steps: Optional[int]):
@@ -450,7 +471,10 @@ class FastBackend(ExecutionBackend):
         mem_ops = 0
         hits = 0
         cache_misses = 0
-        ep = memory.perm_epoch
+        fetched = memory._fetched
+        # The page the last fetch check covered (never None, which marks
+        # an instruction that straddles pages).
+        checked = _UNCHECKED
 
         # Each of the four ways control reaches an address the loop has
         # not linked (this first fetch, a fall-through, a computed or
@@ -469,9 +493,15 @@ class FastBackend(ExecutionBackend):
                             break
                         remaining -= 1
                     try:
-                        if u.fetch_epoch != ep:
-                            memory.fetch_check(u.rip, u.instr.size)
-                            u.fetch_epoch = ep
+                        if u.page is not checked:
+                            page = u.page
+                            if page is None:
+                                memory.fetch_check(u.rip, u.instr.size)
+                            else:
+                                if page not in fetched:
+                                    memory.fetch_check(u.rip, u.instr.size)
+                                    fetched.add(page)
+                                checked = page
 
                         executed += 1
                         if executed > budget:
@@ -482,7 +512,7 @@ class FastBackend(ExecutionBackend):
                         if trace is not None:
                             cpu.rip = u.rip
                             trace(cpu, u.rip, u.instr)
-                            ep = memory.perm_epoch
+                            checked = _UNCHECKED
 
                         cost = u.base_cost
                         misses = 0
@@ -538,7 +568,7 @@ class FastBackend(ExecutionBackend):
                         cpu.rip = u.next_rip
                         break
                     else:  # SYNC: a runtime service may have changed mappings
-                        ep = memory.perm_epoch
+                        checked = _UNCHECKED
                         nu = u.next_u
                         if nu is None:
                             nu = index_get(u.next_rip) or _bind_one(program, u.next_rip)

@@ -119,6 +119,26 @@ class MachineCosts:
         return table
 
     @property
+    def signature(self) -> tuple:
+        """A hashable content identity for the cost model (cached).
+
+        The compiled-code cache keys on this (not ``id``) so equal cost
+        models — however constructed — share generated code.
+        """
+        signature = self.__dict__.get("_signature")
+        if signature is None:
+            signature = self.__dict__["_signature"] = (
+                self.name,
+                tuple(sorted((op.name, value) for op, value in self.op_costs.items())),
+                self.mem_operand_extra,
+                self.icache_size,
+                self.icache_ways,
+                self.icache_line,
+                self.icache_miss_penalty,
+            )
+        return signature
+
+    @property
     def mem_operand_extra_units(self) -> int:
         return cycles_to_units(self.mem_operand_extra)
 
@@ -160,23 +180,6 @@ def fold_cost(costs: "MachineCosts", op: Op, misses: int, has_mem: bool) -> int:
     if has_mem:
         cost += costs.mem_operand_extra_units
     return cost
-
-
-def costs_signature(costs: "MachineCosts") -> tuple:
-    """A hashable content identity for a cost model.
-
-    The compiled-code cache keys on this (not ``id``) so equal cost
-    models — however constructed — share generated code.
-    """
-    return (
-        costs.name,
-        tuple(sorted((op.name, value) for op, value in costs.op_costs.items())),
-        costs.mem_operand_extra,
-        costs.icache_size,
-        costs.icache_ways,
-        costs.icache_line,
-        costs.icache_miss_penalty,
-    )
 
 
 def _preset(name: str, *, miss_penalty: float, mem_extra: float, **ops: float) -> MachineCosts:

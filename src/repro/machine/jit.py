@@ -69,7 +69,7 @@ ranged check each, before the trace runs again, and budget deopts from
 a loop trace fall through to the interpreter exactly like block deopts.
 The interpreter is ``fast``'s micro-op loop, and only it: each segment
 runs one block-granular span (as many instructions as the slice at its
-start holds) over the process's micro-ops, bound on first fetch,
+start holds) over the load's micro-ops, bound on first fetch,
 directly into the caller's result —
 exact, because all cycle accounting is integer units and every drive
 adds the handler counters into the result and zeroes them
@@ -122,7 +122,7 @@ from repro.errors import (
 # module only at its bottom, after ExecutionBackend is defined.
 from repro.machine.backends import ExecutionBackend, FastBackend, flush_handler_counters
 from repro.machine.blocks import backward_branch_target, fuse_slice, slice_block
-from repro.machine.costs import CYCLE_UNIT, costs_signature, fold_cost
+from repro.machine.costs import CYCLE_UNIT, fold_cost
 from repro.machine.icache import block_line_plan, line_span
 from repro.machine.isa import Imm, Mem, Op, Reg
 from repro.machine.memory import PAGE_SIZE
@@ -1482,7 +1482,7 @@ class JitProgram:
             self.cache_key = (
                 fingerprint,
                 digest,
-                costs_signature(costs),
+                costs.signature,
                 residue,
                 layout.data_base - layout.text_base,
             )
@@ -1610,7 +1610,7 @@ class JitBackend(ExecutionBackend):
     entry).  ``execute``/``step`` trampoline between compiled block
     functions by address.  Its one interpreter is a private ``fast``
     backend: every span compiled code cannot reproduce bit-for-bit runs
-    on the process's micro-ops (see the module docstring)."""
+    on the load's micro-ops (see the module docstring)."""
 
     name = "jit"
 
@@ -1622,11 +1622,12 @@ class JitBackend(ExecutionBackend):
     def prepare(self, state):
         """The :class:`JitProgram` for the state's process under its cost
         model, cached on the process.  A lockstep replica (a
-        ``Process.clone()``) or a reload starts with no cached programs,
-        so it gets a program of its own that links the binary's shared
-        compiled units."""
-        cache = state.process.uop_programs
-        key = ("jit", id(state.costs))
+        ``Process.clone()``) or a reload starts with no jit program (one
+        holds its process's memory accessors), so it gets a program of
+        its own that links the binary's shared compiled units; its
+        interpreter spans run on the load's shared micro-ops."""
+        cache = state.process.jit_programs
+        key = id(state.costs)
         entry = cache.get(key)
         if entry is not None and entry[0] is state.costs:
             return entry[1]
@@ -1936,7 +1937,7 @@ class JitBackend(ExecutionBackend):
 
     def _interp(self, program, cpu, res, C, memory, max_total: Optional[int]) -> bool:
         """Run one block-granular span on the ``fast`` interpreter, over
-        the process's micro-ops, directly into ``res`` (exact: all
+        the load's micro-ops, directly into ``res`` (exact: all
         accounting is integer units).  The span is as long as the slice
         at ``rip``, read from the binary's memoized extents
         (:meth:`JitProgram.extent`).  Returns False when the drive is

@@ -77,8 +77,10 @@ class _Page:
     pages to the clone as they are.  Materializing or protecting such a
     page installs a new, private descriptor for that page alone.  Mapping
     a multi-megabyte heap arena therefore allocates neither bytes nor
-    per-page objects: load and clone time scale with the pages actually
-    written or protected, not the address space reserved.
+    per-page objects, and load and clone time scale with the pages
+    actually written or protected, not the address space reserved: the
+    memory keeps the set of its materialized pages, so a clone copies
+    those without walking the shared descriptors.
 
     ``mv`` is a 64-bit view of ``data`` (``memoryview.cast("Q")``), created
     at materialization on little-endian hosts.  Aligned word accesses — the
@@ -118,19 +120,26 @@ class Memory:
 
     def __init__(self) -> None:
         self._pages: Dict[int, _Page] = {}
-        # Monotonic permission epoch: bumped by every map/protect so
-        # execution backends may memoize per-address fetch-permission checks
-        # and revalidate only when the permission landscape actually moved.
+        # Monotonic permission epoch: bumped by every map/protect so the
+        # jit's compiled code may skip per-instruction fetch checks and
+        # revalidate only when the permission landscape actually moved.
         self.perm_epoch = 0
-        # Pages fetched from without materializing data (execute-only text
-        # never allocates backing bytes).  Everything else materializes the
-        # page, bumping ``_resident``; residency is ``materialized ∪
-        # _touched`` — see :meth:`resident_bytes`.  Mapping a region does
-        # not make it resident (demand paging), which is what lets the
-        # maxrss experiment of Section 6.2.5 distinguish BTDP guard pages
-        # (touched by the allocator) from merely reserved space.
+        # Bases of the pages fetch-checked since the last map/protect:
+        # ``fast`` checks a page once and then only looks it up here (see
+        # :meth:`FastBackend._drive <repro.machine.backends.FastBackend.
+        # _drive>`).  Cleared in place, never replaced, so a loop's local
+        # reference stays valid.
+        self._fetched: set = set()
+        # Bases of the pages with private backing bytes (see
+        # :meth:`_materialize`), and of the pages fetched from without
+        # materializing data (execute-only text never allocates backing
+        # bytes).  Residency is their union — see :meth:`resident_bytes`.
+        # Mapping a region does not make it resident (demand paging),
+        # which is what lets the maxrss experiment of Section 6.2.5
+        # distinguish BTDP guard pages (touched by the allocator) from
+        # merely reserved space.
+        self._materialized: set = set()
         self._touched: set = set()
-        self._resident = 0
         # Aligned-word dispatch tables for the jit backend's inlined memory
         # fast path: page base -> 64-bit word view, one table per required
         # permission.  A base is present iff the page is materialized AND
@@ -157,9 +166,9 @@ class Memory:
                 self._rmv[base] = mv
             if bits & 2:
                 self._wmv[base] = mv
-        # A fetch-touched page moves from the ``_touched`` tally to the
-        # materialized tally; the discard keeps the sum counting it once.
-        self._resident += 1
+        # A fetch-touched page moves from ``_touched`` to the materialized
+        # set; the discard keeps the union counting it once.
+        self._materialized.add(base)
         self._touched.discard(base)
         return page
 
@@ -186,6 +195,7 @@ class Memory:
 
         Every page of the region gets the same untouched descriptor."""
         self.perm_epoch += 1
+        self._fetched.clear()
         pages = self._pages
         shared = _Page(perm)
         for base in page_range(address, size):
@@ -200,6 +210,7 @@ class Memory:
         faults on them are classified as detections.
         """
         self.perm_epoch += 1
+        self._fetched.clear()
         for base in page_range(address, size):
             page = self._pages.get(base)
             if page is None:
@@ -214,26 +225,25 @@ class Memory:
 
     def clone(self) -> "Memory":
         """Copy the address space: page contents, permissions, guard
-        flags, the permission epoch, and the resident set.
+        flags, the permission epoch, the fetch-checked pages, and the
+        resident set.
 
-        Only materialized pages are copied; untouched descriptors are
-        shared, which is safe because neither side changes one in place
-        (see :class:`_Page`).  The clone is fully independent — writes and
-        protection changes on either side never show through.  This is the
-        substrate for replica processes
-        (:meth:`repro.machine.process.Process.clone`): copying pages
-        wholesale is an order of magnitude cheaper than re-running the
-        loader and the runtime constructors."""
+        Only materialized pages are copied, read off the materialized
+        set; untouched descriptors are shared, which is safe because
+        neither side changes one in place (see :class:`_Page`).  The clone
+        is fully independent — writes and protection changes on either
+        side never show through.  This is the substrate for replica
+        processes (:meth:`repro.machine.process.Process.clone`): copying
+        pages wholesale is an order of magnitude cheaper than re-running
+        the loader and the runtime constructors."""
         clone = Memory.__new__(Memory)
         pages = dict(self._pages)
         rmv: Dict[int, object] = {}
         wmv: Dict[int, object] = {}
-        for base, page in self._pages.items():
-            data = page.data
-            if data is None:
-                continue
+        for base in self._materialized:
+            page = pages[base]
             copy = pages[base] = _Page(page.perm, page.guard)
-            copy.data = data = bytearray(data)
+            copy.data = data = bytearray(page.data)
             if _LITTLE_ENDIAN:
                 mv = copy.mv = memoryview(data).cast("Q")
                 bits = page.bits
@@ -243,8 +253,9 @@ class Memory:
                     wmv[base] = mv
         clone._pages = pages
         clone.perm_epoch = self.perm_epoch
+        clone._fetched = set(self._fetched)
+        clone._materialized = set(self._materialized)
         clone._touched = set(self._touched)
-        clone._resident = self._resident
         clone._rmv = rmv
         clone._wmv = wmv
         return clone
@@ -269,12 +280,12 @@ class Memory:
 
         A page is resident when its backing store was materialized (any
         read or write does this) or when it was fetched from
-        (execute-only text never materializes data).  Both tallies are
-        maintained incrementally — a counter bumped at materialization
-        plus the fetch-only ``_touched`` set — so sampling residency is
+        (execute-only text never materializes data).  Both sets are
+        maintained incrementally — materialization adds to one, a fetch
+        from unmaterialized text to the other — so sampling residency is
         O(1) and the per-access fast paths carry no extra bookkeeping.
         """
-        return (self._resident + len(self._touched)) * PAGE_SIZE
+        return (len(self._materialized) + len(self._touched)) * PAGE_SIZE
 
     # -- access checks -----------------------------------------------------
 

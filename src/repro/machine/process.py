@@ -124,10 +124,15 @@ class Process:
         self.exit_code: Optional[int] = None
         self._services: Dict[str, RuntimeService] = {}
         self._peak_resident = 0
-        # Prepared programs, one per (backend, cost model): the fast
-        # backend's micro-op programs (repro.machine.uops.get_bound_program)
-        # and the jit's JitProgram.
-        self.uop_programs: Dict[int, tuple] = {}
+        #: The load's micro-op programs, one per cost model
+        #: (repro.machine.uops.get_bound_program): a micro-op depends only
+        #: on the instruction index and the cost model, so every clone of
+        #: the load shares this dict.
+        self.bound_programs: Dict[int, tuple] = {}
+        #: This process's jit programs, one per cost model
+        #: (repro.machine.jit.JitProgram); each holds the process's memory
+        #: accessors, so a clone starts without one.
+        self.jit_programs: Dict[int, tuple] = {}
         # Set by the loader:
         self.binary = None  # the Binary this process was loaded from
         self.allocator = None  # repro.heap.Allocator over the heap region
@@ -148,18 +153,22 @@ class Process:
         memory/allocator/output/services.
 
         The decoded instruction index and the symbol table are immutable
-        after loading, so they are shared; everything a run mutates
-        (memory pages, allocator state, the output stream, the service
-        table, bound micro-op programs) is copied or reset.  Of the memory,
-        only materialized pages are copied; untouched pages stay shared
-        until either side writes or protects them (see
-        :meth:`repro.machine.memory.Memory.clone`).  Cloning a
-        loaded process is an order of magnitude cheaper than re-loading
-        the binary — it skips section mapping, instruction rebasing, and
-        the runtime constructors.  It is the fork of a fork server:
+        after loading, so they are shared, and so are the load's bound
+        micro-op programs (:attr:`bound_programs`): a micro-op holds
+        nothing of a process, so the load and all its clones bind each
+        instruction once.  Everything a run mutates (memory pages,
+        allocator state, the output stream, the service table, jit
+        programs) is copied or reset.  Of the memory, only materialized
+        pages are copied; untouched pages stay shared until either side
+        writes or protects them (see
+        :meth:`repro.machine.memory.Memory.clone`).  Cloning a loaded
+        process is an order of magnitude cheaper than re-loading the
+        binary — it skips section mapping, instruction rebasing, and the
+        runtime constructors.  It is the fork of a fork server:
         :class:`~repro.attacks.scenario.VictimSession` clones every worker
-        from an image it loaded once and never runs, and N-replica
-        lockstep groups clone their replicas from the leader."""
+        from an image that never runs, which consecutive sessions of one
+        deployment share, and N-replica lockstep groups clone their
+        replicas from the leader."""
         clone = Process.__new__(Process)
         clone.layout = self.layout
         clone.memory = self.memory.clone()
@@ -171,7 +180,8 @@ class Process:
         clone.exit_code = self.exit_code
         clone._services = dict(self._services)
         clone._peak_resident = self._peak_resident
-        clone.uop_programs = {}
+        clone.bound_programs = self.bound_programs
+        clone.jit_programs = {}
         clone.binary = self.binary
         clone.allocator = (
             None if self.allocator is None else self.allocator.clone(clone.memory)

@@ -9,10 +9,11 @@ machine cost model — never on run-time machine state.  This module pays
 those costs once per executed address:
 
 * :func:`get_bound_program` returns the (initially empty)
-  :class:`BoundProgram` of one loaded process under one cost model.
-* :func:`_bind_one` binds one instruction of that process into a
+  :class:`BoundProgram` of one load under one cost model, which the
+  load's clones share.
+* :func:`_bind_one` binds one instruction of that load into a
   :class:`MicroOp` — its specialized handler, absolute operand
-  addresses, base cost and i-cache line occupancy.
+  addresses, base cost, i-cache line occupancy and page.
   :meth:`FastBackend._drive <repro.machine.backends.FastBackend._drive>`
   calls it the first time it fetches an address, and links the micro-op
   into the fall-through (``next_u``) or direct-branch (``target``) slot
@@ -25,12 +26,15 @@ those costs once per executed address:
 Handlers follow a tiny calling convention shared with the ``fast``
 backend driver (:mod:`repro.machine.backends`): ``handler(cpu, uop)``
 reaches guest memory through ``cpu._bk_mem``, which ``_drive`` sets (so
-no micro-op holds a process's memory), and returns ``None`` to fall
-through, the micro-op's ``target`` for a taken direct branch (a
-:class:`MicroOp` once linked, its address until then), an ``int`` for a
-computed target (``ret``/indirect calls), :data:`HALT` after ``EXIT``,
-or :data:`SYNC` after a runtime service call (whose host code may have
-changed page permissions).
+no micro-op holds a process's memory or any per-process state), and
+returns ``None`` to fall through, the micro-op's ``target`` for a taken
+direct branch (a :class:`MicroOp` once linked, its address until then),
+an ``int`` for a computed target (``ret``/indirect calls), :data:`HALT`
+after ``EXIT``, or :data:`SYNC` after a runtime service call (whose host
+code may have changed page permissions).  A micro-op is therefore a
+function of the instruction and the cost model alone, so every clone of
+a load, and every lockstep replica, runs on the load's one set of
+micro-ops.
 
 Every handler replicates the reference interpreter's semantics exactly —
 including operand evaluation order, masking, fault types and messages —
@@ -52,12 +56,13 @@ from repro.errors import (
 )
 from repro.machine.icache import line_span
 from repro.machine.isa import Imm, Instruction, Mem, Op, Reg, VECTOR_WORDS, WORD
+from repro.machine.memory import PAGE_MASK, PAGE_SIZE
 from repro.numeric import MASK64, to_signed, truncated_div
 
 #: Sentinel returned by the EXIT handler: stop the driver loop.
 HALT = object()
-#: Sentinel returned by the CALLRT handler: fall through, but re-read the
-#: memory permission epoch (the service may have remapped/mprotected pages).
+#: Sentinel returned by the CALLRT handler: fall through, but fetch-check
+#: the next page again (the service may have remapped/mprotected pages).
 SYNC = object()
 
 _RSP = int(Reg.RSP)
@@ -66,7 +71,12 @@ _YMM0 = int(Reg.YMM0)
 
 
 class MicroOp:
-    """One pre-resolved instruction, bound to a process and cost model."""
+    """One pre-resolved instruction, bound to a load and cost model.
+
+    ``page`` is the base of the page the instruction lies in, interned
+    by its :class:`BoundProgram` so the ``fast`` loop can tell a page
+    change by identity; it is None for an instruction whose bytes do not
+    lie in one page, which the loop fetch-checks on every fetch."""
 
     __slots__ = (
         "rip",
@@ -85,24 +95,25 @@ class MicroOp:
         "a_off",
         "b_base",
         "b_off",
-        "fetch_epoch",
+        "page",
     )
 
 
 class BoundProgram:
-    """The micro-ops of one (process, cost model) pair, bound on demand.
+    """The micro-ops of one (load, cost model) pair, bound on demand.
 
     ``index`` maps absolute addresses to micro-ops and starts empty: the
     ``fast`` backend binds an instruction (:func:`_bind_one`) the first
-    time it fetches that address, so a process pays only for the code it
-    runs.  The program keeps the process's instruction index and what a
-    bind reads of the cost model (per-opcode cycle units, the i-cache
-    line size), never the process or its memory.  ``lines`` interns the
-    i-cache line tuples of its micro-ops, so micro-ops on the same lines
-    share one.
+    time it fetches that address, so a load pays only for the code its
+    processes run.  The program keeps the load's instruction index and
+    what a bind reads of the cost model (per-opcode cycle units, the
+    i-cache line size), never a process or its memory, so the load and
+    all its clones share it.  ``lines`` interns the i-cache line tuples
+    of its micro-ops, so micro-ops on the same lines share one, and
+    ``pages`` interns their page bases.
     """
 
-    __slots__ = ("index", "instructions", "op_units", "line_size", "lines")
+    __slots__ = ("index", "instructions", "op_units", "line_size", "lines", "pages")
 
     def __init__(self, instructions: Dict[int, Instruction], costs):
         self.index: Dict[int, MicroOp] = {}
@@ -110,6 +121,7 @@ class BoundProgram:
         self.op_units = costs.op_unit_costs
         self.line_size = costs.icache_line
         self.lines: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        self.pages: Dict[int, int] = {}
 
 
 Handler = Callable[[object, MicroOp], object]
@@ -718,7 +730,7 @@ def _direct_target(instr: Instruction) -> Optional[int]:
 
 #: Opcodes that end a basic block: control transfers (taken or not),
 #: halts, traps, and runtime-service calls (whose host code may remap
-#: pages, invalidating fetch memoization for whatever follows).  The
+#: pages, invalidating fetch checks for whatever follows).  The
 #: block-recovery tier (:mod:`repro.machine.blocks`) splits on these and
 #: on every direct branch target, so a block is a maximal straight-line
 #: run — entered only at its head, left only at its last instruction.
@@ -812,7 +824,7 @@ def decode_operands(u, instr: Instruction) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Bind: resolve one instruction against one loaded process and cost model.
+# Bind: resolve one instruction against one load and cost model.
 # ---------------------------------------------------------------------------
 
 
@@ -823,29 +835,41 @@ def _bind_one(program: BoundProgram, addr: int) -> Optional[MicroOp]:
     The micro-op starts unlinked: ``next_u`` is unset and a direct
     branch's ``target`` is its address.  The ``fast`` loop stores the
     micro-op it reaches in either slot the first time control follows it.
+    Its ``page`` is set exactly when :meth:`Memory.fetch_check
+    <repro.machine.memory.Memory.fetch_check>` of its bytes checks one
+    page.
     """
     instr = program.instructions.get(addr)
     if instr is None:
         return None
+    size = instr.size
     u = MicroOp()
     u.rip = addr
-    u.next_rip = addr + instr.size
+    u.next_rip = addr + size
     u.instr = instr
     u.base_cost = program.op_units[instr.op]
-    lines = line_span(addr, instr.size, program.line_size)
+    lines = line_span(addr, size, program.line_size)
     u.lines = program.lines.setdefault(lines, lines)
     u.handler = GENERIC[instr.op] if unresolved_symbol(instr) else select_handler(instr)
     u.next_u = None
     decode_operands(u, instr)
-    u.fetch_epoch = -1
+    offset = addr & PAGE_MASK
+    if 0 < size <= PAGE_SIZE - offset:
+        base = addr - offset
+        u.page = program.pages.setdefault(base, base)
+    else:
+        u.page = None
     program.index[addr] = u
     return u
 
 
 def get_bound_program(process, costs) -> BoundProgram:
-    """The micro-op program of ``process`` under ``costs``, cached per
-    pair.  It starts empty; the ``fast`` loop fills it as it fetches."""
-    cache = process.uop_programs
+    """The micro-op program of ``process``'s load under ``costs``, cached
+    per pair on the load and shared by its clones
+    (:attr:`Process.bound_programs
+    <repro.machine.process.Process.bound_programs>`).  It starts empty;
+    the ``fast`` loop fills it as it fetches."""
+    cache = process.bound_programs
     key = id(costs)
     entry = cache.get(key)
     if entry is not None and entry[0] is costs:

@@ -318,6 +318,32 @@ def test_runtime_service_changing_permissions_identical():
     assert outcome["error"][0] is GuardPageFault
 
 
+def test_runtime_service_revoking_its_own_text_page_identical():
+    """A service that revokes execute permission on the page its caller
+    runs from: the next fetch from that page faults on every backend,
+    though ``fast`` checked that page before the call."""
+
+    def make():
+        process, _ = assemble(
+            [
+                I(Op.MOV, Reg.RAX, Imm(1)),
+                I(Op.CALLRT, Imm(symbol="lockdown")),
+                I(Op.MOV, Reg.RAX, Imm(2)),
+                I(Op.EXIT, Imm(0)),
+            ]
+        )
+
+        def lockdown(proc, cpu):
+            proc.memory.protect(TEXT, PAGE_SIZE, Perm.RW)
+            return 0
+
+        process.register_service("lockdown", lockdown)
+        return process
+
+    outcome = compare_backends(make)
+    assert outcome["error"][0] is MemoryFault
+
+
 def straddling_loop_process(inside: bool):
     """A counted loop whose block crosses from the first text page into
     the second — the boundary falls ``inside`` a sized NOP, or right
@@ -395,6 +421,97 @@ def test_execute_permission_revoked_under_a_straddling_block(inside, monkeypatch
         for backend in BACKENDS:
             assert observed[backend] == want, (backend, sliced)
     assert False in revalidations
+
+
+def test_clones_share_micro_ops_and_fault_on_their_own_permissions():
+    """Every clone of a load runs on the load's one bound program, yet
+    fetch checks stay per process: in one clone a runtime service
+    revokes execute permission on a text page under a straddling block,
+    and that clone faults at the reference's instruction with the
+    reference's ``rip``, registers, counters and resident set, while its
+    sibling, whose service changes nothing, runs clean — in either
+    order, on every backend."""
+
+    def keep(proc, cpu):
+        return 0
+
+    def run_clone(image, backend, revoking):
+        process = image.clone()
+        if not revoking:
+            process.register_service("revoke", keep)
+        outcome = run_one_backend(lambda: process, backend)
+        outcome["resident"] = process.memory.resident_bytes()
+        outcome["max_rss"] = process.max_rss
+        return outcome
+
+    for inside in (True, False):
+        reference = straddling_loop_process(inside)[0]
+        want = {revoking: run_clone(reference, "reference", revoking) for revoking in (True, False)}
+        assert want[True]["error"][0] is MemoryFault and want[False]["error"] is None
+        for backend in BACKENDS:
+            for order in ((True, False), (False, True)):
+                image = straddling_loop_process(inside)[0]
+                for revoking in order:
+                    assert run_clone(image, backend, revoking) == want[revoking], (
+                        backend, inside, order, revoking,
+                    )
+    costs = get_costs("epyc-rome")
+    image = straddling_loop_process(True)[0]
+    states = [MachineState(image.clone(), costs) for _ in range(2)]
+    fast = get_backend("fast")
+    assert fast.prepare(states[0]) is fast.prepare(states[1]) is get_bound_program(image, costs)
+
+
+def straddling_jump_process():
+    """A counted loop on the first text page whose back edge is a
+    ``jmp`` straddling into the second page; nothing else lies there."""
+
+    def build(head, exit_):
+        process, addresses = assemble(
+            [
+                I(Op.MOV, Reg.RCX, Imm(0)),
+                I(Op.ADD, Reg.RCX, Imm(1)),  # 1: loop head
+                I(Op.CMP, Reg.RCX, Imm(3)),
+                I(Op.JGE, Imm(exit_)),
+                I(Op.JMP, Imm(TEXT + PAGE_SIZE - 2)),
+                I(Op.OUT, Reg.RCX),  # 5: exit
+                I(Op.EXIT, Imm(0)),
+            ]
+        )
+        process.place_instruction(TEXT + PAGE_SIZE - 2, I(Op.JMP, Imm(head), size=5))
+        return process, addresses
+
+    _, addresses = build(0, 0)
+    return build(addresses[1], addresses[5])[0]
+
+
+@pytest.mark.parametrize("executable", [True, False])
+def test_a_straddling_instruction_is_fetch_checked_on_every_fetch(executable):
+    """An instruction whose bytes reach into a second page is checked on
+    each fetch, so that page is resident exactly as on the reference
+    (even when the first page's check already passed), and a second page
+    without execute permission faults at the straddling instruction."""
+    processes = []
+
+    def make():
+        process = straddling_jump_process()
+        if not executable:
+            process.memory.protect(TEXT + PAGE_SIZE, PAGE_SIZE, Perm.RW)
+        processes.append(process)
+        return process
+
+    observed = {}
+    for backend in BACKENDS:
+        observed[backend] = run_one_backend(make, backend)
+        observed[backend]["resident"] = processes[-1].memory.resident_bytes()
+    want = observed["reference"]
+    if executable:
+        assert want["error"] is None and want["resident"] == 2 * PAGE_SIZE
+    else:
+        assert want["error"][0] is MemoryFault
+        assert want["rip"] == TEXT + PAGE_SIZE - 2
+    for backend in BACKENDS:
+        assert observed[backend] == want, backend
 
 
 def test_step_faults_only_when_it_fetches_a_missing_instruction():
@@ -632,9 +749,9 @@ def test_rerunning_same_process_reuses_bound_program():
     costs = get_costs("epyc-rome")
     state = MachineState(process, costs)
     run(state, "fast")
-    assert len(process.uop_programs) == 1
+    assert len(process.bound_programs) == 1
     run(MachineState(process, costs), "fast")
-    assert len(process.uop_programs) == 1
+    assert len(process.bound_programs) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,78 @@ def test_clone_isolates_untouched_pages_both_ways():
         original.read_word(BASE + 2 * PAGE_SIZE)
 
 
+def _private_bases(memory):
+    return {base for base, page in memory._pages.items() if page.data is not None}
+
+
+def test_clone_copies_exactly_the_materialized_pages():
+    """After k pages materialize, a clone holds exactly k private
+    descriptors, one copy of each, and shares every other descriptor;
+    writes and protection changes on either side, and on a clone of the
+    clone, never show through, and residency matches throughout."""
+    original = make_memory(pages=16)
+    original.protect(BASE + 9 * PAGE_SIZE, PAGE_SIZE, Perm.NONE, guard=True)
+    original.write_word(BASE, 1)
+    original.read(BASE + 4 * PAGE_SIZE, 8)
+    original.corrupt_bit(BASE + 7 * PAGE_SIZE, 0)
+    touched = {BASE, BASE + 4 * PAGE_SIZE, BASE + 7 * PAGE_SIZE}
+    clone = original.clone()
+    assert _private_bases(original) == _private_bases(clone) == touched
+    for base, page in clone._pages.items():
+        assert (page is original._pages[base]) == (base not in touched)
+    assert clone.resident_bytes() == original.resident_bytes() == 3 * PAGE_SIZE
+
+    # A materialized page changes in place: each side has its own.
+    clone.protect(BASE, PAGE_SIZE, Perm.NONE, guard=True)
+    original.write_word(BASE + 4 * PAGE_SIZE, 2)
+    assert original.read_word(BASE) == 1
+    with pytest.raises(GuardPageFault):
+        clone.read_word(BASE)
+    assert clone.read_word(BASE + 4 * PAGE_SIZE) == 0
+    assert clone.read_word(BASE + 7 * PAGE_SIZE) == 1
+    assert clone.perm_at(BASE + 9 * PAGE_SIZE) == Perm.NONE
+
+    clone.write_word(BASE + 12 * PAGE_SIZE, 3)
+    grandchild = clone.clone()
+    assert _private_bases(grandchild) == touched | {BASE + 12 * PAGE_SIZE}
+    assert grandchild.resident_bytes() == clone.resident_bytes() == 4 * PAGE_SIZE
+    grandchild.write_word(BASE + 12 * PAGE_SIZE, 4)
+    grandchild.write_word(BASE + 13 * PAGE_SIZE, 5)
+    grandchild.protect(BASE + 7 * PAGE_SIZE, PAGE_SIZE, Perm.R)
+    clone.protect(BASE + 4 * PAGE_SIZE, PAGE_SIZE, Perm.R)
+    assert clone.read_word(BASE + 12 * PAGE_SIZE) == 3
+    assert grandchild.read_word(BASE + 12 * PAGE_SIZE) == 4
+    assert clone.read_word(BASE + 13 * PAGE_SIZE) == original.read_word(BASE + 13 * PAGE_SIZE) == 0
+    clone.write_word(BASE + 7 * PAGE_SIZE, 6)
+    with pytest.raises(MemoryFault):
+        grandchild.write_word(BASE + 7 * PAGE_SIZE, 6)
+    grandchild.write_word(BASE + 4 * PAGE_SIZE, 7)
+    with pytest.raises(GuardPageFault):
+        grandchild.read_word(BASE)
+    assert original.perm_at(BASE + 4 * PAGE_SIZE) == Perm.RW
+    assert original.read_word(BASE + 7 * PAGE_SIZE) == 1
+    assert original.resident_bytes() == 4 * PAGE_SIZE
+    assert clone.resident_bytes() == 5 * PAGE_SIZE
+    assert grandchild.resident_bytes() == 5 * PAGE_SIZE
+
+
+def test_fetch_checked_pages_reset_on_every_permission_change():
+    """``_fetched`` is the set of pages the ``fast`` loop fetch-checked
+    since the last map or protect: both clear it in place (the loop
+    holds a reference), and a clone starts with its own copy."""
+    memory = make_memory(Perm.X, pages=2)
+    fetched = memory._fetched
+    fetched.add(BASE)
+    clone = memory.clone()
+    assert clone._fetched == {BASE} and clone._fetched is not fetched
+    memory.protect(BASE + PAGE_SIZE, PAGE_SIZE, Perm.X)
+    assert memory._fetched is fetched and not fetched
+    assert clone._fetched == {BASE}
+    fetched.add(BASE)
+    memory.map_region(BASE + 4 * PAGE_SIZE, PAGE_SIZE, Perm.RW)
+    assert memory._fetched is fetched and not fetched
+
+
 def test_page_range_enumeration():
     assert list(page_range(0, 1)) == [0]
     assert list(page_range(PAGE_SIZE - 1, 2)) == [0, PAGE_SIZE]

@@ -1,11 +1,14 @@
 """Tests for the victim-session harness: probes, restarts, budgets."""
 
+import dataclasses
+
 import pytest
 
 from repro.attacks.monitor import DefenseMonitor
 from repro.attacks.scenario import AttackAborted, VictimSession, run_attack
 from repro.attacks.outcomes import AttackOutcome
 from repro.core.config import R2CConfig
+from repro.machine.backends import available_backends
 from repro.workloads.victim import ATTACK_ARG
 
 
@@ -187,14 +190,20 @@ def _count_calls(monkeypatch, name):
 
 
 def test_restart_same_session_loads_each_variant_once(monkeypatch):
-    """A fork server loads each variant binary once and clones every
-    worker from that image; re-randomizing restarts load on every spawn."""
+    """A fork server clones every worker from one image per variant
+    binary, and a later session that deploys the same binaries under the
+    same layout takes those images and loads nothing; re-randomizing
+    restarts load on every spawn."""
+    from repro.attacks import scenario
+
     loads = _count_calls(monkeypatch, "load_binary")
     for variants in (1, 2):
+        monkeypatch.setattr(scenario, "_previous_images", {})
         loads.clear()
-        session = VictimSession(R2CConfig.full(seed=3), variants=variants)
-        for _ in range(3):
-            session.probe_ex(lambda view: None)
+        for _ in range(2):
+            session = VictimSession(R2CConfig.full(seed=3), variants=variants)
+            for _ in range(3):
+                session.probe_ex(lambda view: None)
         assert len(loads) == variants
         loads.clear()
         session = VictimSession(
@@ -203,6 +212,94 @@ def test_restart_same_session_loads_each_variant_once(monkeypatch):
         for _ in range(3):
             session.probe_ex(lambda view: None)
         assert len(loads) == 3 * variants
+
+
+def test_sessions_take_the_previous_sessions_images(monkeypatch):
+    """The image memo is keyed by (build key, load seed, execute_only):
+    a session that changes any of them loads again, and the memo then
+    holds only the images of the last session that spawned."""
+    from repro.attacks import scenario
+
+    monkeypatch.setattr(scenario, "_previous_images", {})
+    loads = _count_calls(monkeypatch, "load_binary")
+
+    def deploy(config=R2CConfig.full(seed=3), **kwargs):
+        session = VictimSession(config, **kwargs)
+        session.spawn()
+        return session
+
+    first = deploy()
+    assert len(loads) == 1
+    assert deploy()._images[0] is first._images[0]
+    assert len(loads) == 1
+    for kwargs in (
+        {"config": R2CConfig.full(seed=4)},
+        {"load_seed": 7},
+        {"execute_only": False},
+    ):
+        deploy()  # the memo holds the first deployment's image again
+        loads.clear()
+        session = deploy(**kwargs)
+        assert len(loads) == 1, kwargs
+        assert list(scenario._previous_images.values()) == session._images
+    # An untouched session leaves the memo alone.
+    VictimSession(R2CConfig.full(seed=3))
+    assert list(scenario._previous_images.values()) == session._images
+
+
+def _probe_observables(probe):
+    """Everything a probe's caller can see of how it ended."""
+    return {
+        "status": probe.status,
+        "result": None if probe.result is None else dataclasses.asdict(probe.result),
+        "error": None if probe.exception is None else (type(probe.exception), str(probe.exception)),
+        "output": list(probe.process.output),
+        "rip": probe.cpu.rip,
+        "regs": list(probe.cpu.regs),
+        "max_rss": probe.process.max_rss,
+    }
+
+
+def _success_hook(view):
+    ref = view.reference
+    data_base = view._process.symbols["config_blob"] - ref.global_offset("config_blob")
+    target = view.read_word(data_base + ref.global_offset("admin_table"))
+    view.write_word(data_base + ref.global_offset("handler_ptr"), target)
+    view.write_word(data_base + ref.global_offset("default_param"), ATTACK_ARG)
+
+
+def _crash_hook(view):
+    view.write_word(view._process.symbols["handler_ptr"], 0xDEAD_0000_0000)
+
+
+def _btdp_hook(view):
+    view.read_word(view._process.r2c_runtime["btdp_values"][0])
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_a_probe_on_an_adopted_image_equals_one_on_a_fresh_load(backend, monkeypatch):
+    """A session that takes the previous session's image probes exactly
+    as one that loads afresh: status, result counters, output, ``rip``,
+    registers and peak residency, for clean, successful, crashing and
+    detected probes."""
+    from repro.attacks import scenario
+
+    cases = [
+        (R2CConfig.baseline(), lambda view: None, "clean"),
+        (R2CConfig.baseline(), _success_hook, "success"),
+        (R2CConfig.baseline(), _crash_hook, "crashed"),
+        (R2CConfig.full(seed=3), _btdp_hook, "detected"),
+    ]
+    for config, hook, status in cases:
+        monkeypatch.setattr(scenario, "_previous_images", {})
+        fresh = VictimSession(config, backend=backend).probe_ex(hook)
+        # The fresh probe's load is now the memo's image, and its run
+        # bound micro-ops the next one shares.
+        session = VictimSession(config, backend=backend)
+        adopted = session.probe_ex(hook)
+        assert session._images == list(scenario._previous_images.values())
+        assert fresh.status == status
+        assert _probe_observables(adopted) == _probe_observables(fresh)
 
 
 def test_a_probes_writes_never_reach_the_next_probe():
