@@ -26,8 +26,11 @@ Every variant gets its program from ``Backend.prepare``, and none pays
 for code it does not run: on ``fast`` an instruction is bound the first
 time any process of its load fetches it, so replicas cloned from one
 load share one set of micro-ops and bind each instruction once, and on
-``jit`` a replica links the compiled units its binary already holds
-(its interpreter spans run on the load's shared micro-ops).
+``jit`` they share the load's linked program too (its dispatch table,
+linked units and tier-3 state), so a unit one replica linked is a dict
+hit for the others.  Each replica keeps its own promotion counts and
+fetch-checked pages, and its interpreter spans run on the load's shared
+micro-ops.
 
 A divergence is surfaced as a :class:`DivergenceReport` — the
 crash-report analogue for the MVEE detection signal: which variant, at
@@ -205,9 +208,10 @@ class LockstepGroup:
                 raise MachineError(f"variant {index} has no entry point")
             state.rip = process.entry_point
             state._halted = False
-            # On fast, replicas cloned from one load share its program,
-            # bound as any of them fetches; on jit each variant gets its
-            # own program, which links the binary's shared compiled units.
+            # Replicas cloned from one load share its program on every
+            # backend: micro-ops bound, or units linked, as any of them
+            # runs.  A variant loaded on its own gets its own program,
+            # which on jit links the binary's cached units.
             program = self._backend.prepare(state)
             self.variants.append(
                 LockstepVariant(

@@ -55,18 +55,23 @@ that covers many blocks and many iterations per call.
 counters flushed first: cold code (fewer than two entries, and no
 unit for it in the binary's cache entry), slices containing an
 instruction tier 1 cannot lower (negative-cached, interpreted
-forever), stale fetch-permission epochs (prologs compare
-the per-block validated epoch against the drive's mirror of
-:attr:`Memory.perm_epoch`; the driver re-validates with one ranged
-fetch check over the slice's bytes and only then re-enters compiled
-code), budget or step-slice exhaustion, and faults (every compiled
+forever), text pages not fetch-checked since the last permission
+change, budget or step-slice exhaustion, and faults (every compiled
 unit, block or trace, charges an exact per-prefix constant from one
 baked fault table keyed by the generated source line that raised, then
 re-raises with ``rip`` at the faulting instruction; a line key, not a
 guest address, because one address can occur in more than one segment
-of a trace).  A trace deopt re-validates *all* constituent slices, one
-ranged check each, before the trace runs again, and budget deopts from
-a loop trace fall through to the interpreter exactly like block deopts.
+of a trace).  Fetch permission is checked per page, as ``fast`` checks
+it: a unit's prolog tests each text page its bytes cover (bound at
+link time, like every address) against ``FD``, the driven process's
+:attr:`Memory._fetched <repro.machine.memory.Memory>` set of pages
+fetch-checked since the last ``map_region``/``protect``.  On a miss
+the driver fetch-checks the unit's missing pages, adds them to the
+set, and re-enters; a page that fails leaves the span to the
+interpreter, which faults at the exact instruction.  A loop trace
+tests its pages once per call, not once per iteration (nothing a trace
+runs can change permissions), and budget deopts from a loop trace fall
+through to the interpreter exactly like block deopts.
 The interpreter is ``fast``'s micro-op loop, and only it: each segment
 runs one block-granular span (as many instructions as the slice at its
 start holds) over the load's micro-ops, bound on first fetch,
@@ -81,9 +86,17 @@ holds ``jit`` to byte-identical :class:`ExecutionResult`\\ s, faults,
 ``rip``, counters, folded profiles, and lockstep divergence points
 against both other backends.
 
-Compiled code belongs to the binary, not the process: every load of one
-binary under one cost model — lockstep replicas and re-randomized
-restarts under a fresh ASLR layout alike — shares one code-cache entry
+Linked code belongs to the load, not the process: a
+:class:`JitProgram` (its namespace, dispatch table, linked functions,
+negative cache and tier-3 state) serves the load and every
+``Process.clone`` of it, so a fork-server probe or a lockstep replica
+enters, in one dict hit, a head a sibling already linked.  Each process
+keeps only its promotion counts and the bindings (memory accessors and
+word views, output, fetch-checked pages, probe marks) a drive writes
+into the namespace on entry and takes out again on exit.  Compiled code
+belongs to the binary: every load of one binary under one cost model —
+reloads and re-randomized restarts under a fresh ASLR layout alike —
+shares one code-cache entry
 (:data:`_CODE_CACHE`) while the entry is resident.  The cache keeps the
 :data:`_CODE_CACHE_CAPACITY` (32) most recently linked binaries; linking
 one more evicts the least recent.  A running process keeps the entry it
@@ -95,12 +108,11 @@ program as a parameter default when the unit is linked (never as an add
 per executed exit), and fault tables hold text offsets, relocated on the
 fault path only.  The entry also keeps the monotone i-cache verdict, so
 the text walk behind it runs once per binary, and a head whose unit the
-entry already holds links on its *first* entry in every later process
-(see :class:`JitProgram`).  A slice's extent is a fact about the binary
-too: the entry memoizes, per text offset, the instruction count and
-byte length of the slice :func:`~repro.machine.blocks.slice_block`
-recovers there, so no process of the binary walks a slice again to
-size an interpreter span or bound a revalidation's ranged check.
+entry already holds links on its *first* entry in every later load
+(see :class:`JitProgram`).  A slice's length is a fact about the binary
+too: the entry memoizes, per text offset, the instruction count of the
+slice :func:`~repro.machine.blocks.slice_block` recovers there, so no
+process of the binary walks a slice again to size an interpreter span.
 """
 
 from __future__ import annotations
@@ -125,7 +137,7 @@ from repro.machine.blocks import backward_branch_target, fuse_slice, slice_block
 from repro.machine.costs import CYCLE_UNIT, fold_cost
 from repro.machine.icache import block_line_plan, line_span
 from repro.machine.isa import Imm, Mem, Op, Reg
-from repro.machine.memory import PAGE_SIZE
+from repro.machine.memory import PAGE_SIZE, page_range
 from repro.machine.uops import _kind, decode_operands, get_bound_program, unresolved_symbol
 from repro.numeric import MASK64, to_signed, truncated_div
 
@@ -546,10 +558,10 @@ class _SliceCompiler:
     offset -> which of ``a``/``b`` carried one; data sits one fixed gap
     after text, so it shares the slide) become parameter defaults such
     as ``a<i>=T+<offset>`` that ``exec`` evaluates once per link, so
-    executing a unit pays no relocation add.  The head needs none: the
-    prolog reads its epoch at its text offset and a deopt escape returns
-    ``~offset``.  Paths that run at most once per process (EXIT, a trap,
-    a fault) use ``T+<offset>`` inline.  ``base`` is the text base of
+    executing a unit pays no relocation add; so are the text pages the
+    prolog tests against ``FD``.  The head needs none: a deopt escape
+    returns ``~offset``.  Paths that run at most once per process (EXIT,
+    a trap, a fault) use ``T+<offset>`` inline.  ``base`` is the text base of
     the program that generates the unit; i-cache set indices and page
     splits depend on it only through the residue the code-cache key
     holds.
@@ -559,8 +571,8 @@ class _SliceCompiler:
                  monotone: bool = False, base: int = 0,
                  symbolic: Optional[Dict[int, Tuple[bool, bool]]] = None):
         self.base = base
-        #: The head's text offset: names the unit and keys its epoch,
-        #: its deopt escape and its ``PD`` mark.
+        #: The head's text offset: names the unit and keys its deopt
+        #: escape and its ``PD`` mark.
         self.offset = addr - base
         self.symbolic = symbolic or {}
         #: Default-argument expression -> parameter name.
@@ -579,6 +591,15 @@ class _SliceCompiler:
             for lowering in segments
         ]
         jus = [j for lowering in segments for j in lowering.jus]
+        #: Text offsets of the pages the unit's bytes cover, segment by
+        #: segment in path order (each page once): what its prolog tests.
+        self.pages: List[int] = []
+        for lowering in segments:
+            first, _ = lowering.items[0]
+            last, instr = lowering.items[-1]
+            for page in page_range(first, last + instr.size - first):
+                if page - base not in self.pages:
+                    self.pages.append(page - base)
         #: Instructions in the unit (per iteration, for a trace).
         self.total = len(jus)
         self.needs_try = any(_faultable(j) for j in jus)
@@ -621,6 +642,12 @@ class _SliceCompiler:
         """A text-relative address on a path run at most once per
         process, computed where it runs."""
         return f"T+{addr - self.base}"
+
+    def page_misses(self) -> str:
+        """The prolog's fetch-permission test: true when a page the unit
+        covers has not been fetch-checked since the last permission
+        change (``FD`` is the driven process's set of checked pages)."""
+        return " or ".join(f"{self.at(self.base + page)} not in FD" for page in self.pages)
 
     def signature(self, function: str) -> str:
         """The ``def`` line, with the link-time bound parameters."""
@@ -1018,7 +1045,6 @@ class _SliceCompiler:
             self.emit(f"fn = pr.service({ju.sym!r})")
             self.emit(f"cpu.rip = {self.at(ju.rip)}")
             self.emit("r[0] = fn(pr, cpu) & M")
-            self.emit("C[6] = MEM.perm_epoch")
             self.emit_flush_and(f"return {self.at(ju.next_rip)}")
         else:  # slice cut (limit / missing successor): plain fall-through
             self.emit_semantics(len(self.jus) - 1, ju)
@@ -1043,10 +1069,11 @@ class _SliceCompiler:
             else:
                 self.emit_semantics(position, ju)
 
+        misses = self.page_misses()
         head = [
             self.signature(f"b_{self.offset:x}"),
             f"    n = C[0] + {self.total}",
-            f"    if n > C[5] or E[{self.offset}] != C[6]:",
+            f"    if n > C[5] or {misses}:",
             f"        return {~self.offset}",
         ]
         if self.has_probe:
@@ -1143,8 +1170,10 @@ class _TraceCompiler(_SliceCompiler):
         #: arithmetic and page word-view lookup out of the loop.  Pure
         #: fast-path caching — a view that appears mid-call (a store
         #: materializing a page) just keeps taking the accessor fallback,
-        #: and nothing can invalidate a view mid-call (permission epochs
-        #: only move at runtime services, which never enter traces).
+        #: and nothing can invalidate a view mid-call (permissions only
+        #: change in runtime services, which never enter traces; for the
+        #: same reason the prolog tests the trace's text pages once per
+        #: call).
         self.hoist_bases = hoist_bases
         #: (rendered displacement, base register) -> slot index.
         self._slots: Dict[Tuple[str, int], int] = {}
@@ -1284,7 +1313,13 @@ class _TraceCompiler(_SliceCompiler):
             self.emit(f"    PD[{~H}] = 1")
             self.emit("    f = 1")
 
-        head = [self.signature(f"t_{H:x}"), "    n = C[0]"]
+        misses = self.page_misses()
+        head = [
+            self.signature(f"t_{H:x}"),
+            f"    if {misses}:",
+            f"        return {~H}",
+            "    n = C[0]",
+        ]
         if self.has_probe:
             head.append("    m = 0")
             if self.monotone:
@@ -1309,7 +1344,7 @@ class _TraceCompiler(_SliceCompiler):
             head.append("    try:")
             w = "        "
         head.append(w + "while 1:")
-        head.append(w + f"    if n + {self._T_I} > C[5] or E[{H}] != C[6]:")
+        head.append(w + f"    if n + {self._T_I} > C[5]:")
         head.extend(w + "        " + stmt for stmt in self._charge((0,) * 6))
         head.append(w + f"        return {~H}")
 
@@ -1349,9 +1384,10 @@ class _Unit(NamedTuple):
     of one binary, whatever its layout.
 
     ``segments`` lists the text offsets of the constituent slice heads in
-    order (just the head, for a block): the driver fetch-revalidates all
-    of them before re-entering the unit after an epoch deopt, and the CLI
-    renders trace membership from them.  ``length`` counts its
+    order (just the head, for a block); the CLI renders trace membership
+    from them.  ``pages`` lists the text offsets of the pages the unit's
+    bytes cover, in path order: its prolog tests them, and the driver
+    fetch-checks the ones a deopt found unchecked.  ``length`` counts its
     instructions (per iteration, for a trace).  ``faults`` is the
     line-keyed fault table (see :class:`_SliceCompiler`), or None when
     nothing in the unit can fault.  ``back_target`` is the text offset of
@@ -1361,6 +1397,7 @@ class _Unit(NamedTuple):
     code: object
     name: str
     segments: List[int]
+    pages: List[int]
     length: int
     faults: Optional[dict]
     back_target: Optional[int] = None
@@ -1372,15 +1409,14 @@ class _BinaryCode(NamedTuple):
     operands the loader resolves from a symbol (text offset -> ``(a,
     b)``), ``units``: text offset -> :class:`_Unit`, or None
     (negative-cached: interpreted only), and ``("t", offset)`` -> loop
-    trace, and ``extents``: text offset -> ``(instruction count, byte
-    length)`` of the slice :func:`~repro.machine.blocks.slice_block`
-    recovers from there, filled on first use
-    (:meth:`JitProgram.extent`)."""
+    trace, and ``lengths``: text offset -> instruction count of the
+    slice :func:`~repro.machine.blocks.slice_block` recovers from there,
+    filled on first use (:meth:`JitProgram.slice_length`)."""
 
     monotone: bool
     symbolic: Dict[int, Tuple[bool, bool]]
     units: Dict[object, Optional[_Unit]]
-    extents: Dict[int, Tuple[int, int]]
+    lengths: Dict[int, int]
 
 
 def _symbolic_operands(binary) -> Dict[int, Tuple[bool, bool]]:
@@ -1430,40 +1466,84 @@ def clear_jit_cache() -> None:
     _CODE_CACHE.clear()
 
 
+#: The namespace names whose values belong to one process (see
+#: :class:`_Bindings`), each None while no drive runs.
+_UNBOUND = dict.fromkeys(("RW", "WW", "RD", "WR", "RMG", "WMG", "OA", "FD", "PD"))
+
+
+class _Bindings:
+    """One process's own part of a shared :class:`JitProgram`: the
+    namespace ``names`` its drives bind — memory accessors, the
+    aligned-word dispatch maps (page base -> 64-bit view) of the inlined
+    memory fast path (see :meth:`_SliceCompiler.emit_load`), the output
+    append, ``FD`` (its :attr:`Memory._fetched
+    <repro.machine.memory.Memory>` set) and ``PD`` (its monotone "block
+    fully probed" marks) — the i-cache those marks describe, and its
+    per-head promotion ``entries``."""
+
+    __slots__ = ("names", "icache", "entries")
+
+    def __init__(self, process):
+        memory = process.memory
+        self.names = {
+            "RW": memory.read_word,
+            "WW": memory.write_word,
+            "RD": memory.read,
+            "WR": memory.write,
+            "RMG": memory._rmv.get,
+            "WMG": memory._wmv.get,
+            "OA": process.output.append,
+            "FD": memory._fetched,
+            "PD": {},
+        }
+        self.icache = None
+        self.entries: Dict[int, int] = {}
+
+
 class JitProgram:
-    """Prepared form for the ``jit`` backend: one process under one cost
-    model.
+    """Prepared form for the ``jit`` backend: one load under one cost
+    model, shared by the load and every ``Process.clone`` of it.
 
-    Preparing builds a cheap handle over the process's instruction
-    index — no decode, no bind, no codegen — so cold or short-lived
-    processes pay nothing for selecting this backend.  :meth:`link` runs
-    on the first compiled drive.  It builds the per-process execution
-    namespace (memory accessors, runtime services, error types, and the
-    text base ``T`` that relocated units bind as they link) that compiled
-    units are ``exec``-ed against, the address -> linked-function
-    dispatch ``table``, per-head ``entries`` driving promotion, the
-    ``no_compile`` negative cache, the validated fetch ``epochs`` per
-    head text offset (of the block, or of every segment of the loop
-    trace installed there), and the tier-3 state.  ``units`` is the binary's
-    entry in the compiled-code cache, keyed by text offset: every process
-    of one binary — any layout, lockstep replicas included — links the
-    same code objects, so each hot unit's source is generated and
-    compiled once per binary while the entry is resident, and a head
-    whose unit is already there links on its first entry.  ``extents``
-    is the same entry's slice extents, so no process of the binary walks
-    a slice another one measured.  A process without a binary fingerprint
-    shares nothing and links at base 0 (its offsets are its addresses).
+    Preparing builds a cheap handle over the load's instruction index —
+    no decode, no bind, no codegen — so cold or short-lived processes pay
+    nothing for selecting this backend.  :meth:`link` runs on the first
+    compiled drive of any process of the load.  It builds the execution
+    namespace compiled units are ``exec``-ed against (runtime helpers,
+    error types, i-cache probers, and the text base ``T`` that relocated
+    units bind as they link), the address -> linked-function dispatch
+    ``table``, the ``no_compile`` negative cache and the tier-3 state.
+    All of it serves every process of the load: a unit is ``exec``-ed
+    once per load, and a fork-server probe or a lockstep replica enters a
+    head a sibling linked in one dict hit.  What differs per process is a
+    :class:`_Bindings` record the process keeps (``Process.jit_bindings``)
+    with its promotion counts; each drive writes its bindings into the
+    namespace on entry and puts the previous ones back on exit, so a
+    drive nested in a runtime service runs on its own process's state and
+    ``bound`` names the process whose drive is running.  Promotion counts
+    stay per process: counted per load, a lockstep group's replicas
+    promote each other's cold heads, and a traced ``mvee-lockstep`` pass
+    compiled 1,822 blocks instead of 766.
 
-    Nothing here refers back to the process (the process caches its
-    program, and the drive's state carries the process), and linked
-    functions are not left in the namespace, so a finished process and
-    its memory are freed as soon as the last reference goes, not at the
-    next full garbage collection."""
+    ``units`` is the binary's entry in the compiled-code cache, keyed by
+    text offset: every load of one binary — any layout — links the same
+    code objects, so each hot unit's source is generated and compiled
+    once per binary while the entry is resident, and a head whose unit is
+    already there links on its first entry.  ``lengths`` is the same
+    entry's slice lengths, so no process of the binary walks a slice
+    another one measured.  A process without a binary fingerprint shares
+    nothing with other loads and links at base 0 (its offsets are its
+    addresses).
+
+    Nothing here refers to a process once its drive is over (the load
+    caches its program, and the drive's state carries the process), and
+    linked functions are not left in the namespace, so a finished process
+    and its memory are freed as soon as the last reference goes, not at
+    the next full garbage collection."""
 
     __slots__ = (
         "costs", "instructions", "cache_key", "base", "monotone", "symbolic",
-        "units", "extents", "table", "entries", "no_compile", "epochs",
-        "namespace", "pending", "armed", "loop_targets", "trace_tries", "traces",
+        "units", "lengths", "table", "no_compile", "namespace", "bound",
+        "pending", "armed", "loop_targets", "trace_tries", "traces",
     )
 
     def __init__(self, process, costs):
@@ -1471,6 +1551,9 @@ class JitProgram:
         self.instructions = process.instructions
         #: None until :meth:`link`.
         self.table: Optional[Dict[int, object]] = None
+        #: The :class:`_Bindings` written into the namespace (None
+        #: between drives).
+        self.bound: Optional[_Bindings] = None
         binary = process.binary
         fingerprint = getattr(binary, "module_fingerprint", None)
         digest = getattr(binary, "config_digest", None)
@@ -1491,10 +1574,11 @@ class JitProgram:
             self.cache_key = None
 
     def link(self, process) -> None:
-        """Build the execution state of ``process``'s first compiled
-        drive.  The binary's cache entry holds the text-fits-the-i-cache
-        verdict (:func:`_text_fits_icache`), so its walk runs once per
-        binary and cost model, and ``prepare`` stays cheap."""
+        """Build the load's execution state on the first compiled drive
+        of any of its processes.  The binary's cache entry holds the
+        text-fits-the-i-cache verdict (:func:`_text_fits_icache`), so its
+        walk runs once per binary and cost model, and ``prepare`` stays
+        cheap."""
         key = self.cache_key
         code = None if key is None else _CODE_CACHE.get(key)
         if code is not None:
@@ -1514,12 +1598,9 @@ class JitProgram:
         self.monotone = monotone = code.monotone
         self.symbolic = code.symbolic
         self.units = code.units
-        self.extents = code.extents
+        self.lengths = code.lengths
         self.table = {}
-        self.entries: Dict[int, int] = {}
         self.no_compile: set = set()
-        #: Head text offset -> validated fetch epoch.
-        self.epochs: Dict[int, int] = {}
         # Tier-3 state.  ``pending`` is the list armed loop-head wrappers
         # append to when their entry counter crosses the trace threshold
         # (the driver polls its truthiness once per block transition).  A
@@ -1530,7 +1611,6 @@ class JitProgram:
         self.trace_tries: Dict[int, int] = {}
         #: Trace head -> installed loop trace.
         self.traces: Dict[int, _Unit] = {}
-        memory = process.memory
         namespace = {
             "T": self.base,
             "L": self.base // self.costs.icache_line,
@@ -1541,45 +1621,28 @@ class JitProgram:
             "SSV": ShadowStackViolation,
             "SM": StackMisaligned,
             "BTT": BoobyTrapTriggered,
-            "RW": memory.read_word,
-            "WW": memory.write_word,
-            "RD": memory.read,
-            "WR": memory.write,
-            # Aligned-word dispatch maps (page base -> 64-bit view) for
-            # the inlined memory fast path; see _SliceCompiler.emit_load.
-            "RMG": memory._rmv.get,
-            "WMG": memory._wmv.get,
-            "MEM": memory,
-            "OA": process.output.append,
-            "E": self.epochs,
             "JS": JIT_STATS,
             "TB": _fault_lineno,
         }
         namespace["PRB1"], namespace["PRB"] = _make_probers(
             self.costs.icache_ways, monotone
         )
-        # Per-program "block fully probed" marks for monotone mode.
-        namespace["PD"] = {}
+        # Every per-process name exists from the start, so binding a
+        # process replaces values and never adds a key.
+        namespace.update(_UNBOUND)
         self.namespace = namespace
 
-    def extent(self, offset: int) -> Tuple[int, int]:
-        """``(instruction count, byte length)`` of the slice at text
-        ``offset``: what :func:`~repro.machine.blocks.slice_block`
-        recovers there, walked on the binary's first use of the offset.
-        A slice's instructions are contiguous, so its bytes are the one
-        range ``[head, head + length)``; an address with no instruction
-        has the empty extent ``(0, 0)``."""
-        extent = self.extents.get(offset)
-        if extent is None:
-            head = self.base + offset
-            items = slice_block(self.instructions, head, _SLICE_LIMIT)
-            if items:
-                last, instr = items[-1]
-                extent = (len(items), last + instr.size - head)
-            else:
-                extent = (0, 0)
-            self.extents[offset] = extent
-        return extent
+    def slice_length(self, offset: int) -> int:
+        """Instruction count of the slice at text ``offset``: what
+        :func:`~repro.machine.blocks.slice_block` recovers there, walked
+        on the binary's first use of the offset (0 at an address with no
+        instruction)."""
+        length = self.lengths.get(offset)
+        if length is None:
+            length = self.lengths[offset] = len(
+                slice_block(self.instructions, self.base + offset, _SLICE_LIMIT)
+            )
+        return length
 
     def trace_info(self) -> Dict[int, dict]:
         """Installed loop traces: head -> {segments, length} (the
@@ -1620,12 +1683,13 @@ class JitBackend(ExecutionBackend):
     # -- program management -------------------------------------------------
 
     def prepare(self, state):
-        """The :class:`JitProgram` for the state's process under its cost
-        model, cached on the process.  A lockstep replica (a
-        ``Process.clone()``) or a reload starts with no jit program (one
-        holds its process's memory accessors), so it gets a program of
-        its own that links the binary's shared compiled units; its
-        interpreter spans run on the load's shared micro-ops."""
+        """The :class:`JitProgram` for the state's load under its cost
+        model, cached in ``Process.jit_programs``, which every clone of
+        the load shares: a fork-server probe or a lockstep replica (a
+        ``Process.clone()``) runs on the program its load linked, and
+        only a reload gets a program of its own, which links the
+        binary's cached units.  Interpreter spans run on the load's
+        shared micro-ops."""
         cache = state.process.jit_programs
         key = id(state.costs)
         entry = cache.get(key)
@@ -1639,18 +1703,17 @@ class JitBackend(ExecutionBackend):
     # -- lowering -----------------------------------------------------------
 
     def _install(self, program, head: int, unit: _Unit):
-        """Link ``unit`` into ``program`` and dispatch ``head`` to it.
-        The function leaves the namespace it keeps as its globals, so the
-        two form no reference cycle.  The head's validated epoch resets:
-        the first entry fetch-checks every segment (a head is promoted
-        once, and a trace replaces the block whose epoch covered that
-        block alone)."""
+        """Link ``unit`` into the load's ``program`` (one ``exec`` per
+        unit per load) and dispatch ``head`` to it, for every process of
+        the load.  The function leaves the namespace it keeps as its
+        globals, so the two form no reference cycle.  Linking is the same
+        for every process: the prolog tests fetch permission against the
+        driven process's checked pages on each entry."""
         namespace = program.namespace
         if unit.faults is not None:
             namespace[f"F_{unit.name}"] = unit.faults
         exec(unit.code, namespace)
         fn = program.table[head] = namespace.pop(unit.name)
-        program.epochs[head - program.base] = -1
         return fn
 
     def _promote(self, program, addr: int):
@@ -1788,7 +1851,8 @@ class JitBackend(ExecutionBackend):
             unit = program.units[key] = _Unit(
                 compile(source, f"<jit-trace:{compiler.offset:#x}>", "exec"),
                 f"t_{compiler.offset:x}",
-                [addr - base for addr, _ in path], compiler.total, compiler.faults,
+                [addr - base for addr, _ in path], compiler.pages, compiler.total,
+                compiler.faults,
             )
             JIT_STATS["traces_compiled"] += 1
             JIT_STATS["loop_traces"] += 1
@@ -1809,8 +1873,8 @@ class JitBackend(ExecutionBackend):
         JIT_STATS["superinstructions_fused"] += len(lowering.fused)
         back = backward_branch_target(lowering.items)
         return _Unit(
-            code, f"b_{offset:x}", [offset], compiler.total, compiler.faults,
-            None if back is None else back - base,
+            code, f"b_{offset:x}", [offset], compiler.pages, compiler.total,
+            compiler.faults, None if back is None else back - base,
         )
 
     # -- execution ----------------------------------------------------------
@@ -1832,12 +1896,20 @@ class JitBackend(ExecutionBackend):
         icache = cpu.icache
         if program.table is None:
             program.link(process)
+        own = process.jit_bindings.get(program)
+        if own is None:
+            own = process.jit_bindings[program] = _Bindings(process)
+        if own.icache is not icache:
+            # "Block fully probed" marks describe one i-cache's contents;
+            # if the process is ever re-driven against a fresh machine
+            # state (new, cold i-cache), the marks must not carry over.
+            own.names["PD"].clear()
+            own.icache = icache
         table_get = program.table.get
-        entries = program.entries
+        entries = own.entries
         no_compile = program.no_compile
         units = program.units
         base = program.base
-        epochs_get = program.epochs.get
         pending = program.pending
 
         cpu._bk_shadow = cpu.shadow_stack if cpu.shadow_stack_enabled else None
@@ -1845,23 +1917,27 @@ class JitBackend(ExecutionBackend):
         max_total = None if max_steps is None else res.instructions + max_steps
         # Drive-cumulative accounting, flushed into ``res`` at interp
         # boundaries and once at the end: C[0] instructions, C[1] cycle
-        # units, C[2] memory ops, C[3]/C[4] i-cache hits/misses, C[5] the
-        # folded instruction allowance block prologs compare against, and
-        # C[6] the drive's mirror of the memory permission epoch.
-        C = [0, 0, 0, 0, 0, 0, memory.perm_epoch]
+        # units, C[2] memory ops, C[3]/C[4] i-cache hits/misses, and C[5]
+        # the folded instruction allowance block prologs compare against.
+        C = [0, 0, 0, 0, 0, 0]
         self._allowance(cpu, res, C, max_total)
         r = cpu.regs
         S = icache._sets
-        # "Block fully probed" marks describe one i-cache's contents; if a
-        # cached program is ever re-driven against a fresh machine state
-        # (new, cold i-cache), the marks must not carry over.
-        namespace = program.namespace
-        if namespace.get("PD_OWNER") is not icache:
-            namespace["PD"].clear()
-            namespace["PD_OWNER"] = icache
         interp = self._interp
         promote = self._promote
 
+        # Bind this process into the load's namespace for the drive, and
+        # put back whatever was bound before (a drive this one is nested
+        # in, through a runtime service, or nothing) when it ends, so the
+        # namespace keeps no finished process alive.  Trace requests
+        # belong to one drive too.
+        namespace = program.namespace
+        outer = program.bound
+        if outer is not own:
+            namespace.update(own.names)
+            program.bound = own
+        outer_pending = pending[:]
+        pending.clear()
         try:
             while True:
                 rip = cpu.rip
@@ -1876,7 +1952,7 @@ class JitBackend(ExecutionBackend):
                         if count >= _PROMOTE_THRESHOLD or rip - base in units:
                             fn = promote(program, rip)
                     if fn is None:
-                        if not interp(program, cpu, res, C, memory, max_total):
+                        if not interp(program, cpu, res, C, max_total):
                             break
                         continue
                 value = fn(cpu, r, S, C)
@@ -1889,20 +1965,23 @@ class JitBackend(ExecutionBackend):
                 if value >= 0:
                     cpu.rip = value
                     continue
-                # Deopt escape: the prolog rejected the block or trace
-                # (stale fetch epoch, or the folded allowance would be
-                # exceeded) and returned its head's ~text offset.
+                # Deopt escape: the prolog rejected the block or trace (a
+                # text page not fetch-checked since the last permission
+                # change, or the folded allowance would be exceeded) and
+                # returned its head's ~text offset.
                 addr = base + ~value
                 cpu.rip = addr
-                if epochs_get(~value, -1) != C[6] and self._revalidate(
-                    program, memory, addr, C
-                ):
+                if self._revalidate(program, memory, addr):
                     continue
                 JIT_STATS["deopts"] += 1
-                if not interp(program, cpu, res, C, memory, max_total):
+                if not interp(program, cpu, res, C, max_total):
                     break
         finally:
             self._flush(cpu, res, C, icache, process)
+            pending[:] = outer_pending
+            if outer is not own:
+                namespace.update(_UNBOUND if outer is None else outer.names)
+                program.bound = outer
 
     # -- driver helpers -----------------------------------------------------
 
@@ -1935,49 +2014,50 @@ class JitBackend(ExecutionBackend):
         flush_handler_counters(cpu, res)
         res.output = process.output
 
-    def _interp(self, program, cpu, res, C, memory, max_total: Optional[int]) -> bool:
+    def _interp(self, program, cpu, res, C, max_total: Optional[int]) -> bool:
         """Run one block-granular span on the ``fast`` interpreter, over
         the load's micro-ops, directly into ``res`` (exact: all
         accounting is integer units).  The span is as long as the slice
-        at ``rip``, read from the binary's memoized extents
-        (:meth:`JitProgram.extent`).  Returns False when the drive is
+        at ``rip``, read from the binary's memoized slice lengths
+        (:meth:`JitProgram.slice_length`).  Returns False when the drive is
         over (halt or step exhaustion)."""
         self._flush(cpu, res, C, cpu.icache, cpu.process)
         if cpu._halted or (max_total is not None and res.instructions >= max_total):
             return False
         # At least one instruction: at an address with none, the
         # interpreter raises the exact fetch fault or InvalidInstruction.
-        span = program.extent(cpu.rip - program.base)[0] or 1
+        span = program.slice_length(cpu.rip - program.base) or 1
         if max_total is not None:
             span = min(span, max_total - res.instructions)
         self._fast._drive(get_bound_program(cpu.process, program.costs), cpu, res, span)
-        C[6] = memory.perm_epoch
         self._allowance(cpu, res, C, max_total)
         return not cpu._halted and (max_total is None or res.instructions < max_total)
 
-    def _revalidate(self, program, memory, addr: int, C) -> bool:
-        """Fetch-check the code compiled at ``addr`` — its slice, or every
-        segment of the loop trace installed there — against current
-        permissions, with one ranged :meth:`Memory.fetch_check` per
-        segment over the bytes of its slice (:meth:`JitProgram.extent`).
-        The range is the union of the slice's instruction ranges, so a
-        passing check covers the same pages as per-instruction checks
-        and leaves the same execute-only pages resident.  On success the
-        epoch is stamped and compiled code may skip per-instruction
-        fetch checks; on failure the caller falls to the interpreter,
-        which fetches instruction by instruction and faults at the exact
-        one with exact counters."""
+    def _revalidate(self, program, memory, addr: int) -> bool:
+        """Fetch-check the text pages of the code compiled at ``addr`` —
+        its slice, or every segment of the loop trace installed there —
+        that the process has not checked since the last permission
+        change, in path order, adding each that passes to
+        :attr:`Memory._fetched <repro.machine.memory.Memory>`, where the
+        unit's prolog tests them.  A page passes when it is mapped
+        executable, and its check notes it resident as an instruction
+        fetch from it would.  Returns True when it checked a page and
+        every one passed: the unit may run.  Returns False when no page
+        needed a check (the deopt was the allowance's) or one fails; the
+        caller then falls to the interpreter, which fetches instruction
+        by instruction and faults at the exact one with exact
+        counters."""
         base = program.base
-        offset = addr - base
-        trace = program.traces.get(addr)
-        segments = (offset,) if trace is None else trace.segments
-        extent = program.extent
-        try:
-            for segment in segments:
-                memory.fetch_check(base + segment, extent(segment)[1])
-        except MemoryFault:
-            return False
-        epoch = memory.perm_epoch
-        program.epochs[offset] = epoch
-        C[6] = epoch
-        return True
+        unit = program.traces.get(addr) or program.units[addr - base]
+        fetched = memory._fetched
+        checked = False
+        for page in unit.pages:
+            page += base
+            if page not in fetched:
+                try:
+                    memory.fetch_check(page)
+                except MemoryFault:
+                    return False
+                fetched.add(page)
+                checked = True
+        return checked

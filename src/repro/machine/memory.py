@@ -120,15 +120,13 @@ class Memory:
 
     def __init__(self) -> None:
         self._pages: Dict[int, _Page] = {}
-        # Monotonic permission epoch: bumped by every map/protect so the
-        # jit's compiled code may skip per-instruction fetch checks and
-        # revalidate only when the permission landscape actually moved.
-        self.perm_epoch = 0
         # Bases of the pages fetch-checked since the last map/protect:
         # ``fast`` checks a page once and then only looks it up here (see
         # :meth:`FastBackend._drive <repro.machine.backends.FastBackend.
-        # _drive>`).  Cleared in place, never replaced, so a loop's local
-        # reference stays valid.
+        # _drive>`), and every jit unit's prolog tests the text pages its
+        # bytes cover against it (:mod:`repro.machine.jit`).  Cleared in
+        # place, never replaced, so a loop's local reference and the jit
+        # namespace's binding stay valid.
         self._fetched: set = set()
         # Bases of the pages with private backing bytes (see
         # :meth:`_materialize`), and of the pages fetched from without
@@ -193,8 +191,9 @@ class Memory:
     def map_region(self, address: int, size: int, perm: Perm) -> None:
         """Map ``size`` bytes at ``address`` (page-granular) with ``perm``.
 
-        Every page of the region gets the same untouched descriptor."""
-        self.perm_epoch += 1
+        Every page of the region gets the same untouched descriptor.
+        Mapping forgets every fetch-checked page, so the next fetch from
+        any page, by an interpreter or by compiled code, checks again."""
         self._fetched.clear()
         pages = self._pages
         shared = _Page(perm)
@@ -207,9 +206,9 @@ class Memory:
         """Change permissions of mapped pages (mprotect analogue).
 
         ``guard=True`` marks the pages as booby-trap guard pages so that
-        faults on them are classified as detections.
+        faults on them are classified as detections.  Like
+        :meth:`map_region`, it forgets every fetch-checked page.
         """
-        self.perm_epoch += 1
         self._fetched.clear()
         for base in page_range(address, size):
             page = self._pages.get(base)
@@ -225,8 +224,8 @@ class Memory:
 
     def clone(self) -> "Memory":
         """Copy the address space: page contents, permissions, guard
-        flags, the permission epoch, the fetch-checked pages, and the
-        resident set.
+        flags, the fetch-checked pages (the clone's permissions are the
+        same, so they still pass), and the resident set.
 
         Only materialized pages are copied, read off the materialized
         set; untouched descriptors are shared, which is safe because
@@ -252,7 +251,6 @@ class Memory:
                 if bits & 2:
                     wmv[base] = mv
         clone._pages = pages
-        clone.perm_epoch = self.perm_epoch
         clone._fetched = set(self._fetched)
         clone._materialized = set(self._materialized)
         clone._touched = set(self._touched)

@@ -129,10 +129,16 @@ class Process:
         #: on the instruction index and the cost model, so every clone of
         #: the load shares this dict.
         self.bound_programs: Dict[int, tuple] = {}
-        #: This process's jit programs, one per cost model
-        #: (repro.machine.jit.JitProgram); each holds the process's memory
-        #: accessors, so a clone starts without one.
+        #: The load's jit programs, one per cost model
+        #: (repro.machine.jit.JitProgram): a program's namespace, dispatch
+        #: table and linked units name nothing of a process, so every
+        #: clone of the load shares this dict, and each unit links once.
         self.jit_programs: Dict[int, tuple] = {}
+        #: This process's own jit state per program: its promotion counts
+        #: and the bindings (memory accessors, output, fetch-checked
+        #: pages, probe marks) each drive writes into the program's
+        #: namespace.  A clone starts with none.
+        self.jit_bindings: Dict[object, object] = {}
         # Set by the loader:
         self.binary = None  # the Binary this process was loaded from
         self.allocator = None  # repro.heap.Allocator over the heap region
@@ -154,11 +160,13 @@ class Process:
 
         The decoded instruction index and the symbol table are immutable
         after loading, so they are shared, and so are the load's bound
-        micro-op programs (:attr:`bound_programs`): a micro-op holds
-        nothing of a process, so the load and all its clones bind each
-        instruction once.  Everything a run mutates (memory pages,
-        allocator state, the output stream, the service table, jit
-        programs) is copied or reset.  Of the memory, only materialized
+        micro-op programs (:attr:`bound_programs`) and jit programs
+        (:attr:`jit_programs`): neither a micro-op nor a linked unit holds
+        anything of a process, so the load and all its clones bind each
+        instruction and link each compiled unit once.  Everything a run
+        mutates (memory pages, allocator state, the output stream, the
+        service table, jit promotion counts and bindings) is copied or
+        reset.  Of the memory, only materialized
         pages are copied; untouched pages stay shared until either side
         writes or protects them (see
         :meth:`repro.machine.memory.Memory.clone`).  Cloning a loaded
@@ -181,7 +189,8 @@ class Process:
         clone._services = dict(self._services)
         clone._peak_resident = self._peak_resident
         clone.bound_programs = self.bound_programs
-        clone.jit_programs = {}
+        clone.jit_programs = self.jit_programs
+        clone.jit_bindings = {}
         clone.binary = self.binary
         clone.allocator = (
             None if self.allocator is None else self.allocator.clone(clone.memory)

@@ -295,7 +295,7 @@ def test_guard_page_dereference_identical():
 
 def test_runtime_service_changing_permissions_identical():
     """A CALLRT service may remap pages; the fast backend must revalidate
-    its memoized fetch checks afterwards (the SYNC/perm-epoch path)."""
+    its memoized fetch checks afterwards (the SYNC path)."""
 
     def make():
         process, _ = assemble(
@@ -385,8 +385,9 @@ def test_execute_permission_revoked_under_a_straddling_block(inside, monkeypatch
     registers, counters and resident set, when a text page loses execute
     permission under a block that straddles it — through ``run`` and
     through ``step()`` slices.  On ``jit`` the block is compiled, so its
-    stale epoch deopts and the revalidation fails: the interpreter span
-    that follows raises the fault."""
+    prolog finds the second page unchecked and deopts, and the
+    revalidation fails: the interpreter span that follows raises the
+    fault."""
     jit = get_backend("jit")
     revalidations = []
     real = jit._revalidate
@@ -737,6 +738,84 @@ def test_finished_process_frees_its_memory(backend, attribute_tags):
         assert result.exit_code == 0
         del process, state, result
         assert memory() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _victim_image():
+    """A loaded full-R2C victim (seed 3, load seed 5) that no one runs:
+    a fork server's image, which every test below clones."""
+    from repro.workloads.victim import build_victim
+
+    binary = compile_module(build_victim(), R2CConfig.full(seed=3))
+    image = load_binary(binary, seed=5)
+    image.register_service("attack_hook", lambda proc, cpu: 0)
+    return image
+
+
+def test_a_drive_nested_in_a_service_runs_on_its_own_process():
+    """Clone A of a victim image runs until its ``attack_hook`` service
+    fires, and the service runs clone B of the same image to completion
+    before A goes on.  On ``jit`` the two drives share the load's linked
+    program, so B's drive binds B's memory and output into its namespace
+    and A's come back when it ends.  On every backend, each clone's
+    result, ``rip``, registers, output and ``max_rss`` (read after both
+    finished) equal ``reference``'s."""
+    from repro.workloads.victim import fire_once
+
+    costs = get_costs("epyc-rome")
+
+    def observe(state, result):
+        process = state.process
+        process.note_resident()
+        return {
+            "result": dataclasses.asdict(result),
+            "rip": state.rip,
+            "regs": list(state.regs),
+            "output": list(process.output),
+            "max_rss": process.max_rss,
+        }
+
+    def nested(backend):
+        image = _victim_image()
+        inner = MachineState(image.clone(), costs)
+        outer = MachineState(image.clone(), costs)
+        runs = {}
+
+        def hook(proc, cpu):
+            runs["B"] = run(inner, backend)
+
+        outer.process.register_service("attack_hook", fire_once(hook))
+        runs["A"] = run(outer, backend)
+        return {"A": observe(outer, runs["A"]), "B": observe(inner, runs["B"])}
+
+    want = nested("reference")
+    assert want["A"]["result"]["exit_code"] == want["B"]["result"]["exit_code"] == 0
+    for backend in BACKENDS:
+        assert nested(backend) == want, backend
+
+
+def test_finished_clones_of_one_image_free_their_memory():
+    """Three clones of one victim image run one after another on ``jit``,
+    on the load's one program, and each is dropped when it finishes:
+    reference counting alone frees every clone's memory (the collector
+    stays off), because each drive takes its process's bindings out of
+    the shared namespace as it ends."""
+    image = _victim_image()
+    costs = get_costs("epyc-rome")
+    memories = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(3):
+            process = image.clone()
+            memories.append(weakref.ref(process.memory))
+            state = MachineState(process, costs)
+            assert run(state, "jit").exit_code == 0
+            del process, state
+        assert [memory() for memory in memories] == [None, None, None]
+        assert len(image.jit_programs) == 1
     finally:
         if enabled:
             gc.enable()

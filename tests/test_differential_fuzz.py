@@ -34,6 +34,11 @@ Layers:
   under two load seeds with different text slides, in one process: on
   the jit, the second load runs the units the first compiled, relocated
   to its own text base and linked on first entry.
+* ``test_fuzz_fork_server_seeded`` — each IR module's binary loaded once
+  as a fork server's image, and three clones of it run back to back on
+  every backend: on the jit, the later clones run on the program the
+  first linked, with their own memory, fetch-checked pages and
+  promotion counts.
 * ``test_fuzz_hypothesis_explore`` — a hypothesis-driven seed explorer
   (derandomized, no database) for shrink-assisted local exploration.
 
@@ -686,6 +691,52 @@ def check_rerandomized_seed(seed: int) -> None:
         raise AssertionError(f"rerandomized seed {seed} diverged; repro at {path}")
 
 
+def check_fork_server_seed(seed: int) -> None:
+    """The IR module for ``seed``, compiled and loaded as
+    :func:`check_ir_seed` does, as a fork server's image that never runs.
+    Every backend runs three clones of that one image back to back: the
+    first whole, the second through ``step()`` slices from
+    ``_slices(seed)``, the third whole.  Each clone's observation,
+    ``max_rss`` included, must equal ``reference``'s clone in the same
+    position, and its output the IR interpreter's."""
+    rng = random.Random(~seed)
+    config = random_config(rng)
+    module = ir_module(seed)
+    binary = compile_module(module, config)
+    image = load_binary(binary, seed=rng.randrange(1, 100))
+    image.register_service("attack_hook", lambda proc, cpu: 0)
+
+    def run_clone(backend, slices):
+        process = image.clone()
+        outcome = run_one_backend(
+            lambda: process, backend, slices=slices, instruction_budget=BUDGET
+        )
+        process.note_resident()
+        outcome["max_rss"] = process.max_rss
+        return outcome
+
+    try:
+        observed = {
+            backend: [
+                run_clone(backend, None),
+                run_clone(backend, _slices(seed)),
+                run_clone(backend, None),
+            ]
+            for backend in BACKENDS
+        }
+        for backend, outcomes in observed.items():
+            assert outcomes == observed["reference"], (
+                f"backend {backend!r} diverged from reference across clones"
+            )
+        expected = interpret_module(module)
+        for outcome in observed["reference"]:
+            assert outcome["error"] is None, outcome["error"]
+            assert (outcome["exit_code"], outcome["result"]["output"]) == expected
+    except AssertionError:
+        path = _dump_repro("fork-server", seed)
+        raise AssertionError(f"fork-server seed {seed} diverged; repro at {path}")
+
+
 # ---------------------------------------------------------------------------
 # The committed regression corpus: pinned seeds, always run.
 # ---------------------------------------------------------------------------
@@ -707,6 +758,8 @@ def test_corpus_replay(path):
         check_machine_seed(entry["seed"], entry.get("budget", BUDGET), indexed)
     elif entry["kind"] == "rerandomized":
         check_rerandomized_seed(entry["seed"])
+    elif entry["kind"] == "fork-server":
+        check_fork_server_seed(entry["seed"])
     else:
         check_ir_seed(entry["seed"], indexed)
 
@@ -748,6 +801,11 @@ def test_fuzz_lockstep_seeded(seed):
 @pytest.mark.parametrize("seed", range(max(6, FUZZ_CASES // 4)))
 def test_fuzz_rerandomized_seeded(seed):
     check_rerandomized_seed(seed)
+
+
+@pytest.mark.parametrize("seed", range(max(6, FUZZ_CASES // 4)))
+def test_fuzz_fork_server_seeded(seed):
+    check_fork_server_seed(seed)
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def test_single_stepping_drives_the_deopt_path():
 # ---------------------------------------------------------------------------
 # Tier 3 deopt contract: mid-trace events — a breakpoint landing inside
 # a compiled loop trace, budget exhaustion mid-iteration, and a
-# fetch-epoch bump between back edges — must all hand execution back to
+# permission change between back edges — must all hand execution back to
 # the interpreter with the exact fast-backend stream.
 # ---------------------------------------------------------------------------
 
@@ -265,7 +265,8 @@ def test_budget_exhaustion_mid_trace_iteration():
 
 def epoch_bump_process():
     """A nested counted loop whose outer body calls a CALLRT service that
-    bumps the memory permission epoch (the re-randomization signal)."""
+    re-protects a heap page, which forgets every fetch-checked page (the
+    re-randomization signal)."""
     spec = [
         (Op.MOV, Reg.RAX, Imm(0)),
         (Op.MOV, Reg.RDI, Imm(4)),  # outer trips
@@ -287,7 +288,7 @@ def epoch_bump_process():
     process, _ = build_spec(spec)
 
     def bump(proc, cpu):
-        # Same permissions, new epoch: exactly what a benign
+        # Same permissions, no page fetch-checked: exactly what a benign
         # re-randomization step looks like to the fetch path.
         proc.memory.protect(HEAP, 4096, Perm.RW)
         return 0
@@ -297,10 +298,11 @@ def epoch_bump_process():
 
 
 def test_fetch_epoch_bump_between_back_edges():
-    """A CALLRT service between inner-loop activations bumps the memory
-    permission epoch.  The installed trace's prolog must reject the stale
-    epoch; the driver revalidates every constituent slice and re-enters
-    the same compiled trace."""
+    """A CALLRT service between inner-loop activations changes
+    permissions, which empties the memory's set of fetch-checked pages.
+    The installed trace's prolog must find its text pages unchecked; the
+    driver fetch-checks them, adds them to the set and re-enters the same
+    compiled trace."""
     before = jit_stats_snapshot()
     outcomes = {
         backend: run_one_backend(epoch_bump_process, backend)
@@ -311,10 +313,77 @@ def test_fetch_epoch_bump_between_back_edges():
     assert outcomes["fast"] == outcomes["reference"]
     assert outcomes["jit"]["error"] is None
     assert after["loop_traces"] > before["loop_traces"]
-    # The trace was compiled once and revalidated across epochs, not
-    # recompiled per epoch: the jit run saw 4 inner-loop activations but
-    # at most one trace compilation for the head.
+    # The trace was compiled once and revalidated after each permission
+    # change, not recompiled: the jit run saw 4 inner-loop activations
+    # but at most one trace compilation for the head.
     assert after["traces_compiled"] - before["traces_compiled"] <= 2
+
+
+def test_a_drive_nested_in_a_trace_recording_keeps_its_own_requests(monkeypatch):
+    """A loop head whose block jumps to a block ending in a runtime call,
+    so every recording through the head runs the call.  On even trips,
+    clone A's service drives a clone of the same image from the loop's
+    last block with one trip left, which runs compiled code and passes
+    the head once.  The clones share the load's program and its armed
+    heads, so some of those drives start while A's recording of the
+    head is pending; a nested drive must neither take that request nor
+    resolve it.  Every run equals ``reference``, on every backend."""
+    spec = [
+        (Op.MOV, Reg.RCX, Imm(24)),
+        (Op.SUB, Reg.RCX, Imm(1)),  # 1: the loop head
+        (Op.JMP, ("L", 3)),
+        (Op.CALLRT, Imm(symbol="nest")),
+        (Op.ADD, Reg.RAX, Reg.RCX),  # 4: the loop's last block
+        (Op.CMP, Reg.RCX, Imm(0)),
+        (Op.JG, ("L", 1)),
+        (Op.OUT, Reg.RAX),
+        (Op.EXIT, Imm(0)),
+    ]
+    spec = [entry if len(entry) == 3 else (*entry, None) for entry in spec]
+
+    def nested(backend):
+        image, addresses = build_spec(spec)
+        image.register_service("nest", lambda proc, cpu: 0)
+        impl = get_backend(backend)
+        inner = []
+
+        def nest(proc, cpu):
+            if cpu.regs[Reg.RCX] % 2 == 0:
+                state = MachineState(image.clone(), get_costs("epyc-rome"))
+                state.regs[Reg.RCX] = 1
+                state.rip = addresses[4]
+                result = impl.execute(impl.prepare(state), state, ExecutionResult())
+                inner.append((dataclasses.asdict(result), state.rip, list(state.regs)))
+            return 0
+
+        outer = image.clone()
+        outer.register_service("nest", nest)
+        return run_one_backend(lambda: outer, backend), inner
+
+    jit = get_backend("jit")
+    recording = []
+    nested_in_recording = []
+    real_record, real_drive = jit._record, jit._drive
+
+    def record(*args):
+        recording.append(True)
+        try:
+            return real_record(*args)
+        finally:
+            recording.pop()
+
+    def drive(*args):
+        nested_in_recording.append(bool(recording))
+        return real_drive(*args)
+
+    monkeypatch.setattr(jit, "_record", record)
+    monkeypatch.setattr(jit, "_drive", drive)
+    observed = {backend: nested(backend) for backend in ("reference", "fast", "jit")}
+    assert any(nested_in_recording)
+    want = observed["reference"]
+    assert want[0]["error"] is None and len(want[1]) == 12
+    assert observed["jit"] == want
+    assert observed["fast"] == want
 
 
 def test_fault_at_an_address_a_loop_trace_covers_twice():
@@ -757,12 +826,11 @@ def test_second_process_interprets_nothing_where_units_are_cached(monkeypatch):
 
 
 def test_later_processes_walk_no_slice_the_binary_measured(monkeypatch):
-    """Slice extents belong to the binary: after a first clone of a
+    """Slice lengths belong to the binary: after a first clone of a
     loaded image runs in ``step()`` slices, a second clone and a reload
-    under another layout size every interpreter span and bound every
-    revalidation from the memo.  The only slices they walk are the
-    ones tier 3 lowers again to record a path.  Every run equals
-    ``reference`` on the same load."""
+    under another layout size every interpreter span from the memo.
+    The only slices they walk are the ones tier 3 lowers again to record
+    a path.  Every run equals ``reference`` on the same load."""
     binary = compile_module(build_spec_benchmark("omnetpp"), R2CConfig.full(seed=1))
     image = load_binary(binary, seed=1)
 
@@ -791,6 +859,57 @@ def test_later_processes_walk_no_slice_the_binary_measured(monkeypatch):
     assert second_walks["other"] == 0
     assert reload_walks["other"] == 0
     assert len(_CODE_CACHE) == 1
+
+    want = run_one_backend(image.clone, "reference", slices=itertools.repeat(97))
+    assert want["error"] is None
+    assert first == want
+    assert second == want
+    assert reloaded == run_one_backend(reload, "reference", slices=itertools.repeat(97))
+
+
+def test_clones_share_the_loads_linked_program_and_its_trace_tries(monkeypatch):
+    """Linked code and tier-3 state belong to the load.  omnetpp in
+    97-instruction ``step()`` slices: a first clone of an image links
+    195 units and records 3 loop paths, all of which fail; a second
+    clone enters what the first linked and re-records nothing the first
+    gave up on.  A reload under another layout is a new load: it links
+    every unit again (from the binary's cache, compiling nothing) and
+    records the same 3 paths.  Every run equals ``reference``."""
+    binary = compile_module(build_spec_benchmark("omnetpp"), R2CConfig.full(seed=1))
+    image = load_binary(binary, seed=1)
+
+    def reload():
+        return load_binary(binary, seed=2)
+
+    jit = get_backend("jit")
+    calls = {}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(jit, name, wrapper)
+
+    counting("_record", jit._record)
+    counting("_install", jit._install)
+
+    def run_jit(make):
+        calls.update(_record=0, _install=0)
+        before = jit_stats_snapshot()
+        observed = run_one_backend(make, "jit", slices=itertools.repeat(97))
+        compiled = jit_stats_snapshot()["blocks_compiled"] - before["blocks_compiled"]
+        return observed, (calls["_record"], calls["_install"]), compiled
+
+    clear_jit_cache()
+    first, first_calls, _ = run_jit(image.clone)
+    second, second_calls, _ = run_jit(image.clone)
+    reloaded, reload_calls, reload_compiled = run_jit(reload)
+    assert first_calls == (3, 195)
+    assert second_calls == (0, 0)
+    assert reload_calls == (3, 195) and reload_compiled == 0
+    state = MachineState(image.clone(), get_costs("epyc-rome"))
+    assert jit.prepare(state) is jit.prepare(MachineState(image, get_costs("epyc-rome")))
 
     want = run_one_backend(image.clone, "reference", slices=itertools.repeat(97))
     assert want["error"] is None
@@ -897,8 +1016,8 @@ def test_observed_drives_run_on_fast_and_compile_nothing():
 
 def test_jit_never_calls_the_reference_loop(monkeypatch):
     """With the ``reference`` loop patched to raise, unobserved jit runs
-    (whole, in ``step()`` slices, out of budget, and across fetch-epoch
-    bumps) still finish and equal the reference results computed before
+    (whole, in ``step()`` slices, out of budget, and across permission
+    changes) still finish and equal the reference results computed before
     the patch."""
     binary = compile_module(build_spec_benchmark("omnetpp"), R2CConfig.full(seed=1))
 
