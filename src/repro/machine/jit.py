@@ -3,8 +3,14 @@ compilation and loop-trace compilation.
 
 The ``jit`` backend executes nothing up front.  ``prepare`` is a cheap
 handle around the process's instruction index; lowering happens *per
-dynamic block head, on its second entry* (or its first, when another
-process of the same binary already compiled the unit):
+dynamic block head, when the process comes back to it soon*: on an entry
+within :data:`_REUSE_WINDOW` retired instructions of its previous one,
+or on its :data:`_PROMOTE_COUNT`-th entry, whichever comes first (or on
+its first, when another process of the same binary already compiled the
+unit).  Hot loops and the code they call come back within a few thousand
+instructions and compile on their second entry; code a process re-enters
+rarely, such as a request handler the router picks every fourth request,
+waits until its compile can pay:
 
 * tier 1 — :func:`lower_slice`: :func:`repro.machine.blocks.slice_block`
   recovers the straight-line run from the entry address through its
@@ -52,7 +58,8 @@ that covers many blocks and many iterations per call.
 
 **The deopt contract.**  Anything compiled code cannot reproduce
 *bit-identically* re-enters the interpreter mid-run with all partial
-counters flushed first: cold code (fewer than two entries, and no
+counters flushed first: cold code (a head not yet re-entered within
+the reuse window nor entered :data:`_PROMOTE_COUNT` times, and with no
 unit for it in the binary's cache entry), slices containing an
 instruction tier 1 cannot lower (negative-cached, interpreted
 forever), text pages not fetch-checked since the last permission
@@ -155,8 +162,28 @@ __all__ = [
 _RSP = int(Reg.RSP)
 _YMM0 = int(Reg.YMM0)
 
-#: Entries at one dynamic block head before it is lowered to tier 2.
-_PROMOTE_THRESHOLD = 2
+#: Instructions a process may retire between two entries to a block head
+#: for the second to lower it to tier 2.  Lowering costs about 26 µs per
+#: instruction (codegen plus ``compile()``) and compiled code saves about
+#: 0.65 µs per instruction per execution over an interpreter span, so a
+#: block repays its compile after about 40 executions: code that comes
+#: back soon (hot loops and what they call) will, code a process re-enters
+#: rarely may not.  With nothing compiled (seed 0, one pass), all 1,141
+#: second entries of a ``spec-sweep`` pass lie within 3,798 instructions
+#: of the first, while 1,916 of 3,036 per-replica second entries of an
+#: ``mvee-lockstep`` pass lie beyond 8,192; 1,344 of those, the request
+#: handlers the router picks every fourth request, lie at 8,320-8,576,
+#: so a server with shorter requests compiles them again.  In one run
+#: each on a 2-core host, a window of 2,048 made a ``spec-sweep`` pass
+#: slower (6.01 -> 6.40 s), and 4,000 and 8,192 left it as it was.
+_REUSE_WINDOW = 8192
+
+#: Entries that lower a block head whatever their spacing: within a
+#: factor of 2 of the ~40 executions a compile needs to repay.  Used
+#: alone (no window, one run each), it took two ``mvee-lockstep`` passes
+#: from 3.79 to 2.93 s but a ``spec-sweep`` pass from 6.02 to 6.85 s,
+#: whose interpreted share rose from 0.8% to 11% of instructions.
+_PROMOTE_COUNT = 16
 
 #: Upper bound on one lowering unit (not a semantic boundary: execution
 #: re-enters the pipeline at the cut).
@@ -1479,7 +1506,12 @@ class _Bindings:
     append, ``FD`` (its :attr:`Memory._fetched
     <repro.machine.memory.Memory>` set) and ``PD`` (its monotone "block
     fully probed" marks) — the i-cache those marks describe, and its
-    per-head promotion ``entries``."""
+    promotion ``entries``: head -> (entries so far, the process's retired
+    instructions at the last one).  A drive reads that clock from the
+    result it is given, so a caller that hands each drive a fresh
+    :class:`~repro.machine.state.ExecutionResult` reads a negative or
+    small distance, inside the window, and such a head compiles on its
+    second entry."""
 
     __slots__ = ("names", "icache", "entries")
 
@@ -1497,7 +1529,7 @@ class _Bindings:
             "PD": {},
         }
         self.icache = None
-        self.entries: Dict[int, int] = {}
+        self.entries: Dict[int, Tuple[int, int]] = {}
 
 
 class JitProgram:
@@ -1522,7 +1554,7 @@ class JitProgram:
     ``bound`` names the process whose drive is running.  Promotion counts
     stay per process: counted per load, a lockstep group's replicas
     promote each other's cold heads, and a traced ``mvee-lockstep`` pass
-    compiled 1,822 blocks instead of 766.
+    compiled 1,822 blocks instead of 766 (under second-entry promotion).
 
     ``units`` is the binary's entry in the compiled-code cache, keyed by
     text offset: every load of one binary — any layout — links the same
@@ -1667,13 +1699,15 @@ class JitBackend(ExecutionBackend):
     """Tier-2 lazily block-compiling backend (``"jit"``).
 
     ``prepare`` returns a cheap :class:`JitProgram`; lowering happens per
-    dynamic block head on its second entry (tier 1 slice recovery +
-    fusion, then tier 2 codegen, with compiled code objects shared
-    through the binary-keyed cache, whose units link on a head's first
-    entry).  ``execute``/``step`` trampoline between compiled block
-    functions by address.  Its one interpreter is a private ``fast``
-    backend: every span compiled code cannot reproduce bit-for-bit runs
-    on the load's micro-ops (see the module docstring)."""
+    dynamic block head once the process re-enters it within
+    :data:`_REUSE_WINDOW` instructions or enters it for the
+    :data:`_PROMOTE_COUNT`-th time (tier 1 slice recovery + fusion, then
+    tier 2 codegen, with compiled code objects shared through the
+    binary-keyed cache, whose units link on a head's first entry).
+    ``execute``/``step`` trampoline between compiled block functions by
+    address.  Its one interpreter is a private ``fast`` backend: every
+    span compiled code cannot reproduce bit-for-bit runs on the load's
+    micro-ops (see the module docstring)."""
 
     name = "jit"
 
@@ -1944,13 +1978,26 @@ class JitBackend(ExecutionBackend):
                 fn = table_get(rip)
                 if fn is None:
                     if rip not in no_compile:
-                        count = entries.get(rip, 0) + 1
-                        entries[rip] = count
-                        # A head whose unit the binary's cache entry
-                        # already holds links on its first entry: its
-                        # compile is paid.
-                        if count >= _PROMOTE_THRESHOLD or rip - base in units:
-                            fn = promote(program, rip)
+                        # The clock is the process's retired instructions,
+                        # so promotion repeats exactly run to run.
+                        clock = res.instructions + C[0]
+                        seen = entries.get(rip)
+                        if seen is None:
+                            entries[rip] = (1, clock)
+                            # A head whose unit the binary's cache entry
+                            # already holds links on its first entry: its
+                            # compile is paid.
+                            if rip - base in units:
+                                fn = promote(program, rip)
+                        else:
+                            count = seen[0] + 1
+                            entries[rip] = (count, clock)
+                            if (
+                                clock - seen[1] <= _REUSE_WINDOW
+                                or count >= _PROMOTE_COUNT
+                                or rip - base in units
+                            ):
+                                fn = promote(program, rip)
                     if fn is None:
                         if not interp(program, cpu, res, C, max_total):
                             break

@@ -39,6 +39,11 @@ Layers:
   every backend: on the jit, the later clones run on the program the
   first linked, with their own memory, fetch-checked pages and
   promotion counts.
+* ``test_fuzz_count_promotion_seeded`` — the step-slicing and lockstep
+  legs again, with the jit's reuse window below any distance and its
+  code cache cleared first, so every head compiles on its
+  ``_PROMOTE_COUNT``-th entry: the promotion path that rarely re-entered
+  code takes, held to the same byte identity.
 * ``test_fuzz_hypothesis_explore`` — a hypothesis-driven seed explorer
   (derandomized, no database) for shrink-assisted local exploration.
 
@@ -64,6 +69,7 @@ from hypothesis import strategies as st
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
 from repro.defenses.lockstep import LockstepGroup, MveeOutcome
+from repro.machine import jit as jit_module
 from repro.machine.isa import Imm, Instruction, Mem, Op, Reg
 from repro.machine.loader import load_binary
 from repro.toolchain.builder import IRBuilder
@@ -737,6 +743,25 @@ def check_fork_server_seed(seed: int) -> None:
         raise AssertionError(f"fork-server seed {seed} diverged; repro at {path}")
 
 
+def check_count_promotion_seed(seed: int) -> None:
+    """The machine program for ``seed`` through ``step()`` slices (and
+    whole) and the IR module's lockstep group, as
+    :func:`check_machine_spec` and :func:`check_lockstep_seed` run them,
+    with the jit's reuse window below any distance and no cached unit to
+    link: every head the jit compiles waits for its ``_PROMOTE_COUNT``-th
+    entry.  Every observation must still equal ``reference``'s, and every
+    replica's output the IR interpreter's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jit_module, "_REUSE_WINDOW", -(1 << 64))
+        jit_module.clear_jit_cache()
+        try:
+            check_machine_spec(machine_spec(seed), BUDGET, seed)
+            check_lockstep_seed(seed)
+        except AssertionError:
+            path = _dump_repro("count-promotion", seed)
+            raise AssertionError(f"count-promotion seed {seed} diverged; repro at {path}")
+
+
 # ---------------------------------------------------------------------------
 # The committed regression corpus: pinned seeds, always run.
 # ---------------------------------------------------------------------------
@@ -760,6 +785,8 @@ def test_corpus_replay(path):
         check_rerandomized_seed(entry["seed"])
     elif entry["kind"] == "fork-server":
         check_fork_server_seed(entry["seed"])
+    elif entry["kind"] == "count-promotion":
+        check_count_promotion_seed(entry["seed"])
     else:
         check_ir_seed(entry["seed"], indexed)
 
@@ -806,6 +833,11 @@ def test_fuzz_rerandomized_seeded(seed):
 @pytest.mark.parametrize("seed", range(max(6, FUZZ_CASES // 4)))
 def test_fuzz_fork_server_seeded(seed):
     check_fork_server_seed(seed)
+
+
+@pytest.mark.parametrize("seed", range(max(6, FUZZ_CASES // 4)))
+def test_fuzz_count_promotion_seeded(seed):
+    check_count_promotion_seed(seed)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import pytest
 
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
+from repro.defenses.lockstep import LockstepGroup, MveeOutcome
 from repro.errors import (
     BoobyTrapTriggered,
     ExecutionLimitExceeded,
@@ -779,7 +780,10 @@ def test_fault_inside_a_shared_unit_reports_its_own_layout(kind, error):
         jit.execute(program, state, ExecutionResult())
     if kind == "trap":
         # A trap ends the process the first time its block runs; a
-        # second entry (a restarted worker) compiles the block.
+        # restarted worker still compiles the block on its second entry.
+        # Its fresh result restarts the retired-instruction clock, so the
+        # distance back to the first entry reads negative, inside the
+        # reuse window.
         state.rip = first.symbols["loop"]
         with pytest.raises(error):
             jit.execute(program, state, ExecutionResult())
@@ -870,11 +874,15 @@ def test_later_processes_walk_no_slice_the_binary_measured(monkeypatch):
 def test_clones_share_the_loads_linked_program_and_its_trace_tries(monkeypatch):
     """Linked code and tier-3 state belong to the load.  omnetpp in
     97-instruction ``step()`` slices: a first clone of an image links
-    195 units and records 3 loop paths, all of which fail; a second
+    98 units and records 3 loop paths, all of which fail; a second
     clone enters what the first linked and re-records nothing the first
     gave up on.  A reload under another layout is a new load: it links
     every unit again (from the binary's cache, compiling nothing) and
-    records the same 3 paths.  Every run equals ``reference``."""
+    records the same 3 paths.  Every run equals ``reference``.
+
+    98, not the 195 of second-entry promotion: about half of those
+    units were heads at mid-block step cuts, or heads re-entered more
+    than the reuse window apart, which now run on the interpreter."""
     binary = compile_module(build_spec_benchmark("omnetpp"), R2CConfig.full(seed=1))
     image = load_binary(binary, seed=1)
 
@@ -905,9 +913,9 @@ def test_clones_share_the_loads_linked_program_and_its_trace_tries(monkeypatch):
     first, first_calls, _ = run_jit(image.clone)
     second, second_calls, _ = run_jit(image.clone)
     reloaded, reload_calls, reload_compiled = run_jit(reload)
-    assert first_calls == (3, 195)
+    assert first_calls == (3, 98)
     assert second_calls == (0, 0)
-    assert reload_calls == (3, 195) and reload_compiled == 0
+    assert reload_calls == (3, 98) and reload_compiled == 0
     state = MachineState(image.clone(), get_costs("epyc-rome"))
     assert jit.prepare(state) is jit.prepare(MachineState(image, get_costs("epyc-rome")))
 
@@ -916,6 +924,110 @@ def test_clones_share_the_loads_linked_program_and_its_trace_tries(monkeypatch):
     assert first == want
     assert second == want
     assert reloaded == run_one_backend(reload, "reference", slices=itertools.repeat(97))
+
+
+def reuse_distance_spec(trips: int):
+    """A filler loop inside an outer loop.  Returns (spec, near, far):
+    ``near`` heads the filler loop and comes back every 3 instructions;
+    ``far`` opens each of the ``trips`` outer trips, and a filler loop
+    longer than the reuse window separates its entries."""
+    filler = jit_module._REUSE_WINDOW // 3 + 1
+    spec = [
+        (Op.MOV, Reg.RBX, Imm(trips)),
+        (Op.JMP, ("L", 2), None),
+        (Op.MOV, Reg.RCX, Imm(filler)),  # far
+        (Op.SUB, Reg.RCX, Imm(1)),  # near
+        (Op.CMP, Reg.RCX, Imm(0)),
+        (Op.JG, ("L", 3), None),
+        (Op.SUB, Reg.RBX, Imm(1)),
+        (Op.CMP, Reg.RBX, Imm(0)),
+        (Op.JG, ("L", 2), None),
+        (Op.OUT, Reg.RBX, None),
+        (Op.EXIT, Imm(0), None),
+    ]
+    return spec, 3, 2
+
+
+@pytest.mark.parametrize("slices", [None, (97, 5, 1000)], ids=["whole", "sliced"])
+def test_a_head_compiles_when_it_comes_back_soon_or_often(monkeypatch, slices):
+    """Promotion reads the reuse distance, in retired instructions: the
+    filler loop's head compiles on its second entry, 3 instructions
+    after its first; the outer loop's head, whose entries lie a filler
+    loop apart, compiles on its ``_PROMOTE_COUNT``-th entry and not
+    before.  Whole and in ``step()`` slices, each run equals
+    ``reference``."""
+    spec, near, far = reuse_distance_spec(jit_module._PROMOTE_COUNT + 1)
+    _, addresses = build_spec(spec)
+    jit = get_backend("jit")
+    promoted = {}  # head -> the driven process's entry count at each promotion
+    real = jit._promote
+
+    def recording(program, addr):
+        promoted.setdefault(addr, []).append(program.bound.entries[addr][0])
+        return real(program, addr)
+
+    monkeypatch.setattr(jit, "_promote", recording)
+
+    def make():
+        return build_spec(spec)[0]
+
+    def schedule():
+        return None if slices is None else itertools.cycle(slices)
+
+    observed = run_one_backend(make, "jit", slices=schedule())
+    assert promoted[addresses[near]] == [2]
+    assert promoted[addresses[far]] == [jit_module._PROMOTE_COUNT]
+    want = run_one_backend(make, "reference", slices=schedule())
+    assert want["error"] is None and want["result"]["output"] == [0]
+    assert observed == want
+
+
+def _lockstep_webserver(build_seed: int, backend: str):
+    binary = compile_module(build_webserver(requests=32), R2CConfig.full(seed=build_seed))
+    leader = load_binary(binary, seed=5)
+    group = LockstepGroup(
+        [leader] + [leader.clone() for _ in range(3)], backend=backend, sync_every=256
+    )
+    result = group.run()
+    variants = [
+        (
+            variant.status,
+            dataclasses.asdict(variant.result),
+            list(variant.output),
+            list(variant.state.regs),
+            variant.state.rip,
+        )
+        for variant in result.variants
+    ]
+    observed = (
+        result.outcome, result.divergence, result.sync_points, result.notes, variants
+    )
+    return binary, group, observed
+
+
+@pytest.mark.parametrize("build_seed", [3, 11])
+def test_lockstep_replicas_leave_rarely_routed_handlers_interpreted(build_seed):
+    """The ``mvee-lockstep`` shape: a 32-request webserver under full R2C
+    as one load plus 3 clones, synced every 256 instructions.  The router
+    sends each request down one of 4 handler chains, so each replica
+    comes back to a chain about every fourth request, farther apart than
+    the reuse window, and too few times to reach ``_PROMOTE_COUNT``: no
+    head inside a ``route<i>_chain<j>`` function compiles, while the
+    request parser's loop does.  The group's result and every replica's
+    counters, output and registers equal ``reference``'s."""
+    clear_jit_cache()
+    binary, group, observed = _lockstep_webserver(build_seed, "jit")
+    program = group.variants[0].program
+    assert all(variant.program is program for variant in group.variants)
+    compiled = {
+        binary.function_at_offset(head - program.base) for head in program.table
+    }
+    assert "parse_request" in compiled
+    chains = {name for name in compiled if re.fullmatch(r"route\d_chain\d", name or "")}
+    assert not chains
+    _, _, want = _lockstep_webserver(build_seed, "reference")
+    assert want[0] is MveeOutcome.CLEAN
+    assert observed == want
 
 
 @pytest.mark.parametrize("slice_length", [97, 256, 1000])
