@@ -27,8 +27,13 @@ waits until its compile can pay:
   block** (integer cycle units are associative —
   :data:`repro.machine.costs.CYCLE_UNIT`), i-cache accounting keeps only
   the genuinely uncertain probes (guaranteed intra-block hits are a baked
-  constant, :func:`repro.machine.icache.block_line_plan`), and the
-  instruction budget is one folded comparison in the block prolog.
+  constant, :func:`repro.machine.icache.block_line_plan`), the
+  instruction budget is one folded comparison in the block prolog, and
+  memory words go through one page view per base register (a *frame*:
+  the register's value at its first access, one page lookup, and an
+  in-page word index; RSP's pushes, pops and ``add``/``sub rsp, imm``
+  move within it), so a stack frame's accesses or a BTRA push run pay
+  one lookup, not one per access.
 * tier 3 — hot loop heads (backward direct-branch targets, detected at
   tier-2 compile time) are *armed* with an entry counter; once hot, the
   driver records the path of tier-2 blocks control takes from the head.
@@ -164,7 +169,10 @@ _YMM0 = int(Reg.YMM0)
 
 #: Instructions a process may retire between two entries to a block head
 #: for the second to lower it to tier 2.  Lowering costs about 26 µs per
-#: instruction (codegen plus ``compile()``) and compiled code saves about
+#: instruction (slice recovery, codegen and ``compile()``: 26.3-26.8 µs
+#: over the 53,030 instructions of the 1,141 blocks one ``spec-sweep``
+#: pass compiles, seed 11, two passes on a 2-core host, of which
+#: ``compile()`` is about 15 µs) and compiled code saves about
 #: 0.65 µs per instruction per execution over an interpreter span, so a
 #: block repays its compile after about 40 executions: code that comes
 #: back soon (hot loops and what they call) will, code a process re-enters
@@ -429,6 +437,53 @@ def _faultable(ju: _JU) -> bool:
     return ju.op in _FAULTABLE or ju.has_mem
 
 
+#: Opcodes that write their register destination ``a``.
+_WRITES_A = frozenset({Op.MOV, Op.LEA, Op.IDIV, Op.NEG, *_ALU_EXPR, *_SETCC_COND})
+
+
+def _written(ju: _JU) -> Tuple[int, ...]:
+    """The general-purpose registers ``ju`` writes: the register
+    destination of a ``mov``, an ALU op, ``lea``, ``pop``, ``idiv``,
+    ``neg`` or ``setcc``, and RSP for ``push``, ``pop``, ``call`` and
+    ``ret``.  (``vload`` writes a vector register; a runtime call, which
+    writes RAX, ends every unit.)"""
+    op = ju.op
+    if op in _WRITES_A:
+        return (ju.a_reg,) if ju.ka == "R" else ()
+    if op is Op.POP:
+        return (ju.a_reg, _RSP)
+    if op is Op.PUSH or op is Op.CALL or op is Op.RET:
+        return (_RSP,)
+    return ()
+
+
+#: 64-bit words per page: a page's word view has this many elements.
+_PAGE_WORDS = PAGE_SIZE // 8
+
+
+class _Frame:
+    """One base register's frame in a block (see "inlined memory word
+    access" in :class:`_SliceCompiler`): the register ``reg``, the
+    static ``delta`` of its current value from the frame value
+    ``h<reg>`` (only RSP's static steps move it), and whether the read
+    and the write view have been looked up."""
+
+    __slots__ = ("reg", "delta", "read", "write")
+
+    def __init__(self, reg: int):
+        self.reg = reg
+        self.delta = 0
+        self.read = False
+        self.write = False
+
+    def addr(self, offset: int) -> str:
+        """The masked address ``offset`` bytes from the frame value."""
+        h = f"h{self.reg}"
+        if offset == 0:
+            return h
+        return f"({h} + {offset}) & M" if offset > 0 else f"({h} - {-offset}) & M"
+
+
 def _mem_addr_expr(off: str, base: Optional[int], idx: Optional[int] = None,
                    scale: int = 1) -> str:
     """The masked effective address ``MachineState._mem_address``
@@ -568,7 +623,10 @@ class _SliceCompiler:
     genuinely dynamic parts — LRU probes for lines not guaranteed
     resident (misses ``m``) — and the terminator flush charges
     ``K + m * penalty`` in one statement.  Per-tag counts are never
-    compiled (those drives run on ``fast``).
+    compiled (those drives run on ``fast``).  Memory words go through
+    one page view per base register (a *frame*, see "inlined memory
+    word access" below), so a stack frame's accesses or a BTRA push run
+    pay one page lookup, not one per access.
 
     Faults restore the exact executed prefix from the unit's baked fault
     table ``faults``: generated line -> ``(rip, x, k, h, o, b, t)``, the
@@ -650,6 +708,9 @@ class _SliceCompiler:
         self._tag = (next((j.rip - base for j in jus if _faultable(j)), 0),) + (0,) * 6
         #: Generated line -> fault-table entry (None without a try).
         self.faults: Optional[dict] = None
+        #: Base register -> its open :class:`_Frame`; None in a loop
+        #: trace, which hoists invariant bases instead.
+        self.frames: Optional[Dict[int, _Frame]] = {}
 
     # -- relocation --------------------------------------------------------
 
@@ -800,11 +861,154 @@ class _SliceCompiler:
     # methods over the memory's word-view maps (page base -> 64-bit
     # memoryview, present iff the page is materialized and currently
     # grants the permission — see :class:`repro.machine.memory.Memory`),
-    # so a hit licenses one indexed view access outright.  Every miss —
+    # so a hit licenses indexed view accesses outright.  Every miss —
     # unaligned, unmaterialized, unmapped, protected, guard, big-endian
-    # host — falls back to the accessor call, which reproduces the exact
-    # behaviour including the fault, from a line the fault table
-    # attributes to the same instruction.
+    # host — falls back to the accessor call at the exact address, which
+    # reproduces the exact behaviour including the fault, from a line the
+    # fault table attributes to the same instruction.
+    #
+    # A block looks a page up once per base register, not once per
+    # access.  A register's *frame* (:class:`_Frame`) is its value
+    # ``h<b>`` at the block's first access through it, one ``RMG`` lookup
+    # of that value's page on the first read (view ``R<b>``, word index
+    # ``i<b>``) and one ``WMG`` lookup on the first write (``W<b>``,
+    # ``j<b>``); the index is ``1 << 62``, past every bound, when the view
+    # is missing or the value unaligned.  Every 8-aligned ``[b + disp]``
+    # access is then one indexed view access behind a constant bound
+    # test, with the accessor at the exact address as its other branch.
+    # RSP's push, pop, call, ret and ``add``/``sub rsp, imm`` move a
+    # static delta inside RSP's frame (each still assigns ``r[RSP]``), so
+    # a push run costs one lookup; any other write to a base register
+    # ends its frame, and the next access opens a new one.  Exact, because
+    # a materialized page's view object never changes, and only
+    # ``protect`` changes which table lists it: while guest code runs,
+    # only runtime services call it (or ``map_region``), and a service
+    # call ends a block.  A page that materializes mid-block through an
+    # accessor call keeps taking the accessor for the rest of the block.
+    # Unaligned displacements, absolute (``MA``) and indexed (``MX``)
+    # operands and memory-destination ALU forms keep one lookup per
+    # access; loop traces keep theirs too (invariant bases hoist per-slot
+    # views out of the loop instead, see :class:`_TraceCompiler`).
+
+    def open_frame(self, base: int) -> _Frame:
+        """``base``'s frame, opened here (``h<base> = r[base]``) if none
+        is."""
+        frame = self.frames.get(base)
+        if frame is None:
+            frame = self.frames[base] = _Frame(base)
+            self.emit(f"h{base} = r[{base}]")
+        return frame
+
+    def frame_site(self, base: Optional[int], disp: int,
+                   relocated: bool) -> Optional[Tuple[_Frame, int]]:
+        """The frame a ``[base + disp]`` word access goes through and the
+        access's byte offset from its frame value, or None when the access
+        keeps one lookup per access: no base, a relocated or unaligned
+        displacement, one a page or more from the frame value, or a loop
+        trace."""
+        frames = self.frames
+        if frames is None or base is None or relocated:
+            return None
+        frame = frames.get(base)
+        offset = disp + (0 if frame is None else frame.delta)
+        if offset & 7 or not -PAGE_SIZE < offset < PAGE_SIZE:
+            return None
+        return self.open_frame(base), offset
+
+    def frame_word(self, frame: _Frame, offset: int, write: bool) -> Tuple[str, str]:
+        """(bound test, view element) of the word ``offset`` bytes from
+        the frame value, looking the frame's read or write view up on its
+        first use."""
+        b = frame.reg
+        if write:
+            view, index, get, seen = f"W{b}", f"j{b}", "WMG", frame.write
+            frame.write = True
+        else:
+            view, index, get, seen = f"R{b}", f"i{b}", "RMG", frame.read
+            frame.read = True
+        if not seen:
+            self.emit(
+                f"{view} = {get}(h{b} & -4096); {index} = (h{b} & 4095) >> 3 "
+                f"if {view} is not None and not h{b} & 7 else 1 << 62"
+            )
+        k = offset >> 3
+        if k >= 0:
+            test = f"{index} < {_PAGE_WORDS - k}"
+            word = f"{view}[{index} + {k}]" if k else f"{view}[{index}]"
+        else:
+            test = f"{-k} <= {index} < {_PAGE_WORDS - k}"
+            word = f"{view}[{index} - {-k}]"
+        return test, word
+
+    def emit_frame_load(self, target: str, frame: _Frame, offset: int) -> None:
+        test, word = self.frame_word(frame, offset, False)
+        self.emit(f"{target} = {word} if {test} else RW({frame.addr(offset)})")
+
+    def emit_frame_store(self, frame: _Frame, offset: int, value: str) -> None:
+        test, word = self.frame_word(frame, offset, True)
+        self.emit(f"if {test}: {word} = {value}")
+        self.emit(f"else: WW({frame.addr(offset)}, {value})")
+
+    def move_stack(self, frame: _Frame, step: int) -> None:
+        """``r[RSP] += step`` inside RSP's frame.  A frame moved off
+        alignment, or a page or more from its value, ends: its views
+        would serve no later access."""
+        frame.delta += step
+        self.emit(f"r[{_RSP}] = {frame.addr(frame.delta)}")
+        if frame.delta & 7 or not -PAGE_SIZE < frame.delta < PAGE_SIZE:
+            del self.frames[_RSP]
+
+    def stack_step(self, ju: _JU) -> Optional[int]:
+        """The constant ``ju`` adds to RSP, when RSP's frame is open and
+        ``ju`` is a ``push``, a ``pop`` (``pop rsp`` discards the word it
+        loads), a ``call``, a ``ret`` or an ``add``/``sub rsp, imm`` whose
+        immediate the loader does not relocate; None otherwise."""
+        if not self.frames or _RSP not in self.frames:
+            return None
+        op = ju.op
+        if op is Op.PUSH or op is Op.CALL:
+            return -8
+        if op is Op.RET or op is Op.POP:
+            return 8
+        if (
+            (op is Op.ADD or op is Op.SUB) and ju.a_reg == _RSP and ju.kb == "I"
+            and not self._symbolic(ju)[1]
+        ):
+            step = to_signed(ju.imm)
+            return step if op is Op.ADD else -step
+        return None
+
+    def retire(self, ju: _JU) -> None:
+        """End the frame of every register ``ju`` wrote, except RSP's
+        when ``ju`` moved RSP by a static step (its frame moved along)."""
+        frames = self.frames
+        for reg in _written(ju):
+            if reg in frames and (reg != _RSP or self.stack_step(ju) is None):
+                del frames[reg]
+
+    def emit_push(self, value: str, fused: bool = False) -> None:
+        """``r[RSP] -= 8``, then store ``value`` (evaluated after the
+        assignment, as the interpreters do) at the new RSP.  ``fused``:
+        inside a loop trace's fused push run, ``p`` already holds RSP."""
+        if self.frames is None:
+            self.emit("p = (p - 8) & M" if fused else f"p = (r[{_RSP}] - 8) & M")
+            self.emit(f"r[{_RSP}] = p")
+            self.emit_store_q("p", value)
+            return
+        frame = self.open_frame(_RSP)
+        self.move_stack(frame, -8)
+        self.emit_frame_store(frame, frame.delta, value)
+
+    def emit_pop(self, target: str) -> None:
+        """Load the word at RSP into ``target``, then ``r[RSP] += 8``."""
+        if self.frames is None:
+            self.emit(f"p = r[{_RSP}]")
+            self.emit_load_q(target, "p")
+            self.emit(f"r[{_RSP}] = (p + 8) & M")
+            return
+        frame = self.open_frame(_RSP)
+        self.emit_frame_load(target, frame, frame.delta)
+        self.move_stack(frame, 8)
 
     def emit_load_q(self, target: str, qvar: str) -> None:
         """``target = read_word(qvar)`` with the aligned path inline."""
@@ -814,9 +1018,14 @@ class _SliceCompiler:
 
     def emit_load(self, target: str, off: int, base: Optional[int],
                   relocated: bool = False) -> None:
-        """``target = read_word(off [+ r[base]])``; absolute addresses fold
+        """``target = read_word(off [+ r[base]])``, through ``base``'s
+        frame where :meth:`frame_site` allows; absolute addresses fold
         the page split and alignment test at codegen time (a relocated
         address keeps its page offset: slides are page multiples)."""
+        site = self.frame_site(base, off, relocated)
+        if site is not None:
+            self.emit_frame_load(target, *site)
+            return
         if base is None:
             z = off & 4095
             if not z & 7:
@@ -843,6 +1052,10 @@ class _SliceCompiler:
 
     def emit_store(self, off: int, base: Optional[int], relocated: bool,
                    value: str) -> None:
+        site = self.frame_site(base, off, relocated)
+        if site is not None:
+            self.emit_frame_store(*site, value)
+            return
         if base is None:
             z = off & 4095
             if not z & 7:
@@ -917,7 +1130,11 @@ class _SliceCompiler:
                 self.emit_store(*self.disp(ju, "a"), self.b_val(ju))
         elif op in _ALU_EXPR:
             expr = _ALU_EXPR[op]
-            if ka == "R":
+            step = self.stack_step(ju) if ju.a_reg == _RSP else None
+            if step is not None:
+                # ``add``/``sub rsp, imm``: a static step in RSP's frame.
+                self.move_stack(self.frames[_RSP], step)
+            elif ka == "R":
                 if kb in ("MB", "MA"):
                     self.emit_load("y", *self.disp(ju, "b"))
                     bexpr = "y"
@@ -943,17 +1160,9 @@ class _SliceCompiler:
         elif op is Op.LEA:
             self.emit(f"r[{ju.a_reg}] = {self.mem_addr(ju, 'b')}")
         elif op is Op.PUSH:
-            if position in self._run_positions:
-                # Inside a fused push run: `p` already holds RSP.
-                self.emit("p = (p - 8) & M")
-            else:
-                self.emit(f"p = (r[{_RSP}] - 8) & M")
-            self.emit(f"r[{_RSP}] = p")
-            self.emit_store_q("p", self.a_val(ju))
+            self.emit_push(self.a_val(ju), position in self._run_positions)
         elif op is Op.POP:
-            self.emit(f"p = r[{_RSP}]")
-            self.emit_load_q(f"r[{ju.a_reg}]", "p")
-            self.emit(f"r[{_RSP}] = (p + 8) & M")
+            self.emit_pop(f"r[{ju.a_reg}]")
         elif op is Op.IDIV:
             fault = f"raise ME('division by zero at %#x' % ({self.once(ju.rip)}))"
             if kb == "R":
@@ -1046,10 +1255,8 @@ class _SliceCompiler:
             indirect = ju.ka == "R"
             if indirect:
                 self.emit(f"tv = r[{ju.a_reg}]")
-            self.emit(f"p = (r[{_RSP}] - 8) & M")
-            self.emit(f"r[{_RSP}] = p")
             ret = self.at(ju.next_rip)
-            self.emit_store_q("p", ret)
+            self.emit_push(ret)
             self.emit("if sh is not None:")
             self.emit(f"    sh.append({ret})")
             self.emit("cpu._bk_calls += 1")
@@ -1058,9 +1265,7 @@ class _SliceCompiler:
             else:
                 self.emit_flush_and(f"return {self.imm(ju)}")
         elif op is Op.RET:
-            self.emit(f"p = r[{_RSP}]")
-            self.emit_load_q("tv", "p")
-            self.emit(f"r[{_RSP}] = (p + 8) & M")
+            self.emit_pop("tv")
             self.emit("if sh is not None:")
             self.emit("    ex = sh.pop() if sh else 0")
             self.emit("    if ex != tv:")
@@ -1095,6 +1300,8 @@ class _SliceCompiler:
                 self.emit_terminator(ju)
             else:
                 self.emit_semantics(position, ju)
+                if self.frames:
+                    self.retire(ju)
 
         misses = self.page_misses()
         head = [
@@ -1192,6 +1399,9 @@ class _TraceCompiler(_SliceCompiler):
         )
         self.segments = segments
         self.indent += "    "
+        # No frames: a frame's lookup would run on every iteration, and
+        # accesses through invariant bases hoist theirs out of the loop.
+        self.frames = None
         #: Loop-invariant base registers (second compile pass only):
         #: static ``off + base`` accesses through them hoist the address
         #: arithmetic and page word-view lookup out of the loop.  Pure
@@ -1220,20 +1430,6 @@ class _TraceCompiler(_SliceCompiler):
         index = int(match.group(1))
         self.cached[index] = None
         return f"g{index}"
-
-    def written_regs(self) -> set:
-        """Registers assigned anywhere in the emitted body (register
-        writes are always plain ``g<i> = expr`` statements)."""
-        written = set()
-        for line in self.lines:
-            for stmt in re.split(r"[;:]", line):
-                if " = " not in stmt:
-                    continue
-                lhs = stmt.split(" = ", 1)[0].strip()
-                match = re.fullmatch(r"g(\d+)", lhs)
-                if match:
-                    written.add(int(match.group(1)))
-        return written
 
     def _slot(self, off: str, base: int, write: bool) -> int:
         key = (off, base)
@@ -1878,7 +2074,9 @@ class JitBackend(ExecutionBackend):
             # Second pass: registers never written in the body are
             # loop-invariant, so accesses through them can hoist the address
             # arithmetic and page-view lookups out of the loop.
-            invariant = frozenset(compiler.cached) - compiler.written_regs()
+            invariant = frozenset(compiler.cached).difference(
+                *(_written(ju) for _, lowering in path for ju in lowering.jus)
+            )
             if invariant:
                 compiler = _TraceCompiler(path, *options, hoist_bases=invariant)
                 source = compiler.generate()
@@ -1977,7 +2175,11 @@ class JitBackend(ExecutionBackend):
                 rip = cpu.rip
                 fn = table_get(rip)
                 if fn is None:
-                    if rip not in no_compile:
+                    # An entry counts, and links or compiles, only while
+                    # the drive can still retire an instruction: a head
+                    # reached as compiled code uses up the allowance is
+                    # entered by the next drive, not this one.
+                    if rip not in no_compile and C[0] < C[5]:
                         # The clock is the process's retired instructions,
                         # so promotion repeats exactly run to run.
                         clock = res.instructions + C[0]

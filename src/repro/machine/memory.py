@@ -147,7 +147,14 @@ class Memory:
         # :meth:`write_word`, which reproduce the exact fault.  Maintained
         # by materialization, :meth:`protect` and :meth:`clone`; the dict
         # objects themselves are never replaced, so bound ``.get``
-        # references stay valid for the memory's lifetime.
+        # references stay valid for the memory's lifetime.  A page's view
+        # object is created once, when the page materializes, and never
+        # replaced, and only :meth:`protect` changes which table lists a
+        # materialized page's view.  A jit block relies on this when it
+        # looks a page up once per base register and indexes the view for
+        # every later access through that register: while guest code
+        # runs, only runtime services call :meth:`protect` or
+        # :meth:`map_region`, and a service call ends a block.
         self._rmv: Dict[int, object] = {}
         self._wmv: Dict[int, object] = {}
 

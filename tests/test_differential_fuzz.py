@@ -26,6 +26,13 @@ Layers:
   loads and stores (the toolchain's variable-index slot and global
   accesses) inside generated loops.  A separate seeded stream, so the
   sweep above and every corpus entry keep generating the same programs.
+* ``test_fuzz_frames_seeded`` — machine programs whose tier-2 blocks
+  reach memory through one page view per base register: RSP frames
+  between ``sub rsp``/``add rsp``, push/pop runs up to 10 long, bases on
+  the last words of a data page or unaligned, negative displacements, a
+  base overwritten between two accesses, stores into untouched pages
+  followed by loads, and stores that reach execute-only text on one
+  loop trip.  A separate seeded stream, as for the indexed leg.
 * ``test_fuzz_lockstep_seeded`` — each IR module as a three-replica
   :class:`~repro.defenses.lockstep.LockstepGroup` on every backend, at a
   random ``sync_every``: the group must stay clean and every replica
@@ -75,7 +82,7 @@ from repro.machine.loader import load_binary
 from repro.toolchain.builder import IRBuilder
 from repro.toolchain.interp import interpret_module
 
-from tests.test_backends import BACKENDS, DATA, assemble, run_one_backend
+from tests.test_backends import BACKENDS, DATA, STACK, assemble, run_one_backend
 
 I = Instruction
 
@@ -90,7 +97,8 @@ DUMP_DIR = Path(os.environ.get("REPRO_FUZZ_DUMP", "fuzz-failures"))
 CORPUS = Path(__file__).parent / "corpus"
 
 #: General-purpose registers the generators draw from.  RBP is reserved
-#: as the data-section base pointer, RSP is never touched directly, and
+#: as the data-section base pointer, RSP is touched directly only by the
+#: frames generator (balanced ``sub``/``add rsp`` and push/pop runs), and
 #: R8..R11 are reserved for loop counters so a loop body cannot clobber
 #: its own induction variable.
 GPRS = (Reg.RAX, Reg.RBX, Reg.RCX, Reg.RDX, Reg.RSI, Reg.RDI)
@@ -305,6 +313,151 @@ def machine_spec(seed: int, indexed: bool = False) -> List[Entry]:
     return spec
 
 
+#: The frames generator's page walker and its offset: R13 steps a page
+#: per use through the last 8 data pages, which nothing else touches,
+#: and R12 = R13 + their base, so each use stores into a page no
+#: earlier one materialized (until the walk wraps).
+FRESH, FRESH_STEP = Reg.R12, Reg.R13
+
+#: RSP when every frames construct starts (they all leave it balanced).
+STACK_TOP = STACK + 0x10000
+
+
+def _frame_accesses(rng: random.Random, spec: List[Entry], base: Reg,
+                    disps: List[int], at: Optional[int] = None,
+                    stored: Optional[List[int]] = None) -> None:
+    """Loads and stores through ``base`` at displacements drawn from
+    ``disps``; the base itself is never a destination.  When the base
+    holds the constant ``at``, each store's address goes to ``stored``."""
+    for _ in range(rng.randrange(1, 5)):
+        disp = rng.choice(disps)
+        mem = Mem(base, disp)
+        reg = rng.choice([reg for reg in GPRS if reg != base])
+        if rng.random() < 0.5:
+            spec.append((Op.MOV, mem, reg))
+            if at is not None:
+                stored.append(at + disp)
+        elif rng.random() < 0.7:
+            spec.append((Op.MOV, reg, mem))
+        else:
+            spec.append((Op.ADD, reg, mem))
+
+
+def _gen_frame(rng: random.Random, spec: List[Entry], counter: Optional[Reg],
+               stored: List[int]) -> None:
+    """One construct of the frames generator: accesses a tier-2 block
+    serves through one page view per base register.  ``counter`` is the
+    enclosing loop's counter, or None outside a loop; stores through a
+    base of known value add their addresses to ``stored``."""
+    choice = rng.random()
+    base = rng.choice(GPRS)
+    if choice < 0.2:
+        # A stack frame: aligned [rsp + d] inside sub/add rsp.
+        size = 8 * rng.randrange(1, 9)
+        spec.append((Op.SUB, Reg.RSP, Imm(size)))
+        _frame_accesses(
+            rng, spec, Reg.RSP, list(range(0, size, 8)), STACK_TOP - size, stored
+        )
+        spec.append((Op.ADD, Reg.RSP, Imm(size)))
+    elif choice < 0.35:
+        # A balanced push/pop run of up to 10.
+        count = rng.randrange(1, 11)
+        for _ in range(count):
+            spec.append((Op.PUSH, rng.choice(GPRS + COUNTERS), None))
+        for _ in range(count):
+            spec.append((Op.POP, rng.choice(GPRS), None))
+    elif choice < 0.55:
+        # A base on the last words of a data page (displacements run
+        # into the next page, and below it), or on an unaligned address.
+        page = DATA + 4096 * rng.randrange(1, 7)
+        if rng.random() < 0.7:
+            at = page - 8 * rng.randrange(1, 4)
+        else:
+            at = page - rng.randrange(1, 64)
+        spec.append((Op.MOV, base, Imm(at)))
+        _frame_accesses(rng, spec, base, list(range(-32, 40, 8)), at, stored)
+    elif choice < 0.7:
+        # A base overwritten between two accesses of one block.
+        at = DATA + 8 * rng.randrange(64, 448)
+        spec.append((Op.MOV, base, Imm(at)))
+        _frame_accesses(rng, spec, base, list(range(-64, 72, 8)), at, stored)
+        change = rng.random()
+        if change < 0.4:
+            step = 8 * rng.randrange(-8, 9)
+            spec.append((Op.ADD, base, Imm(step)))
+            at += step
+        elif change < 0.7:
+            at = DATA + 8 * rng.randrange(64, 448)
+            spec.append((Op.LEA, base, Mem(Reg.RBP, at - DATA)))
+        else:
+            at = DATA + 8 * rng.randrange(64, 448)
+            spec.append((Op.PUSH, Imm(at), None))
+            spec.append((Op.POP, base, None))
+        _frame_accesses(rng, spec, base, list(range(-64, 72, 8)), at, stored)
+    elif choice < 0.85:
+        # A store into an untouched data page, then a load from it.
+        spec.append((Op.ADD, FRESH_STEP, Imm(4096)))
+        spec.append((Op.AND, FRESH_STEP, Imm(0x7000)))
+        spec.append((Op.LEA, FRESH, Mem(FRESH_STEP, DATA + 0x8000)))
+        disp = 8 * rng.randrange(-4, 8)
+        spec.append((Op.MOV, Mem(FRESH, disp), rng.choice(GPRS)))
+        spec.append((Op.MOV, rng.choice(GPRS), Mem(FRESH, disp)))
+        _frame_accesses(rng, spec, FRESH, list(range(-32, 40, 8)))
+    elif counter is not None and rng.random() < 0.5:
+        # A store that reaches execute-only text on one trip: the base
+        # is the data page, minus the text-to-data distance once the
+        # counter reaches a drawn value.
+        spec.append((Op.CMP, counter, Imm(rng.randrange(1, 6))))
+        spec.append((Op.SETE, base, None))
+        spec.append((Op.SHL, base, Imm(20)))
+        spec.append((Op.NEG, base, None))
+        spec.append((Op.ADD, base, Imm(DATA + 8 * rng.randrange(8, 256))))
+        value = rng.choice([reg for reg in GPRS if reg != base])
+        spec.append((Op.MOV, Mem(base, 8 * rng.randrange(-2, 3)), value))
+        _frame_accesses(rng, spec, base, list(range(-16, 24, 8)))
+    else:
+        # Negative displacements from a base in mid-data, down to a page
+        # and more below it.
+        at = DATA + 4096 * rng.randrange(2, 6) + 8
+        spec.append((Op.LEA, base, Mem(Reg.RBP, at - DATA)))
+        _frame_accesses(rng, spec, base, [-4104, -4096, -16, -8, 0, 8], at, stored)
+
+
+def frames_spec(seed: int) -> List[Entry]:
+    """The seeded machine-level program of the frames leg: counted loops
+    and straight-line runs of :func:`_gen_frame` constructs, then every
+    GPR and the words stored through bases of known value are written
+    out, so a store that went astray shows in the output.  It draws from
+    its own stream, so :func:`machine_spec` programs (and every corpus
+    entry) stay as they were."""
+    rng = random.Random(f"frames:{seed}")
+    spec: List[Entry] = [(Op.MOV, Reg.RBP, Imm(DATA)), (Op.MOV, FRESH_STEP, Imm(0))]
+    for reg in GPRS:
+        spec.append((Op.MOV, reg, Imm(rng.randrange(1 << 32))))
+    counters = list(COUNTERS)
+    stored: List[int] = []
+    for _ in range(rng.randrange(2, 5)):
+        if counters and rng.random() < 0.6:
+            counter = counters.pop()
+            spec.append((Op.MOV, counter, Imm(rng.randrange(3, 12))))
+            head = len(spec)
+            for _ in range(rng.randrange(1, 4)):
+                _gen_frame(rng, spec, counter, stored)
+            spec.append((Op.SUB, counter, Imm(1)))
+            spec.append((Op.CMP, counter, Imm(0)))
+            spec.append((Op.JG, ("L", head), None))
+        else:
+            for _ in range(rng.randrange(1, 3)):
+                _gen_frame(rng, spec, None, stored)
+    for reg in GPRS:
+        spec.append((Op.OUT, reg, None))
+    for addr in sorted(set(stored)):
+        spec.append((Op.MOV, Reg.RAX, Mem(None, addr)))
+        spec.append((Op.OUT, Reg.RAX, None))
+    spec.append((Op.EXIT, Imm(0), None))
+    return spec
+
+
 def _label_targets(spec: List[Entry]) -> set:
     targets = set()
     for op, a, b in spec:
@@ -455,6 +608,18 @@ def check_machine_seed(seed: int, budget: int = BUDGET, indexed: bool = False) -
         raise AssertionError(
             f"machine seed {seed} diverged; minimized repro at {path}"
         )
+
+
+def check_frames_seed(seed: int, budget: int = BUDGET) -> None:
+    """Differential over the frames leg's program for ``seed``
+    (:func:`frames_spec`), whole and in ``step()`` slices."""
+    spec = frames_spec(seed)
+    try:
+        check_machine_spec(spec, budget, seed)
+    except AssertionError:
+        minimized = minimize_machine(spec, budget, seed)
+        path = _dump_repro("frames", seed, minimized)
+        raise AssertionError(f"frames seed {seed} diverged; minimized repro at {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +952,8 @@ def test_corpus_replay(path):
         check_fork_server_seed(entry["seed"])
     elif entry["kind"] == "count-promotion":
         check_count_promotion_seed(entry["seed"])
+    elif entry["kind"] == "frames":
+        check_frames_seed(entry["seed"], entry.get("budget", BUDGET))
     else:
         check_ir_seed(entry["seed"], indexed)
 
@@ -818,6 +985,11 @@ def test_fuzz_indexed_machine_seeded(seed):
 @pytest.mark.parametrize("seed", range(max(3, FUZZ_CASES // 16)))
 def test_fuzz_indexed_ir_seeded(seed):
     check_ir_seed(seed, indexed=True)
+
+
+@pytest.mark.parametrize("seed", range(max(6, FUZZ_CASES // 4)))
+def test_fuzz_frames_seeded(seed):
+    check_frames_seed(seed)
 
 
 @pytest.mark.parametrize("seed", range(max(6, FUZZ_CASES // 4)))

@@ -56,8 +56,10 @@ from repro.workloads.spec import SPEC_BENCHMARKS, build_spec_benchmark
 from repro.workloads.victim import build_victim
 from repro.workloads.webserver import build_webserver
 
-from tests.test_backends import DATA, HEAP, assemble, compare_backends, run_one_backend
-from tests.test_differential_fuzz import build_spec
+from tests.test_backends import (
+    BACKENDS, DATA, HEAP, assemble, compare_backends, run_one_backend,
+)
+from tests.test_differential_fuzz import _slices, build_spec
 
 I = Instruction
 
@@ -982,6 +984,53 @@ def test_a_head_compiles_when_it_comes_back_soon_or_often(monkeypatch, slices):
     assert observed == want
 
 
+@pytest.mark.parametrize("slices", [None, (19, 1000)], ids=["whole", "sliced"])
+def test_a_head_reached_at_a_step_boundary_is_entered_once(monkeypatch, slices):
+    """A 3-trip loop of 6 instructions between a 1-instruction prolog
+    and a 5-instruction exit block: whole, only the loop head compiles.
+    With a first ``step()`` slice of 19 instructions, the compiled loop
+    retires the 19th and returns the exit head as the slice's allowance
+    runs out; the run enters that head once, in the next slice, so it
+    does not compile either.  Both runs equal ``reference``."""
+    spec = [
+        (Op.MOV, Reg.RCX, Imm(3)),
+        (Op.ADD, Reg.RAX, Imm(1)),  # 1: loop head
+        (Op.ADD, Reg.RAX, Imm(1)),
+        (Op.ADD, Reg.RAX, Imm(1)),
+        (Op.SUB, Reg.RCX, Imm(1)),
+        (Op.CMP, Reg.RCX, Imm(0)),
+        (Op.JG, ("L", 1), None),
+        (Op.ADD, Reg.RAX, Imm(2)),  # 7: exit head
+        (Op.ADD, Reg.RAX, Imm(2)),
+        (Op.ADD, Reg.RAX, Imm(2)),
+        (Op.OUT, Reg.RAX, None),
+        (Op.EXIT, Imm(0), None),
+    ]
+    _, addresses = build_spec(spec)
+    jit = get_backend("jit")
+    compiled = []
+    real = jit._compile_slice
+
+    def recording(program, addr):
+        compiled.append(addr)
+        return real(program, addr)
+
+    monkeypatch.setattr(jit, "_compile_slice", recording)
+
+    def schedule():
+        return None if slices is None else iter(slices)
+
+    def make():
+        return build_spec(spec)[0]
+
+    observed = run_one_backend(make, "jit", slices=schedule())
+    assert compiled == [addresses[1]]
+    want = run_one_backend(make, "reference", slices=schedule())
+    assert want["error"] is None and want["result"]["output"] == [15]
+    assert want["result"]["instructions"] == 24
+    assert observed == want
+
+
 def _lockstep_webserver(build_seed: int, backend: str):
     binary = compile_module(build_webserver(requests=32), R2CConfig.full(seed=build_seed))
     leader = load_binary(binary, seed=5)
@@ -1360,3 +1409,264 @@ def test_every_benchmark_binary_lowers_at_tier_2():
                 if _classify(addr, instr) is None
             )
     assert refused == []
+
+
+# ---------------------------------------------------------------------------
+# Tier 2: one page view per base register (frames).
+# ---------------------------------------------------------------------------
+
+
+def _frame_loop(body, setup=()):
+    """``setup``, then ``body`` as a 5-trip loop on R8, then RAX..RDX
+    out: the loop head compiles on its second entry and runs compiled 4
+    times, too few for a loop trace, so ``body`` runs as a tier-2 block."""
+    spec = [(Op.MOV, Reg.R8, Imm(5)), *setup]
+    head = len(spec)
+    spec += body
+    spec += [
+        (Op.SUB, Reg.R8, Imm(1)),
+        (Op.CMP, Reg.R8, Imm(0)),
+        (Op.JG, ("L", head), None),
+    ]
+    spec += [(Op.OUT, reg, None) for reg in (Reg.RAX, Reg.RBX, Reg.RCX, Reg.RDX)]
+    spec.append((Op.EXIT, Imm(0), None))
+    return spec
+
+
+def _leaf_call_spec():
+    """A loop that calls a leaf with a stack frame: ``push rbp``, a
+    32-byte and an 8 KiB ``sub rsp`` with aligned ``[rsp + d]`` and
+    ``[rbp - d]`` accesses between them, the matching ``add rsp``,
+    ``pop rbp`` and ``ret``."""
+    spec = _frame_loop([(Op.NOP, None, None), (Op.ADD, Reg.RAX, Imm(3))])
+    # The loop's first instruction calls the leaf placed after EXIT.
+    spec[1] = (Op.CALL, ("L", len(spec)), None)
+    spec += [
+        (Op.PUSH, Reg.RBP, None),
+        (Op.MOV, Reg.RBP, Reg.RSP),
+        (Op.SUB, Reg.RSP, Imm(32)),
+        (Op.MOV, Mem(Reg.RSP, 8), Reg.RAX),
+        (Op.MOV, Mem(Reg.RSP, 16), Reg.RCX),
+        (Op.MOV, Reg.RBX, Mem(Reg.RBP, -24)),
+        (Op.ADD, Reg.RCX, Mem(Reg.RSP, 8)),
+        (Op.SUB, Reg.RSP, Imm(8192)),
+        (Op.MOV, Mem(Reg.RSP, 8), Reg.RCX),
+        (Op.MOV, Reg.RDX, Mem(Reg.RSP, 8)),
+        (Op.ADD, Reg.RSP, Imm(8192)),
+        (Op.ADD, Reg.RSP, Imm(32)),
+        (Op.POP, Reg.RBP, None),
+        (Op.RET, None, None),
+    ]
+    return spec
+
+
+def _push_run(base: int):
+    """RSP set to ``base``, 10 pushes and 10 pops into rotated
+    registers (R8, the loop counter, is pushed but not popped into),
+    then a load of the last word of ``base``'s page."""
+    regs = (Reg.RAX, Reg.RBX, Reg.RCX, Reg.RDX, Reg.RSI, Reg.RDI,
+            Reg.R8, Reg.R9, Reg.R10, Reg.R11)
+    spec = [(Op.MOV, Reg.RSP, Imm(base)), (Op.ADD, Reg.RAX, Imm(0x101))]
+    spec += [(Op.PUSH, reg, None) for reg in regs]
+    popped = (Reg.RBX, Reg.RCX, Reg.RDX, Reg.RSI, Reg.RDI, Reg.R9, Reg.R10,
+              Reg.R11, Reg.R12, Reg.RAX)
+    spec += [(Op.POP, reg, None) for reg in popped]
+    # The word past the end of RSP's page at the first push: a push
+    # that missed its page would have written there.
+    spec.append((Op.ADD, Reg.RAX, Mem(None, base - (base & 4095) + 4088)))
+    return spec
+
+
+def _lookup(reg: Reg, write: bool = False) -> str:
+    """The generated line that looks up ``reg``'s frame view."""
+    view, get = ("W", "WMG") if write else ("R", "RMG")
+    return f"{view}{int(reg)} = {get}(h{int(reg)} & -4096)"
+
+
+#: name -> (setup, body) of a frame case (see ``_frame_loop``), with a
+#: line the case's block source must hold.
+FRAME_CASES = {
+    # RBX holds the last two words of a page: [rbx + 16] and on lie in
+    # the next page.
+    "page-end": (
+        [(Op.MOV, Reg.RBX, Imm(DATA + 0x1000 - 16)), (Op.MOV, Reg.RAX, Imm(0x1111))],
+        [
+            (Op.MOV, Mem(Reg.RBX, 0), Reg.RAX),
+            (Op.MOV, Mem(Reg.RBX, 16), Reg.RAX),
+            (Op.MOV, Mem(Reg.RBX, 24), Reg.RCX),
+            (Op.MOV, Reg.RCX, Mem(Reg.RBX, 8)),
+            (Op.MOV, Reg.RDX, Mem(Reg.RBX, 16)),
+            (Op.ADD, Reg.RCX, Mem(Reg.RBX, 24)),
+            (Op.ADD, Reg.RAX, Reg.RCX),
+            (Op.MOV, Mem(Reg.RBX, 8), Reg.RAX),
+        ],
+        _lookup(Reg.RBX, write=True),
+    ),
+    # An unaligned base, whose [rbx + 8] also spans two pages.
+    "unaligned-base": (
+        [(Op.MOV, Reg.RBX, Imm(DATA + 0x1000 - 13)), (Op.MOV, Reg.RAX, Imm(0x2222))],
+        [
+            (Op.MOV, Mem(Reg.RBX, 0), Reg.RAX),
+            (Op.MOV, Mem(Reg.RBX, 8), Reg.RCX),
+            (Op.MOV, Reg.RCX, Mem(Reg.RBX, 16)),
+            (Op.MOV, Reg.RDX, Mem(Reg.RBX, 8)),
+            (Op.ADD, Reg.RAX, Reg.RDX),
+            (Op.MOV, Mem(Reg.RBX, 16), Reg.RAX),
+        ],
+        "h1 = r[1]",
+    ),
+    # Negative displacements in the frame's page, just below it, and a
+    # page and more below it.
+    "negative-disp": (
+        [(Op.MOV, Reg.RBX, Imm(DATA + 0x2000 + 8)), (Op.MOV, Reg.RAX, Imm(0x3333))],
+        [
+            (Op.MOV, Mem(Reg.RBX, -8), Reg.RAX),
+            (Op.MOV, Mem(Reg.RBX, -16), Reg.RAX),
+            (Op.MOV, Mem(Reg.RBX, -0x1010), Reg.RCX),
+            (Op.MOV, Reg.RCX, Mem(Reg.RBX, -16)),
+            (Op.ADD, Reg.RCX, Mem(Reg.RBX, -8)),
+            (Op.MOV, Reg.RDX, Mem(Reg.RBX, -0x1010)),
+            (Op.ADD, Reg.RAX, Reg.RCX),
+            # The last word of RBX's page, where a store below the page
+            # that missed it would have landed.
+            (Op.ADD, Reg.RDX, Mem(None, DATA + 0x2FF8)),
+        ],
+        "W1[j1 - 1]",
+    ),
+    # A 10-push run from 32 bytes above a page start: six pushes land
+    # in the page below the frame's.
+    "push-run-across-page": ([], _push_run(DATA + 0x3000 + 32), _lookup(Reg.RSP, write=True)),
+    # A store and loads through a base that walks into untouched pages,
+    # and the other order through a second walker: each compiled trip
+    # materializes its pages mid-block.
+    "materialize": (
+        [(Op.MOV, Reg.RBX, Imm(DATA + 0x5000)), (Op.MOV, Reg.RSI, Imm(DATA + 0xA000))],
+        [
+            (Op.MOV, Mem(Reg.RBX, 8), Reg.RCX),
+            (Op.MOV, Reg.RDX, Mem(Reg.RBX, 8)),
+            (Op.MOV, Reg.RAX, Mem(Reg.RBX, 16)),
+            (Op.MOV, Reg.RDI, Mem(Reg.RSI, 24)),
+            (Op.MOV, Mem(Reg.RSI, 32), Reg.RDX),
+            (Op.ADD, Reg.RAX, Mem(Reg.RSI, 32)),
+            (Op.MOV, Mem(Reg.RSI, 40), Reg.RAX),
+            (Op.ADD, Reg.RCX, Imm(7)),
+            (Op.ADD, Reg.RBX, Imm(0x1000)),
+            (Op.ADD, Reg.RSI, Imm(0x1000)),
+        ],
+        _lookup(Reg.RSI),
+    ),
+    # RBX overwritten between accesses: by a load through itself, an
+    # ALU op, a pop and a lea.
+    "overwritten-base": (
+        [
+            (Op.MOV, Reg.RBX, Imm(DATA + 0x100)),
+            (Op.MOV, Reg.RCX, Imm(DATA + 0x200)),
+            (Op.MOV, Reg.RAX, Imm(0x4444)),
+        ],
+        [
+            (Op.MOV, Mem(Reg.RBX, 8), Reg.RCX),
+            (Op.ADD, Reg.RAX, Mem(Reg.RBX, 16)),
+            (Op.MOV, Reg.RBX, Mem(Reg.RBX, 8)),
+            (Op.MOV, Mem(Reg.RBX, 16), Reg.RAX),
+            (Op.ADD, Reg.RBX, Imm(8)),
+            (Op.MOV, Reg.RDX, Mem(Reg.RBX, 8)),
+            (Op.PUSH, Imm(DATA + 0x300), None),
+            (Op.POP, Reg.RBX, None),
+            (Op.MOV, Mem(Reg.RBX, 8), Reg.RDX),
+            (Op.LEA, Reg.RBX, Mem(Reg.RCX, -0x100)),
+            (Op.MOV, Mem(Reg.RBX, 16), Reg.RDX),
+            (Op.ADD, Reg.RAX, Mem(Reg.RBX, 16)),
+        ],
+        "h1 = r[1]",
+    ),
+    # ``pop rsp`` leaves RSP 8 above where it was (the loaded word is
+    # discarded), and accesses through RSP follow.
+    "pop-rsp": (
+        [],
+        [
+            (Op.MOV, Reg.RSP, Imm(DATA + 0x6040)),
+            (Op.PUSH, Reg.RAX, None),
+            (Op.PUSH, Reg.RBX, None),
+            (Op.POP, Reg.RSP, None),
+            (Op.MOV, Reg.RCX, Mem(Reg.RSP, 0)),
+            (Op.PUSH, Reg.RDX, None),
+            (Op.POP, Reg.RDX, None),
+            (Op.ADD, Reg.RDX, Mem(Reg.RSP, -8)),
+            (Op.ADD, Reg.RAX, Imm(5)),
+        ],
+        _lookup(Reg.RSP),
+    ),
+}
+
+
+def _frame_case_spec(name: str):
+    if name == "stack-frame":
+        return _leaf_call_spec(), _lookup(Reg.RBP)
+    setup, body, line = FRAME_CASES[name]
+    return _frame_loop(body, setup), line
+
+
+def _differential_frames(make, line: str, monkeypatch) -> dict:
+    """Run ``make()`` on every backend, whole and in ``step()`` slices
+    (random lengths, then single steps); every observation must equal
+    ``reference``'s whole run, and a block the jit compiled must hold
+    ``line``."""
+    sources = []
+    generate = _SliceCompiler.generate
+
+    def recording(self):
+        source = generate(self)
+        if type(self) is _SliceCompiler:
+            sources.append(source)
+        return source
+
+    monkeypatch.setattr(_SliceCompiler, "generate", recording)
+    want = run_one_backend(make, "reference")
+    for backend in BACKENDS:
+        for slices in (None, _slices(7), itertools.repeat(3)):
+            observed = run_one_backend(make, backend, slices=slices)
+            assert observed == want, (backend, slices)
+    assert any(line in source for source in sources)
+    return want
+
+
+@pytest.mark.parametrize("name", [*FRAME_CASES, "stack-frame"])
+def test_frames_equal_reference(monkeypatch, name):
+    """Each frame edge case runs compiled and equals ``reference`` on
+    every backend, whole and sliced."""
+    spec, line = _frame_case_spec(name)
+    want = _differential_frames(lambda: build_spec(spec)[0], line, monkeypatch)
+    assert want["error"] is None
+    assert want["exit_code"] == 0
+
+
+@pytest.mark.parametrize(
+    "perm, guard, error",
+    [(Perm.R, False, MemoryFault), (Perm.X, False, MemoryFault),
+     (Perm.NONE, True, GuardPageFault)],
+    ids=["read-only", "execute-only", "guard"],
+)
+def test_frame_store_into_a_protected_page_faults_exactly(monkeypatch, perm, guard, error):
+    """A base walks a page per trip, and its fourth trip — compiled —
+    stores into a page without write permission: the fault's class,
+    ``rip``, registers and partial counters equal ``reference``'s on
+    every backend, whole and sliced."""
+    spec = _frame_loop(
+        [
+            (Op.MOV, Mem(Reg.RBX, 8), Reg.RCX),
+            (Op.MOV, Reg.RAX, Mem(Reg.RBX, 16)),
+            (Op.ADD, Reg.RCX, Imm(5)),
+            (Op.ADD, Reg.RBX, Imm(0x1000)),
+        ],
+        [(Op.MOV, Reg.RBX, Imm(DATA))],
+    )
+
+    def make():
+        process, _ = build_spec(spec)
+        process.memory.protect(DATA + 0x3000, 0x1000, perm, guard=guard)
+        return process
+
+    want = _differential_frames(make, _lookup(Reg.RBX, write=True), monkeypatch)
+    assert want["error"][0] is error
+    assert want["rip"] == build_spec(spec)[1][2]
+    assert want["regs"][Reg.R8] == 2
