@@ -404,9 +404,10 @@ def disasm_blocks_main(argv) -> int:
     (:func:`repro.machine.blocks.recover_blocks`), and prints one section
     per block: address range, instruction count, the tier the jit takes
     the block's head to (2 = compiles to a block function, 1 =
-    interpreter-only, with the instruction that cannot lower), the
-    superinstruction fusion annotations it compiles, and static
-    successor edges.  Tier and fusion come from the jit's own lowering
+    interpreter-only, with the instruction that cannot lower), its
+    compare-and-branch fusion (``cmp+jcc``, the one superinstruction the
+    jit compiles; the header's count sums it over tier-2 blocks), and
+    static successor edges.  Tier and fusion come from the jit's own lowering
     of the head (:func:`repro.machine.jit.lower_slice`), whose slice runs
     through the next terminator — past the block's end when an incoming
     branch split the block.

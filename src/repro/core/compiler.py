@@ -79,10 +79,6 @@ class R2CCompiler:
                     verify_binary(binary, self.config)
             return binary
 
-    def with_seed(self, seed: int) -> "R2CCompiler":
-        """A compiler identical to this one but reseeded."""
-        return R2CCompiler(self.config.replace(seed=seed))
-
 
 def compile_module(
     module: Module,

@@ -6,8 +6,8 @@ The machine layer lowers guest code through four tiers:
   first time the ``fast`` backend fetches its address; the terminal
   form that backend drives directly;
 * **tier 1** (this module) — a recovered basic-block CFG over a
-  process's instruction index, with hot adjacent instructions fused
-  into *superinstructions* (compare-and-branch pairs, push runs);
+  process's instruction index, with a slice's closing compare and
+  branch fused into a *superinstruction*;
 * **tier 2** (:mod:`repro.machine.jit`) — one ``exec``-compiled Python
   function per block, threaded together by direct jumps;
 * **tier 3** (:mod:`repro.machine.jit`) — hot loop heads (backward
@@ -31,8 +31,9 @@ Fusion never changes semantics, counters, or fault behaviour — a fused
 pair still charges two instructions, two costs (in the reference float
 order), and stores ``cpu._cmp`` for later SETcc readers.  What it
 removes is re-materialization: the compare result forwards to its
-branch in a local instead of round-tripping through machine state, and
-a push run reads the stack pointer once.
+branch in a local instead of round-tripping through machine state.
+(Stack traffic needs no fusion: compiled code reaches RSP's words
+through one page view per frame, see :mod:`repro.machine.jit`.)
 """
 
 from __future__ import annotations
@@ -205,37 +206,20 @@ def fuse_slice(items: List[tuple]) -> List[Tuple[str, int, int]]:
     """Superinstruction annotations for an instruction slice, as
     ``(kind, first index, instruction count)`` triples.
 
-    Two patterns, both exploited by the tier-2 code generator:
-
-    * ``cmp+jcc`` / ``test+jcc`` — the compare's result forwards to the
-      branch in a local (the store to ``cpu._cmp`` still happens, since
-      later SETcc micro-ops and snapshots read it);
-    * ``push-run`` — N >= 2 consecutive register/immediate pushes share
-      one stack-pointer read (each push still updates RSP *before* its
-      store, so a faulting push mid-run leaves the exact interpreter
-      state).
+    One pattern, which the tier-2 and tier-3 code generators exploit:
+    ``cmp+jcc`` / ``test+jcc`` closing the slice — the compare's result
+    forwards to the branch in a local (the store to ``cpu._cmp`` still
+    happens, since later SETcc micro-ops and snapshots read it).
 
     Computed from ``(address, instruction)`` pairs, so the tier-2
     promoter fuses lazily sliced blocks without a tier-0 bind.
     """
-    fused: List[Tuple[str, int, int]] = []
     count = len(items)
     if (
         count >= 2
         and items[-2][1].op in FUSABLE_COMPARES
         and items[-1][1].op in FUSABLE_BRANCHES
     ):
-        fused.append(("cmp+jcc", count - 2, 2))
-    position = 0
-    while position < count:
-        if items[position][1].op is Op.PUSH:
-            run = position
-            while run < count and items[run][1].op is Op.PUSH:
-                run += 1
-            if run - position >= 2:
-                fused.append(("push-run", position, run - position))
-            position = run
-        else:
-            position += 1
-    return fused
+        return [("cmp+jcc", count - 2, 2)]
+    return []
 

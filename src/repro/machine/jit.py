@@ -18,8 +18,9 @@ waits until its compile can pay:
   one that only the generic interpreter path can run — an unresolved
   symbolic immediate, or an operand form the toolchain never emits,
   such as an indexed operand outside ``mov`` — stays at tier 1),
-  and :func:`~repro.machine.blocks.fuse_slice` annotates superinstructions
-  (compare-and-branch forwarding, push runs);
+  and :func:`~repro.machine.blocks.fuse_slice` annotates the
+  compare-and-branch superinstruction (the compare's result forwards to
+  its branch in a local);
 * tier 2 — the slice compiles to one ``exec``-compiled Python function.
   Everything the interpreters re-derive per instruction is folded into
   the generated source: operand dispatch becomes specialized statements,
@@ -42,9 +43,11 @@ waits until its compile can pay:
   (:class:`_TraceCompiler`): registers, the instruction cursor, the
   i-cache miss count, and the iteration counter live in Python locals
   across iterations, per-iteration static charges (cycles, hit/mem/branch
-  bookkeeping) apply as ``it * constant`` only at exits, and accesses
-  through loop-invariant base registers hoist their address arithmetic
-  and page word-view lookups out of the loop.  Conditional branches
+  bookkeeping) apply as ``it * constant`` only at exits, and memory
+  goes through the same frames as in blocks: a base register the path
+  never writes gets a *hoisted* frame, whose page view lookups and
+  per-word indices run once per call in the trace prolog, and any other
+  base an ordinary frame in the loop body.  Conditional branches
   between segments become guards whose off-trace side *flushes the exact
   executed prefix* and returns the off-trace address — a side exit is a
   normal return, not a deopt.  Any other transition (a call, return,
@@ -462,11 +465,11 @@ _PAGE_WORDS = PAGE_SIZE // 8
 
 
 class _Frame:
-    """One base register's frame in a block (see "inlined memory word
-    access" in :class:`_SliceCompiler`): the register ``reg``, the
-    static ``delta`` of its current value from the frame value
-    ``h<reg>`` (only RSP's static steps move it), and whether the read
-    and the write view have been looked up."""
+    """One base register's frame in a block or a loop trace (see
+    "inlined memory word access" in :class:`_SliceCompiler`): the
+    register ``reg``, the static ``delta`` of its current value from the
+    frame value ``h<reg>`` (only RSP's static steps move it), and whether
+    the read and the write view have been looked up."""
 
     __slots__ = ("reg", "delta", "read", "write")
 
@@ -482,6 +485,32 @@ class _Frame:
         if offset == 0:
             return h
         return f"({h} + {offset}) & M" if offset > 0 else f"({h} - {-offset}) & M"
+
+    def view(self, write: bool) -> Tuple[str, str, Optional[str]]:
+        """(view, word index, lookup statement) of the frame's write or
+        read view; the statement is None when an earlier call returned
+        it."""
+        b = self.reg
+        if write:
+            view, index, get, seen = f"W{b}", f"j{b}", "WMG", self.write
+            self.write = True
+        else:
+            view, index, get, seen = f"R{b}", f"i{b}", "RMG", self.read
+            self.read = True
+        lookup = None if seen else (
+            f"{view} = {get}(h{b} & -4096); {index} = (h{b} & 4095) >> 3 "
+            f"if {view} is not None and not h{b} & 7 else 1 << 62"
+        )
+        return view, index, lookup
+
+
+def _word(index: str, k: int) -> Tuple[str, str]:
+    """(bound test, element index) of word ``k`` from a frame's word
+    index ``index``: the test holds when the word lies in the view's
+    page (a missing view or an unaligned frame value fails it)."""
+    if k >= 0:
+        return f"{index} < {_PAGE_WORDS - k}", f"{index} + {k}" if k else index
+    return f"{-k} <= {index} < {_PAGE_WORDS - k}", f"{index} - {-k}"
 
 
 def _mem_addr_expr(off: str, base: Optional[int], idx: Optional[int] = None,
@@ -708,9 +737,8 @@ class _SliceCompiler:
         self._tag = (next((j.rip - base for j in jus if _faultable(j)), 0),) + (0,) * 6
         #: Generated line -> fault-table entry (None without a try).
         self.faults: Optional[dict] = None
-        #: Base register -> its open :class:`_Frame`; None in a loop
-        #: trace, which hoists invariant bases instead.
-        self.frames: Optional[Dict[int, _Frame]] = {}
+        #: Base register -> its open :class:`_Frame`.
+        self.frames: Dict[int, _Frame] = {}
 
     # -- relocation --------------------------------------------------------
 
@@ -776,10 +804,6 @@ class _SliceCompiler:
         self.jus = lowering.jus
         self.plan = plan
         self.fused_cmp = any(kind == "cmp+jcc" for kind, _, _ in lowering.fused)
-        self._run_positions = set()
-        for kind, start, count in lowering.fused:
-            if kind == "push-run":
-                self._run_positions.update(range(start + 1, start + count))
 
     def emit(self, line: str) -> None:
         self.lines.append(self.indent + line)
@@ -856,39 +880,42 @@ class _SliceCompiler:
     # -- inlined memory word access ----------------------------------------
     #
     # The single hottest thing compiled code does is call
-    # ``Memory.read_word``/``write_word``.  Blocks inline the aligned
-    # single-page fast path instead: ``RMG``/``WMG`` are bound ``dict.get``
-    # methods over the memory's word-view maps (page base -> 64-bit
-    # memoryview, present iff the page is materialized and currently
-    # grants the permission — see :class:`repro.machine.memory.Memory`),
-    # so a hit licenses indexed view accesses outright.  Every miss —
-    # unaligned, unmaterialized, unmapped, protected, guard, big-endian
-    # host — falls back to the accessor call at the exact address, which
-    # reproduces the exact behaviour including the fault, from a line the
-    # fault table attributes to the same instruction.
+    # ``Memory.read_word``/``write_word``.  Compiled code inlines the
+    # aligned single-page fast path instead: ``RMG``/``WMG`` are bound
+    # ``dict.get`` methods over the memory's word-view maps (page base ->
+    # 64-bit memoryview, present iff the page is materialized and
+    # currently grants the permission — see
+    # :class:`repro.machine.memory.Memory`), so a hit licenses indexed
+    # view accesses outright.  Every miss — unaligned, unmaterialized,
+    # unmapped, protected, guard, big-endian host — falls back to the
+    # accessor call at the exact address, which reproduces the exact
+    # behaviour including the fault, from a line the fault table
+    # attributes to the same instruction.
     #
-    # A block looks a page up once per base register, not once per
-    # access.  A register's *frame* (:class:`_Frame`) is its value
-    # ``h<b>`` at the block's first access through it, one ``RMG`` lookup
-    # of that value's page on the first read (view ``R<b>``, word index
-    # ``i<b>``) and one ``WMG`` lookup on the first write (``W<b>``,
-    # ``j<b>``); the index is ``1 << 62``, past every bound, when the view
-    # is missing or the value unaligned.  Every 8-aligned ``[b + disp]``
-    # access is then one indexed view access behind a constant bound
-    # test, with the accessor at the exact address as its other branch.
+    # A page is looked up once per base register, not once per access.
+    # A register's *frame* (:class:`_Frame`) is its value ``h<b>`` at the
+    # first access through it, one ``RMG`` lookup of that value's page on
+    # the first read (view ``R<b>``, word index ``i<b>``) and one ``WMG``
+    # lookup on the first write (``W<b>``, ``j<b>``); the index is
+    # ``1 << 62``, past every bound, when the view is missing or the
+    # value unaligned.  Every 8-aligned ``[b + disp]`` access is then one
+    # indexed view access behind a constant bound test, with the accessor
+    # at the exact address as its other branch; a read-modify-write
+    # memory-destination ALU form is a load and a store through the frame.
     # RSP's push, pop, call, ret and ``add``/``sub rsp, imm`` move a
     # static delta inside RSP's frame (each still assigns ``r[RSP]``), so
     # a push run costs one lookup; any other write to a base register
-    # ends its frame, and the next access opens a new one.  Exact, because
-    # a materialized page's view object never changes, and only
-    # ``protect`` changes which table lists it: while guest code runs,
-    # only runtime services call it (or ``map_region``), and a service
-    # call ends a block.  A page that materializes mid-block through an
-    # accessor call keeps taking the accessor for the rest of the block.
-    # Unaligned displacements, absolute (``MA``) and indexed (``MX``)
-    # operands and memory-destination ALU forms keep one lookup per
-    # access; loop traces keep theirs too (invariant bases hoist per-slot
-    # views out of the loop instead, see :class:`_TraceCompiler`).
+    # ends its frame, and the next access opens a new one.  A loop trace
+    # hoists the frame of every base its path never writes into its
+    # prolog, per-word indices included (see :class:`_TraceCompiler`).
+    # Exact, because a materialized page's view object never changes,
+    # and only ``protect`` changes which table lists it: while guest code
+    # runs, only runtime services call it (or ``map_region``), and a
+    # service call ends a block and never enters a trace.  A page that
+    # materializes through an accessor call keeps taking the accessor
+    # until its frame is opened again.  Unaligned or relocated
+    # displacements and absolute (``MA``) and indexed (``MX``) operands
+    # keep one lookup per access.
 
     def open_frame(self, base: int) -> _Frame:
         """``base``'s frame, opened here (``h<base> = r[base]``) if none
@@ -903,13 +930,11 @@ class _SliceCompiler:
                    relocated: bool) -> Optional[Tuple[_Frame, int]]:
         """The frame a ``[base + disp]`` word access goes through and the
         access's byte offset from its frame value, or None when the access
-        keeps one lookup per access: no base, a relocated or unaligned
-        displacement, one a page or more from the frame value, or a loop
-        trace."""
-        frames = self.frames
-        if frames is None or base is None or relocated:
+        keeps one lookup per access: no base, or a relocated or unaligned
+        displacement, or one a page or more from the frame value."""
+        if base is None or relocated:
             return None
-        frame = frames.get(base)
+        frame = self.frames.get(base)
         offset = disp + (0 if frame is None else frame.delta)
         if offset & 7 or not -PAGE_SIZE < offset < PAGE_SIZE:
             return None
@@ -919,26 +944,11 @@ class _SliceCompiler:
         """(bound test, view element) of the word ``offset`` bytes from
         the frame value, looking the frame's read or write view up on its
         first use."""
-        b = frame.reg
-        if write:
-            view, index, get, seen = f"W{b}", f"j{b}", "WMG", frame.write
-            frame.write = True
-        else:
-            view, index, get, seen = f"R{b}", f"i{b}", "RMG", frame.read
-            frame.read = True
-        if not seen:
-            self.emit(
-                f"{view} = {get}(h{b} & -4096); {index} = (h{b} & 4095) >> 3 "
-                f"if {view} is not None and not h{b} & 7 else 1 << 62"
-            )
-        k = offset >> 3
-        if k >= 0:
-            test = f"{index} < {_PAGE_WORDS - k}"
-            word = f"{view}[{index} + {k}]" if k else f"{view}[{index}]"
-        else:
-            test = f"{-k} <= {index} < {_PAGE_WORDS - k}"
-            word = f"{view}[{index} - {-k}]"
-        return test, word
+        view, index, lookup = frame.view(write)
+        if lookup is not None:
+            self.emit(lookup)
+        test, element = _word(index, offset >> 3)
+        return test, f"{view}[{element}]"
 
     def emit_frame_load(self, target: str, frame: _Frame, offset: int) -> None:
         test, word = self.frame_word(frame, offset, False)
@@ -963,7 +973,7 @@ class _SliceCompiler:
         ``ju`` is a ``push``, a ``pop`` (``pop rsp`` discards the word it
         loads), a ``call``, a ``ret`` or an ``add``/``sub rsp, imm`` whose
         immediate the loader does not relocate; None otherwise."""
-        if not self.frames or _RSP not in self.frames:
+        if _RSP not in self.frames:
             return None
         op = ju.op
         if op is Op.PUSH or op is Op.CALL:
@@ -986,26 +996,15 @@ class _SliceCompiler:
             if reg in frames and (reg != _RSP or self.stack_step(ju) is None):
                 del frames[reg]
 
-    def emit_push(self, value: str, fused: bool = False) -> None:
+    def emit_push(self, value: str) -> None:
         """``r[RSP] -= 8``, then store ``value`` (evaluated after the
-        assignment, as the interpreters do) at the new RSP.  ``fused``:
-        inside a loop trace's fused push run, ``p`` already holds RSP."""
-        if self.frames is None:
-            self.emit("p = (p - 8) & M" if fused else f"p = (r[{_RSP}] - 8) & M")
-            self.emit(f"r[{_RSP}] = p")
-            self.emit_store_q("p", value)
-            return
+        assignment, as the interpreters do) at the new RSP."""
         frame = self.open_frame(_RSP)
         self.move_stack(frame, -8)
         self.emit_frame_store(frame, frame.delta, value)
 
     def emit_pop(self, target: str) -> None:
         """Load the word at RSP into ``target``, then ``r[RSP] += 8``."""
-        if self.frames is None:
-            self.emit(f"p = r[{_RSP}]")
-            self.emit_load_q(target, "p")
-            self.emit(f"r[{_RSP}] = (p + 8) & M")
-            return
         frame = self.open_frame(_RSP)
         self.emit_frame_load(target, frame, frame.delta)
         self.move_stack(frame, 8)
@@ -1103,8 +1102,6 @@ class _SliceCompiler:
             return f"r[{ju.b_reg}]"
         if kb == "I":
             return self.imm(ju)
-        if kb in ("MB", "MA"):
-            return f"RW({self.mem_addr(ju, 'b')})"
         raise AssertionError(kb)
 
     def emit_semantics(self, position: int, ju: _JU) -> None:
@@ -1112,9 +1109,8 @@ class _SliceCompiler:
         ka, kb = ju.ka, ju.kb
         if op is Op.MOV:
             # Indexed forms compute their address afresh on every
-            # execution and take the unhoisted page-view path directly:
-            # the address moves with the index even when the base is
-            # loop-invariant (see ``_TraceCompiler.emit_load``).
+            # execution and look its page up per access: the address
+            # moves with the index even when the base is loop-invariant.
             if ka == "R":
                 if kb in ("MB", "MA"):
                     self.emit_load(f"r[{ju.a_reg}]", *self.disp(ju, "b"))
@@ -1151,16 +1147,16 @@ class _SliceCompiler:
                 mask = "" if op in _NO_MASK_OPS else " & M"
                 self.emit(f"r[{ju.a_reg}] = {body}{mask}")
             else:  # MB destination: read-modify-write one address
-                self.emit(f"q = {self.mem_addr(ju, 'a')}")
-                self.emit_load_q("y", "q")
+                site = self.disp(ju, "a")
+                self.emit_load("y", *site)
                 body = expr.format(a="y", b=self.b_val(ju))
                 mask = "" if op in _NO_MASK_OPS else " & M"
                 self.emit(f"y = {body}{mask}")
-                self.emit_store_q("q", "y")
+                self.emit_store(*site, "y")
         elif op is Op.LEA:
             self.emit(f"r[{ju.a_reg}] = {self.mem_addr(ju, 'b')}")
         elif op is Op.PUSH:
-            self.emit_push(self.a_val(ju), position in self._run_positions)
+            self.emit_push(self.a_val(ju))
         elif op is Op.POP:
             self.emit_pop(f"r[{ju.a_reg}]")
         elif op is Op.IDIV:
@@ -1300,8 +1296,7 @@ class _SliceCompiler:
                 self.emit_terminator(ju)
             else:
                 self.emit_semantics(position, ju)
-                if self.frames:
-                    self.retire(ju)
+                self.retire(ju)
 
         misses = self.page_misses()
         head = [
@@ -1363,6 +1358,19 @@ class _TraceCompiler(_SliceCompiler):
     per-iteration static charges are applied as ``it * constant`` only at
     exits, deopts, and faults.
 
+    Memory goes through the block compiler's frames.  A base register
+    the recorded path never writes (:func:`_written` over every segment,
+    known before codegen) gets a *hoisted* frame: its value ``h<b>``, its
+    ``RMG``/``WMG`` lookups and one index per word it accesses
+    (``i<b>_<k>`` for word ``k``, or ``j<b>_<k>`` for a store: the word's
+    view index when the bound test holds, else None) are emitted once
+    into the prolog, so an access in the loop is one view access behind
+    a None test, with the accessor at the exact address as its other
+    branch.  A view missing at the prolog (a page the loop materializes)
+    keeps taking the accessor for the whole call.  Every other base,
+    RSP included, gets an ordinary frame in the loop body, looked up
+    once per iteration.
+
     Fault attribution is the block compiler's line-keyed table, which is
     what a trace needs: one guest address can occur in more than one
     segment (an inner loop's block recorded twice, or slices that
@@ -1391,30 +1399,22 @@ class _TraceCompiler(_SliceCompiler):
     _REG_REF = re.compile(r"\br\[(\d+)\]")
 
     def __init__(self, segments: List[Tuple[int, Lowering]], costs, monotone: bool,
-                 base: int = 0, symbolic: Optional[Dict[int, Tuple[bool, bool]]] = None,
-                 hoist_bases: frozenset = frozenset()):
+                 base: int = 0, symbolic: Optional[Dict[int, Tuple[bool, bool]]] = None):
         super().__init__(
             segments[0][0], [lowering for _, lowering in segments], costs, monotone,
             base, symbolic,
         )
         self.segments = segments
         self.indent += "    "
-        # No frames: a frame's lookup would run on every iteration, and
-        # accesses through invariant bases hoist theirs out of the loop.
-        self.frames = None
-        #: Loop-invariant base registers (second compile pass only):
-        #: static ``off + base`` accesses through them hoist the address
-        #: arithmetic and page word-view lookup out of the loop.  Pure
-        #: fast-path caching — a view that appears mid-call (a store
-        #: materializing a page) just keeps taking the accessor fallback,
-        #: and nothing can invalidate a view mid-call (permissions only
-        #: change in runtime services, which never enter traces; for the
-        #: same reason the prolog tests the trace's text pages once per
-        #: call).
-        self.hoist_bases = hoist_bases
-        #: (rendered displacement, base register) -> slot index.
-        self._slots: Dict[Tuple[str, int], int] = {}
-        self._slot_kinds: Dict[Tuple[str, int], set] = {}
+        #: Registers the recorded path writes; a base outside this set
+        #: gets a hoisted frame.
+        self.written = {
+            reg for _, lowering in segments for ju in lowering.jus for reg in _written(ju)
+        }
+        #: The hoisted frames' prolog statements, keyed by the local each
+        #: assigns (insertion-ordered: a value before its lookups, a
+        #: lookup before its word indices).
+        self.prolog: Dict[str, str] = {}
         #: Registers referenced anywhere in the body (insertion-ordered);
         #: each lives in a local ``g<index>`` for the whole trace.
         self.cached: Dict[int, None] = {}
@@ -1431,34 +1431,31 @@ class _TraceCompiler(_SliceCompiler):
         self.cached[index] = None
         return f"g{index}"
 
-    def _slot(self, off: str, base: int, write: bool) -> int:
-        key = (off, base)
-        slot = self._slots.get(key)
-        if slot is None:
-            slot = self._slots[key] = len(self._slots)
-            self._slot_kinds[key] = set()
-        self._slot_kinds[key].add("w" if write else "r")
+    def open_frame(self, base: int) -> _Frame:
+        """A written base's frame opens in the body; any other base's
+        frame is hoisted: its value is set once, in the prolog."""
+        if base in self.written or base in self.frames:
+            return super().open_frame(base)
+        frame = self.frames[base] = _Frame(base)
         self.cached[base] = None
-        return slot
+        self.prolog[f"h{base}"] = f"h{base} = g{base}"
+        return frame
 
-    def emit_load(self, target: str, off: int, base: Optional[int],
-                  relocated: bool = False) -> None:
-        if base is not None and base in self.hoist_bases:
-            j = self._slot(self.lit(off, relocated), base, False)
-            self.emit(
-                f"{target} = ur{j}[y{j}] if ur{j} is not None else RW(q{j})"
-            )
-            return
-        super().emit_load(target, off, base, relocated)
-
-    def emit_store(self, off: int, base: Optional[int], relocated: bool,
-                   value: str) -> None:
-        if base is not None and base in self.hoist_bases:
-            j = self._slot(self.lit(off, relocated), base, True)
-            self.emit(f"if uw{j} is None: WW(q{j}, {value})")
-            self.emit(f"else: uw{j}[y{j}] = {value}")
-            return
-        super().emit_store(off, base, relocated, value)
+    def frame_word(self, frame: _Frame, offset: int, write: bool) -> Tuple[str, str]:
+        """A hoisted frame's view lookup and the word's bound-tested
+        index go to the prolog, once each; the body tests the index for
+        None."""
+        if frame.reg in self.written:
+            return super().frame_word(frame, offset, write)
+        view, index, lookup = frame.view(write)
+        if lookup is not None:
+            self.prolog[view] = lookup
+        k = offset >> 3
+        word = f"{index}_{k}" if k >= 0 else f"{index}_n{-k}"
+        if word not in self.prolog:
+            test, element = _word(index, k)
+            self.prolog[word] = f"{word} = {element} if {test} else None"
+        return f"{word} is not None", f"{view}[{word}]"
 
     # -- trace-specific emission -------------------------------------------
 
@@ -1527,6 +1524,7 @@ class _TraceCompiler(_SliceCompiler):
                     self._emit_branch(ju, segments[(index + 1) % len(segments)][0])
                 else:
                     self.emit_semantics(position, ju)
+                    self.retire(ju)
         self.emit("it += 1")
         self.emit(f"n = n + {self._T_I}")
         if self.monotone and self.has_probe:
@@ -1552,16 +1550,7 @@ class _TraceCompiler(_SliceCompiler):
             head.append(
                 "    " + "; ".join(f"g{i} = r[{i}]" for i in self.cached)
             )
-        for (off, base), j in self._slots.items():
-            head.append(
-                f"    q{j} = ({off} + g{base}) & M; "
-                f"z_ = q{j} & 4095; y{j} = z_ >> 3"
-            )
-            kinds = self._slot_kinds[(off, base)]
-            if "r" in kinds:
-                head.append(f"    ur{j} = None if z_ & 7 else RMG(q{j} - z_)")
-            if "w" in kinds:
-                head.append(f"    uw{j} = None if z_ & 7 else WMG(q{j} - z_)")
+        head.extend("    " + stmt for stmt in self.prolog.values())
         w = "    "
         if self.needs_try:
             head.append("    try:")
@@ -2068,20 +2057,11 @@ class JitBackend(ExecutionBackend):
         if unit is not None:
             JIT_STATS["code_cache_hits"] += 1
         else:
-            options = (program.costs, program.monotone, base, program.symbolic)
-            compiler = _TraceCompiler(path, *options)
-            source = compiler.generate()
-            # Second pass: registers never written in the body are
-            # loop-invariant, so accesses through them can hoist the address
-            # arithmetic and page-view lookups out of the loop.
-            invariant = frozenset(compiler.cached).difference(
-                *(_written(ju) for _, lowering in path for ju in lowering.jus)
+            compiler = _TraceCompiler(
+                path, program.costs, program.monotone, base, program.symbolic
             )
-            if invariant:
-                compiler = _TraceCompiler(path, *options, hoist_bases=invariant)
-                source = compiler.generate()
             unit = program.units[key] = _Unit(
-                compile(source, f"<jit-trace:{compiler.offset:#x}>", "exec"),
+                compile(compiler.generate(), f"<jit-trace:{compiler.offset:#x}>", "exec"),
                 f"t_{compiler.offset:x}",
                 [addr - base for addr, _ in path], compiler.pages, compiler.total,
                 compiler.faults,

@@ -127,9 +127,3 @@ def _rebase(instr: Instruction, resolve) -> Instruction:
     if not changed:
         return instr
     return Instruction(instr.op, a, b, size=instr.size, tag=instr.tag)
-
-
-def prepare_stack(process: Process) -> int:
-    """Return the initial 16-byte-aligned stack pointer."""
-    top = process.layout.stack_top
-    return top & ~0xF

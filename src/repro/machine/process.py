@@ -209,9 +209,6 @@ class Process:
             raise MachineError(f"instruction overlap at {address:#x}")
         self.instructions[address] = instr
 
-    def instruction_at(self, address: int) -> Optional[Instruction]:
-        return self.instructions.get(address)
-
     # -- runtime services ------------------------------------------------------
 
     def register_service(self, name: str, fn: RuntimeService) -> None:

@@ -19,10 +19,6 @@ def to_signed(value: int) -> int:
     return value - (1 << 64) if value & SIGN_BIT else value
 
 
-def to_unsigned(value: int) -> int:
-    return value & MASK64
-
-
 def truncated_div(dividend: int, divisor: int) -> int:
     """Exact signed division truncating toward zero (C semantics)."""
     quotient = abs(dividend) // abs(divisor)

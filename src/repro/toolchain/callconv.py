@@ -37,9 +37,3 @@ RET_REG = Reg.RAX
 FP_REG = Reg.RBP
 
 MAX_REG_ARGS = len(ARG_REGS)
-
-
-def split_args(n: int):
-    """Return (register_arg_count, stack_arg_count) for an n-argument call."""
-    reg_args = min(n, MAX_REG_ARGS)
-    return reg_args, n - reg_args

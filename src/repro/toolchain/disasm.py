@@ -196,14 +196,6 @@ def disassemble_function(binary: Binary, name: str) -> str:
     return "\n".join(lines)
 
 
-def disassemble_binary(binary: Binary, *, functions: Optional[List[str]] = None) -> str:
-    """Full (or filtered) listing, in text-layout order."""
-    order = functions if functions is not None else sorted(
-        binary.frame_records, key=lambda n: binary.frame_records[n].entry_offset
-    )
-    return "\n\n".join(disassemble_function(binary, name) for name in order)
-
-
 def section_map(binary: Binary) -> str:
     """Summarize the layout: functions with offsets/sizes, then globals."""
     lines = [f"text: {binary.text_size} bytes, {len(binary.frame_records)} functions"]

@@ -33,6 +33,14 @@ Layers:
   base overwritten between two accesses, stores into untouched pages
   followed by loads, and stores that reach execute-only text on one
   loop trip.  A separate seeded stream, as for the indexed leg.
+* ``test_fuzz_trace_frames_seeded`` — the frames generator again, on a
+  third seeded stream, with loops of 20 to 40 trips, so that they form
+  loop traces, accesses through bases no loop writes (hoisted frames;
+  the other constructs' bases get frames in the loop body), and
+  read-modify-write ALU forms
+  (``add``/``sub``/``and``/``or``/``xor``/``shl``/``shr``/``imul
+  [base + disp], reg|imm``) in the access mix: tier 2 lowers them, and
+  the toolchain never emits them.
 * ``test_fuzz_lockstep_seeded`` — each IR module as a three-replica
   :class:`~repro.defenses.lockstep.LockstepGroup` on every backend, at a
   random ``sync_every``: the group must stay clean and every replica
@@ -322,18 +330,34 @@ FRESH, FRESH_STEP = Reg.R12, Reg.R13
 #: RSP when every frames construct starts (they all leave it balanced).
 STACK_TOP = STACK + 0x10000
 
+#: The trace-frames leg's loop-invariant base: set once, before the
+#: first loop, and never written after, so a loop trace hoists its frame.
+INVARIANT = Reg.R14
+
+
+#: ALU ops of the read-modify-write forms ``op [base + disp], reg|imm``
+#: tier 2 lowers (``_ALU_FORMS`` in :mod:`repro.machine.jit`); the
+#: toolchain never emits them, so only the trace-frames leg runs them.
+RMW_OPS = (Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR, Op.SHL, Op.SHR, Op.IMUL)
+
 
 def _frame_accesses(rng: random.Random, spec: List[Entry], base: Reg,
                     disps: List[int], at: Optional[int] = None,
-                    stored: Optional[List[int]] = None) -> None:
+                    stored: Optional[List[int]] = None, rmw: bool = False) -> None:
     """Loads and stores through ``base`` at displacements drawn from
-    ``disps``; the base itself is never a destination.  When the base
-    holds the constant ``at``, each store's address goes to ``stored``."""
+    ``disps``, and with ``rmw`` read-modify-write ALU forms too; the
+    base itself is never a destination.  When the base holds the
+    constant ``at``, each store's address goes to ``stored``."""
     for _ in range(rng.randrange(1, 5)):
         disp = rng.choice(disps)
         mem = Mem(base, disp)
         reg = rng.choice([reg for reg in GPRS if reg != base])
-        if rng.random() < 0.5:
+        if rmw and rng.random() < 0.3:
+            op = rng.choice(RMW_OPS)
+            spec.append((op, mem, reg if rng.random() < 0.5 else Imm(rng.randrange(1 << 16))))
+            if at is not None:
+                stored.append(at + disp)
+        elif rng.random() < 0.5:
             spec.append((Op.MOV, mem, reg))
             if at is not None:
                 stored.append(at + disp)
@@ -344,11 +368,26 @@ def _frame_accesses(rng: random.Random, spec: List[Entry], base: Reg,
 
 
 def _gen_frame(rng: random.Random, spec: List[Entry], counter: Optional[Reg],
-               stored: List[int]) -> None:
-    """One construct of the frames generator: accesses a tier-2 block
+               stored: List[int], invariant: Optional[int] = None) -> None:
+    """One construct of the frames generator: accesses compiled code
     serves through one page view per base register.  ``counter`` is the
     enclosing loop's counter, or None outside a loop; stores through a
-    base of known value add their addresses to ``stored``."""
+    base of known value add their addresses to ``stored``.
+    ``invariant`` is :data:`INVARIANT`'s value in the trace-frames leg
+    (None in the frames leg): there, a construct may instead access
+    memory through bases no loop writes, and every access mix holds
+    read-modify-write forms."""
+    rmw = invariant is not None
+    if rmw and rng.random() < 0.3:
+        # Through INVARIANT, or below RSP: a loop trace hoists the
+        # frame (RSP's unless the loop also moves RSP).
+        if rng.random() < 0.5:
+            _frame_accesses(rng, spec, INVARIANT, list(range(-64, 72, 8)), invariant,
+                            stored, rmw)
+        else:
+            _frame_accesses(rng, spec, Reg.RSP, list(range(-64, 0, 8)), STACK_TOP,
+                            stored, rmw)
+        return
     choice = rng.random()
     base = rng.choice(GPRS)
     if choice < 0.2:
@@ -356,7 +395,7 @@ def _gen_frame(rng: random.Random, spec: List[Entry], counter: Optional[Reg],
         size = 8 * rng.randrange(1, 9)
         spec.append((Op.SUB, Reg.RSP, Imm(size)))
         _frame_accesses(
-            rng, spec, Reg.RSP, list(range(0, size, 8)), STACK_TOP - size, stored
+            rng, spec, Reg.RSP, list(range(0, size, 8)), STACK_TOP - size, stored, rmw
         )
         spec.append((Op.ADD, Reg.RSP, Imm(size)))
     elif choice < 0.35:
@@ -375,12 +414,12 @@ def _gen_frame(rng: random.Random, spec: List[Entry], counter: Optional[Reg],
         else:
             at = page - rng.randrange(1, 64)
         spec.append((Op.MOV, base, Imm(at)))
-        _frame_accesses(rng, spec, base, list(range(-32, 40, 8)), at, stored)
+        _frame_accesses(rng, spec, base, list(range(-32, 40, 8)), at, stored, rmw)
     elif choice < 0.7:
         # A base overwritten between two accesses of one block.
         at = DATA + 8 * rng.randrange(64, 448)
         spec.append((Op.MOV, base, Imm(at)))
-        _frame_accesses(rng, spec, base, list(range(-64, 72, 8)), at, stored)
+        _frame_accesses(rng, spec, base, list(range(-64, 72, 8)), at, stored, rmw)
         change = rng.random()
         if change < 0.4:
             step = 8 * rng.randrange(-8, 9)
@@ -393,7 +432,7 @@ def _gen_frame(rng: random.Random, spec: List[Entry], counter: Optional[Reg],
             at = DATA + 8 * rng.randrange(64, 448)
             spec.append((Op.PUSH, Imm(at), None))
             spec.append((Op.POP, base, None))
-        _frame_accesses(rng, spec, base, list(range(-64, 72, 8)), at, stored)
+        _frame_accesses(rng, spec, base, list(range(-64, 72, 8)), at, stored, rmw)
     elif choice < 0.85:
         # A store into an untouched data page, then a load from it.
         spec.append((Op.ADD, FRESH_STEP, Imm(4096)))
@@ -402,7 +441,7 @@ def _gen_frame(rng: random.Random, spec: List[Entry], counter: Optional[Reg],
         disp = 8 * rng.randrange(-4, 8)
         spec.append((Op.MOV, Mem(FRESH, disp), rng.choice(GPRS)))
         spec.append((Op.MOV, rng.choice(GPRS), Mem(FRESH, disp)))
-        _frame_accesses(rng, spec, FRESH, list(range(-32, 40, 8)))
+        _frame_accesses(rng, spec, FRESH, list(range(-32, 40, 8)), rmw=rmw)
     elif counter is not None and rng.random() < 0.5:
         # A store that reaches execute-only text on one trip: the base
         # is the data page, minus the text-to-data distance once the
@@ -414,41 +453,53 @@ def _gen_frame(rng: random.Random, spec: List[Entry], counter: Optional[Reg],
         spec.append((Op.ADD, base, Imm(DATA + 8 * rng.randrange(8, 256))))
         value = rng.choice([reg for reg in GPRS if reg != base])
         spec.append((Op.MOV, Mem(base, 8 * rng.randrange(-2, 3)), value))
-        _frame_accesses(rng, spec, base, list(range(-16, 24, 8)))
+        _frame_accesses(rng, spec, base, list(range(-16, 24, 8)), rmw=rmw)
     else:
         # Negative displacements from a base in mid-data, down to a page
         # and more below it.
         at = DATA + 4096 * rng.randrange(2, 6) + 8
         spec.append((Op.LEA, base, Mem(Reg.RBP, at - DATA)))
-        _frame_accesses(rng, spec, base, [-4104, -4096, -16, -8, 0, 8], at, stored)
+        _frame_accesses(rng, spec, base, [-4104, -4096, -16, -8, 0, 8], at, stored, rmw)
 
 
-def frames_spec(seed: int) -> List[Entry]:
+def frames_spec(seed: int, traced: bool = False) -> List[Entry]:
     """The seeded machine-level program of the frames leg: counted loops
     and straight-line runs of :func:`_gen_frame` constructs, then every
     GPR and the words stored through bases of known value are written
     out, so a store that went astray shows in the output.  It draws from
     its own stream, so :func:`machine_spec` programs (and every corpus
-    entry) stay as they were."""
-    rng = random.Random(f"frames:{seed}")
+    entry) stay as they were.  ``traced`` (the trace-frames leg) draws
+    from a third stream, runs every loop 20 to 40 trips, so that it
+    forms a loop trace, adds accesses through bases no loop writes
+    (:data:`INVARIANT`, and RSP below its value) and adds
+    read-modify-write forms to the access mix."""
+    rng = random.Random(f"{'trace-frames' if traced else 'frames'}:{seed}")
     spec: List[Entry] = [(Op.MOV, Reg.RBP, Imm(DATA)), (Op.MOV, FRESH_STEP, Imm(0))]
     for reg in GPRS:
         spec.append((Op.MOV, reg, Imm(rng.randrange(1 << 32))))
+    invariant = None
+    if traced:
+        # Near a page end (displacements reach the next page), and at
+        # times unaligned.
+        page = DATA + 4096 * rng.randrange(1, 7)
+        invariant = page - (8 * rng.randrange(1, 9) if rng.random() < 0.8 else rng.randrange(1, 64))
+        spec.append((Op.MOV, INVARIANT, Imm(invariant)))
     counters = list(COUNTERS)
     stored: List[int] = []
     for _ in range(rng.randrange(2, 5)):
         if counters and rng.random() < 0.6:
             counter = counters.pop()
-            spec.append((Op.MOV, counter, Imm(rng.randrange(3, 12))))
+            trips = rng.randrange(20, 41) if traced else rng.randrange(3, 12)
+            spec.append((Op.MOV, counter, Imm(trips)))
             head = len(spec)
             for _ in range(rng.randrange(1, 4)):
-                _gen_frame(rng, spec, counter, stored)
+                _gen_frame(rng, spec, counter, stored, invariant)
             spec.append((Op.SUB, counter, Imm(1)))
             spec.append((Op.CMP, counter, Imm(0)))
             spec.append((Op.JG, ("L", head), None))
         else:
             for _ in range(rng.randrange(1, 3)):
-                _gen_frame(rng, spec, None, stored)
+                _gen_frame(rng, spec, None, stored, invariant)
     for reg in GPRS:
         spec.append((Op.OUT, reg, None))
     for addr in sorted(set(stored)):
@@ -610,16 +661,18 @@ def check_machine_seed(seed: int, budget: int = BUDGET, indexed: bool = False) -
         )
 
 
-def check_frames_seed(seed: int, budget: int = BUDGET) -> None:
+def check_frames_seed(seed: int, budget: int = BUDGET, traced: bool = False) -> None:
     """Differential over the frames leg's program for ``seed``
-    (:func:`frames_spec`), whole and in ``step()`` slices."""
-    spec = frames_spec(seed)
+    (:func:`frames_spec`), or with ``traced`` the trace-frames leg's,
+    whole and in ``step()`` slices."""
+    spec = frames_spec(seed, traced)
+    kind = "trace-frames" if traced else "frames"
     try:
         check_machine_spec(spec, budget, seed)
     except AssertionError:
         minimized = minimize_machine(spec, budget, seed)
-        path = _dump_repro("frames", seed, minimized)
-        raise AssertionError(f"frames seed {seed} diverged; minimized repro at {path}")
+        path = _dump_repro(kind, seed, minimized)
+        raise AssertionError(f"{kind} seed {seed} diverged; minimized repro at {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -954,6 +1007,8 @@ def test_corpus_replay(path):
         check_count_promotion_seed(entry["seed"])
     elif entry["kind"] == "frames":
         check_frames_seed(entry["seed"], entry.get("budget", BUDGET))
+    elif entry["kind"] == "trace-frames":
+        check_frames_seed(entry["seed"], entry.get("budget", BUDGET), traced=True)
     else:
         check_ir_seed(entry["seed"], indexed)
 
@@ -990,6 +1045,11 @@ def test_fuzz_indexed_ir_seeded(seed):
 @pytest.mark.parametrize("seed", range(max(6, FUZZ_CASES // 4)))
 def test_fuzz_frames_seeded(seed):
     check_frames_seed(seed)
+
+
+@pytest.mark.parametrize("seed", range(max(6, FUZZ_CASES // 4)))
+def test_fuzz_trace_frames_seeded(seed):
+    check_frames_seed(seed, traced=True)
 
 
 @pytest.mark.parametrize("seed", range(max(6, FUZZ_CASES // 4)))

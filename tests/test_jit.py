@@ -530,7 +530,7 @@ def test_block_recovery_boundaries_and_fusion(capsys):
             [
                 I(Op.MOV, Reg.RAX, Imm(0)),       # 0: falls into loop head
                 I(Op.PUSH, Reg.RAX),              # 1: loop head (branch target)
-                I(Op.PUSH, Reg.RBX),              # 2: push run with 1
+                I(Op.PUSH, Reg.RBX),              # 2: no fusion: RSP's frame serves pushes
                 I(Op.POP, Reg.RBX),               # 3
                 I(Op.POP, Reg.RAX),               # 4
                 I(Op.ADD, Reg.RAX, Imm(1)),       # 5
@@ -558,7 +558,7 @@ def test_block_recovery_boundaries_and_fusion(capsys):
     assert ("taken", addresses[1]) in loop.successors()
     lowering = lower_slice(process.instructions, addresses[1])
     assert lowering.compiles
-    assert {kind for kind, _, _ in lowering.fused} == {"cmp+jcc", "push-run"}
+    assert {kind for kind, _, _ in lowering.fused} == {"cmp+jcc"}
 
     from repro.__main__ import main
 
@@ -1416,11 +1416,12 @@ def test_every_benchmark_binary_lowers_at_tier_2():
 # ---------------------------------------------------------------------------
 
 
-def _frame_loop(body, setup=()):
-    """``setup``, then ``body`` as a 5-trip loop on R8, then RAX..RDX
-    out: the loop head compiles on its second entry and runs compiled 4
-    times, too few for a loop trace, so ``body`` runs as a tier-2 block."""
-    spec = [(Op.MOV, Reg.R8, Imm(5)), *setup]
+def _frame_loop(body, setup=(), trips=5):
+    """``setup``, then ``body`` as a ``trips``-trip loop on R8, then
+    RAX..RDX out.  At 5 trips the loop head compiles on its second entry
+    and runs compiled 4 times, too few for a loop trace, so ``body`` runs
+    as a tier-2 block; 24 trips form a loop trace."""
+    spec = [(Op.MOV, Reg.R8, Imm(trips)), *setup]
     head = len(spec)
     spec += body
     spec += [
@@ -1538,7 +1539,8 @@ FRAME_CASES = {
     "push-run-across-page": ([], _push_run(DATA + 0x3000 + 32), _lookup(Reg.RSP, write=True)),
     # A store and loads through a base that walks into untouched pages,
     # and the other order through a second walker: each compiled trip
-    # materializes its pages mid-block.
+    # materializes its pages mid-block until the walkers wrap within
+    # the 16-page data mapping.
     "materialize": (
         [(Op.MOV, Reg.RBX, Imm(DATA + 0x5000)), (Op.MOV, Reg.RSI, Imm(DATA + 0xA000))],
         [
@@ -1551,7 +1553,9 @@ FRAME_CASES = {
             (Op.MOV, Mem(Reg.RSI, 40), Reg.RAX),
             (Op.ADD, Reg.RCX, Imm(7)),
             (Op.ADD, Reg.RBX, Imm(0x1000)),
+            (Op.AND, Reg.RBX, Imm(DATA | 0xF000)),
             (Op.ADD, Reg.RSI, Imm(0x1000)),
+            (Op.AND, Reg.RSI, Imm(DATA | 0xF000)),
         ],
         _lookup(Reg.RSI),
     ),
@@ -1606,26 +1610,39 @@ def _frame_case_spec(name: str):
     return _frame_loop(body, setup), line
 
 
-def _differential_frames(make, line: str, monkeypatch) -> dict:
-    """Run ``make()`` on every backend, whole and in ``step()`` slices
-    (random lengths, then single steps); every observation must equal
-    ``reference``'s whole run, and a block the jit compiled must hold
-    ``line``."""
+def _recorded_sources(monkeypatch, compiler) -> list:
+    """The list every source ``compiler`` (a block or a trace compiler
+    class) generates from here on is appended to."""
     sources = []
-    generate = _SliceCompiler.generate
+    generate = compiler.generate
 
     def recording(self):
         source = generate(self)
-        if type(self) is _SliceCompiler:
+        if type(self) is compiler:
             sources.append(source)
         return source
 
-    monkeypatch.setattr(_SliceCompiler, "generate", recording)
+    monkeypatch.setattr(compiler, "generate", recording)
+    return sources
+
+
+def _differential(make) -> dict:
+    """``make()``'s observation on ``reference``, which every backend
+    must equal, whole and in ``step()`` slices (random lengths, then
+    3-instruction slices)."""
     want = run_one_backend(make, "reference")
     for backend in BACKENDS:
         for slices in (None, _slices(7), itertools.repeat(3)):
             observed = run_one_backend(make, backend, slices=slices)
             assert observed == want, (backend, slices)
+    return want
+
+
+def _differential_frames(make, line: str, monkeypatch) -> dict:
+    """:func:`_differential` over ``make()``; a block the jit compiled
+    must hold ``line``."""
+    sources = _recorded_sources(monkeypatch, _SliceCompiler)
+    want = _differential(make)
     assert any(line in source for source in sources)
     return want
 
@@ -1670,3 +1687,52 @@ def test_frame_store_into_a_protected_page_faults_exactly(monkeypatch, perm, gua
     assert want["error"][0] is error
     assert want["rip"] == build_spec(spec)[1][2]
     assert want["regs"][Reg.R8] == 2
+
+
+#: Frame case -> the base register whose frame its loop trace must hold,
+#: and whether the trace hoists that frame (the path never writes the
+#: register) or opens it in the loop body.
+TRACE_FRAMES = {
+    "page-end": (Reg.RBX, True),
+    "unaligned-base": (Reg.RBX, True),
+    "negative-disp": (Reg.RBX, True),
+    "push-run-across-page": (Reg.RSP, False),
+    "materialize": (Reg.RSI, False),
+    "overwritten-base": (Reg.RBX, False),
+    "pop-rsp": (Reg.RSP, False),
+}
+
+
+@pytest.mark.parametrize("name", list(FRAME_CASES))
+def test_frames_in_loop_traces_equal_reference(monkeypatch, name):
+    """Each frame case's body, as a 24-trip loop, forms a loop trace
+    and equals ``reference`` on every backend, whole and sliced.  The
+    trace sets a hoisted frame's value once, in its prolog (before the
+    loop's ``while``), and a written base's in the loop body."""
+    setup, body, _ = FRAME_CASES[name]
+    spec = _frame_loop(body, setup, trips=24)
+    sources = _recorded_sources(monkeypatch, _TraceCompiler)
+    want = _differential(lambda: build_spec(spec)[0])
+    assert want["error"] is None
+    assert want["exit_code"] == 0
+    reg, hoisted = TRACE_FRAMES[name]
+    value = f"h{int(reg)} = g{int(reg)}"
+    assert sources
+    for source in sources:
+        prolog, _, loop = source.partition("while 1:")
+        assert value in (prolog if hoisted else loop)
+        assert value not in (loop if hoisted else prolog)
+
+
+def test_each_trace_is_generated_once(monkeypatch):
+    """``_form_trace`` generates a trace's source once per trace it
+    compiles, hoisted frames and all."""
+    setup, body, _ = FRAME_CASES["page-end"]
+    spec = _frame_loop(body, setup, trips=24)
+    sources = _recorded_sources(monkeypatch, _TraceCompiler)
+    clear_jit_cache()
+    before = jit_stats_snapshot()["traces_compiled"]
+    run_one_backend(lambda: build_spec(spec)[0], "jit")
+    compiled = jit_stats_snapshot()["traces_compiled"] - before
+    assert compiled >= 1
+    assert len(sources) == compiled
